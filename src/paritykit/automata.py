@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 
 from .decomposition import LabellingPair
 from .errors import (
+    DEFAULT_STATE_CAP,
     AlphabetMismatch,
     EmptyIndex,
     IncompatibleGuide,
@@ -17,7 +18,6 @@ from .errors import (
 )
 from .games import Index, ParityGame, ParityGraph, solve
 from .transduction import (
-    DEFAULT_STATE_CAP,
     LIBERAL,
     RegMachine,
     normalize_output_index,

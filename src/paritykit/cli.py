@@ -11,6 +11,7 @@ import sys
 from . import manifests
 from .decomposition import build_ad, is_tight, tree_shape, validate_ad
 from .errors import (
+    DEFAULT_STATE_CAP,
     NotBounded,
     NotEven,
     ParityKitError,
@@ -61,8 +62,11 @@ def _emit(obj, args):
         print(manifests.dumps(obj, indent=2))
 
 
-def _cap(args):
-    return getattr(args, "cap_states", None) or 200_000
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def cmd_solve(args):
@@ -166,22 +170,22 @@ def cmd_reg(args):
     obj = _load(args.file, args.format)
     J = Index(args.j_lo, args.j_hi)
     if args.action == "build":
-        product = reg_product(obj, J, args.n, rule=args.reset_rule, cap=_cap(args))
+        product = reg_product(obj, J, args.n, rule=args.reset_rule, cap=args.cap_states)
         _emit(product, args)
         return 0
     if args.action == "solve":
         won = eve_wins_reg(
-            obj, J, args.n, args.start, rule=args.reset_rule, cap=_cap(args)
+            obj, J, args.n, args.start, rule=args.reset_rule, cap=args.cap_states
         )
         print("eve wins" if won else "adam wins")
         return 0 if won else 1
     if args.action == "synth":
         if args.decomposition:
             d = _load(args.decomposition)
-            strat = synth_from_ad(obj, d, args.n, rule=args.reset_rule, cap=_cap(args))
+            strat = synth_from_ad(obj, d, args.n, rule=args.reset_rule, cap=args.cap_states)
         else:
             strat = strategy_from_bounded_pair(
-                obj, args.n, rule=args.reset_rule, cap=_cap(args)
+                obj, args.n, rule=args.reset_rule, cap=args.cap_states
             )
         verified = strat.verify()
         print("verified" if verified else "not winning")
@@ -213,7 +217,7 @@ def cmd_aut(args):
     a = _load(args.automaton)
     if args.action == "compose":
         J = Index(args.j_lo, args.j_hi)
-        _emit(compose_transducer(a, J, args.n, rule=args.reset_rule, cap=_cap(args)), args)
+        _emit(compose_transducer(a, J, args.n, rule=args.reset_rule, cap=args.cap_states), args)
         return 0
     t = _load(args.tree)
     if args.action == "game":
@@ -298,7 +302,7 @@ def build_parser():
     parser.add_argument(
         "--format", choices=("native", "pgsolver", "dot"), default="native"
     )
-    parser.add_argument("--cap-states", type=int, default=None)
+    parser.add_argument("--cap-states", type=_positive_int, default=DEFAULT_STATE_CAP)
     parser.add_argument(
         "--reset-rule", choices=("liberal", "literal", "never"), default=LIBERAL
     )

@@ -3,9 +3,12 @@ the bounded-pair to low-Strahler construction on memory products.
 
 All vertex and edge references inside a decomposition are in the id space
 of the root graph it was built for; recursion happens on (alive vertices,
-removed edges) views instead of physically restricted graphs, because a
-removed top-priority edge can connect two vertices of the same child
-subgame and must stay excluded all the way down.
+priority cap) views of the compiled graph (see `games._Core`) instead of
+physically restricted graphs, because a removed top-priority edge can
+connect two vertices of the same child subgame and must stay excluded all
+the way down.  Below a node of level h every live edge has priority at
+most h, so removing the node's top edges is the same as capping the view
+at h.
 """
 
 from collections import deque
@@ -13,6 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import (
+    DEFAULT_STATE_CAP,
     HypothesisViolated,
     InvalidDecomposition,
     NotBounded,
@@ -22,7 +26,7 @@ from .errors import (
     PriorityOutOfRange,
     StateExplosion,
 )
-from .games import Index, ParityGraph, _attr_edges, _attr_vertices, _odd_cycle_witness
+from .games import Index, ParityGraph, _attract, _compile, _odd_cycle_witness
 from .trees import LEAF, OrderedTree
 
 
@@ -64,79 +68,55 @@ class ValidationResult:
         return f"ValidationResult(clause={self.clause!r}, witness={self.witness!r})"
 
 
-def _live_edge_ids(g, alive, dead):
-    return [
-        i
-        for i, e in enumerate(g.edges)
-        if i not in dead and e.src in alive and e.dst in alive
-    ]
+def _live_edges(core, alive, cap):
+    """Live edge ids of the view (alive, cap), ascending."""
+    dst, pri, out = core.dst, core.pri, core.out
+    return sorted(i for v in alive for i in out[v] if pri[i] < cap and dst[i] in alive)
 
 
-def _terminal_in_view(g, alive, dead):
+def _terminal_in_view(core, alive, cap):
+    dst, pri, out = core.dst, core.pri, core.out
     for v in sorted(alive):
-        if not any(i not in dead and g.edges[i].dst in alive for i in g.out[v]):
+        if not any(pri[i] < cap and dst[i] in alive for i in out[v]):
             return v
     return None
 
 
-def _reaches_priority(g, alive, dead, priority):
-    """Vertices of the view from which an edge of the given priority is reachable."""
-    seeds = {
-        g.edges[i].src
-        for i in _live_edge_ids(g, alive, dead)
-        if g.edges[i].priority == priority
-    }
-    reach = set(seeds)
-    queue = deque(sorted(seeds))
-    while queue:
-        v = queue.popleft()
-        for i in g.inc[v]:
-            if i in dead:
-                continue
-            u = g.edges[i].src
-            if u in alive and u not in reach:
-                reach.add(u)
-                queue.append(u)
-    return reach
-
-
-def _canonical_children(g, alive, dead, level):
-    """Top layer of the canonical decomposition: (H, A_0, [(S_k, A_k)]).
-
-    Each S_k is maximal: all residual vertices from which level-1 cannot
-    be reached.  Raises NotEven-shaped failures only via the caller; here
-    an empty S_k on a non-empty residual signals a non-even input.
-    """
-    h_edges = frozenset(
-        i for i in _live_edge_ids(g, alive, dead) if g.edges[i].priority == level
-    )
-    a0 = _attr_edges(g, h_edges, alive, dead)
-    dead2 = dead | h_edges
-    rest = alive - a0
+def _kids(core, rest, cap, labels, odd):
+    """Peel maximal S_k off the residual: all vertices from which no live
+    edge labelled `odd` is reachable, then their attractor.  An empty S_k
+    on a non-empty residual signals a non-even input."""
     kids = []
     while rest:
-        bad = _reaches_priority(g, rest, dead2, level - 1)
-        s = frozenset(rest - bad)
+        odd_edges = frozenset(i for i in _live_edges(core, rest, cap) if labels[i] == odd)
+        bad, _ = _attract(core, rest, cap, target_edges=odd_edges, mine=rest)
+        s = rest - bad
         if not s:
             raise InvalidDecomposition(
-                f"no level-{level - 2} core in a non-empty residual (graph not even?)"
+                f"no level-{odd - 1} core in a non-empty residual (graph not even?)"
             )
-        a = _attr_vertices(g, s, rest, dead2)
-        kids.append((s, a))
+        a, _ = _attract(core, rest, cap, s)
+        kids.append((s, frozenset(a)))
         rest = rest - a
-    return h_edges, a0, kids
+    return kids
 
 
-def _build(g, alive, dead, level):
+def _canonical_children(core, alive, cap, level):
+    """Top layer of the canonical decomposition: (H, A_0, [(S_k, A_k)])."""
+    h_edges = frozenset(i for i in _live_edges(core, alive, cap) if core.pri[i] == level)
+    a0 = frozenset(_attract(core, alive, cap, target_edges=h_edges)[0])
+    return h_edges, a0, _kids(core, alive - a0, min(cap, level), core.pri, level - 1)
+
+
+def _build(core, alive, cap, level):
     if level == 0:
-        live = frozenset(_live_edge_ids(g, alive, dead))
+        live = frozenset(_live_edges(core, alive, cap))
         return AttractorDecomposition(0, live, frozenset(alive), ())
-    h_edges, a0, kids = _canonical_children(g, alive, dead, level)
+    h_edges, a0, kids = _canonical_children(core, alive, cap, level)
     if not kids:
         return AttractorDecomposition(level, h_edges, frozenset(alive), ())
-    children = tuple(
-        AdChild(s, a, _build(g, s, dead | h_edges, level - 2)) for s, a in kids
-    )
+    cap1 = min(cap, level)
+    children = tuple(AdChild(s, a, _build(core, s, cap1, level - 2)) for s, a in kids)
     return AttractorDecomposition(level, h_edges, a0, children)
 
 
@@ -152,20 +132,22 @@ def build_ad(g, h):
         raise NotEven(lasso)
     if g.terminals:
         raise PreconditionFailed("build_ad", f"terminal vertex {g.terminals[0]}")
-    return _build(g, g.vertices, frozenset(), h)
+    core = _compile(g)
+    return _build(core, g.vertices, core.cap, h)
 
 
-def _validate(g, d, alive, dead):
+def _validate(core, d, alive, cap):
     if d.level < 0 or d.level % 2 == 1:
         return ValidationResult(False, "level-even", d.level)
-    live = _live_edge_ids(g, alive, dead)
+    dst, pri, out = core.dst, core.pri, core.out
+    live = _live_edges(core, alive, cap)
     for i in live:
-        if g.edges[i].priority > d.level:
+        if pri[i] > d.level:
             return ValidationResult(False, "priorities-bounded", i)
-    h_expected = frozenset(i for i in live if g.edges[i].priority == d.level)
+    h_expected = frozenset(i for i in live if pri[i] == d.level)
     if d.top_edges != h_expected:
         return ValidationResult(False, "top-edges", d.top_edges ^ h_expected)
-    a0 = _attr_edges(g, h_expected, alive, dead)
+    a0, _ = _attract(core, alive, cap, target_edges=h_expected)
     if d.top_attractor != a0:
         return ValidationResult(False, "top-attractor", d.top_attractor ^ a0)
     if not d.children:
@@ -174,7 +156,7 @@ def _validate(g, d, alive, dead):
         return ValidationResult(True)
     if d.level == 0:
         return ValidationResult(False, "level-zero-children", None)
-    dead2 = dead | h_expected
+    cap2 = min(cap, d.level)
     current = alive - a0
     for idx, child in enumerate(d.children, 1):
         s, a, sub = child.subgame, child.attractor, child.sub
@@ -182,25 +164,22 @@ def _validate(g, d, alive, dead):
             return ValidationResult(False, "child-nonempty", idx)
         if not s <= current:
             return ValidationResult(False, "child-in-residual", (idx, s - current))
-        for i in _live_edge_ids(g, s, dead2):
-            if g.edges[i].priority > d.level - 2:
+        for i in _live_edges(core, s, cap2):
+            if pri[i] > d.level - 2:
                 return ValidationResult(False, "child-priorities", (idx, i))
-        t = _terminal_in_view(g, s, dead2)
+        t = _terminal_in_view(core, s, cap2)
         if t is not None:
             return ValidationResult(False, "child-terminal", (idx, t))
         for v in sorted(s):
-            for i in g.out[v]:
-                if i in dead2:
-                    continue
-                w = g.edges[i].dst
-                if w in current and w not in s:
+            for i in out[v]:
+                if pri[i] < cap2 and dst[i] in current and dst[i] not in s:
                     return ValidationResult(False, "child-closed", (idx, i))
-        expected_a = _attr_vertices(g, s, current, dead2)
+        expected_a, _ = _attract(core, current, cap2, s)
         if a != expected_a:
             return ValidationResult(False, "child-attractor", (idx, a ^ expected_a))
         if sub.level != d.level - 2:
             return ValidationResult(False, "child-level", (idx, sub.level))
-        inner = _validate(g, sub, s, dead2)
+        inner = _validate(core, sub, s, cap2)
         if not inner:
             return inner
         current = current - a
@@ -212,7 +191,8 @@ def _validate(g, d, alive, dead):
 def validate_ad(g, d):
     """Check every clause of the decomposition definition; names the first
     violated clause and a witness on failure."""
-    return _validate(g, d, g.vertices, frozenset())
+    core = _compile(g)
+    return _validate(core, d, g.vertices, core.cap)
 
 
 def _reach_from(g, starts, alive, dead):
@@ -260,32 +240,18 @@ def tree_shape(d):
 
 
 def _tight(g, d, alive, dead):
-    if d.children:
-        dead2 = dead | d.top_edges
-        low = [
-            i
-            for i in _live_edge_ids(g, alive, dead2)
-            if g.edges[i].priority <= d.level - 2
-        ]
-        out = {v: [] for v in alive}
-        for i in low:
-            out[g.edges[i].src].append(g.edges[i].dst)
-        for i, child in enumerate(d.children):
-            if i == 0:
-                continue
-            reach = set(child.subgame)
-            queue = deque(sorted(child.subgame))
-            while queue:
-                v = queue.popleft()
-                for w in out[v]:
-                    if w not in reach:
-                        reach.add(w)
-                        queue.append(w)
-            for earlier in d.children[:i]:
-                if (reach - child.subgame) & earlier.subgame:
-                    return False
-        return all(_tight(g, c.sub, c.subgame, dead2) for c in d.children)
-    return True
+    if not d.children:
+        return True
+    dead2 = dead | d.top_edges
+    high = dead2 | {i for i, e in enumerate(g.edges) if e.priority > d.level - 2}
+    for i, child in enumerate(d.children):
+        if i == 0:
+            continue
+        reach = _reach_from(g, child.subgame, alive, high)
+        for earlier in d.children[:i]:
+            if (reach - child.subgame) & earlier.subgame:
+                return False
+    return all(_tight(g, c.sub, c.subgame, dead2) for c in d.children)
 
 
 def is_tight(g, d):
@@ -303,10 +269,11 @@ def attr_partition(g, parts):
         if s & seen:
             raise OverlappingParts(sorted(s & seen))
         seen |= s
+    core = _compile(g)
     out = []
     current = frozenset(g.vertices)
     for s in parts:
-        a = _attr_vertices(g, frozenset(s) & current, current, frozenset())
+        a = frozenset(_attract(core, current, core.cap, frozenset(s))[0])
         out.append(a)
         current = current - a
     return out
@@ -324,10 +291,10 @@ def join_ads(g, h, pieces):
     for e in g.edges:
         if e.priority > h:
             raise PriorityOutOfRange(f"priority {e.priority} exceeds level {h}")
-    live = _live_edge_ids(g, g.vertices, frozenset())
-    h_edges = frozenset(i for i in live if g.edges[i].priority == h)
-    a0 = _attr_edges(g, h_edges, g.vertices, frozenset())
-    dead2 = h_edges
+    core = _compile(g)
+    dst, pri, out = core.dst, core.pri, core.out
+    h_edges = frozenset(i for i in range(len(pri)) if pri[i] == h)
+    a0 = frozenset(_attract(core, g.vertices, core.cap, target_edges=h_edges)[0])
     current = g.vertices - a0
     children = []
     for k, (s, sub) in enumerate(pieces):
@@ -337,20 +304,17 @@ def join_ads(g, h, pieces):
         if not s <= current:
             raise HypothesisViolated("subgame-in-residual", f"piece {k}")
         for v in sorted(s):
-            for i in g.out[v]:
-                if i in dead2:
-                    continue
-                w = g.edges[i].dst
-                if w in current and w not in s:
+            for i in out[v]:
+                if pri[i] < h and dst[i] in current and dst[i] not in s:
                     raise HypothesisViolated("successor-closed", f"piece {k}, edge {i}")
         if sub.level != h - 2:
             raise HypothesisViolated("child-level", f"piece {k} has level {sub.level}")
-        inner = _validate(g, sub, s, dead2)
+        inner = _validate(core, sub, s, h)
         if not inner:
             raise HypothesisViolated(
                 "child-decomposition", f"piece {k}: {inner.clause}"
             )
-        a = _attr_vertices(g, s, current, dead2)
+        a = frozenset(_attract(core, current, h, s)[0])
         children.append(AdChild(s, a, sub))
         current = current - a
     if current:
@@ -450,9 +414,6 @@ class MemoryProduct:
         return self._bit(v, oi, ej, 1)
 
 
-DEFAULT_STATE_CAP = 200_000
-
-
 def memory_product(pair, cap=DEFAULT_STATE_CAP):
     """All (vertex, memory) states reachable from cleared memory at every
     base vertex, with both labellings lifted edge-wise."""
@@ -522,21 +483,13 @@ def memory_product(pair, cap=DEFAULT_STATE_CAP):
 # bounded pair -> low-Strahler decomposition
 
 
-def _view_core(g, part, dead):
-    """Largest subset whose view-internal paths are infinite: iteratively
-    drop vertices with no surviving internal successor.  Dropped vertices
-    are forced out of the part, so assembly attractors absorb them."""
-    core = set(part)
-    changed = True
-    while changed:
-        changed = False
-        for v in sorted(core):
-            if not any(
-                i not in dead and g.edges[i].dst in core for i in g.out[v]
-            ):
-                core.discard(v)
-                changed = True
-    return frozenset(core)
+def _view_core(core, part, cap):
+    """Largest subset whose view-internal paths are infinite: the part
+    minus the vertices forced into the empty target (those with no
+    infinite internal path).  Dropped vertices are forced out of the
+    part, so assembly attractors absorb them."""
+    part = frozenset(part)
+    return part - _attract(core, part, cap)[0]
 
 
 def _two_layer_reach(out_edges, start, oi_label):
@@ -556,21 +509,27 @@ def _two_layer_reach(out_edges, start, oi_label):
     return plain, witnessed
 
 
-def _rts_build(mp, g_i, g_j, alive, dead, i2, j2, n):
+def _rts_build(mp, core, label_j, alive, cap, i2, j2, n):
     """The induction step of the bounded-pair construction on the memory
     product: split children into star parts ranked by witnessed hops and
-    priority-free leftovers, then reassemble in interleaved order."""
+    priority-free leftovers, then reassemble in interleaved order.  `core`
+    is the product's labelI graph compiled; `label_j` its labelJ values.
+
+    Within a star part no labelI edge has priority level-1 (its source
+    would outrank its target), nor within a leftover part (a subset of one
+    S_k), so capping the children at `level` removes exactly the top edges
+    here and the children's top edges below."""
     level = 2 * i2
     if i2 == 0:
-        live = frozenset(_live_edge_ids(g_i, alive, dead))
+        live = frozenset(_live_edges(core, alive, cap))
         return AttractorDecomposition(0, live, frozenset(alive), ())
-    t = _terminal_in_view(g_i, alive, dead)
+    t = _terminal_in_view(core, alive, cap)
     if t is not None:
         raise InvalidDecomposition(f"terminal vertex {t} in construction subgame")
-    h_edges, a0, kids = _canonical_children(g_i, alive, dead, level)
+    h_edges, a0, kids = _canonical_children(core, alive, cap, level)
     if not kids:
         return AttractorDecomposition(level, h_edges, frozenset(alive), ())
-    dead1 = dead | h_edges
+    cap1 = min(cap, level)
     alive1 = alive - a0
     oi = level - 1
     ej = 2 * j2
@@ -586,40 +545,24 @@ def _rts_build(mp, g_i, g_j, alive, dead, i2, j2, n):
     all_stars = sorted(star_k)
 
     out_edges = {}
-    for i in _live_edge_ids(g_i, alive1, dead1):
-        e = g_i.edges[i]
-        out_edges.setdefault(e.src, []).append((e.dst, g_i.edges[i].priority == oi))
+    for i in _live_edges(core, alive1, cap1):
+        out_edges.setdefault(core.src[i], []).append((core.dst[i], core.pri[i] == oi))
 
-    plain_to = {}
     witness_to = {}
     for v in all_stars:
-        plain, witnessed = _two_layer_reach(out_edges, v, oi)
-        plain_to[v] = [u for u in all_stars if u != v and u in plain]
+        _plain, witnessed = _two_layer_reach(out_edges, v, oi)
         witness_to[v] = [u for u in all_stars if u in witnessed]
 
-    # longest witnessed chain, with plain reachability propagating ranks;
-    # iterate to fixpoint — a witnessed cycle would contradict every n-bound,
-    # so divergence is reported instead of looped on
+    # a star's rank is the length of its longest chain of witnessed hops; a
+    # witnessed cycle would contradict every n-bound, so it is reported.
+    # Reach is transitive, so a star u witnessed from v witnesses a strict
+    # subset of v's stars (and plain reach never lifts v above that chain):
+    # fewer witnessed stars first is a topological order.
     for v in all_stars:
-        star_rank[v] = 1
-    changed = True
-    rounds = 0
-    while changed:
-        changed = False
-        rounds += 1
-        if rounds > n + 3 + len(all_stars):
+        if v in witness_to[v]:
             raise InvalidDecomposition("witnessed star cycle; pair is not bounded")
-        for v in all_stars:
-            best = 1
-            for u in plain_to[v]:
-                if star_rank[u] > best:
-                    best = star_rank[u]
-            for u in witness_to[v]:
-                if star_rank[u] + 1 > best:
-                    best = star_rank[u] + 1
-            if best > star_rank[v]:
-                star_rank[v] = best
-                changed = True
+    for v in sorted(all_stars, key=lambda v: len(witness_to[v])):
+        star_rank[v] = 1 + max((star_rank[u] for u in witness_to[v]), default=0)
     max_rank = max(star_rank.values(), default=0)
     if max_rank > n + 1:
         raise InvalidDecomposition(
@@ -633,7 +576,7 @@ def _rts_build(mp, g_i, g_j, alive, dead, i2, j2, n):
     leftover_pieces = {m: [] for m in range(0, max_rank + 1)}
     for k, (s, _a) in enumerate(kids):
         stars = stars_of[k]
-        a_star = _attr_vertices(g_i, stars, s, dead1)
+        a_star = _attract(core, s, cap1, stars)[0]
         left = s - a_star
         if not left:
             continue
@@ -645,7 +588,7 @@ def _rts_build(mp, g_i, g_j, alive, dead, i2, j2, n):
         for m, part in sorted(by_rank.items()):
             # dead-end vertices of a rank class exit it on every path and
             # are swept up by the assembly attractors instead
-            part = _view_core(g_i, part, dead1)
+            part = _view_core(core, part, cap1)
             if not part:
                 continue
             if j2 <= 1:
@@ -653,12 +596,13 @@ def _rts_build(mp, g_i, g_j, alive, dead, i2, j2, n):
                     "2j-free leftover with an internal cycle contradicts "
                     "output evenness"
                 )
-            hj, aj0, jkids = _canonical_children(g_j, part, dead1, 2 * j2)
-            if hj or aj0:
+            # a view core has no forced vertex, so without top output
+            # edges its labelJ top attractor is empty as well
+            if any(label_j[i] == ej for i in _live_edges(core, part, cap1)):
                 raise InvalidDecomposition(
                     "leftover part unexpectedly contains a top output priority"
                 )
-            for s_p, _ap in jkids:
+            for s_p, _ap in _kids(core, part, cap1, label_j, ej - 1):
                 leftover_pieces[m].append(s_p)
 
     sequence = []
@@ -671,11 +615,11 @@ def _rts_build(mp, g_i, g_j, alive, dead, i2, j2, n):
     current = alive1
     children = []
     for part, sub_j in sequence:
-        live_part = _view_core(g_i, frozenset(part) & current, dead1)
+        live_part = _view_core(core, frozenset(part) & current, cap1)
         if not live_part:
             continue
-        sub = _rts_build(mp, g_i, g_j, live_part, dead1, i2 - 1, sub_j, n)
-        a = _attr_vertices(g_i, live_part, current, dead1)
+        sub = _rts_build(mp, core, label_j, live_part, cap1, i2 - 1, sub_j, n)
+        a = frozenset(_attract(core, current, cap1, live_part)[0])
         children.append(AdChild(live_part, a, sub))
         current = current - a
     if current:
@@ -710,10 +654,8 @@ def ad_from_bounded_pair(pair, n, j, cap=DEFAULT_STATE_CAP):
         raise NotBounded(ce)
     mp = memory_product(pair, cap=cap)
     g_i = mp.pair.graph_i()
-    g_j = mp.pair.graph_j()
-    d = _rts_build(
-        mp, g_i, g_j, g_i.vertices, frozenset(), ii.hi // 2, j, n
-    )
+    core = _compile(g_i)
+    d = _rts_build(mp, core, mp.pair.label_j, g_i.vertices, core.cap, ii.hi // 2, j, n)
     res = validate_ad(g_i, d)
     if not res:
         raise InvalidDecomposition(f"internal: {res.clause} ({res.witness})")

@@ -45,6 +45,10 @@ class HypothesisViolated(ParityKitError):
         super().__init__(f"hypothesis violated: {clause}" + (f" ({detail})" if detail else ""))
 
 
+DEFAULT_STATE_CAP = 200_000
+"""State cap of every product construction unless the caller gives one."""
+
+
 class StateExplosion(ParityKitError):
     def __init__(self, count, cap):
         self.count = count

@@ -23,10 +23,6 @@ EVE = "eve"
 ADAM = "adam"
 
 
-def opponent(player):
-    return ADAM if player == EVE else EVE
-
-
 @dataclass(frozen=True)
 class Index:
     """A contiguous priority range [lo, hi]."""
@@ -201,35 +197,88 @@ def restrict(g, keep):
     return ParityGraph(keep, tuple(edges), g.index)
 
 
-def _live_out(g, v, alive, dead):
-    for i in g.out[v]:
-        if i in dead:
-            continue
-        if g.edges[i].dst in alive:
-            yield i
+class _Core(NamedTuple):
+    """A graph compiled for the attractor and the solver: flat per-edge
+    `src`/`dst`/`pri` lists, the graph's per-vertex ascending out/in edge
+    ids, the owner sets, and `cap`, one above every priority.
 
-
-def _attr_edges(g, targets, alive, dead):
-    """Vertices of `alive` all of whose infinite (alive, non-dead) paths hit `targets`.
-
-    Greatest-fixpoint complement: survivors can keep avoiding the target
-    edges forever; everything else is attracted.  Terminal vertices have no
-    infinite paths and are vacuously attracted.
+    A view of the graph is a vertex set `alive` plus a priority cap: an
+    edge is live iff both ends are alive and its priority is below the cap.
     """
-    avoid = set(alive)
-    changed = True
-    while changed:
-        changed = False
-        for v in sorted(avoid):
-            ok = False
-            for i in _live_out(g, v, alive, dead):
-                if i not in targets and g.edges[i].dst in avoid:
-                    ok = True
-                    break
-            if not ok:
-                avoid.discard(v)
-                changed = True
-    return frozenset(alive - avoid)
+
+    src: list
+    dst: list
+    pri: list
+    out: dict
+    inc: dict
+    eve: frozenset
+    adam: frozenset
+    cap: int
+
+    def owned(self, player):
+        return self.eve if player == EVE else self.adam
+
+
+def _compile(g, eve=frozenset()):
+    src = [e.src for e in g.edges]
+    dst = [e.dst for e in g.edges]
+    pri = [e.priority for e in g.edges]
+    return _Core(src, dst, pri, g.out, g.inc, eve, g.vertices - eve, max(pri, default=0) + 1)
+
+
+def _attract(core, alive, cap, targets=frozenset(), target_edges=frozenset(), mine=frozenset()):
+    """Least set of `alive` from which every live path is forced into
+    `targets` or across a live edge of `target_edges`.
+
+    Vertices in `mine` need one such move, all others need every live
+    move to be one (so a vertex without live moves is forced vacuously).
+    Counter-based, O(|V|+|E|) on the view.  Returns (attracted set,
+    strategy), the strategy mapping each attracted vertex of `mine`
+    outside `targets` to its move: its first target edge in out-edge
+    order if it has one, else the in-edge that first reached it.  The
+    seed round takes vertices in ascending id and the queue scans
+    in-edges ascending, so the strategy is deterministic.
+    """
+    src, dst, pri, out, inc = core.src, core.dst, core.pri, core.out, core.inc
+    # the queue is a list that the loop below extends while reading it
+    queue = sorted(targets & alive)
+    push = queue.append
+    strat = {}
+    esc = {}
+    for v in sorted(alive.difference(queue)):
+        if v in mine:
+            if target_edges:
+                for i in out[v]:
+                    if i in target_edges and pri[i] < cap and dst[i] in alive:
+                        strat[v] = i
+                        push(v)
+                        break
+        else:
+            k = 0
+            for i in out[v]:
+                if pri[i] < cap and dst[i] in alive and i not in target_edges:
+                    k += 1
+            if k:
+                esc[v] = k
+            else:
+                push(v)
+    attracted = set(queue)
+    add = attracted.add
+    for w in queue:
+        for i in inc[w]:
+            u = src[i]
+            if u not in alive or u in attracted or pri[i] >= cap or i in target_edges:
+                continue
+            if u in mine:
+                strat[u] = i
+            else:
+                k = esc[u] - 1
+                if k:
+                    esc[u] = k
+                    continue
+            add(u)
+            push(u)
+    return attracted, strat
 
 
 def attractor_edges(g, targets):
@@ -238,25 +287,8 @@ def attractor_edges(g, targets):
     for i in targets:
         if not (0 <= i < len(g.edges)):
             raise PreconditionFailed("attractor_edges", f"unknown edge id {i}")
-    return _attr_edges(g, targets, g.vertices, frozenset())
-
-
-def _attr_vertices(g, targets, alive, dead):
-    """attr(V', ·) on the (alive, non-dead) view; targets start inside."""
-    avoid = set(alive - targets)
-    changed = True
-    while changed:
-        changed = False
-        for v in sorted(avoid):
-            ok = False
-            for i in _live_out(g, v, alive, dead):
-                if g.edges[i].dst in avoid:
-                    ok = True
-                    break
-            if not ok:
-                avoid.discard(v)
-                changed = True
-    return frozenset(alive - avoid)
+    core = _compile(g)
+    return frozenset(_attract(core, g.vertices, core.cap, target_edges=targets)[0])
 
 
 def attractor_vertices(g, targets):
@@ -264,65 +296,20 @@ def attractor_vertices(g, targets):
     targets = frozenset(targets)
     if not targets <= g.vertices:
         raise PreconditionFailed("attractor_vertices", "targets not within vertices")
-    return _attr_vertices(g, targets, g.vertices, frozenset())
-
-
-def _player_attr(game, player, target_vertices, target_edges, alive, dead):
-    """Alternating attractor on the (alive, dead) view.
-
-    Returns (attracted set, strategy).  The strategy maps each of the
-    player's vertices attracted after the seed round to an edge that is in
-    `target_edges` or moves one layer closer to the targets.
-    """
-    g = game.graph
-    tv = frozenset(target_vertices) & alive
-    te = frozenset(target_edges)
-    attracted = set(tv)
-    strat = {}
-    # escape count: live out-edges that neither belong to te nor (later) enter A
-    esc = {}
-    queue = deque(sorted(tv))
-    for v in sorted(alive - tv):
-        live = list(_live_out(g, v, alive, dead))
-        if game.owner(v) == player:
-            for i in live:
-                if i in te:
-                    attracted.add(v)
-                    strat[v] = i
-                    queue.append(v)
-                    break
-        else:
-            esc[v] = sum(1 for i in live if i not in te)
-            if esc[v] == 0:
-                attracted.add(v)
-                queue.append(v)
-    while queue:
-        w = queue.popleft()
-        for i in g.inc[w]:
-            if i in dead or i in te:
-                continue
-            u = g.edges[i].src
-            if u not in alive or u in attracted:
-                continue
-            if game.owner(u) == player:
-                attracted.add(u)
-                strat[u] = i
-                queue.append(u)
-            else:
-                esc[u] -= 1
-                if esc[u] == 0:
-                    attracted.add(u)
-                    queue.append(u)
-    return frozenset(attracted), strat
+    core = _compile(g)
+    return frozenset(_attract(core, g.vertices, core.cap, targets)[0])
 
 
 def player_attractor(game, targets, player):
     """Vertices from which `player` can force reaching `targets`, plus a
     positional reaching strategy on the player's vertices outside the targets."""
     targets = frozenset(targets)
-    if not targets <= game.graph.vertices:
+    g = game.graph
+    if not targets <= g.vertices:
         raise PreconditionFailed("player_attractor", "targets not within vertices")
-    return _player_attr(game, player, targets, frozenset(), game.graph.vertices, frozenset())
+    core = _compile(g, game.eve)
+    attracted, strat = _attract(core, g.vertices, core.cap, targets, mine=core.owned(player))
+    return frozenset(attracted), strat
 
 
 # ---------------------------------------------------------------------------
@@ -454,75 +441,82 @@ def is_even(g):
 # solving
 
 
-def _max_live_priority(g, alive, dead):
-    best = None
-    for i, e in enumerate(g.edges):
-        if i in dead or e.src not in alive or e.dst not in alive:
-            continue
-        if best is None or e.priority > best:
-            best = e.priority
-    return best
+def _zielonka(core, alive, cap):
+    """Generator form of Zielonka's recursion for edge priorities on the
+    view (alive, cap) of a compiled game.
 
-
-def _zielonka(game, alive, dead):
-    """Generator form of Zielonka's recursion for edge priorities.
-
-    Yields (alive, dead) argument pairs for sub-calls; the trampoline in
+    Yields (alive, cap) argument pairs for sub-calls; the trampoline in
     solve() sends back their results.  Returns a dict
     {EVE: region, ADAM: region, (EVE, 's'): strategy, (ADAM, 's'): strategy}.
+    The first sub-call caps the view at d, the maximal live priority: that
+    removes exactly the top edges, because no live edge lies above d.
     """
-    g = game.graph
     if not alive:
         return {EVE: frozenset(), ADAM: frozenset(), (EVE, "s"): {}, (ADAM, "s"): {}}
-    d = _max_live_priority(g, alive, dead)
-    if d is None:
+    dst, pri, out = core.dst, core.pri, core.out
+    d = -1
+    top = set()
+    for v in alive:
+        for i in out[v]:
+            p = pri[i]
+            if d <= p < cap and dst[i] in alive:
+                if p > d:
+                    d = p
+                    top = {i}
+                else:
+                    top.add(i)
+    if d < 0:
         # cannot happen: subgames of terminal-free games stay terminal-free
         raise TerminalVertex(min(alive))
-    player = EVE if d % 2 == 0 else ADAM
-    other = opponent(player)
-    top = frozenset(
-        i
-        for i, e in enumerate(g.edges)
-        if i not in dead and e.priority == d and e.src in alive and e.dst in alive
-    )
-    area, reach = _player_attr(game, player, frozenset(), top, alive, dead)
-    sub = yield (alive - area, dead | top)
+    player, other = (EVE, ADAM) if d % 2 == 0 else (ADAM, EVE)
+    area, reach = _attract(core, alive, cap, target_edges=top, mine=core.owned(player))
+    below = alive - area
+    # sub-calls nest deeply; a suspended call keeps only what its merge needs
+    del top, area
+    sub = yield (below, d)
+    del below
     if not sub[other]:
-        strat = dict(sub[(player, "s")])
+        strat = sub[(player, "s")]
         strat.update(reach)
         return {player: alive, other: frozenset(), (player, "s"): strat, (other, "s"): {}}
-    trap, pull = _player_attr(game, other, sub[other], frozenset(), alive, dead)
-    rest = yield (alive - trap, dead)
-    other_strat = dict(rest[(other, "s")])
+    won = sub[other]
+    kept = {v: e for v, e in sub[(other, "s")].items() if v in won}
+    trap, pull = _attract(core, alive, cap, won, mine=core.owned(other))
+    del reach, sub, won
+    rest = yield (alive - trap, cap)
+    other_strat = rest[(other, "s")]
     other_strat.update(pull)
-    for v, e in sub[(other, "s")].items():
-        if v in sub[other]:
-            other_strat[v] = e
+    other_strat.update(kept)
     return {
         player: rest[player],
         other: rest[other] | trap,
-        (player, "s"): dict(rest[(player, "s")]),
+        (player, "s"): rest[(player, "s")],
         (other, "s"): other_strat,
     }
 
 
 def solve(game):
-    """Zielonka regions and positional winning strategies for both players."""
+    """Zielonka regions and positional winning strategies for both players.
+
+    The game is compiled once; every recursive call reads only the live
+    out-edges of its own vertices.
+    """
     g = game.graph
     if g.terminals:
         raise TerminalVertex(g.terminals[0])
-    stack = [_zielonka(game, g.vertices, frozenset())]
+    core = _compile(g, game.eve)
+    stack = [_zielonka(core, g.vertices, core.cap)]
     result = None
     while stack:
         try:
             args = stack[-1].send(result)
             result = None
-            stack.append(_zielonka(game, *args))
+            stack.append(_zielonka(core, *args))
         except StopIteration as stop:
             result = stop.value
             stack.pop()
-    eve_strat = {v: e for v, e in result[(EVE, "s")].items() if game.owner(v) == EVE}
-    adam_strat = {v: e for v, e in result[(ADAM, "s")].items() if game.owner(v) == ADAM}
+    eve_strat = {v: e for v, e in result[(EVE, "s")].items() if v in game.eve}
+    adam_strat = {v: e for v, e in result[(ADAM, "s")].items() if v not in game.eve}
     return result[EVE], result[ADAM], eve_strat, adam_strat
 
 
@@ -554,10 +548,16 @@ def strategy_graph(game, sigma, region, player=EVE):
 
 
 def verify_winning(game, sigma, region, player=EVE):
-    """True iff fixing `sigma` on `region` leaves only plays won by `player`."""
+    """True iff `region` is a trap for the opponent and fixing `sigma` on it
+    leaves only plays won by `player`."""
     h = strategy_graph(game, sigma, region, player)
     if not region:
         return True
+    g = game.graph
+    for v in h.vertices:
+        if (v in game.eve) != (player == EVE):
+            if any(g.edges[i].dst not in h.vertices for i in g.out[v]):
+                return False
     if h.terminals:
         raise TerminalVertex(h.terminals[0])
     lasso = _odd_cycle_witness(h, h.vertices, frozenset())

@@ -30,7 +30,7 @@ from .decomposition import (
     tree_shape,
     validate_ad,
 )
-from .errors import ExhaustedRetries, NotEven, ParityKitError, TooLarge
+from .errors import DEFAULT_STATE_CAP, ExhaustedRetries, NotEven, ParityKitError, TooLarge
 from .games import (
     ADAM,
     Index,
@@ -547,7 +547,7 @@ def rejecting_vertices(g):
     return frozenset(bad)
 
 
-def check_transduction_soundness(p, count=200, vertices=5, cap=200_000, rule=LIBERAL):
+def check_transduction_soundness(p, count=200, vertices=5, cap=DEFAULT_STATE_CAP, rule=LIBERAL):
     grid = [(Index(1, 2), n) for n in (0, 1, 2)]
     grid += [(Index(1, 4), n) for n in (0, 1, 2)]
     grid += [(Index(2, 4), n) for n in (0, 1, 2)]
@@ -579,7 +579,7 @@ def check_transduction_soundness(p, count=200, vertices=5, cap=200_000, rule=LIB
     return _record("transduction-soundness", run)
 
 
-def check_bounded_pair_completeness(p, count=150, vertices=5, cap=200_000, rule=LIBERAL):
+def check_bounded_pair_completeness(p, count=150, vertices=5, cap=DEFAULT_STATE_CAP, rule=LIBERAL):
     def run():
         failures = []
         base = GenParams(
@@ -604,7 +604,7 @@ def check_bounded_pair_completeness(p, count=150, vertices=5, cap=200_000, rule=
     return _record("bounded-pair-completeness", run)
 
 
-def check_strahler_completeness(p, count=150, vertices=6, cap=200_000):
+def check_strahler_completeness(p, count=150, vertices=6, cap=DEFAULT_STATE_CAP):
     def run():
         failures = []
         base = GenParams(
@@ -627,7 +627,7 @@ def check_strahler_completeness(p, count=150, vertices=6, cap=200_000):
     return _record("strahler-completeness", run)
 
 
-def check_bounded_pair_low_strahler(p, count=100, vertices=5, cap=200_000):
+def check_bounded_pair_low_strahler(p, count=100, vertices=5, cap=DEFAULT_STATE_CAP):
     def run():
         failures = []
         for k in range(count):
@@ -768,7 +768,7 @@ def check_guided_bound(p):
     return _record("guided-n-bound", run)
 
 
-def check_mutation_sensitivity(p, count=25, vertices=5, cap=200_000):
+def check_mutation_sensitivity(p, count=25, vertices=5, cap=DEFAULT_STATE_CAP):
     """Re-run the bounded-pair completeness check under the never-reset
     rule; the mirror strategy must stop verifying on some corpus instance.
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 from .decomposition import tree_shape, validate_ad
 from .errors import (
+    DEFAULT_STATE_CAP,
     EmptyIndex,
     InvalidDecomposition,
     PreconditionFailed,
@@ -33,8 +34,6 @@ from .trees import n_strahler
 LIBERAL = "liberal"
 LITERAL = "literal"
 NEVER = "never"
-
-DEFAULT_STATE_CAP = 200_000
 
 
 @dataclass(frozen=True)
@@ -240,6 +239,8 @@ def reg_product(base, J, n, *, rule=LIBERAL, cap=DEFAULT_STATE_CAP, starts=None)
     if starts is None:
         starts = g.sorted_vertices()
     for v in starts:
+        if v not in g.vertices:
+            raise PreconditionFailed("reg_product", f"unknown start vertex {v!r}")
         initial[v] = intern(("A", v, cfg0))
 
     while queue:

@@ -4,8 +4,10 @@ import pytest
 
 from paritykit import manifests
 from paritykit.cli import main
-from paritykit.games import ParityGame, ParityGraph
+from paritykit.errors import PreconditionFailed
+from paritykit.games import Index, ParityGame, ParityGraph
 from paritykit.lab import GenParams, random_bounded_pair, random_game
+from paritykit.transduction import eve_wins_reg
 from paritykit.trees import OrderedTree
 
 
@@ -46,6 +48,23 @@ class TestExitCodes:
         g = ParityGraph.make([0, 1], [(0, 1, 1), (1, 0, 2)])
         path = write(tmp_path, "g.json", g)
         assert main(["--cap-states", "4", "reg", "build", path]) == 3
+
+    def test_cap_states_below_one_is_usage_error(self, tmp_path, capsys):
+        g = ParityGraph.make([0, 1], [(0, 1, 1), (1, 0, 2)])
+        path = write(tmp_path, "g.json", g)
+        assert main(["--cap-states", "0", "reg", "build", path]) == 2
+        assert main(["--cap-states", "-5", "reg", "build", path]) == 2
+        assert "--cap-states" in capsys.readouterr().err
+
+    def test_unknown_start_vertex(self, tmp_path, capsys):
+        g = ParityGraph.make([0, 1], [(0, 1, 1), (1, 0, 2)])
+        path = write(tmp_path, "g.json", g)
+        capsys.readouterr()
+        assert main(["reg", "solve", path, "--start", "7"]) == 2
+        err = capsys.readouterr().err
+        assert "usage error" in err and "unknown start vertex 7" in err
+        with pytest.raises(PreconditionFailed, match="unknown start vertex 7"):
+            eve_wins_reg(g, Index(1, 2), 0, 7)
 
 
 class TestCommands:

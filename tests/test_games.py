@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -21,6 +23,8 @@ from paritykit.games import (
     strategy_graph,
     verify_winning,
 )
+from paritykit.lab import GenParams, random_non_even_graph, rejecting_vertices
+from paritykit.transduction import reg_product
 
 from oracles import (
     brute_attractor_edges,
@@ -243,3 +247,48 @@ class TestVerifyWinning:
         gm = ParityGame.make(g, {0: EVE})
         assert not verify_winning(gm, {0: 1}, {0})
         assert verify_winning(gm, {0: 0}, {0})
+
+    def test_opponent_edge_leaving_region_fails(self):
+        # Adam owns both vertices; from 0 he can leave {0} and win at 1
+        g = ParityGraph.make([0, 1], [(0, 0, 2), (0, 1, 0), (1, 1, 1)])
+        gm = ParityGame.make(g, {0: ADAM, 1: ADAM})
+        assert solve(gm)[0] == frozenset()
+        assert not verify_winning(gm, {}, {0})
+        assert verify_winning(gm, {1: 2}, {1}, player=ADAM)
+
+
+# criterion-3 register products (acceptance seed, rejecting starts):
+# (graph salt, J.lo, J.hi, n); two of them exceed 10k vertices, the last
+# four leave both players a non-empty region
+PRODUCT_SLICE = [
+    (2, 1, 4, 2),
+    (13, 1, 4, 2),
+    (5, 1, 4, 1),
+    (21, 1, 4, 2),
+    (8, 1, 4, 2),
+    (7, 1, 4, 2),
+]
+# sha1 of the regions and strategies solve() gives on this slice, pinned
+# so that no rewrite of the solver changes a single choice
+PRODUCT_SLICE_SHA1 = "fd05fd30a6d40d64dcabd22928bf124762504d88"
+
+
+class TestSolveAtProductScale:
+    def test_strategies_certified_and_digest_pinned(self):
+        base = GenParams(seed=21057, vertex_count=5, priority_cap=4, edge_density=0.5)
+        digest = hashlib.sha1()
+        sizes = []
+        mixed = 0
+        for k, lo, hi, n in PRODUCT_SLICE:
+            g = random_non_even_graph(base, salt=k)
+            game = reg_product(g, Index(lo, hi), n, starts=sorted(rejecting_vertices(g))).game
+            we, wa, se, sa = solve(game)
+            sizes.append(len(game.graph.vertices))
+            mixed += bool(we) and bool(wa)
+            assert we | wa == game.graph.vertices and not (we & wa)
+            assert verify_winning(game, se, we)
+            assert verify_winning(game, sa, wa, player=ADAM)
+            answer = [k, lo, hi, n, sorted(we), sorted(wa), sorted(se.items()), sorted(sa.items())]
+            digest.update(json.dumps(answer).encode())
+        assert sum(size >= 10_000 for size in sizes) >= 2 and mixed >= 4
+        assert digest.hexdigest() == PRODUCT_SLICE_SHA1
