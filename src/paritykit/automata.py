@@ -1,8 +1,8 @@
 """Nondeterministic parity tree automata over regular trees: acceptance
 games, runs, guided runs, and the output-index composition."""
 
-from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .decomposition import LabellingPair
 from .errors import (
@@ -13,10 +13,9 @@ from .errors import (
     IncompleteAutomaton,
     NoAcceptingRun,
     PreconditionFailed,
-    StateExplosion,
     UndefinedChoice,
 )
-from .games import Index, ParityGame, ParityGraph, solve
+from .games import Index, ParityGame, ParityGraph, explore, solve
 from .transduction import (
     LIBERAL,
     RegMachine,
@@ -65,10 +64,16 @@ class NPTA:
                     raise IncompleteAutomaton(f"no transition from {q} over {a!r}")
         return aut
 
+    @cached_property
+    def _by_state_letter(self):
+        """(state, letter) -> ascending ids of the transitions from there."""
+        table = {}
+        for i, (q, a, _q0, _q1) in enumerate(self.transitions):
+            table.setdefault((q, a), []).append(i)
+        return {key: tuple(ids) for key, ids in table.items()}
+
     def transitions_from(self, q, a):
-        return tuple(
-            i for i, t in enumerate(self.transitions) if t[0] == q and t[1] == a
-        )
+        return self._by_state_letter.get((q, a), ())
 
     def size(self):
         return len(self.states)
@@ -140,30 +145,14 @@ def acceptance_game(a, t):
     per-direction priorities."""
     if set(t.labels) - set(a.alphabet):
         raise AlphabetMismatch(sorted(set(t.labels) - set(a.alphabet)))
-    ids = {}
-    decode = []
     eve = []
     edges = []
-    queue = deque()
-
-    def intern(state):
-        vid = ids.get(state)
-        if vid is None:
-            vid = len(decode)
-            ids[state] = vid
-            decode.append(state)
-            queue.append(state)
-            if state[0] == "q":
-                eve.append(vid)
-        return vid
-
-    initial = intern(("q", t.root, a.initial))
     lo = a.index.lo
-    while queue:
-        state = queue.popleft()
-        sid = ids[state]
+
+    def expand(state, sid, intern):
         if state[0] == "q":
             _, node, q = state
+            eve.append(sid)
             tids = a.transitions_from(q, t.labels[node])
             if not tids:
                 raise IncompleteAutomaton(f"no transition from {q} over {t.labels[node]!r}")
@@ -175,6 +164,9 @@ def acceptance_game(a, t):
             p0, p1 = a.omega[tid]
             edges.append((sid, intern(("q", t.succ0[node], q0)), p0))
             edges.append((sid, intern(("q", t.succ1[node], q1)), p1))
+
+    what = f"acceptance_game(states={a.size()}, nodes={t.node_count()})"
+    decode, (initial,) = explore([("q", t.root, a.initial)], expand, what)
     graph = ParityGraph.make(range(len(decode)), edges, a.index)
     return AcceptanceGame(ParityGame.make(graph, eve), tuple(decode), initial, a, t)
 
@@ -207,45 +199,27 @@ def run_graph(a, t, sigma, ag=None):
     graph; priorities become the per-direction transition priorities."""
     if ag is None:
         ag = acceptance_game(a, t)
-    positions = {}
-    for vid, state in enumerate(ag.decode):
-        if state[0] == "q":
-            positions[(state[1], state[2])] = vid
-    ids = {}
-    decode = []
+    g = ag.game.graph
     chosen = []
     edges = []
-    queue = deque()
 
-    def intern(node, q):
-        key = (node, q)
-        vid = ids.get(key)
-        if vid is None:
-            vid = len(decode)
-            ids[key] = vid
-            decode.append(key)
-            game_vid = positions[key]
-            if game_vid not in sigma:
-                raise UndefinedChoice(f"strategy undefined at {key}")
-            eid = sigma[game_vid]
-            target = ag.decode[ag.game.graph.edges[eid].dst]
-            if target[0] != "t":
-                raise PreconditionFailed("run_graph", "strategy edge is not a choice edge")
-            chosen.append(target[2])
-            queue.append(key)
-        return vid
+    def expand(game_vid, vid, intern):
+        if game_vid not in sigma:
+            raise UndefinedChoice(f"strategy undefined at {ag.decode[game_vid][1:]}")
+        choice = g.edges[sigma[game_vid]].dst
+        kind, _node, tid = ag.decode[choice]
+        if kind != "t":
+            raise PreconditionFailed("run_graph", "strategy edge is not a choice edge")
+        chosen.append(tid)
+        # a choice vertex's out-edges are its directions 0 and 1, in order
+        for i in g.out[choice]:
+            edges.append((vid, intern(g.edges[i].dst), g.edges[i].priority))
 
-    root = intern(t.root, a.initial)
-    while queue:
-        node, q = queue.popleft()
-        vid = ids[(node, q)]
-        tid = chosen[vid]
-        _, _, q0, q1 = a.transitions[tid]
-        p0, p1 = a.omega[tid]
-        edges.append((vid, intern(t.succ0[node], q0), p0))
-        edges.append((vid, intern(t.succ1[node], q1), p1))
-    graph = ParityGraph.make(range(len(decode)), sorted(edges), a.index)
-    return RunGraph(graph, tuple(decode), tuple(chosen), root, a, t)
+    what = f"run_graph(states={a.size()}, nodes={t.node_count()})"
+    states, (root,) = explore([ag.initial], expand, what)
+    graph = ParityGraph.make(range(len(states)), edges, a.index)
+    decode = tuple(ag.decode[game_vid][1:] for game_vid in states)
+    return RunGraph(graph, decode, tuple(chosen), root, a, t)
 
 
 def accepting_run(a, t):
@@ -287,68 +261,48 @@ def guided_run(gf, a, b, t, run_b):
     States of `a` propagate forward from the initial state, so vertices are
     (guide vertex, guided state) pairs; the unfolding is the rewritten run.
     """
-    ids = {}
-    decode = []
+    return _guided_run(gf, a, b, t, run_b)[0]
+
+
+def _guided_run(gf, a, b, t, run_b):
+    """The guided run and, per guided vertex, its guide vertex in `run_b`."""
     chosen = []
     edges = []
-    queue = deque()
 
-    def intern(bvid, p):
-        key = (bvid, p)
-        vid = ids.get(key)
-        if vid is None:
-            vid = len(decode)
-            ids[key] = vid
-            node, _qb = run_b.decode[bvid]
-            tid_b = run_b.chosen[bvid]
-            tid_a = gf.table.get((p, tid_b))
-            if tid_a is None:
-                raise IncompatibleGuide(f"no entry for ({p}, transition {tid_b})")
-            ta = a.transitions[tid_a]
-            if ta[0] != p or ta[1] != b.transitions[tid_b][1]:
-                raise IncompatibleGuide(f"entry ({p}, {tid_b}) -> {tid_a} incompatible")
-            decode.append((node, p, bvid))
-            chosen.append(tid_a)
-            queue.append(key)
-        return vid
-
-    root = intern(run_b.root, a.initial)
-    while queue:
-        bvid, p = queue.popleft()
-        vid = ids[(bvid, p)]
-        tid_a = chosen[vid]
-        _, _, p0, p1 = a.transitions[tid_a]
+    def expand(key, vid, intern):
+        bvid, p = key
+        tid_b = run_b.chosen[bvid]
+        tid_a = gf.table.get((p, tid_b))
+        if tid_a is None:
+            raise IncompatibleGuide(f"no entry for ({p}, transition {tid_b})")
+        ta = a.transitions[tid_a]
+        if ta[0] != p or ta[1] != b.transitions[tid_b][1]:
+            raise IncompatibleGuide(f"entry ({p}, {tid_b}) -> {tid_a} incompatible")
+        chosen.append(tid_a)
+        _, _, p0, p1 = ta
         pr0, pr1 = a.omega[tid_a]
         b0, b1 = run_b.direction_edges(bvid)
-        edges.append((vid, intern(run_b.graph.edges[b0].dst, p0), pr0))
-        edges.append((vid, intern(run_b.graph.edges[b1].dst, p1), pr1))
-    graph = ParityGraph.make(range(len(decode)), sorted(edges), a.index)
-    return RunGraph(graph, tuple(d[:2] for d in decode), tuple(chosen), root, a, t)
+        edges.append((vid, intern((run_b.graph.edges[b0].dst, p0)), pr0))
+        edges.append((vid, intern((run_b.graph.edges[b1].dst, p1)), pr1))
+
+    what = f"guided_run(states={a.size()}, guide states={b.size()}, nodes={t.node_count()})"
+    states, (root,) = explore([(run_b.root, a.initial)], expand, what)
+    graph = ParityGraph.make(range(len(states)), edges, a.index)
+    decode = tuple((run_b.decode[bvid][0], p) for bvid, p in states)
+    run = RunGraph(graph, decode, tuple(chosen), root, a, t)
+    return run, tuple(bvid for bvid, _p in states)
 
 
 def run_pair_labelling(gf, a, b, t, run_b):
     """Guided run and the joint (labelI, labelJ) view of guided vs guide."""
-    ga = guided_run(gf, a, b, t, run_b)
+    ga, guide = _guided_run(gf, a, b, t, run_b)
     label_i = [e.priority for e in ga.graph.edges]
-    label_j = []
-    # reconstruct the guide component per guided vertex to read B priorities
-    ids = {}
-    queue = deque([(ga.root, run_b.root)])
-    guide_of = {}
-    while queue:
-        vid, bvid = queue.popleft()
-        if vid in guide_of:
-            continue
-        guide_of[vid] = bvid
-        d0, d1 = ga.direction_edges(vid)
-        b0, b1 = run_b.direction_edges(bvid)
-        queue.append((ga.graph.edges[d0].dst, run_b.graph.edges[b0].dst))
-        queue.append((ga.graph.edges[d1].dst, run_b.graph.edges[b1].dst))
-    for eid, e in enumerate(ga.graph.edges):
-        bvid = guide_of[e.src]
-        direction = 0 if ga.direction_edges(e.src)[0] == eid else 1
-        bedge = run_b.direction_edges(bvid)[direction]
-        label_j.append(run_b.graph.edges[bedge].priority)
+    # the guided run lists each vertex's direction-0 edge, then its direction-1 edge
+    label_j = [
+        run_b.graph.edges[bedge].priority
+        for bvid in guide
+        for bedge in run_b.direction_edges(bvid)
+    ]
     pair = LabellingPair.make(
         ga.graph, label_i, label_j, a.index, _j_index(b.index)
     )
@@ -395,93 +349,63 @@ def compose_transducer(a, J, n, *, rule=LIBERAL, cap=DEFAULT_STATE_CAP):
     machine = RegMachine(index_i, J, n, rule)
     lo = index_i.lo
 
-    reject = ("reject",)
-    ids = {}
-    order = []
-    queue = deque()
-
-    def intern(state):
-        sid = ids.get(state)
-        if sid is None:
-            sid = len(order)
-            if sid >= cap:
-                raise StateExplosion(sid + 1, cap)
-            ids[state] = sid
-            order.append(state)
-            queue.append(state)
-        return sid
-
-    initial = intern((a.initial, machine.initial))
-    intern(reject)
+    # the reject state is the second start, so its id is 1
+    reject = 1
     transitions = []
     omega = []
     seen_rows = set()
 
-    def second_round(cfg, priority):
-        """All (output, config) results of one direction round, or loss."""
+    def play_round(cfg, priority):
+        """All (output, config) results of one round after an input edge of
+        the given shifted priority; (None, None) stands for a loss."""
         outs = []
         for jx in range(len(machine.regs)):
             w, mid, loss = machine.output(cfg, jx)
             if loss:
                 outs.append((None, None))
                 continue
-            for i in machine.sharp_choices(priority - shift):
+            for i in machine.sharp_choices(priority):
                 outs.append((w, machine.update(mid, i, jx)))
         return outs
 
-    while queue:
-        state = queue.popleft()
-        if state == reject:
+    def add_row(row):
+        if row not in seen_rows:
+            seen_rows.add(row)
+            transitions.append(row[:4])
+            omega.append(row[4:])
+
+    def expand(state, sid, intern):
+        if sid == reject:
             for letter in a.alphabet:
-                transitions.append((reject, letter, reject, reject))
-                omega.append((reject_priority, reject_priority))
-            continue
+                add_row((reject, letter, reject, reject, reject_priority, reject_priority))
+            return
         q, cfg = state
+        first = play_round(cfg, lo)
         for letter in a.alphabet:
             for tid in a.transitions_from(q, letter):
                 _, _, q0, q1 = a.transitions[tid]
                 p0, p1 = a.omega[tid]
-                first = []
-                for jx in range(len(machine.regs)):
-                    w1, mid1, loss1 = machine.output(cfg, jx)
-                    if loss1:
-                        first.append((None, None))
-                        continue
-                    for i1 in machine.sharp_choices(lo):
-                        first.append((w1, machine.update(mid1, i1, jx)))
                 for w1, cfg1 in first:
                     if w1 is None:
-                        row = (state, letter, reject, reject, reject_priority, reject_priority)
-                        if row not in seen_rows:
-                            seen_rows.add(row)
-                            transitions.append((state, letter, reject, reject))
-                            omega.append((reject_priority, reject_priority))
+                        add_row((sid, letter, reject, reject, reject_priority, reject_priority))
                         continue
-                    for w20, cfg20 in second_round(cfg1, p0):
-                        for w21, cfg21 in second_round(cfg1, p1):
+                    seconds1 = play_round(cfg1, p1 - shift)
+                    for w20, cfg20 in play_round(cfg1, p0 - shift):
+                        for w21, cfg21 in seconds1:
                             if w20 is None:
                                 child0, pr0 = reject, reject_priority
                             else:
-                                child0, pr0 = (q0, cfg20), max(w1, w20)
+                                child0, pr0 = intern((q0, cfg20)), max(w1, w20)
                             if w21 is None:
                                 child1, pr1 = reject, reject_priority
                             else:
-                                child1, pr1 = (q1, cfg21), max(w1, w21)
-                            row = (state, letter, child0, child1, pr0, pr1)
-                            if row in seen_rows:
-                                continue
-                            seen_rows.add(row)
-                            intern(child0)
-                            intern(child1)
-                            transitions.append((state, letter, child0, child1))
-                            omega.append((pr0, pr1))
+                                child1, pr1 = intern((q1, cfg21)), max(w1, w21)
+                            add_row((sid, letter, child0, child1, pr0, pr1))
 
-    name = {state: i for i, state in enumerate(order)}
+    what = f"compose_transducer(J=[{J.lo},{J.hi}], n={n}, rule={rule})"
+    states, (initial, _reject) = explore(
+        [(a.initial, machine.initial), ("reject",)], expand, what, cap
+    )
     return NPTA.make(
-        a.alphabet,
-        range(len(order)),
-        name[(a.initial, machine.initial)],
-        [(name[q], letter, name[c0], name[c1]) for q, letter, c0, c1 in transitions],
-        omega,
-        Index(J.lo, J.hi),
+        a.alphabet, range(len(states)), initial, transitions, omega, Index(J.lo, J.hi)
     )

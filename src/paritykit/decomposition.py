@@ -24,9 +24,8 @@ from .errors import (
     OverlappingParts,
     PreconditionFailed,
     PriorityOutOfRange,
-    StateExplosion,
 )
-from .games import Index, ParityGraph, _attract, _compile, _odd_cycle_witness
+from .games import Index, ParityGraph, _attract, _compile, _odd_cycle_witness, explore
 from .trees import LEAF, OrderedTree
 
 
@@ -440,38 +439,27 @@ def memory_product(pair, cap=DEFAULT_STATE_CAP):
         step_cache[key] = out
         return out
 
-    ids = {}
-    decode = []
-    initial = {}
-    queue = deque()
-    for v in g.sorted_vertices():
-        state = (v, 0)
-        ids[state] = len(decode)
-        decode.append(state)
-        initial[v] = ids[state]
-        queue.append(state)
     edges = []
     label_i = []
     label_j = []
-    while queue:
-        state = queue.popleft()
+
+    def expand(state, sid, intern):
         v, mem = state
-        sid = ids[state]
         for i in g.out[v]:
             e = g.edges[i]
             a, b = pair.label_i[i], pair.label_j[i]
             nxt = (e.dst, step(mem, a, b))
-            nid = ids.get(nxt)
-            if nid is None:
-                nid = len(decode)
-                if nid >= cap:
-                    raise StateExplosion(nid + 1, cap)
-                ids[nxt] = nid
-                decode.append(nxt)
-                queue.append(nxt)
-            edges.append((sid, nid, 0))
+            edges.append((sid, intern(nxt), 0))
             label_i.append(a)
             label_j.append(b)
+
+    starts = g.sorted_vertices()
+    what = (
+        f"memory_product(I=[{pair.index_i.lo},{pair.index_i.hi}],"
+        f" J=[{pair.index_j.lo},{pair.index_j.hi}])"
+    )
+    decode, start_ids = explore(((v, 0) for v in starts), expand, what, cap)
+    initial = dict(zip(starts, start_ids))
     product_graph = ParityGraph.make(range(len(decode)), edges, Index(0, 0))
     product_pair = LabellingPair.make(
         product_graph, label_i, label_j, pair.index_i, pair.index_j

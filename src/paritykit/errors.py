@@ -50,10 +50,15 @@ DEFAULT_STATE_CAP = 200_000
 
 
 class StateExplosion(ParityKitError):
-    def __init__(self, count, cap):
+    """A product construction needed more states than its cap; names the
+    construction and its parameters, e.g. `reg_product(J=[1,4], n=2,
+    rule=liberal)`."""
+
+    def __init__(self, count, cap, construction):
         self.count = count
         self.cap = cap
-        super().__init__(f"state count {count} exceeds cap {cap}")
+        self.construction = construction
+        super().__init__(f"{construction}: state count {count} exceeds cap {cap}")
 
 
 class NotBounded(ParityKitError):

@@ -12,8 +12,10 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .errors import (
+    DEFAULT_STATE_CAP,
     PreconditionFailed,
     PriorityOutOfRange,
+    StateExplosion,
     StrategyEscapesRegion,
     TerminalVertex,
     UndefinedChoice,
@@ -182,6 +184,41 @@ class Lasso:
 
     def cycle_max_priority(self, g):
         return max(g.edges[i].priority for i in self.cycle)
+
+
+# ---------------------------------------------------------------------------
+# state-space exploration
+
+
+def explore(starts, expand, what, cap=DEFAULT_STATE_CAP):
+    """Breadth-first exploration of a product state space.
+
+    States (hashable) are numbered in discovery order, `starts` first.
+    `expand(state, sid, intern)` runs once per state in id order, and
+    `intern(state)` returns a state's id, numbering it if it is new; so a
+    builder that appends its out-edges inside `expand` lists them by
+    source id, each source's in the order it emits them.  Raises
+    StateExplosion naming the construction `what` when more than `cap`
+    states are needed.  Returns (states by id, ids of `starts`).
+    """
+    ids = {}
+    # ids are pop order, so the decode list doubles as the queue
+    states = []
+
+    def intern(state):
+        sid = ids.get(state)
+        if sid is None:
+            sid = len(states)
+            if sid >= cap:
+                raise StateExplosion(sid + 1, cap, what)
+            ids[state] = sid
+            states.append(state)
+        return sid
+
+    start_ids = [intern(state) for state in starts]
+    for sid, state in enumerate(states):
+        expand(state, sid, intern)
+    return states, start_ids
 
 
 # ---------------------------------------------------------------------------

@@ -226,6 +226,8 @@ def import_pgsolver(text, *, use_source_priority=False):
         if m is None:
             raise ParseError(f"bad vertex line {raw!r}", line=ln)
         vid = int(m.group(1))
+        if vid in priority:
+            raise ParseError(f"duplicate vertex id {vid}", line=ln)
         priority[vid] = int(m.group(2))
         owner[vid] = ADAM if m.group(3) == "1" else EVE
         succs[vid] = [int(s) for s in m.group(4).replace(" ", "").split(",") if s]

@@ -18,7 +18,6 @@ from .errors import (
     EmptyIndex,
     InvalidDecomposition,
     PreconditionFailed,
-    StateExplosion,
 )
 from .games import (
     EVE,
@@ -26,6 +25,7 @@ from .games import (
     ParityGame,
     ParityGraph,
     _odd_cycle_witness,
+    explore,
     solve,
     verify_winning,
 )
@@ -214,49 +214,25 @@ def reg_product(base, J, n, *, rule=LIBERAL, cap=DEFAULT_STATE_CAP, starts=None)
     output = machine.output
     update = machine.update
 
-    ids = {}
-    decode = []
-    edges = []
-    eve = []
-    initial = {}
-    queue = deque()
-    sink_id = None
-
-    def intern(state):
-        nonlocal sink_id
-        vid = ids.get(state)
-        if vid is None:
-            vid = len(decode)
-            if vid >= cap:
-                raise StateExplosion(vid + 1, cap)
-            ids[state] = vid
-            decode.append(state)
-            queue.append(state)
-            if state[0] == "sink":
-                sink_id = vid
-        return vid
-
-    if starts is None:
-        starts = g.sorted_vertices()
+    starts = g.sorted_vertices() if starts is None else list(starts)
     for v in starts:
         if v not in g.vertices:
             raise PreconditionFailed("reg_product", f"unknown start vertex {v!r}")
-        initial[v] = intern(("A", v, cfg0))
+    edges = []
+    eve = []
 
-    while queue:
-        state = queue.popleft()
-        sid = ids[state]
+    def expand(state, sid, intern):
         phase = state[0]
         if phase == "sink":
             edges.append((sid, sid, 1))
-            continue
+            return
         if phase == "A":
             _, v, cfg = state
             if game_mode and base.owner(v) == EVE:
                 eve.append(sid)
             for eid in g.out[v]:
                 edges.append((sid, intern(("B", eid, cfg)), 0))
-            continue
+            return
         if phase == "B":
             _, eid, cfg = state
             eve.append(sid)
@@ -270,7 +246,7 @@ def reg_product(base, J, n, *, rule=LIBERAL, cap=DEFAULT_STATE_CAP, starts=None)
                     edges.append((sid, intern(nxt), w))
                 else:
                     edges.append((sid, intern(("C", eid, jx, mid)), w))
-            continue
+            return
         _, eid, jx, cfg = state
         eve.append(sid)
         e = g.edges[eid]
@@ -278,6 +254,9 @@ def reg_product(base, J, n, *, rule=LIBERAL, cap=DEFAULT_STATE_CAP, starts=None)
             nxt = ("A", e.dst, update(cfg, i, jx))
             edges.append((sid, intern(nxt), 0))
 
+    what = f"reg_product(J=[{J.lo},{J.hi}], n={n}, rule={rule})"
+    decode, start_ids = explore((("A", v, cfg0) for v in starts), expand, what, cap)
+    initial = dict(zip(starts, start_ids))
     graph = ParityGraph.make(range(len(decode)), edges, Index(0, max(J.hi, 1)))
     game = ParityGame.make(graph, eve)
     return RegProduct(

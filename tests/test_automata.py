@@ -14,12 +14,14 @@ from paritykit.automata import (
     guided_run,
     membership,
     run_graph,
+    run_pair_labelling,
 )
 from paritykit.errors import (
     AlphabetMismatch,
     IncompatibleGuide,
     IncompleteAutomaton,
     NoAcceptingRun,
+    StateExplosion,
 )
 from paritykit.games import Index, is_even, solve
 from paritykit.lab import (
@@ -144,6 +146,64 @@ class TestRunGraph:
         assert not is_even(run.graph)
 
 
+def assert_directions(run, a, t):
+    """Every vertex's direction-i edge leads to successor i of its node, in
+    the state the chosen transition sends there, with that transition's
+    direction-i priority."""
+    edges = run.graph.edges
+    for vid, (node, q) in enumerate(run.decode):
+        tid = run.chosen[vid]
+        _, _, q0, q1 = a.transitions[tid]
+        e0, e1 = (edges[i] for i in run.direction_edges(vid))
+        assert e0.src == e1.src == vid
+        assert (run.decode[e0.dst], run.decode[e1.dst]) == ((t.succ0[node], q0), (t.succ1[node], q1))
+        assert (e0.priority, e1.priority) == a.omega[tid]
+
+
+def two_node_tree():
+    """Node 0's direction-0 child is node 1, and its direction-1 child is itself."""
+    return RegularTree.make(("a", "a"), (1, 1), (0, 1), 0)
+
+
+def accept_all_a():
+    return NPTA.make(("a",), (0,), 0, [(0, "a", 0, 0)], [(2, 2)], Index(1, 2))
+
+
+class TestRunGraphDirections:
+    def test_run_graph_on_two_node_tree(self):
+        a = accept_all_a()
+        t = two_node_tree()
+        ag = acceptance_game(a, t)
+        _, _, sigma, _ = solve(ag.game)
+        for run in (run_graph(a, t, sigma, ag=ag), accepting_run(a, t)):
+            assert len(run.decode) == 2
+            assert_directions(run, a, t)
+
+    def test_self_loop_keeps_transition_priorities_in_direction_order(self):
+        a = NPTA.make(("a",), (0,), 0, [(0, "a", 0, 0)], [(2, 1)], Index(1, 2))
+        t = one_node_tree("a")
+        ag = acceptance_game(a, t)
+        eve_vertex = ag.initial
+        run = run_graph(a, t, {eve_vertex: ag.game.graph.out[eve_vertex][0]}, ag=ag)
+        assert_directions(run, a, t)
+
+    def test_guided_run_follows_guide_directions(self):
+        a = NPTA.make(
+            ("a",), (0, 1), 0, [(0, "a", 1, 0), (1, "a", 1, 1)], [(2, 1), (2, 2)], Index(1, 2)
+        )
+        b = accept_all_a()
+        gf = GuidingFunction.make(a, b, {(0, 0): 0, (1, 0): 1})
+        t = two_node_tree()
+        run_b = accepting_run(b, t)
+        guided = guided_run(gf, a, b, t, run_b)
+        assert guided.decode == ((0, 0), (1, 1))
+        assert_directions(guided, a, t)
+        _, pair = run_pair_labelling(gf, a, b, t, run_b)
+        # the guide's run carries priority 2 in both directions everywhere
+        assert pair.label_i == (2, 1, 2, 2)
+        assert pair.label_j == (2, 2, 2, 2)
+
+
 def direct_guided_transitions(gf, a, b, run_b, depth):
     """The paper-style recursive definition of the rewritten run, computed
     path by path up to the given depth."""
@@ -213,6 +273,14 @@ class TestGuidedRun:
 
 
 class TestComposeTransducer:
+    def test_state_cap_names_construction(self):
+        a = _aut_eventually_b()
+        size = compose_transducer(a, Index(1, 2), 1).size()
+        assert compose_transducer(a, Index(1, 2), 1, cap=size).size() == size
+        with pytest.raises(StateExplosion) as info:
+            compose_transducer(a, Index(3, 4), 1, cap=size - 1)
+        assert info.value.construction == "compose_transducer(J=[1,2], n=1, rule=liberal)"
+
     def test_even_automaton_language_preserved_at_n0(self):
         a = _aut_eventually_b()
         composed = compose_transducer(a, Index(1, 2), 0)

@@ -48,6 +48,9 @@ class TestExitCodes:
         g = ParityGraph.make([0, 1], [(0, 1, 1), (1, 0, 2)])
         path = write(tmp_path, "g.json", g)
         assert main(["--cap-states", "4", "reg", "build", path]) == 3
+        capsys.readouterr()
+        assert main(["--cap-states", "5", "reg", "build", path, "--j-hi", "4", "--n", "2"]) == 3
+        assert "resource cap: reg_product(J=[1,4], n=2, rule=liberal)" in capsys.readouterr().err
 
     def test_cap_states_below_one_is_usage_error(self, tmp_path, capsys):
         g = ParityGraph.make([0, 1], [(0, 1, 1), (1, 0, 2)])

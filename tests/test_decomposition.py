@@ -23,6 +23,7 @@ from paritykit.errors import (
     NotEven,
     OverlappingParts,
     PriorityOutOfRange,
+    StateExplosion,
 )
 from paritykit.games import Index, ParityGraph, attractor_vertices, is_even
 from paritykit.lab import GenParams, random_bounded_pair, random_even_graph
@@ -267,6 +268,19 @@ class TestMemoryProduct:
         mp = memory_product(pair)
         # one odd, one even: at most 4 memory states per vertex
         assert len(mp.decode) <= len(pair.graph.vertices) * 4
+
+    def test_state_cap_names_construction(self):
+        pair = simple_pair(
+            (1, 0), (2, 1), [(0, 1), (1, 0)], ii=Index(0, 2), jj=Index(1, 2)
+        )
+        size = len(memory_product(pair).decode)
+        assert len(memory_product(pair, cap=size).decode) == size
+        with pytest.raises(StateExplosion) as info:
+            memory_product(pair, cap=size - 1)
+        assert info.value.construction == "memory_product(I=[0,2], J=[1,2])"
+        # the cleared start states count toward the cap as well
+        with pytest.raises(StateExplosion):
+            memory_product(pair, cap=1)
 
     def test_unfolding_equivalence_to_depth_8(self):
         rng = random.Random(5)

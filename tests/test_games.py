@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paritykit.errors import StrategyEscapesRegion, TerminalVertex, UndefinedChoice
+from paritykit.errors import StateExplosion, StrategyEscapesRegion, TerminalVertex, UndefinedChoice
 from paritykit.games import (
     ADAM,
     EVE,
@@ -16,6 +16,7 @@ from paritykit.games import (
     attractor_edges,
     attractor_vertices,
     check_even,
+    explore,
     is_even,
     player_attractor,
     restrict,
@@ -292,3 +293,45 @@ class TestSolveAtProductScale:
             digest.update(json.dumps(answer).encode())
         assert sum(size >= 10_000 for size in sizes) >= 2 and mixed >= 4
         assert digest.hexdigest() == PRODUCT_SLICE_SHA1
+
+
+class TestExplore:
+    @staticmethod
+    def doubling(limit, calls=None):
+        """States 0..limit-1, each with successors 2s and 2s+1 when in range."""
+
+        def expand(state, sid, intern):
+            if calls is not None:
+                calls.append((state, sid))
+            for nxt in (2 * state, 2 * state + 1):
+                if nxt < limit:
+                    intern(nxt)
+
+        return expand
+
+    def test_numbers_in_discovery_order_and_expands_each_once(self):
+        calls = []
+        states, start_ids = explore([3, 1], self.doubling(10, calls), "doubling")
+        # 3 -> 6, 7; 1 -> 2, (3); 6, 7 -> none; 2 -> 4, 5; 4 -> 8, 9
+        assert states == [3, 1, 6, 7, 2, 4, 5, 8, 9]
+        assert start_ids == [0, 1]
+        assert calls == [(s, sid) for sid, s in enumerate(states)]
+
+    def test_repeated_start_keeps_one_id(self):
+        states, start_ids = explore([5, 5], self.doubling(0), "doubling")
+        assert states == [5] and start_ids == [0, 0]
+
+    def test_cap_allows_exactly_cap_states(self):
+        states, _ = explore([1], self.doubling(8), "doubling", cap=7)
+        assert len(states) == 7
+
+    def test_cap_names_the_construction(self):
+        with pytest.raises(StateExplosion) as info:
+            explore([1], self.doubling(8), "doubling(limit=8)", cap=6)
+        err = info.value
+        assert (err.count, err.cap, err.construction) == (7, 6, "doubling(limit=8)")
+        assert str(err).startswith("doubling(limit=8): ")
+
+    def test_starts_count_toward_the_cap(self):
+        with pytest.raises(StateExplosion):
+            explore([0, 1, 2], self.doubling(0), "starts", cap=2)

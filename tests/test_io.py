@@ -107,6 +107,12 @@ class TestPgsolver:
         with pytest.raises(DanglingSuccessor):
             manifests.import_pgsolver("parity 1;\n0 1 0 7;\n")
 
+    def test_duplicate_vertex_id_names_its_line(self):
+        with pytest.raises(ParseError) as info:
+            manifests.import_pgsolver("parity 1;\n0 3 0 1;\n1 2 1 0,1;\n0 1 1 1;\n")
+        assert info.value.line == 4
+        assert "duplicate vertex id 0" in str(info.value)
+
     def test_round_trip(self):
         gm = manifests.import_pgsolver(self.SAMPLE)
         again = manifests.import_pgsolver(manifests.export_pgsolver(gm))

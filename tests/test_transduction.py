@@ -141,8 +141,10 @@ class TestRegProduct:
 
     def test_state_cap(self):
         g = ParityGraph.make([0, 1], [(0, 1, 1), (1, 0, 2)])
-        with pytest.raises(StateExplosion):
+        with pytest.raises(StateExplosion) as info:
             reg_product(g, Index(1, 4), 2, cap=5)
+        assert info.value.construction == "reg_product(J=[1,4], n=2, rule=liberal)"
+        assert str(info.value).startswith("reg_product(J=[1,4], n=2, rule=liberal): ")
 
     def test_game_input_keeps_base_owner(self):
         g = ParityGraph.make([0, 1], [(0, 1, 2), (1, 0, 2)])
