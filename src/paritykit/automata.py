@@ -167,7 +167,7 @@ def acceptance_game(a, t):
 
     what = f"acceptance_game(states={a.size()}, nodes={t.node_count()})"
     decode, (initial,) = explore([("q", t.root, a.initial)], expand, what)
-    graph = ParityGraph.make(range(len(decode)), edges, a.index)
+    graph = ParityGraph._explored(len(decode), edges, a.index)
     return AcceptanceGame(ParityGame.make(graph, eve), tuple(decode), initial, a, t)
 
 
@@ -217,7 +217,7 @@ def run_graph(a, t, sigma, ag=None):
 
     what = f"run_graph(states={a.size()}, nodes={t.node_count()})"
     states, (root,) = explore([ag.initial], expand, what)
-    graph = ParityGraph.make(range(len(states)), edges, a.index)
+    graph = ParityGraph._explored(len(states), edges, a.index)
     decode = tuple(ag.decode[game_vid][1:] for game_vid in states)
     return RunGraph(graph, decode, tuple(chosen), root, a, t)
 
@@ -287,7 +287,7 @@ def _guided_run(gf, a, b, t, run_b):
 
     what = f"guided_run(states={a.size()}, guide states={b.size()}, nodes={t.node_count()})"
     states, (root,) = explore([(run_b.root, a.initial)], expand, what)
-    graph = ParityGraph.make(range(len(states)), edges, a.index)
+    graph = ParityGraph._explored(len(states), edges, a.index)
     decode = tuple((run_b.decode[bvid][0], p) for bvid, p in states)
     run = RunGraph(graph, decode, tuple(chosen), root, a, t)
     return run, tuple(bvid for bvid, _p in states)

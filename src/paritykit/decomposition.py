@@ -126,7 +126,7 @@ def build_ad(g, h):
     for e in g.edges:
         if e.priority > h:
             raise PriorityOutOfRange(f"priority {e.priority} exceeds level {h}")
-    lasso = _odd_cycle_witness(g, g.vertices, frozenset())
+    lasso = _odd_cycle_witness(g)
     if lasso is not None:
         raise NotEven(lasso)
     if g.terminals:
@@ -460,7 +460,7 @@ def memory_product(pair, cap=DEFAULT_STATE_CAP):
     )
     decode, start_ids = explore(((v, 0) for v in starts), expand, what, cap)
     initial = dict(zip(starts, start_ids))
-    product_graph = ParityGraph.make(range(len(decode)), edges, Index(0, 0))
+    product_graph = ParityGraph._explored(len(decode), edges, Index(0, 0))
     product_pair = LabellingPair.make(
         product_graph, label_i, label_j, pair.index_i, pair.index_j
     )
@@ -653,5 +653,5 @@ def ad_from_bounded_pair(pair, n, j, cap=DEFAULT_STATE_CAP):
 def _even_view(g):
     if g.terminals:
         raise PreconditionFailed("evenness", f"terminal vertex {g.terminals[0]}")
-    lasso = _odd_cycle_witness(g, g.vertices, frozenset())
+    lasso = _odd_cycle_witness(g)
     return lasso is None, lasso

@@ -101,6 +101,27 @@ class ParityGraph:
                 raise PriorityOutOfRange(f"priority {e.priority} outside {index}")
         return ParityGraph(vs, es, index)
 
+    @staticmethod
+    def _explored(count, edges, index):
+        """Graph on 0..count-1 from `(src, dst, priority)` triples that a
+        builder numbered with `explore`, priorities within `index`: nothing
+        is re-checked, one pass builds both tables (out-degrees are small,
+        so an out-tuple grows per edge), and `edges` is taken over: its
+        triples become `Edge`s in place, so no second copy is kept."""
+        vertices = list(range(count))
+        out = dict.fromkeys(vertices, ())
+        inc = [[] for _ in vertices]
+        for i, (s, d, p) in enumerate(edges):
+            edges[i] = Edge(s, d, p)
+            out[s] += (i,)
+            inc[d].append(i)
+        for v in vertices:
+            inc[v] = tuple(inc[v])
+        g = ParityGraph(frozenset(vertices), tuple(edges), index)
+        # fill the slots of the cached properties `out` and `inc`
+        vars(g).update(out=out, inc=dict(zip(vertices, inc)))
+        return g
+
     @cached_property
     def out(self):
         """vertex -> tuple of outgoing edge ids, ascending."""
@@ -263,7 +284,9 @@ def _compile(g, eve=frozenset()):
     return _Core(src, dst, pri, g.out, g.inc, eve, g.vertices - eve, max(pri, default=0) + 1)
 
 
-def _attract(core, alive, cap, targets=frozenset(), target_edges=frozenset(), mine=frozenset()):
+def _attract(
+    core, alive, cap, targets=frozenset(), target_edges=frozenset(), mine=frozenset(), live_moves=False
+):
     """Least set of `alive` from which every live path is forced into
     `targets` or across a live edge of `target_edges`.
 
@@ -275,6 +298,12 @@ def _attract(core, alive, cap, targets=frozenset(), target_edges=frozenset(), mi
     order if it has one, else the in-edge that first reached it.  The
     seed round takes vertices in ascending id and the queue scans
     in-edges ascending, so the strategy is deterministic.
+
+    `live_moves` promises a view without dead ends.  Then only the sources
+    of target edges can seed besides `targets`, and an opponent vertex
+    counts its escapes (live non-target moves) when first reached, so the
+    cost is in the attracted vertices, their in-edges and the out-edges of
+    the opponent vertices touched; the queue and strategy are unchanged.
     """
     src, dst, pri, out, inc = core.src, core.dst, core.pri, core.out, core.inc
     # the queue is a list that the loop below extends while reading it
@@ -282,7 +311,16 @@ def _attract(core, alive, cap, targets=frozenset(), target_edges=frozenset(), mi
     push = queue.append
     strat = {}
     esc = {}
-    for v in sorted(alive.difference(queue)):
+
+    def escapes(v):
+        k = 0
+        for i in out[v]:
+            if pri[i] < cap and dst[i] in alive and i not in target_edges:
+                k += 1
+        return k
+
+    seeds = alive.intersection(src[i] for i in target_edges) if live_moves else alive
+    for v in sorted(seeds.difference(queue)):
         if v in mine:
             if target_edges:
                 for i in out[v]:
@@ -291,10 +329,7 @@ def _attract(core, alive, cap, targets=frozenset(), target_edges=frozenset(), mi
                         push(v)
                         break
         else:
-            k = 0
-            for i in out[v]:
-                if pri[i] < cap and dst[i] in alive and i not in target_edges:
-                    k += 1
+            k = escapes(v)
             if k:
                 esc[v] = k
             else:
@@ -309,9 +344,11 @@ def _attract(core, alive, cap, targets=frozenset(), target_edges=frozenset(), mi
             if u in mine:
                 strat[u] = i
             else:
-                k = esc[u] - 1
-                if k:
-                    esc[u] = k
+                k = esc.get(u)
+                if k is None:
+                    k = escapes(u)
+                if k > 1:
+                    esc[u] = k - 1
                     continue
             add(u)
             push(u)
@@ -404,33 +441,26 @@ def _tarjan_scc(vertices, succ):
     return comp
 
 
-def _odd_cycle_witness(g, alive, dead):
-    """Lasso with odd-maximal cycle on the (alive, dead) view, or None.
+def _odd_cycle_witness(g, parity=1):
+    """Lasso whose cycle's maximum has the given parity (1: odd), or None.
 
-    Scans odd priorities descending; a cycle with maximum exactly p exists
-    iff the subgraph of priorities <= p has a p-edge inside one of its
-    strongly connected components.
+    Scans priorities of that parity descending; a cycle with maximum
+    exactly p exists iff the subgraph of priorities <= p has a p-edge
+    inside one of its strongly connected components.
     """
-    priorities = sorted(
-        {
-            g.edges[i].priority
-            for i in range(len(g.edges))
-            if i not in dead and g.edges[i].src in alive and g.edges[i].dst in alive
-        },
-        reverse=True,
-    )
+    priorities = sorted({e.priority for e in g.edges}, reverse=True)
     for p in priorities:
-        if p % 2 == 0:
+        if p % 2 != parity:
             continue
-        sub_out = {v: [] for v in alive}
+        sub_out = {v: [] for v in g.vertices}
         p_edges = []
         for i, e in enumerate(g.edges):
-            if i in dead or e.priority > p or e.src not in alive or e.dst not in alive:
+            if e.priority > p:
                 continue
             sub_out[e.src].append(i)
             if e.priority == p:
                 p_edges.append(i)
-        comp = _tarjan_scc(alive, lambda v: (g.edges[i].dst for i in sub_out[v]))
+        comp = _tarjan_scc(g.vertices, lambda v: (g.edges[i].dst for i in sub_out[v]))
         for i in p_edges:
             e = g.edges[i]
             if comp[e.src] != comp[e.dst]:
@@ -465,7 +495,7 @@ def check_even(g):
     """(True, None) if every cycle has even maximum, else (False, lasso)."""
     if g.terminals:
         raise TerminalVertex(g.terminals[0])
-    lasso = _odd_cycle_witness(g, g.vertices, frozenset())
+    lasso = _odd_cycle_witness(g)
     return (lasso is None), lasso
 
 
@@ -487,6 +517,11 @@ def _zielonka(core, alive, cap):
     {EVE: region, ADAM: region, (EVE, 's'): strategy, (ADAM, 's'): strategy}.
     The first sub-call caps the view at d, the maximal live priority: that
     removes exactly the top edges, because no live edge lies above d.
+
+    Views have no dead ends, so the attractors seed lazily: the root is a
+    terminal-free game, and a vertex outside a player's attractor keeps a
+    live move that avoids it and the top edges, so neither `below` nor
+    `alive - trap` (outside the opponent's attractor) has one.
     """
     if not alive:
         return {EVE: frozenset(), ADAM: frozenset(), (EVE, "s"): {}, (ADAM, "s"): {}}
@@ -506,7 +541,7 @@ def _zielonka(core, alive, cap):
         # cannot happen: subgames of terminal-free games stay terminal-free
         raise TerminalVertex(min(alive))
     player, other = (EVE, ADAM) if d % 2 == 0 else (ADAM, EVE)
-    area, reach = _attract(core, alive, cap, target_edges=top, mine=core.owned(player))
+    area, reach = _attract(core, alive, cap, target_edges=top, mine=core.owned(player), live_moves=True)
     below = alive - area
     # sub-calls nest deeply; a suspended call keeps only what its merge needs
     del top, area
@@ -518,7 +553,7 @@ def _zielonka(core, alive, cap):
         return {player: alive, other: frozenset(), (player, "s"): strat, (other, "s"): {}}
     won = sub[other]
     kept = {v: e for v, e in sub[(other, "s")].items() if v in won}
-    trap, pull = _attract(core, alive, cap, won, mine=core.owned(other))
+    trap, pull = _attract(core, alive, cap, won, mine=core.owned(other), live_moves=True)
     del reach, sub, won
     rest = yield (alive - trap, cap)
     other_strat = rest[(other, "s")]
@@ -597,10 +632,5 @@ def verify_winning(game, sigma, region, player=EVE):
                 return False
     if h.terminals:
         raise TerminalVertex(h.terminals[0])
-    lasso = _odd_cycle_witness(h, h.vertices, frozenset())
-    if player == EVE:
-        return lasso is None
-    # Adam wins iff no cycle with even maximum survives: flip parities and reuse
-    flipped = h.relabel(lambda p: p + 1)
-    lasso = _odd_cycle_witness(flipped, flipped.vertices, frozenset())
-    return lasso is None
+    # Eve wins iff no cycle with odd maximum survives, Adam iff none with even
+    return _odd_cycle_witness(h, 1 if player == EVE else 0) is None

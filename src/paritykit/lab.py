@@ -123,7 +123,7 @@ def _repair_even(g, labels, index):
             tuple(e._replace(priority=labels[i]) for i, e in enumerate(g.edges)),
             index,
         )
-        lasso = _odd_cycle_witness(view, view.vertices, frozenset())
+        lasso = _odd_cycle_witness(view)
         if lasso is None:
             return tuple(labels)
         worst = max(lasso.cycle, key=lambda i: labels[i])

@@ -257,7 +257,7 @@ def reg_product(base, J, n, *, rule=LIBERAL, cap=DEFAULT_STATE_CAP, starts=None)
     what = f"reg_product(J=[{J.lo},{J.hi}], n={n}, rule={rule})"
     decode, start_ids = explore((("A", v, cfg0) for v in starts), expand, what, cap)
     initial = dict(zip(starts, start_ids))
-    graph = ParityGraph.make(range(len(decode)), edges, Index(0, max(J.hi, 1)))
+    graph = ParityGraph._explored(len(decode), edges, Index(0, max(J.hi, 1)))
     game = ParityGame.make(graph, eve)
     return RegProduct(
         game,
@@ -448,7 +448,7 @@ def strategy_from_bounded_pair(pair, n, *, rule=LIBERAL, cap=DEFAULT_STATE_CAP):
 
 
 def _view_even(g):
-    lasso = _odd_cycle_witness(g, g.vertices, frozenset())
+    lasso = _odd_cycle_witness(g)
     return lasso is None, lasso
 
 

@@ -6,10 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paritykit.errors import StateExplosion, StrategyEscapesRegion, TerminalVertex, UndefinedChoice
+from paritykit import games
+from paritykit.automata import accepting_run, acceptance_game, guided_run
+from paritykit.decomposition import memory_product
+from paritykit.errors import (
+    NoAcceptingRun,
+    StateExplosion,
+    StrategyEscapesRegion,
+    TerminalVertex,
+    UndefinedChoice,
+)
 from paritykit.games import (
     ADAM,
     EVE,
+    Edge,
     Index,
     ParityGame,
     ParityGraph,
@@ -24,7 +34,16 @@ from paritykit.games import (
     strategy_graph,
     verify_winning,
 )
-from paritykit.lab import GenParams, random_non_even_graph, rejecting_vertices
+from paritykit.lab import (
+    GenParams,
+    enumerate_regular_trees,
+    guided_suite,
+    random_automaton,
+    random_bounded_pair,
+    random_non_even_graph,
+    rejecting_vertices,
+)
+from paritykit.lab import random_game as lab_random_game
 from paritykit.transduction import reg_product
 
 from oracles import (
@@ -257,6 +276,27 @@ class TestVerifyWinning:
         assert not verify_winning(gm, {}, {0})
         assert verify_winning(gm, {1: 2}, {1}, player=ADAM)
 
+    def test_adam_verdict_matches_relabelled_strategy_graph(self):
+        # reference: Adam wins iff shifting every priority by one leaves an even graph
+        rng = random.Random(31)
+        verdicts = []
+        for _ in range(60):
+            gm = random_game(rng, 6, 4)
+            g = gm.graph
+            _, wa, _, sa = solve(gm)
+            regions = [(wa, sa), (g.vertices, {})] if wa else [(g.vertices, {})]
+            for region, sigma in regions:
+                adam = [v for v in sorted(region) if v not in gm.eve]
+                picked = {v: rng.choice([i for i in g.out[v] if g.edges[i].dst in region]) for v in adam}
+                for choice in (sigma, picked):
+                    if any(v not in choice for v in adam):
+                        continue
+                    h = strategy_graph(gm, choice, region, ADAM)
+                    verdict = verify_winning(gm, choice, region, player=ADAM)
+                    assert verdict == is_even(h.relabel(lambda p: p + 1))
+                    verdicts.append(verdict)
+        assert verdicts.count(True) > 10 and verdicts.count(False) > 10
+
 
 # criterion-3 register products (acceptance seed, rejecting starts):
 # (graph salt, J.lo, J.hi, n); two of them exceed 10k vertices, the last
@@ -335,3 +375,78 @@ class TestExplore:
     def test_starts_count_toward_the_cap(self):
         with pytest.raises(StateExplosion):
             explore([0, 1, 2], self.doubling(0), "starts", cap=2)
+
+
+class TestLazySeeding:
+    def test_zielonka_views_have_live_moves_and_seed_lazily_as_by_full_scan(self, monkeypatch):
+        real_zielonka, real_attract = games._zielonka, games._attract
+        views = []
+        lazy_calls = []
+
+        def zielonka(core, alive, cap):
+            views.append((core, alive, cap))
+            return real_zielonka(core, alive, cap)
+
+        def attract(core, alive, cap, *args, live_moves=False, **kwargs):
+            got = real_attract(core, alive, cap, *args, live_moves=live_moves, **kwargs)
+            if live_moves:
+                full = real_attract(core, alive, cap, *args, **kwargs)
+                assert got[0] == full[0]
+                assert list(got[1].items()) == list(full[1].items())
+                lazy_calls.append(len(got[0]))
+            return got
+
+        monkeypatch.setattr(games, "_zielonka", zielonka)
+        monkeypatch.setattr(games, "_attract", attract)
+        rng = random.Random(37)
+        corpus = [random_game(rng, rng.randint(4, 40), rng.randint(1, 6)) for _ in range(80)]
+        base = GenParams(seed=21057, vertex_count=5, priority_cap=4, edge_density=0.5)
+        for salt in range(3):
+            g = random_non_even_graph(base, salt=salt)
+            corpus.append(reg_product(g, Index(1, 4), 1, starts=sorted(rejecting_vertices(g))).game)
+        for gm in corpus:
+            solve(gm)
+        for core, alive, cap in views:
+            for v in alive:
+                assert any(core.pri[i] < cap and core.dst[i] in alive for i in core.out[v])
+        assert len(lazy_calls) > 500 and max(lazy_calls) > 1000
+
+
+def explored_corpus():
+    """A graph from every builder that numbers its states with `explore`."""
+    base = GenParams(seed=21057, vertex_count=5, priority_cap=4, edge_density=0.5)
+    for salt in range(4):
+        g = random_non_even_graph(base, salt=salt)
+        for lo, hi in ((1, 2), (1, 4)):
+            for n in (0, 1):
+                yield reg_product(g, Index(lo, hi), n).game.graph
+        yield reg_product(lab_random_game(base, salt=salt), Index(1, 2), 1).game.graph
+    rng = random.Random(41)
+    trees = enumerate_regular_trees(2)
+    for _ in range(12):
+        a = random_automaton(rng)
+        for t in rng.sample(trees, 4):
+            yield acceptance_game(a, t).game.graph
+            try:
+                yield accepting_run(a, t).graph
+            except NoAcceptingRun:
+                pass
+    for a, b, gf, trees in guided_suite():
+        for t in trees:
+            yield guided_run(gf, a, b, t, accepting_run(b, t)).graph
+    pair_params = GenParams(seed=21057, vertex_count=5, priority_cap=4, index_j=(1, 2))
+    for salt in range(4):
+        yield memory_product(random_bounded_pair(pair_params, 1, salt=salt)).pair.graph
+
+
+class TestExploredGraphs:
+    def test_every_builder_matches_make_of_the_same_edges(self):
+        count = 0
+        for g in explored_corpus():
+            ref = ParityGraph.make(g.vertices, g.edges, g.index)
+            assert g == ref
+            assert g.vertices == frozenset(range(len(g.vertices)))
+            assert all(type(e) is Edge for e in g.edges)
+            assert g.out == ref.out and g.inc == ref.inc
+            count += 1
+        assert count > 60
