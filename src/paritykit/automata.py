@@ -19,6 +19,7 @@ from .games import Index, ParityGame, ParityGraph, explore, solve
 from .transduction import (
     LIBERAL,
     RegMachine,
+    n_bound_check,
     normalize_output_index,
 )
 
@@ -318,8 +319,6 @@ def _j_index(index):
 def guided_pair_bound_check(a, b, gf, t):
     """Instantiated boundedness check: the guided run's labelling must be
     (|A||B|+1)-bound by its guide's labelling."""
-    from .transduction import n_bound_check
-
     run_b = accepting_run(b, t)
     _ga, pair = run_pair_labelling(gf, a, b, t, run_b)
     n = a.size() * b.size() + 1

@@ -52,14 +52,14 @@ def _load(path, fmt="native"):
     return manifests.loads(text)
 
 
-def _emit(obj, args):
+def _emit(obj, args, meta=None):
     fmt = getattr(args, "format", "native")
     if fmt == "dot":
         sys.stdout.write(manifests.export_dot(obj))
     elif fmt == "pgsolver":
         sys.stdout.write(manifests.export_pgsolver(obj))
     else:
-        print(manifests.dumps(obj, indent=2))
+        print(manifests.dumps(obj, indent=2, meta=meta))
 
 
 def _positive_int(text):
@@ -282,13 +282,7 @@ def cmd_convert(args):
         meta = {"source-format": "pgsolver", "priority-conversion": f"{rule}-vertex"}
     else:
         obj = manifests.loads(text)
-    fmt = args.format
-    if fmt == "dot":
-        sys.stdout.write(manifests.export_dot(obj))
-    elif fmt == "pgsolver":
-        sys.stdout.write(manifests.export_pgsolver(obj))
-    else:
-        print(manifests.dumps(obj, indent=2, meta=meta))
+    _emit(obj, args, meta)
     return 0
 
 
@@ -413,7 +407,6 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as stop:
         return 2 if stop.code not in (0, None) else 0
-    args.seed = args.seed or 0
     try:
         return args.func(args)
     except (StateExplosion, TooLarge) as err:

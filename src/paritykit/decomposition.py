@@ -3,7 +3,7 @@ the bounded-pair to low-Strahler construction on memory products.
 
 All vertex and edge references inside a decomposition are in the id space
 of the root graph it was built for; recursion happens on (alive vertices,
-priority cap) views of the compiled graph (see `games._Core`) instead of
+priority cap) views of that graph (see `ParityGraph.cap`) instead of
 physically restricted graphs, because a removed top-priority edge can
 connect two vertices of the same child subgame and must stay excluded all
 the way down.  Below a node of level h every live edge has priority at
@@ -25,7 +25,7 @@ from .errors import (
     PreconditionFailed,
     PriorityOutOfRange,
 )
-from .games import Index, ParityGraph, _attract, _compile, _odd_cycle_witness, explore
+from .games import Index, ParityGraph, _attract, _odd_cycle_witness, explore
 from .trees import LEAF, OrderedTree
 
 
@@ -67,55 +67,55 @@ class ValidationResult:
         return f"ValidationResult(clause={self.clause!r}, witness={self.witness!r})"
 
 
-def _live_edges(core, alive, cap):
+def _live_edges(g, alive, cap):
     """Live edge ids of the view (alive, cap), ascending."""
-    dst, pri, out = core.dst, core.pri, core.out
+    dst, pri, out = g.dst, g.pri, g.out
     return sorted(i for v in alive for i in out[v] if pri[i] < cap and dst[i] in alive)
 
 
-def _terminal_in_view(core, alive, cap):
-    dst, pri, out = core.dst, core.pri, core.out
+def _terminal_in_view(g, alive, cap):
+    dst, pri, out = g.dst, g.pri, g.out
     for v in sorted(alive):
         if not any(pri[i] < cap and dst[i] in alive for i in out[v]):
             return v
     return None
 
 
-def _kids(core, rest, cap, labels, odd):
+def _kids(g, rest, cap, labels, odd):
     """Peel maximal S_k off the residual: all vertices from which no live
     edge labelled `odd` is reachable, then their attractor.  An empty S_k
     on a non-empty residual signals a non-even input."""
     kids = []
     while rest:
-        odd_edges = frozenset(i for i in _live_edges(core, rest, cap) if labels[i] == odd)
-        bad, _ = _attract(core, rest, cap, target_edges=odd_edges, mine=rest)
+        odd_edges = frozenset(i for i in _live_edges(g, rest, cap) if labels[i] == odd)
+        bad, _ = _attract(g, rest, cap, target_edges=odd_edges, mine=rest)
         s = rest - bad
         if not s:
             raise InvalidDecomposition(
                 f"no level-{odd - 1} core in a non-empty residual (graph not even?)"
             )
-        a, _ = _attract(core, rest, cap, s)
+        a, _ = _attract(g, rest, cap, s)
         kids.append((s, frozenset(a)))
         rest = rest - a
     return kids
 
 
-def _canonical_children(core, alive, cap, level):
+def _canonical_children(g, alive, cap, level):
     """Top layer of the canonical decomposition: (H, A_0, [(S_k, A_k)])."""
-    h_edges = frozenset(i for i in _live_edges(core, alive, cap) if core.pri[i] == level)
-    a0 = frozenset(_attract(core, alive, cap, target_edges=h_edges)[0])
-    return h_edges, a0, _kids(core, alive - a0, min(cap, level), core.pri, level - 1)
+    h_edges = frozenset(i for i in _live_edges(g, alive, cap) if g.pri[i] == level)
+    a0 = frozenset(_attract(g, alive, cap, target_edges=h_edges)[0])
+    return h_edges, a0, _kids(g, alive - a0, min(cap, level), g.pri, level - 1)
 
 
-def _build(core, alive, cap, level):
+def _build(g, alive, cap, level):
     if level == 0:
-        live = frozenset(_live_edges(core, alive, cap))
+        live = frozenset(_live_edges(g, alive, cap))
         return AttractorDecomposition(0, live, frozenset(alive), ())
-    h_edges, a0, kids = _canonical_children(core, alive, cap, level)
+    h_edges, a0, kids = _canonical_children(g, alive, cap, level)
     if not kids:
         return AttractorDecomposition(level, h_edges, frozenset(alive), ())
     cap1 = min(cap, level)
-    children = tuple(AdChild(s, a, _build(core, s, cap1, level - 2)) for s, a in kids)
+    children = tuple(AdChild(s, a, _build(g, s, cap1, level - 2)) for s, a in kids)
     return AttractorDecomposition(level, h_edges, a0, children)
 
 
@@ -131,22 +131,21 @@ def build_ad(g, h):
         raise NotEven(lasso)
     if g.terminals:
         raise PreconditionFailed("build_ad", f"terminal vertex {g.terminals[0]}")
-    core = _compile(g)
-    return _build(core, g.vertices, core.cap, h)
+    return _build(g, g.vertices, g.cap, h)
 
 
-def _validate(core, d, alive, cap):
+def _validate(g, d, alive, cap):
     if d.level < 0 or d.level % 2 == 1:
         return ValidationResult(False, "level-even", d.level)
-    dst, pri, out = core.dst, core.pri, core.out
-    live = _live_edges(core, alive, cap)
+    dst, pri, out = g.dst, g.pri, g.out
+    live = _live_edges(g, alive, cap)
     for i in live:
         if pri[i] > d.level:
             return ValidationResult(False, "priorities-bounded", i)
     h_expected = frozenset(i for i in live if pri[i] == d.level)
     if d.top_edges != h_expected:
         return ValidationResult(False, "top-edges", d.top_edges ^ h_expected)
-    a0, _ = _attract(core, alive, cap, target_edges=h_expected)
+    a0, _ = _attract(g, alive, cap, target_edges=h_expected)
     if d.top_attractor != a0:
         return ValidationResult(False, "top-attractor", d.top_attractor ^ a0)
     if not d.children:
@@ -163,22 +162,22 @@ def _validate(core, d, alive, cap):
             return ValidationResult(False, "child-nonempty", idx)
         if not s <= current:
             return ValidationResult(False, "child-in-residual", (idx, s - current))
-        for i in _live_edges(core, s, cap2):
+        for i in _live_edges(g, s, cap2):
             if pri[i] > d.level - 2:
                 return ValidationResult(False, "child-priorities", (idx, i))
-        t = _terminal_in_view(core, s, cap2)
+        t = _terminal_in_view(g, s, cap2)
         if t is not None:
             return ValidationResult(False, "child-terminal", (idx, t))
         for v in sorted(s):
             for i in out[v]:
                 if pri[i] < cap2 and dst[i] in current and dst[i] not in s:
                     return ValidationResult(False, "child-closed", (idx, i))
-        expected_a, _ = _attract(core, current, cap2, s)
+        expected_a, _ = _attract(g, current, cap2, s)
         if a != expected_a:
             return ValidationResult(False, "child-attractor", (idx, a ^ expected_a))
         if sub.level != d.level - 2:
             return ValidationResult(False, "child-level", (idx, sub.level))
-        inner = _validate(core, sub, s, cap2)
+        inner = _validate(g, sub, s, cap2)
         if not inner:
             return inner
         current = current - a
@@ -190,42 +189,45 @@ def _validate(core, d, alive, cap):
 def validate_ad(g, d):
     """Check every clause of the decomposition definition; names the first
     violated clause and a witness on failure."""
-    core = _compile(g)
-    return _validate(core, d, g.vertices, core.cap)
+    return _validate(g, d, g.vertices, g.cap)
 
 
-def _reach_from(g, starts, alive, dead):
+def _reach(g, starts, alive, cap):
+    """`starts` plus the vertices reachable from them along live edges of
+    the view (alive, cap)."""
+    dst, pri, out = g.dst, g.pri, g.out
     reach = set(starts)
-    queue = deque(sorted(starts))
-    while queue:
-        v = queue.popleft()
-        for i in g.out[v]:
-            if i in dead:
-                continue
-            w = g.edges[i].dst
-            if w in alive and w not in reach:
+    queue = list(reach)
+    for v in queue:
+        for i in out[v]:
+            w = dst[i]
+            if pri[i] < cap and w in alive and w not in reach:
                 reach.add(w)
                 queue.append(w)
     return reach
 
 
-def _reach_check(g, d, alive, dead):
+def _reach_check(g, d):
     if not d.children:
         return True
-    dead2 = dead | d.top_edges
     union = frozenset().union(*(c.attractor for c in d.children))
     for i, child in enumerate(d.children):
-        reach = _reach_from(g, child.attractor & union, union, dead2)
+        reach = _reach(g, child.attractor, union, d.level)
         for later in d.children[i + 1 :]:
             if reach & later.attractor:
                 return False
-    return all(_reach_check(g, c.sub, c.subgame, dead2) for c in d.children)
+    return all(_reach_check(g, c.sub) for c in d.children)
 
 
 def ad_reachability_check(g, d):
     """Ordering regression: within the top-priority-free part,
-    later child attractors are unreachable from earlier ones, recursively."""
-    return _reach_check(g, d, g.vertices, frozenset())
+    later child attractors are unreachable from earlier ones, recursively.
+
+    Exact for decompositions that `validate_ad` accepts: inside a valid
+    node of level h every edge of priority above h is the top edge of an
+    ancestor, so the top-priority-free part of a node is the union of its
+    child attractors capped at h."""
+    return _reach_check(g, d)
 
 
 def _shape(d):
@@ -238,25 +240,28 @@ def tree_shape(d):
     return _shape(d)
 
 
-def _tight(g, d, alive, dead):
+def _tight(g, d, alive):
     if not d.children:
         return True
-    dead2 = dead | d.top_edges
-    high = dead2 | {i for i, e in enumerate(g.edges) if e.priority > d.level - 2}
     for i, child in enumerate(d.children):
         if i == 0:
             continue
-        reach = _reach_from(g, child.subgame, alive, high)
+        reach = _reach(g, child.subgame, alive, d.level - 1)
         for earlier in d.children[:i]:
             if (reach - child.subgame) & earlier.subgame:
                 return False
-    return all(_tight(g, c.sub, c.subgame, dead2) for c in d.children)
+    return all(_tight(g, c.sub, c.subgame) for c in d.children)
 
 
 def is_tight(g, d):
     """True iff every path between distinct subgames dodges nothing: it must
-    see priority >= level-1, recursively in all children."""
-    return _tight(g, d, g.vertices, frozenset())
+    see priority >= level-1, recursively in all children.
+
+    Exact for decompositions that `validate_ad` accepts: inside a valid
+    node of level h every edge of priority above h is the top edge of an
+    ancestor, so the paths to check are those of the node's subgame
+    capped at h-1."""
+    return _tight(g, d, g.vertices)
 
 
 def attr_partition(g, parts):
@@ -268,11 +273,10 @@ def attr_partition(g, parts):
         if s & seen:
             raise OverlappingParts(sorted(s & seen))
         seen |= s
-    core = _compile(g)
     out = []
     current = frozenset(g.vertices)
     for s in parts:
-        a = frozenset(_attract(core, current, core.cap, frozenset(s))[0])
+        a = frozenset(_attract(g, current, g.cap, frozenset(s))[0])
         out.append(a)
         current = current - a
     return out
@@ -290,10 +294,9 @@ def join_ads(g, h, pieces):
     for e in g.edges:
         if e.priority > h:
             raise PriorityOutOfRange(f"priority {e.priority} exceeds level {h}")
-    core = _compile(g)
-    dst, pri, out = core.dst, core.pri, core.out
+    dst, pri, out = g.dst, g.pri, g.out
     h_edges = frozenset(i for i in range(len(pri)) if pri[i] == h)
-    a0 = frozenset(_attract(core, g.vertices, core.cap, target_edges=h_edges)[0])
+    a0 = frozenset(_attract(g, g.vertices, g.cap, target_edges=h_edges)[0])
     current = g.vertices - a0
     children = []
     for k, (s, sub) in enumerate(pieces):
@@ -308,12 +311,12 @@ def join_ads(g, h, pieces):
                     raise HypothesisViolated("successor-closed", f"piece {k}, edge {i}")
         if sub.level != h - 2:
             raise HypothesisViolated("child-level", f"piece {k} has level {sub.level}")
-        inner = _validate(core, sub, s, h)
+        inner = _validate(g, sub, s, h)
         if not inner:
             raise HypothesisViolated(
                 "child-decomposition", f"piece {k}: {inner.clause}"
             )
-        a = frozenset(_attract(core, current, h, s)[0])
+        a = frozenset(_attract(g, current, h, s)[0])
         children.append(AdChild(s, a, sub))
         current = current - a
     if current:
@@ -471,24 +474,28 @@ def memory_product(pair, cap=DEFAULT_STATE_CAP):
 # bounded pair -> low-Strahler decomposition
 
 
-def _view_core(core, part, cap):
+def _view_core(g, part, cap):
     """Largest subset whose view-internal paths are infinite: the part
     minus the vertices forced into the empty target (those with no
     infinite internal path).  Dropped vertices are forced out of the
     part, so assembly attractors absorb them."""
     part = frozenset(part)
-    return part - _attract(core, part, cap)[0]
+    return part - _attract(g, part, cap)[0]
 
 
-def _two_layer_reach(out_edges, start, oi_label):
-    """Vertices reachable from start, split by whether the path has already
-    traversed a labelI = oi edge: returns (plain set, witnessed set)."""
+def _two_layer_reach(g, alive, cap, start, oi):
+    """Vertices reachable from start in the view (alive, cap), split by
+    whether the path has already traversed an edge of priority oi:
+    returns (plain set, witnessed set)."""
+    dst, pri, out = g.dst, g.pri, g.out
     seen = {(start, 0)}
     queue = deque([(start, 0)])
     while queue:
         v, flag = queue.popleft()
-        for w, is_oi in out_edges.get(v, ()):
-            nxt = (w, 1 if (flag or is_oi) else 0)
+        for i in out[v]:
+            if pri[i] >= cap or dst[i] not in alive:
+                continue
+            nxt = (dst[i], 1 if (flag or pri[i] == oi) else 0)
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)
@@ -497,11 +504,11 @@ def _two_layer_reach(out_edges, start, oi_label):
     return plain, witnessed
 
 
-def _rts_build(mp, core, label_j, alive, cap, i2, j2, n):
+def _rts_build(mp, g, label_j, alive, cap, i2, j2, n):
     """The induction step of the bounded-pair construction on the memory
     product: split children into star parts ranked by witnessed hops and
-    priority-free leftovers, then reassemble in interleaved order.  `core`
-    is the product's labelI graph compiled; `label_j` its labelJ values.
+    priority-free leftovers, then reassemble in interleaved order.  `g` is
+    the product's labelI graph, `label_j` its labelJ values.
 
     Within a star part no labelI edge has priority level-1 (its source
     would outrank its target), nor within a leftover part (a subset of one
@@ -509,12 +516,12 @@ def _rts_build(mp, core, label_j, alive, cap, i2, j2, n):
     here and the children's top edges below."""
     level = 2 * i2
     if i2 == 0:
-        live = frozenset(_live_edges(core, alive, cap))
+        live = frozenset(_live_edges(g, alive, cap))
         return AttractorDecomposition(0, live, frozenset(alive), ())
-    t = _terminal_in_view(core, alive, cap)
+    t = _terminal_in_view(g, alive, cap)
     if t is not None:
         raise InvalidDecomposition(f"terminal vertex {t} in construction subgame")
-    h_edges, a0, kids = _canonical_children(core, alive, cap, level)
+    h_edges, a0, kids = _canonical_children(g, alive, cap, level)
     if not kids:
         return AttractorDecomposition(level, h_edges, frozenset(alive), ())
     cap1 = min(cap, level)
@@ -532,13 +539,9 @@ def _rts_build(mp, core, label_j, alive, cap, i2, j2, n):
             star_k[v] = k
     all_stars = sorted(star_k)
 
-    out_edges = {}
-    for i in _live_edges(core, alive1, cap1):
-        out_edges.setdefault(core.src[i], []).append((core.dst[i], core.pri[i] == oi))
-
     witness_to = {}
     for v in all_stars:
-        _plain, witnessed = _two_layer_reach(out_edges, v, oi)
+        _plain, witnessed = _two_layer_reach(g, alive1, cap1, v, oi)
         witness_to[v] = [u for u in all_stars if u in witnessed]
 
     # a star's rank is the length of its longest chain of witnessed hops; a
@@ -564,19 +567,19 @@ def _rts_build(mp, core, label_j, alive, cap, i2, j2, n):
     leftover_pieces = {m: [] for m in range(0, max_rank + 1)}
     for k, (s, _a) in enumerate(kids):
         stars = stars_of[k]
-        a_star = _attract(core, s, cap1, stars)[0]
+        a_star = _attract(g, s, cap1, stars)[0]
         left = s - a_star
         if not left:
             continue
         by_rank = {}
         for v in sorted(left):
-            plain, _w = _two_layer_reach(out_edges, v, oi)
+            plain, _w = _two_layer_reach(g, alive1, cap1, v, oi)
             ranks = [star_rank[u] for u in all_stars if u in plain]
             by_rank.setdefault(max(ranks, default=0), set()).add(v)
         for m, part in sorted(by_rank.items()):
             # dead-end vertices of a rank class exit it on every path and
             # are swept up by the assembly attractors instead
-            part = _view_core(core, part, cap1)
+            part = _view_core(g, part, cap1)
             if not part:
                 continue
             if j2 <= 1:
@@ -586,11 +589,11 @@ def _rts_build(mp, core, label_j, alive, cap, i2, j2, n):
                 )
             # a view core has no forced vertex, so without top output
             # edges its labelJ top attractor is empty as well
-            if any(label_j[i] == ej for i in _live_edges(core, part, cap1)):
+            if any(label_j[i] == ej for i in _live_edges(g, part, cap1)):
                 raise InvalidDecomposition(
                     "leftover part unexpectedly contains a top output priority"
                 )
-            for s_p, _ap in _kids(core, part, cap1, label_j, ej - 1):
+            for s_p, _ap in _kids(g, part, cap1, label_j, ej - 1):
                 leftover_pieces[m].append(s_p)
 
     sequence = []
@@ -603,11 +606,11 @@ def _rts_build(mp, core, label_j, alive, cap, i2, j2, n):
     current = alive1
     children = []
     for part, sub_j in sequence:
-        live_part = _view_core(core, frozenset(part) & current, cap1)
+        live_part = _view_core(g, frozenset(part) & current, cap1)
         if not live_part:
             continue
-        sub = _rts_build(mp, core, label_j, live_part, cap1, i2 - 1, sub_j, n)
-        a = frozenset(_attract(core, current, cap1, live_part)[0])
+        sub = _rts_build(mp, g, label_j, live_part, cap1, i2 - 1, sub_j, n)
+        a = frozenset(_attract(g, current, cap1, live_part)[0])
         children.append(AdChild(live_part, a, sub))
         current = current - a
     if current:
@@ -624,6 +627,7 @@ def ad_from_bounded_pair(pair, n, j, cap=DEFAULT_STATE_CAP):
     ranks stay at n or below (in particular whenever the pair is already
     (n-1)-bound) the n-Strahler number is at most j as well.
     """
+    # transduction imports this module: the package's one import cycle
     from .transduction import n_bound_check
 
     ii, jj = pair.index_i, pair.index_j
@@ -631,27 +635,20 @@ def ad_from_bounded_pair(pair, n, j, cap=DEFAULT_STATE_CAP):
         raise PreconditionFailed("index-I", f"{ii} is not of the form [0,2i]")
     if jj.lo != 1 or jj.hi != 2 * j:
         raise PreconditionFailed("index-J", f"{jj} is not [1,{2 * j}]")
-    ok, lasso = _even_view(pair.graph_i())
-    if not ok:
-        raise NotEven(lasso, "labelI view is not even")
-    ok, lasso = _even_view(pair.graph_j())
-    if not ok:
-        raise NotEven(lasso, "labelJ view is not even")
+    terminals = pair.graph_i().terminals
+    if terminals:
+        raise PreconditionFailed("evenness", f"terminal vertex {terminals[0]}")
+    for name, view in (("labelI", pair.graph_i()), ("labelJ", pair.graph_j())):
+        lasso = _odd_cycle_witness(view)
+        if lasso is not None:
+            raise NotEven(lasso, f"{name} view is not even")
     ok, ce = n_bound_check(pair, n)
     if not ok:
         raise NotBounded(ce)
     mp = memory_product(pair, cap=cap)
     g_i = mp.pair.graph_i()
-    core = _compile(g_i)
-    d = _rts_build(mp, core, mp.pair.label_j, g_i.vertices, core.cap, ii.hi // 2, j, n)
+    d = _rts_build(mp, g_i, mp.pair.label_j, g_i.vertices, g_i.cap, ii.hi // 2, j, n)
     res = validate_ad(g_i, d)
     if not res:
         raise InvalidDecomposition(f"internal: {res.clause} ({res.witness})")
     return d
-
-
-def _even_view(g):
-    if g.terminals:
-        raise PreconditionFailed("evenness", f"terminal vertex {g.terminals[0]}")
-    lasso = _odd_cycle_witness(g)
-    return lasso is None, lasso

@@ -139,6 +139,28 @@ class ParityGraph:
         return {v: tuple(ids) for v, ids in table.items()}
 
     @cached_property
+    def src(self):
+        """Per-edge source list, by edge id."""
+        return [e.src for e in self.edges]
+
+    @cached_property
+    def dst(self):
+        """Per-edge target list, by edge id."""
+        return [e.dst for e in self.edges]
+
+    @cached_property
+    def pri(self):
+        """Per-edge priority list, by edge id."""
+        return [e.priority for e in self.edges]
+
+    @cached_property
+    def cap(self):
+        """Root priority cap: one above every priority.  A view of the graph
+        is a vertex set `alive` plus a cap; an edge is live iff both ends
+        are alive and its priority is below the cap."""
+        return max(self.pri, default=0) + 1
+
+    @cached_property
     def terminals(self):
         """Vertices with no outgoing edge, ascending."""
         return tuple(sorted(v for v in self.vertices if not self.out[v]))
@@ -178,10 +200,12 @@ class ParityGame:
     def owner(self, v):
         return EVE if v in self.eve else ADAM
 
-    def player_vertices(self, player):
-        if player == EVE:
-            return self.eve
+    @cached_property
+    def adam(self):
         return self.graph.vertices - self.eve
+
+    def player_vertices(self, player):
+        return self.eve if player == EVE else self.adam
 
 
 @dataclass(frozen=True)
@@ -255,37 +279,8 @@ def restrict(g, keep):
     return ParityGraph(keep, tuple(edges), g.index)
 
 
-class _Core(NamedTuple):
-    """A graph compiled for the attractor and the solver: flat per-edge
-    `src`/`dst`/`pri` lists, the graph's per-vertex ascending out/in edge
-    ids, the owner sets, and `cap`, one above every priority.
-
-    A view of the graph is a vertex set `alive` plus a priority cap: an
-    edge is live iff both ends are alive and its priority is below the cap.
-    """
-
-    src: list
-    dst: list
-    pri: list
-    out: dict
-    inc: dict
-    eve: frozenset
-    adam: frozenset
-    cap: int
-
-    def owned(self, player):
-        return self.eve if player == EVE else self.adam
-
-
-def _compile(g, eve=frozenset()):
-    src = [e.src for e in g.edges]
-    dst = [e.dst for e in g.edges]
-    pri = [e.priority for e in g.edges]
-    return _Core(src, dst, pri, g.out, g.inc, eve, g.vertices - eve, max(pri, default=0) + 1)
-
-
 def _attract(
-    core, alive, cap, targets=frozenset(), target_edges=frozenset(), mine=frozenset(), live_moves=False
+    g, alive, cap, targets=frozenset(), target_edges=frozenset(), mine=frozenset(), live_moves=False
 ):
     """Least set of `alive` from which every live path is forced into
     `targets` or across a live edge of `target_edges`.
@@ -305,7 +300,7 @@ def _attract(
     cost is in the attracted vertices, their in-edges and the out-edges of
     the opponent vertices touched; the queue and strategy are unchanged.
     """
-    src, dst, pri, out, inc = core.src, core.dst, core.pri, core.out, core.inc
+    src, dst, pri, out, inc = g.src, g.dst, g.pri, g.out, g.inc
     # the queue is a list that the loop below extends while reading it
     queue = sorted(targets & alive)
     push = queue.append
@@ -361,8 +356,7 @@ def attractor_edges(g, targets):
     for i in targets:
         if not (0 <= i < len(g.edges)):
             raise PreconditionFailed("attractor_edges", f"unknown edge id {i}")
-    core = _compile(g)
-    return frozenset(_attract(core, g.vertices, core.cap, target_edges=targets)[0])
+    return frozenset(_attract(g, g.vertices, g.cap, target_edges=targets)[0])
 
 
 def attractor_vertices(g, targets):
@@ -370,8 +364,7 @@ def attractor_vertices(g, targets):
     targets = frozenset(targets)
     if not targets <= g.vertices:
         raise PreconditionFailed("attractor_vertices", "targets not within vertices")
-    core = _compile(g)
-    return frozenset(_attract(core, g.vertices, core.cap, targets)[0])
+    return frozenset(_attract(g, g.vertices, g.cap, targets)[0])
 
 
 def player_attractor(game, targets, player):
@@ -381,8 +374,7 @@ def player_attractor(game, targets, player):
     g = game.graph
     if not targets <= g.vertices:
         raise PreconditionFailed("player_attractor", "targets not within vertices")
-    core = _compile(g, game.eve)
-    attracted, strat = _attract(core, g.vertices, core.cap, targets, mine=core.owned(player))
+    attracted, strat = _attract(g, g.vertices, g.cap, targets, mine=game.player_vertices(player))
     return frozenset(attracted), strat
 
 
@@ -445,29 +437,24 @@ def _odd_cycle_witness(g, parity=1):
     """Lasso whose cycle's maximum has the given parity (1: odd), or None.
 
     Scans priorities of that parity descending; a cycle with maximum
-    exactly p exists iff the subgraph of priorities <= p has a p-edge
-    inside one of its strongly connected components.
+    exactly p exists iff the view capped at p+1 has a p-edge inside one
+    of its strongly connected components.
     """
-    priorities = sorted({e.priority for e in g.edges}, reverse=True)
-    for p in priorities:
+    dst, pri, out = g.dst, g.pri, g.out
+    by_priority = {}
+    for i, p in enumerate(pri):
+        by_priority.setdefault(p, []).append(i)
+    for p in sorted(by_priority, reverse=True):
         if p % 2 != parity:
             continue
-        sub_out = {v: [] for v in g.vertices}
-        p_edges = []
-        for i, e in enumerate(g.edges):
-            if e.priority > p:
-                continue
-            sub_out[e.src].append(i)
-            if e.priority == p:
-                p_edges.append(i)
-        comp = _tarjan_scc(g.vertices, lambda v: (g.edges[i].dst for i in sub_out[v]))
-        for i in p_edges:
+        comp = _tarjan_scc(g.vertices, lambda v: (dst[i] for i in out[v] if pri[i] <= p))
+        for i in by_priority[p]:
             e = g.edges[i]
             if comp[e.src] != comp[e.dst]:
                 continue
             if e.src == e.dst:
                 return Lasso((), (i,))
-            # path dst -> src inside the <=p subgraph, restricted to the SCC
+            # path dst -> src inside the view, restricted to the SCC
             cid = comp[e.src]
             parent = {e.dst: None}
             queue = deque([e.dst])
@@ -475,9 +462,9 @@ def _odd_cycle_witness(g, parity=1):
                 u = queue.popleft()
                 if u == e.src:
                     break
-                for k in sub_out[u]:
-                    w = g.edges[k].dst
-                    if comp[w] == cid and w not in parent:
+                for k in out[u]:
+                    w = dst[k]
+                    if pri[k] <= p and comp[w] == cid and w not in parent:
                         parent[w] = k
                         queue.append(w)
             path = []
@@ -508,9 +495,9 @@ def is_even(g):
 # solving
 
 
-def _zielonka(core, alive, cap):
+def _zielonka(game, alive, cap):
     """Generator form of Zielonka's recursion for edge priorities on the
-    view (alive, cap) of a compiled game.
+    view (alive, cap) of the game's graph.
 
     Yields (alive, cap) argument pairs for sub-calls; the trampoline in
     solve() sends back their results.  Returns a dict
@@ -525,7 +512,8 @@ def _zielonka(core, alive, cap):
     """
     if not alive:
         return {EVE: frozenset(), ADAM: frozenset(), (EVE, "s"): {}, (ADAM, "s"): {}}
-    dst, pri, out = core.dst, core.pri, core.out
+    g = game.graph
+    dst, pri, out = g.dst, g.pri, g.out
     d = -1
     top = set()
     for v in alive:
@@ -541,7 +529,8 @@ def _zielonka(core, alive, cap):
         # cannot happen: subgames of terminal-free games stay terminal-free
         raise TerminalVertex(min(alive))
     player, other = (EVE, ADAM) if d % 2 == 0 else (ADAM, EVE)
-    area, reach = _attract(core, alive, cap, target_edges=top, mine=core.owned(player), live_moves=True)
+    mine = game.player_vertices(player)
+    area, reach = _attract(g, alive, cap, target_edges=top, mine=mine, live_moves=True)
     below = alive - area
     # sub-calls nest deeply; a suspended call keeps only what its merge needs
     del top, area
@@ -553,7 +542,8 @@ def _zielonka(core, alive, cap):
         return {player: alive, other: frozenset(), (player, "s"): strat, (other, "s"): {}}
     won = sub[other]
     kept = {v: e for v, e in sub[(other, "s")].items() if v in won}
-    trap, pull = _attract(core, alive, cap, won, mine=core.owned(other), live_moves=True)
+    theirs = game.player_vertices(other)
+    trap, pull = _attract(g, alive, cap, won, mine=theirs, live_moves=True)
     del reach, sub, won
     rest = yield (alive - trap, cap)
     other_strat = rest[(other, "s")]
@@ -570,20 +560,19 @@ def _zielonka(core, alive, cap):
 def solve(game):
     """Zielonka regions and positional winning strategies for both players.
 
-    The game is compiled once; every recursive call reads only the live
-    out-edges of its own vertices.
+    Every recursive call reads only the live out-edges of its own
+    vertices in the graph's flat edge lists.
     """
     g = game.graph
     if g.terminals:
         raise TerminalVertex(g.terminals[0])
-    core = _compile(g, game.eve)
-    stack = [_zielonka(core, g.vertices, core.cap)]
+    stack = [_zielonka(game, g.vertices, g.cap)]
     result = None
     while stack:
         try:
             args = stack[-1].send(result)
             result = None
-            stack.append(_zielonka(core, *args))
+            stack.append(_zielonka(game, *args))
         except StopIteration as stop:
             result = stop.value
             stack.pop()

@@ -41,6 +41,7 @@ from .games import (
     is_even,
     solve,
     strategy_graph,
+    verify_winning,
 )
 from .transduction import (
     LIBERAL,
@@ -51,7 +52,7 @@ from .transduction import (
     strategy_from_bounded_pair,
     synth_from_ad,
 )
-from .trees import enumerate_trees, is_universal_for, n_strahler, universal_tree
+from .trees import embed, enumerate_trees, is_universal_for, n_strahler, universal_tree
 
 
 @dataclass(frozen=True)
@@ -483,8 +484,6 @@ def check_solver_cross_oracle(p, count=500, vertices=6, priority_cap=4):
             brute_eve, _ = brute_solve(game)
             bad = eve_region != brute_eve
             if not bad:
-                from .games import verify_winning
-
                 bad = not (
                     verify_winning(game, eve_strat, eve_region)
                     and verify_winning(game, adam_strat, adam_region, player=ADAM)
@@ -680,8 +679,6 @@ def check_universal_trees(p, embed_nodes=7, host_nodes=9):
                                 (f"U({n},{k},{d},{w}) missed", manifests.dumps(bad))
                             )
         # embedding checker vs exhaustive backtracking
-        from .trees import embed
-
         def backtrack(t, host):
             if not t.children:
                 return True

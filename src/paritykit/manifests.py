@@ -17,6 +17,7 @@ from .errors import (
     PreconditionFailed,
 )
 from .games import ADAM, EVE, Index, Lasso, ParityGame, ParityGraph
+from .transduction import RegProduct, reg_product
 from .trees import OrderedTree
 
 FORMAT = "paritykit/1"
@@ -82,8 +83,6 @@ def _payload(obj):
         }
     if isinstance(obj, dict):
         return "strategy", {"choices": [[v, e] for v, e in sorted(obj.items())]}
-    from .transduction import RegProduct
-
     if isinstance(obj, RegProduct):
         base_kind, base_payload = _payload(obj.base)
         return "product", {
@@ -185,8 +184,6 @@ def _from_payload(kind, payload):
     if kind == "strategy":
         return {v: e for v, e in payload["choices"]}
     if kind == "product":
-        from .transduction import reg_product
-
         base = _from_payload(payload["base"]["kind"], payload["base"]["payload"])
         return reg_product(
             base,
@@ -283,8 +280,6 @@ def export_dot(obj):
         return _dot_tree(obj)
     if isinstance(obj, AttractorDecomposition):
         return _dot_decomposition(obj)
-    from .transduction import RegProduct
-
     if isinstance(obj, RegProduct):
         return _dot_product(obj)
     raise PreconditionFailed("dot", f"unsupported object {type(obj).__name__}")

@@ -422,11 +422,11 @@ def strategy_from_bounded_pair(pair, n, *, rule=LIBERAL, cap=DEFAULT_STATE_CAP):
     """Eve's register strategy mirroring the guide labelling: after an edge
     with output label j', pick register floor(j'/2); resolve odd inputs by
     their own priority.  Wins the product at counter bound n+1."""
-    ok, lasso = _view_even(pair.graph_i())
-    if not ok:
+    lasso = _odd_cycle_witness(pair.graph_i())
+    if lasso is not None:
         raise PreconditionFailed("labelI-even", f"odd lasso {lasso}")
-    ok, lasso = _view_even(pair.graph_j())
-    if not ok:
+    lasso = _odd_cycle_witness(pair.graph_j())
+    if lasso is not None:
         raise PreconditionFailed("labelJ-even", f"odd lasso {lasso}")
     if pair.index_j.lo not in (1, 2):
         raise PreconditionFailed("index-J", "min(J) must be 1 or 2")
@@ -445,11 +445,6 @@ def strategy_from_bounded_pair(pair, n, *, rule=LIBERAL, cap=DEFAULT_STATE_CAP):
             _, eid, _jx, _cfg = state
             sigma[vid] = _choice_edge(product, vid, 0)
     return ProductStrategy(product, sigma)
-
-
-def _view_even(g):
-    lasso = _odd_cycle_witness(g)
-    return lasso is None, lasso
 
 
 def _decomposition_signatures(d, n):

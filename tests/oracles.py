@@ -151,3 +151,63 @@ def brute_solve(game):
                     changed = True
         eve_region |= g.vertices - losing
     return frozenset(eve_region), frozenset(g.vertices - eve_region)
+
+
+def walk_ends(g, starts):
+    """`starts` plus the last vertex of every walk from them: walks are
+    extended one edge at a time, and |V| steps reach every vertex that
+    any walk reaches."""
+    ends = set(starts)
+    layer = set(starts)
+    for _ in range(len(g.vertices)):
+        layer = {e.dst for e in g.edges if e.src in layer}
+        ends |= layer
+    return ends
+
+
+def _restricted(g, vertices, edge_ids):
+    """Fresh graph on `vertices` with the edges of `edge_ids` (ids of g)
+    that stay inside it."""
+    edges = [g.edges[i] for i in sorted(edge_ids)]
+    return ParityGraph.make(vertices, [e for e in edges if e.src in vertices and e.dst in vertices])
+
+
+def brute_reachability_check(g, d):
+    """`ad_reachability_check` by its definition: at every node, drop the
+    top edges of the node and of its ancestors, keep the union of the child
+    attractors as a graph of its own, and no walk from a child attractor
+    may end in a later one."""
+
+    def check(d, edge_ids):
+        if not d.children:
+            return True
+        edge_ids = edge_ids - d.top_edges
+        union = frozenset().union(*(c.attractor for c in d.children))
+        h = _restricted(g, union, edge_ids)
+        for k, child in enumerate(d.children):
+            ends = walk_ends(h, child.attractor)
+            if any(ends & later.attractor for later in d.children[k + 1 :]):
+                return False
+        return all(check(c.sub, edge_ids) for c in d.children)
+
+    return check(d, frozenset(range(len(g.edges))))
+
+
+def brute_is_tight(g, d):
+    """`is_tight` by its definition: at every node, drop the top edges of
+    the node and of its ancestors, keep the node's subgame with the edges
+    of priority at most level-2 as a graph of its own, and no walk from a
+    child subgame may end in an earlier one."""
+
+    def tight(d, vertices, edge_ids):
+        if not d.children:
+            return True
+        edge_ids = edge_ids - d.top_edges
+        low = _restricted(g, vertices, {i for i in edge_ids if g.edges[i].priority <= d.level - 2})
+        for k, child in enumerate(d.children):
+            ends = walk_ends(low, child.subgame) - child.subgame
+            if any(ends & earlier.subgame for earlier in d.children[:k]):
+                return False
+        return all(tight(c.sub, c.subgame, edge_ids) for c in d.children)
+
+    return tight(d, g.vertices, frozenset(range(len(g.edges))))

@@ -22,6 +22,7 @@ from paritykit.errors import (
     NotBounded,
     NotEven,
     OverlappingParts,
+    PreconditionFailed,
     PriorityOutOfRange,
     StateExplosion,
 )
@@ -29,7 +30,7 @@ from paritykit.games import Index, ParityGraph, attractor_vertices, is_even
 from paritykit.lab import GenParams, random_bounded_pair, random_even_graph
 from paritykit.trees import LEAF, OrderedTree, depth, n_strahler
 
-from oracles import random_graph
+from oracles import brute_is_tight, brute_reachability_check, random_graph
 
 
 class TestBuildAd:
@@ -331,6 +332,20 @@ class TestAdFromBoundedPair:
         with pytest.raises(NotEven):
             ad_from_bounded_pair(pair, 2, 1)
 
+    def test_evenness_errors_name_the_view(self):
+        loop = [(0, 1), (1, 0)]
+        for li, lj, name in (((1, 1), (2, 2), "labelI"), ((2, 0), (1, 1), "labelJ")):
+            pair = simple_pair(li, lj, loop, ii=Index(0, 2), jj=Index(1, 2))
+            with pytest.raises(NotEven) as err:
+                ad_from_bounded_pair(pair, 2, 1)
+            assert str(err.value) == f"{name} view is not even"
+            assert err.value.lasso.check(pair.graph)
+        dead_end = simple_pair((0,), (2,), [(0, 1)], ii=Index(0, 0), jj=Index(1, 2))
+        with pytest.raises(PreconditionFailed) as err:
+            ad_from_bounded_pair(dead_end, 2, 1)
+        assert err.value.name == "evenness"
+        assert str(err.value) == "precondition failed: evenness (terminal vertex 1)"
+
     def test_random_pairs_validate_and_bound(self):
         for seed in range(30):
             j = 1 + (seed % 2)
@@ -344,6 +359,30 @@ class TestAdFromBoundedPair:
             assert validate_ad(mp.pair.graph_i(), d)
             assert ad_reachability_check(mp.pair.graph_i(), d)
             assert n_strahler(tree_shape(d), m + 1) <= j
+
+
+class TestReachChecksAgainstOracle:
+    def test_canonical_and_bounded_pair_decompositions(self):
+        cases = []
+        for salt in range(150):
+            for vertices in (6, 12):
+                p = GenParams(seed=7, vertex_count=vertices, priority_cap=6)
+                g = random_even_graph(p, salt=salt)
+                h = max(e.priority for e in g.edges)
+                cases.append((g, build_ad(g, h + h % 2)))
+        for seed in range(40):
+            j = 1 + (seed % 2)
+            m = seed % 3
+            p = GenParams(seed=seed, vertex_count=5, priority_cap=4, index_j=(1, 2 * j))
+            pair = random_bounded_pair(p, m)
+            cases.append((memory_product(pair).pair.graph_i(), ad_from_bounded_pair(pair, m, j)))
+        not_tight = 0
+        for g, d in cases:
+            assert validate_ad(g, d)
+            assert is_tight(g, d) == brute_is_tight(g, d)
+            assert ad_reachability_check(g, d) == brute_reachability_check(g, d)
+            not_tight += not is_tight(g, d)
+        assert not_tight >= 5
 
 
 class TestBoundedPairOffByOne:

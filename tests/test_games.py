@@ -383,14 +383,14 @@ class TestLazySeeding:
         views = []
         lazy_calls = []
 
-        def zielonka(core, alive, cap):
-            views.append((core, alive, cap))
-            return real_zielonka(core, alive, cap)
+        def zielonka(game, alive, cap):
+            views.append((game.graph, alive, cap))
+            return real_zielonka(game, alive, cap)
 
-        def attract(core, alive, cap, *args, live_moves=False, **kwargs):
-            got = real_attract(core, alive, cap, *args, live_moves=live_moves, **kwargs)
+        def attract(g, alive, cap, *args, live_moves=False, **kwargs):
+            got = real_attract(g, alive, cap, *args, live_moves=live_moves, **kwargs)
             if live_moves:
-                full = real_attract(core, alive, cap, *args, **kwargs)
+                full = real_attract(g, alive, cap, *args, **kwargs)
                 assert got[0] == full[0]
                 assert list(got[1].items()) == list(full[1].items())
                 lazy_calls.append(len(got[0]))
@@ -406,9 +406,9 @@ class TestLazySeeding:
             corpus.append(reg_product(g, Index(1, 4), 1, starts=sorted(rejecting_vertices(g))).game)
         for gm in corpus:
             solve(gm)
-        for core, alive, cap in views:
+        for g, alive, cap in views:
             for v in alive:
-                assert any(core.pri[i] < cap and core.dst[i] in alive for i in core.out[v])
+                assert any(g.pri[i] < cap and g.dst[i] in alive for i in g.out[v])
         assert len(lazy_calls) > 500 and max(lazy_calls) > 1000
 
 

@@ -304,6 +304,15 @@ class TestStrategyFromBoundedPair:
         with pytest.raises(PreconditionFailed):
             strategy_from_bounded_pair(bad, 0)
 
+    def test_uneven_labellings_name_their_view(self):
+        loop = ParityGraph.make([0, 1], [(0, 1, 0), (1, 0, 0)])
+        for li, lj, name in (((1, 1), (2, 2), "labelI-even"), ((2, 0), (1, 1), "labelJ-even")):
+            pair = LabellingPair.make(loop, li, lj, Index(0, 2), Index(1, 2))
+            with pytest.raises(PreconditionFailed) as err:
+                strategy_from_bounded_pair(pair, 0)
+            assert err.value.name == name
+            assert str(err.value).startswith(f"precondition failed: {name} (odd lasso ")
+
     def test_mirror_strategy_outclasses_never_rule(self):
         # with resets disabled the mirror strategy overflows its counter
         g = ParityGraph.make([0, 1], [(0, 1, 0), (1, 0, 0)])
