@@ -108,12 +108,6 @@ class RegularTree:
     def node_count(self):
         return len(self.labels)
 
-    def label_at(self, path):
-        node = self.root
-        for d in path:
-            node = self.succ1[node] if d else self.succ0[node]
-        return self.labels[node]
-
     def unfolding_signature(self, depth):
         """Label tree truncated at the given depth, for equality checks."""
 
@@ -147,7 +141,7 @@ def acceptance_game(a, t):
     if set(t.labels) - set(a.alphabet):
         raise AlphabetMismatch(sorted(set(t.labels) - set(a.alphabet)))
     eve = []
-    edges = []
+    src, dst, pri = [], [], []
     lo = a.index.lo
 
     def expand(state, sid, intern):
@@ -158,17 +152,21 @@ def acceptance_game(a, t):
             if not tids:
                 raise IncompleteAutomaton(f"no transition from {q} over {t.labels[node]!r}")
             for tid in tids:
-                edges.append((sid, intern(("t", node, tid)), lo))
+                src.append(sid)
+                dst.append(intern(("t", node, tid)))
+                pri.append(lo)
         else:
             _, node, tid = state
             _, _, q0, q1 = a.transitions[tid]
             p0, p1 = a.omega[tid]
-            edges.append((sid, intern(("q", t.succ0[node], q0)), p0))
-            edges.append((sid, intern(("q", t.succ1[node], q1)), p1))
+            src.extend((sid, sid))
+            dst.append(intern(("q", t.succ0[node], q0)))
+            dst.append(intern(("q", t.succ1[node], q1)))
+            pri.extend((p0, p1))
 
     what = f"acceptance_game(states={a.size()}, nodes={t.node_count()})"
     decode, (initial,) = explore([("q", t.root, a.initial)], expand, what)
-    graph = ParityGraph._explored(len(decode), edges, a.index)
+    graph = ParityGraph._explored(len(decode), src, dst, pri, a.index)
     return AcceptanceGame(ParityGame.make(graph, eve), tuple(decode), initial, a, t)
 
 
@@ -202,23 +200,25 @@ def run_graph(a, t, sigma, ag=None):
         ag = acceptance_game(a, t)
     g = ag.game.graph
     chosen = []
-    edges = []
+    src, dst, pri = [], [], []
 
     def expand(game_vid, vid, intern):
         if game_vid not in sigma:
             raise UndefinedChoice(f"strategy undefined at {ag.decode[game_vid][1:]}")
-        choice = g.edges[sigma[game_vid]].dst
+        choice = g.dst[sigma[game_vid]]
         kind, _node, tid = ag.decode[choice]
         if kind != "t":
             raise PreconditionFailed("run_graph", "strategy edge is not a choice edge")
         chosen.append(tid)
         # a choice vertex's out-edges are its directions 0 and 1, in order
         for i in g.out[choice]:
-            edges.append((vid, intern(g.edges[i].dst), g.edges[i].priority))
+            src.append(vid)
+            dst.append(intern(g.dst[i]))
+            pri.append(g.pri[i])
 
     what = f"run_graph(states={a.size()}, nodes={t.node_count()})"
     states, (root,) = explore([ag.initial], expand, what)
-    graph = ParityGraph._explored(len(states), edges, a.index)
+    graph = ParityGraph._explored(len(states), src, dst, pri, a.index)
     decode = tuple(ag.decode[game_vid][1:] for game_vid in states)
     return RunGraph(graph, decode, tuple(chosen), root, a, t)
 
@@ -268,7 +268,8 @@ def guided_run(gf, a, b, t, run_b):
 def _guided_run(gf, a, b, t, run_b):
     """The guided run and, per guided vertex, its guide vertex in `run_b`."""
     chosen = []
-    edges = []
+    src, dst, pri = [], [], []
+    b_dst = run_b.graph.dst
 
     def expand(key, vid, intern):
         bvid, p = key
@@ -283,12 +284,14 @@ def _guided_run(gf, a, b, t, run_b):
         _, _, p0, p1 = ta
         pr0, pr1 = a.omega[tid_a]
         b0, b1 = run_b.direction_edges(bvid)
-        edges.append((vid, intern((run_b.graph.edges[b0].dst, p0)), pr0))
-        edges.append((vid, intern((run_b.graph.edges[b1].dst, p1)), pr1))
+        src.extend((vid, vid))
+        dst.append(intern((b_dst[b0], p0)))
+        dst.append(intern((b_dst[b1], p1)))
+        pri.extend((pr0, pr1))
 
     what = f"guided_run(states={a.size()}, guide states={b.size()}, nodes={t.node_count()})"
     states, (root,) = explore([(run_b.root, a.initial)], expand, what)
-    graph = ParityGraph._explored(len(states), edges, a.index)
+    graph = ParityGraph._explored(len(states), src, dst, pri, a.index)
     decode = tuple((run_b.decode[bvid][0], p) for bvid, p in states)
     run = RunGraph(graph, decode, tuple(chosen), root, a, t)
     return run, tuple(bvid for bvid, _p in states)
@@ -297,16 +300,10 @@ def _guided_run(gf, a, b, t, run_b):
 def run_pair_labelling(gf, a, b, t, run_b):
     """Guided run and the joint (labelI, labelJ) view of guided vs guide."""
     ga, guide = _guided_run(gf, a, b, t, run_b)
-    label_i = [e.priority for e in ga.graph.edges]
+    b_pri = run_b.graph.pri
     # the guided run lists each vertex's direction-0 edge, then its direction-1 edge
-    label_j = [
-        run_b.graph.edges[bedge].priority
-        for bvid in guide
-        for bedge in run_b.direction_edges(bvid)
-    ]
-    pair = LabellingPair.make(
-        ga.graph, label_i, label_j, a.index, _j_index(b.index)
-    )
+    label_j = [b_pri[bedge] for bvid in guide for bedge in run_b.direction_edges(bvid)]
+    pair = LabellingPair.make(ga.graph, ga.graph.pri, label_j, a.index, _j_index(b.index))
     return ga, pair
 
 

@@ -118,7 +118,7 @@ def cmd_ad(args):
     if args.action == "build":
         h = args.level
         if h is None:
-            h = max((e.priority for e in g.edges), default=0)
+            h = max(g.pri, default=0)
             h += h % 2
         d = build_ad(g, h)
         _emit(d, args)
@@ -135,8 +135,9 @@ def cmd_ad(args):
         if not validate_ad(g, d):
             print("invalid decomposition")
             return 1
-        print("tight" if is_tight(g, d) else "not tight")
-        return 0 if is_tight(g, d) else 1
+        tight = is_tight(g, d)
+        print("tight" if tight else "not tight")
+        return 0 if tight else 1
     if args.action == "shape":
         _emit(tree_shape(d), args)
         return 0

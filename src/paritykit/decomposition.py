@@ -13,7 +13,6 @@ at h.
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import (
     DEFAULT_STATE_CAP,
@@ -123,9 +122,8 @@ def build_ad(g, h):
     """Canonical attractor decomposition of an even graph at even level h."""
     if h < 0 or h % 2 == 1:
         raise PreconditionFailed("build_ad", "level must be an even natural")
-    for e in g.edges:
-        if e.priority > h:
-            raise PriorityOutOfRange(f"priority {e.priority} exceeds level {h}")
+    if max(g.pri, default=0) > h:
+        raise PriorityOutOfRange(f"priority {max(g.pri)} exceeds level {h}")
     lasso = _odd_cycle_witness(g)
     if lasso is not None:
         raise NotEven(lasso)
@@ -291,9 +289,8 @@ def join_ads(g, h, pieces):
     """
     if h < 2 or h % 2 == 1:
         raise PreconditionFailed("join_ads", "level must be even and >= 2")
-    for e in g.edges:
-        if e.priority > h:
-            raise PriorityOutOfRange(f"priority {e.priority} exceeds level {h}")
+    if max(g.pri, default=0) > h:
+        raise PriorityOutOfRange(f"priority {max(g.pri)} exceeds level {h}")
     dst, pri, out = g.dst, g.pri, g.out
     h_edges = frozenset(i for i in range(len(pri)) if pri[i] == h)
     a0 = frozenset(_attract(g, g.vertices, g.cap, target_edges=h_edges)[0])
@@ -348,7 +345,7 @@ class LabellingPair:
     def make(graph, label_i, label_j, index_i=None, index_j=None):
         li = tuple(label_i)
         lj = tuple(label_j)
-        if len(li) != len(graph.edges) or len(lj) != len(graph.edges):
+        if len(li) != len(graph.src) or len(lj) != len(graph.src):
             raise PreconditionFailed("labelling", "labellings must be total on edges")
         if index_i is None:
             hi = max(li, default=0)
@@ -364,30 +361,13 @@ class LabellingPair:
                 raise PriorityOutOfRange(f"labelJ value {p} outside {index_j}")
         return LabellingPair(graph, li, lj, index_i, index_j)
 
-    @cached_property
-    def _graph_i(self):
-        g = self.graph
-        return ParityGraph(
-            g.vertices,
-            tuple(e._replace(priority=self.label_i[i]) for i, e in enumerate(g.edges)),
-            self.index_i,
-        )
-
-    @cached_property
-    def _graph_j(self):
-        g = self.graph
-        return ParityGraph(
-            g.vertices,
-            tuple(e._replace(priority=self.label_j[i]) for i, e in enumerate(g.edges)),
-            self.index_j,
-        )
-
     def graph_i(self):
-        """The skeleton carrying the labelI priorities."""
-        return self._graph_i
+        """The skeleton carrying the labelI priorities; it shares the
+        skeleton's successor tables."""
+        return self.graph.with_priorities(self.label_i, self.index_i)
 
     def graph_j(self):
-        return self._graph_j
+        return self.graph.with_priorities(self.label_j, self.index_j)
 
 
 @dataclass(frozen=True)
@@ -405,15 +385,9 @@ class MemoryProduct:
     flag_pairs: tuple
     initial: dict
 
-    def _bit(self, v, oi, ej, offset):
-        p = self.flag_pairs.index((oi, ej))
-        return (self.decode[v][1] >> (2 * p + offset)) & 1 == 1
-
     def flag_j_since_i(self, v, oi, ej):
-        return self._bit(v, oi, ej, 0)
-
-    def flag_i_since_j(self, v, oi, ej):
-        return self._bit(v, oi, ej, 1)
+        p = self.flag_pairs.index((oi, ej))
+        return (self.decode[v][1] >> (2 * p)) & 1 == 1
 
 
 def memory_product(pair, cap=DEFAULT_STATE_CAP):
@@ -442,17 +416,16 @@ def memory_product(pair, cap=DEFAULT_STATE_CAP):
         step_cache[key] = out
         return out
 
-    edges = []
+    src, dst = [], []
     label_i = []
     label_j = []
 
     def expand(state, sid, intern):
         v, mem = state
         for i in g.out[v]:
-            e = g.edges[i]
             a, b = pair.label_i[i], pair.label_j[i]
-            nxt = (e.dst, step(mem, a, b))
-            edges.append((sid, intern(nxt), 0))
+            src.append(sid)
+            dst.append(intern((g.dst[i], step(mem, a, b))))
             label_i.append(a)
             label_j.append(b)
 
@@ -463,7 +436,7 @@ def memory_product(pair, cap=DEFAULT_STATE_CAP):
     )
     decode, start_ids = explore(((v, 0) for v in starts), expand, what, cap)
     initial = dict(zip(starts, start_ids))
-    product_graph = ParityGraph._explored(len(decode), edges, Index(0, 0))
+    product_graph = ParityGraph._explored(len(decode), src, dst, [0] * len(src), Index(0, 0))
     product_pair = LabellingPair.make(
         product_graph, label_i, label_j, pair.index_i, pair.index_j
     )

@@ -1,14 +1,15 @@
 """Parity graphs and games: attractors, evenness, Zielonka solving.
 
 Priorities live on edges throughout.  Vertices are plain ints, edges are
-referred to by their position in the edge tuple.  All set-valued results
-are computed by iterating vertices and edges in ascending id order, so
-every operation is deterministic.
+referred to by their id, the position in the graph's per-edge columns.
+All set-valued results are computed by iterating vertices and edges in
+ascending id order, so every operation is deterministic.
 """
 
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from typing import NamedTuple
 
 from .errors import (
@@ -73,85 +74,76 @@ class Edge(NamedTuple):
 
 @dataclass(frozen=True)
 class ParityGraph:
-    """Edge-priority-labelled directed graph.
+    """Edge-priority-labelled directed graph, stored as per-edge columns:
+    edge i runs from `src[i]` to `dst[i]` with priority `pri[i]`.
 
     Terminal vertices (no outgoing edge) are representable — restriction
     creates them transiently — but game-facing operations reject them.
     """
 
     vertices: frozenset
-    edges: tuple
+    src: tuple
+    dst: tuple
+    pri: tuple
     index: Index
+
+    # set by `with_priorities`: the graph whose successor tables this one reads
+    _skeleton = None
 
     @staticmethod
     def make(vertices, edges, index=None):
-        """Build a graph from iterables, inferring the index if omitted."""
+        """Build a graph from iterables, inferring the index if omitted (an
+        index never reaches below 0, so neither can a priority)."""
         vs = frozenset(vertices)
-        es = tuple(Edge(*e) for e in edges)
-        for e in es:
-            if e.src not in vs or e.dst not in vs:
-                raise PreconditionFailed("edge endpoints", f"{e} not within vertex set")
-            if e.priority < 0:
-                raise PriorityOutOfRange(f"negative priority on {e}")
+        src, dst, pri = [], [], []
+        for s, d, p in edges:
+            if s not in vs or d not in vs:
+                raise PreconditionFailed("edge endpoints", f"{Edge(s, d, p)} not within vertex set")
+            src.append(s)
+            dst.append(d)
+            pri.append(p)
         if index is None:
-            hi = max((e.priority for e in es), default=0)
-            index = Index(0, hi)
-        for e in es:
-            if e.priority not in index:
-                raise PriorityOutOfRange(f"priority {e.priority} outside {index}")
-        return ParityGraph(vs, es, index)
+            index = Index(0, max([0, *pri]))
+        outside = [p for p in pri if not index.lo <= p <= index.hi]
+        if outside:
+            raise PriorityOutOfRange(f"priority {outside[0]} outside {index}")
+        return ParityGraph(vs, tuple(src), tuple(dst), tuple(pri), index)
 
     @staticmethod
-    def _explored(count, edges, index):
-        """Graph on 0..count-1 from `(src, dst, priority)` triples that a
-        builder numbered with `explore`, priorities within `index`: nothing
-        is re-checked, one pass builds both tables (out-degrees are small,
-        so an out-tuple grows per edge), and `edges` is taken over: its
-        triples become `Edge`s in place, so no second copy is kept."""
-        vertices = list(range(count))
-        out = dict.fromkeys(vertices, ())
-        inc = [[] for _ in vertices]
-        for i, (s, d, p) in enumerate(edges):
-            edges[i] = Edge(s, d, p)
-            out[s] += (i,)
-            inc[d].append(i)
-        for v in vertices:
-            inc[v] = tuple(inc[v])
-        g = ParityGraph(frozenset(vertices), tuple(edges), index)
-        # fill the slots of the cached properties `out` and `inc`
-        vars(g).update(out=out, inc=dict(zip(vertices, inc)))
+    def _explored(count, src, dst, pri, index):
+        """Graph on 0..count-1 from the columns that a builder filled while
+        numbering its states with `explore`; nothing is re-checked."""
+        return ParityGraph(frozenset(range(count)), tuple(src), tuple(dst), tuple(pri), index)
+
+    def with_priorities(self, pri, index):
+        """The same edges with priorities `pri` (by edge id) under `index`,
+        unchecked; the new graph shares this graph's successor tables."""
+        g = ParityGraph(self.vertices, self.src, self.dst, tuple(pri), index)
+        object.__setattr__(g, "_skeleton", self._skeleton or self)
         return g
+
+    @cached_property
+    def edges(self):
+        """The edges as `Edge`s by id, built on first read."""
+        return tuple(map(tuple.__new__, repeat(Edge), zip(self.src, self.dst, self.pri)))
+
+    def _by_vertex(self, column):
+        """vertex -> tuple of the ids of the edges whose `column` entry is
+        that vertex, ascending."""
+        table = {v: [] for v in self.vertices}
+        for i, v in enumerate(column):
+            table[v].append(i)
+        return {v: tuple(ids) for v, ids in table.items()}
 
     @cached_property
     def out(self):
         """vertex -> tuple of outgoing edge ids, ascending."""
-        table = {v: [] for v in self.vertices}
-        for i, e in enumerate(self.edges):
-            table[e.src].append(i)
-        return {v: tuple(ids) for v, ids in table.items()}
+        return self._skeleton.out if self._skeleton else self._by_vertex(self.src)
 
     @cached_property
     def inc(self):
         """vertex -> tuple of incoming edge ids, ascending."""
-        table = {v: [] for v in self.vertices}
-        for i, e in enumerate(self.edges):
-            table[e.dst].append(i)
-        return {v: tuple(ids) for v, ids in table.items()}
-
-    @cached_property
-    def src(self):
-        """Per-edge source list, by edge id."""
-        return [e.src for e in self.edges]
-
-    @cached_property
-    def dst(self):
-        """Per-edge target list, by edge id."""
-        return [e.dst for e in self.edges]
-
-    @cached_property
-    def pri(self):
-        """Per-edge priority list, by edge id."""
-        return [e.priority for e in self.edges]
+        return self._skeleton.inc if self._skeleton else self._by_vertex(self.dst)
 
     @cached_property
     def cap(self):
@@ -163,16 +155,17 @@ class ParityGraph:
     @cached_property
     def terminals(self):
         """Vertices with no outgoing edge, ascending."""
-        return tuple(sorted(v for v in self.vertices if not self.out[v]))
+        return tuple(sorted(self.vertices.difference(self.src)))
 
     def sorted_vertices(self):
         return sorted(self.vertices)
 
     def relabel(self, fn):
         """New graph with priorities mapped through fn (index re-inferred)."""
-        return ParityGraph.make(
-            self.vertices, [(e.src, e.dst, fn(e.priority)) for e in self.edges]
-        )
+        pri = tuple(map(fn, self.pri))
+        if min(pri, default=0) < 0:
+            raise PriorityOutOfRange(f"negative priority {min(pri)} after relabelling")
+        return self.with_priorities(pri, Index(0, max(pri, default=0)))
 
 
 @dataclass(frozen=True)
@@ -221,14 +214,15 @@ class Lasso:
 
     def check(self, g):
         """True iff the edge ids form a connected stem+cycle returning to its start."""
+        src, dst = g.src, g.dst
         path = list(self.stem) + list(self.cycle)
         for a, b in zip(path, path[1:]):
-            if g.edges[a].dst != g.edges[b].src:
+            if dst[a] != src[b]:
                 return False
-        return g.edges[self.cycle[-1]].dst == g.edges[self.cycle[0]].src
+        return dst[self.cycle[-1]] == src[self.cycle[0]]
 
     def cycle_max_priority(self, g):
-        return max(g.edges[i].priority for i in self.cycle)
+        return max(g.pri[i] for i in self.cycle)
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +269,15 @@ def restrict(g, keep):
     keep = frozenset(keep)
     if not keep <= g.vertices:
         raise PreconditionFailed("restrict", "keep is not a subset of the vertex set")
-    edges = [e for e in g.edges if e.src in keep and e.dst in keep]
-    return ParityGraph(keep, tuple(edges), g.index)
+    src, dst = g.src, g.dst
+    ids = [i for i in range(len(src)) if src[i] in keep and dst[i] in keep]
+    return _subgraph(g, keep, ids)
+
+
+def _subgraph(g, vertices, ids):
+    """Graph on `vertices` with the edges `ids` of g, in that order."""
+    src, dst, pri = ([column[i] for i in ids] for column in (g.src, g.dst, g.pri))
+    return ParityGraph(vertices, tuple(src), tuple(dst), tuple(pri), g.index)
 
 
 def _attract(
@@ -354,7 +355,7 @@ def attractor_edges(g, targets):
     """attr(E', G): vertices whose every infinite path traverses an edge of E'."""
     targets = frozenset(targets)
     for i in targets:
-        if not (0 <= i < len(g.edges)):
+        if not (0 <= i < len(g.src)):
             raise PreconditionFailed("attractor_edges", f"unknown edge id {i}")
     return frozenset(_attract(g, g.vertices, g.cap, target_edges=targets)[0])
 
@@ -440,7 +441,7 @@ def _odd_cycle_witness(g, parity=1):
     exactly p exists iff the view capped at p+1 has a p-edge inside one
     of its strongly connected components.
     """
-    dst, pri, out = g.dst, g.pri, g.out
+    src, dst, pri, out = g.src, g.dst, g.pri, g.out
     by_priority = {}
     for i, p in enumerate(pri):
         by_priority.setdefault(p, []).append(i)
@@ -449,18 +450,18 @@ def _odd_cycle_witness(g, parity=1):
             continue
         comp = _tarjan_scc(g.vertices, lambda v: (dst[i] for i in out[v] if pri[i] <= p))
         for i in by_priority[p]:
-            e = g.edges[i]
-            if comp[e.src] != comp[e.dst]:
+            s, d = src[i], dst[i]
+            if comp[s] != comp[d]:
                 continue
-            if e.src == e.dst:
+            if s == d:
                 return Lasso((), (i,))
-            # path dst -> src inside the view, restricted to the SCC
-            cid = comp[e.src]
-            parent = {e.dst: None}
-            queue = deque([e.dst])
+            # path d -> s inside the view, restricted to the SCC
+            cid = comp[s]
+            parent = {d: None}
+            queue = deque([d])
             while queue:
                 u = queue.popleft()
-                if u == e.src:
+                if u == s:
                     break
                 for k in out[u]:
                     w = dst[k]
@@ -468,11 +469,11 @@ def _odd_cycle_witness(g, parity=1):
                         parent[w] = k
                         queue.append(w)
             path = []
-            u = e.src
+            u = s
             while parent[u] is not None:
                 k = parent[u]
                 path.append(k)
-                u = g.edges[k].src
+                u = src[k]
             path.reverse()
             return Lasso((), (i, *path))
     return None
@@ -585,27 +586,24 @@ def strategy_graph(game, sigma, region, player=EVE):
     """One-player graph: `player` vertices keep only their chosen edge,
     the opponent's keep all region-internal edges."""
     g = game.graph
+    src, dst = g.src, g.dst
     region = frozenset(region)
-    edges = []
     keep = []
     for v in sorted(region):
         if game.owner(v) == player:
             if v not in sigma:
                 raise UndefinedChoice(f"no choice at vertex {v}")
             i = sigma[v]
-            e = g.edges[i]
-            if e.src != v:
+            if src[i] != v:
                 raise PreconditionFailed("strategy", f"edge {i} does not leave {v}")
-            if e.dst not in region:
+            if dst[i] not in region:
                 raise StrategyEscapesRegion(f"choice at {v} leaves the region")
             keep.append(i)
         else:
             for i in g.out[v]:
-                if g.edges[i].dst in region:
+                if dst[i] in region:
                     keep.append(i)
-    for i in sorted(keep):
-        edges.append(g.edges[i])
-    return ParityGraph(region, tuple(edges), g.index)
+    return _subgraph(g, region, sorted(keep))
 
 
 def verify_winning(game, sigma, region, player=EVE):
@@ -617,7 +615,7 @@ def verify_winning(game, sigma, region, player=EVE):
     g = game.graph
     for v in h.vertices:
         if (v in game.eve) != (player == EVE):
-            if any(g.edges[i].dst not in h.vertices for i in g.out[v]):
+            if any(g.dst[i] not in h.vertices for i in g.out[v]):
                 return False
     if h.terminals:
         raise TerminalVertex(h.terminals[0])

@@ -119,11 +119,7 @@ def _repair_even(g, labels, index):
     the label sum strictly grows, so this terminates."""
     labels = list(labels)
     while True:
-        view = ParityGraph(
-            g.vertices,
-            tuple(e._replace(priority=labels[i]) for i, e in enumerate(g.edges)),
-            index,
-        )
+        view = g.with_priorities(labels, index)
         lasso = _odd_cycle_witness(view)
         if lasso is None:
             return tuple(labels)
@@ -142,13 +138,13 @@ def random_bounded_pair(p, n, salt=0, retries=300):
     for attempt in range(retries):
         rng = _rng(p, 3, salt * retries + attempt, n)
         g = _random_graph(rng, p.vertex_count, 0, p.edge_density)
-        label_j = [rng.randint(j_lo, j_hi) for _ in g.edges]
+        label_j = [rng.randint(j_lo, j_hi) for _ in g.src]
         label_j = _repair_even(g, label_j, index_j)
         label_i = [
             rng.choice(index_i.odds())
             if rng.random() < odd_bias
             else rng.choice(index_i.evens())
-            for _ in g.edges
+            for _ in g.src
         ]
         label_i = _repair_even(g, label_i, index_i)
         pair = LabellingPair.make(g, label_i, label_j, index_i, index_j)
@@ -172,6 +168,7 @@ def brute_solve(game, cap=10**6):
         i for v in g.sorted_vertices() if game.owner(v) == ADAM for i in g.out[v]
     ]
     eve_region = set()
+    edges = g.edges
     for combo in itertools.product(*[g.out[v] for v in eve_vs]):
         keep = sorted(set(combo).union(adam_edges))
         bad = _odd_core(g, keep)
@@ -180,7 +177,7 @@ def brute_solve(game, cap=10**6):
         while changed:
             changed = False
             for i in keep:
-                e = g.edges[i]
+                e = edges[i]
                 if e.dst in losing and e.src not in losing:
                     losing.add(e.src)
                     changed = True
@@ -191,18 +188,19 @@ def brute_solve(game, cap=10**6):
 def _odd_core(g, keep):
     """Vertices on a cycle with odd maximum in the edge-filtered graph."""
     bad = set()
-    priorities = sorted({g.edges[i].priority for i in keep}, reverse=True)
+    edges = g.edges
+    priorities = sorted({edges[i].priority for i in keep}, reverse=True)
     for prio in priorities:
         if prio % 2 == 0:
             continue
-        sub = [i for i in keep if g.edges[i].priority <= prio]
+        sub = [i for i in keep if edges[i].priority <= prio]
         out = {}
         for i in sub:
-            out.setdefault(g.edges[i].src, []).append(g.edges[i].dst)
-        scope = {g.edges[i].src for i in sub} | {g.edges[i].dst for i in sub}
+            out.setdefault(edges[i].src, []).append(edges[i].dst)
+        scope = {edges[i].src for i in sub} | {edges[i].dst for i in sub}
         comp = _tarjan_scc(scope, lambda v: iter(out.get(v, ())))
         for i in sub:
-            e = g.edges[i]
+            e = edges[i]
             # same SCC means dst reaches src, closing a cycle of maximum prio
             if e.priority == prio and comp[e.src] == comp[e.dst]:
                 cid = comp[e.src]
@@ -249,17 +247,6 @@ def _aut_accept_all():
         0,
         [(0, "a", 0, 0), (0, "b", 0, 0)],
         [(2, 2), (2, 2)],
-        Index(1, 2),
-    )
-
-
-def _aut_reject_all():
-    return NPTA.make(
-        ("a", "b"),
-        (0,),
-        0,
-        [(0, "a", 0, 0), (0, "b", 0, 0)],
-        [(1, 1), (1, 1)],
         Index(1, 2),
     )
 
@@ -512,7 +499,7 @@ def check_evenness_decomposition(p, count=300, vertices=10):
             rng = _rng(base, 4, k)
             g = _random_graph(rng, vertices, base.priority_cap, base.edge_density)
             even = is_even(g)
-            h = max((e.priority for e in g.edges), default=0)
+            h = max(g.pri, default=0)
             h += h % 2
             try:
                 d = build_ad(g, h)
@@ -615,7 +602,7 @@ def check_strahler_completeness(p, count=150, vertices=6, cap=DEFAULT_STATE_CAP)
         for k in range(count):
             n = 1 + (k % 2)
             g = random_even_graph(base, salt=k)
-            h = max((e.priority for e in g.edges), default=0)
+            h = max(g.pri, default=0)
             h += h % 2
             d = build_ad(g, h)
             strat = synth_from_ad(g, d, n, cap=cap)

@@ -31,12 +31,53 @@ def _graph_payload(g):
     }
 
 
+# the keys each payload kind must carry, with their JSON types
+_SHAPES = {
+    "graph": {"vertices": list, "edges": list, "index": list},
+    "game": {"graph": dict, "eve": list},
+    "lasso": {"stem": list, "cycle": list},
+    "tree": {"brackets": str},
+    "decomposition": {"level": int, "top_edges": list, "top_attractor": list, "children": list},
+    "child": {"subgame": list, "attractor": list, "sub": dict},
+    "pair": {"graph": dict, "label_i": list, "label_j": list, "index_i": list, "index_j": list},
+    "automaton": {"alphabet": list, "states": list, "initial": object, "transitions": list,
+                  "omega": list, "index": list},
+    "regular-tree": {"labels": list, "succ0": list, "succ1": list, "root": int},
+    "guiding-function": {"table": list},
+    "strategy": {"choices": list},
+    "product": {"base": dict, "J": list, "n": int, "rule": str, "starts": list},
+    "base": {"kind": str, "payload": dict},
+}
+
+
+def _checked(kind, payload):
+    """The payload, once it carries every key of its kind with its type."""
+    if not isinstance(payload, dict):
+        raise ParseError(f"{kind} payload is not an object")
+    for key, typ in _SHAPES[kind].items():
+        if key not in payload:
+            raise ParseError(f"{kind} payload: missing key {key!r}")
+        if not isinstance(payload[key], typ):
+            raise ParseError(f"{kind} payload: {key!r} is not of JSON type {typ.__name__}")
+    return payload
+
+
+def _int_rows(kind, key, rows, arity):
+    """`rows` as tuples, once each is a list of `arity` ints."""
+    for row in rows:
+        if not (isinstance(row, list) and len(row) == arity and all(type(x) is int for x in row)):
+            raise ParseError(f"{kind} payload: {key} entry {row!r} is not a list of {arity} ints")
+    return [tuple(row) for row in rows]
+
+
+def _index(kind, payload, key):
+    return Index(*_int_rows(kind, key, [payload[key]], 2)[0])
+
+
 def _graph_from(payload):
-    return ParityGraph.make(
-        payload["vertices"],
-        [tuple(e) for e in payload["edges"]],
-        Index(*payload["index"]),
-    )
+    payload = _checked("graph", payload)
+    edges = _int_rows("graph", "edges", payload["edges"], 3)
+    return ParityGraph.make(payload["vertices"], edges, _index("graph", payload, "index"))
 
 
 def _payload(obj):
@@ -112,17 +153,15 @@ def _ad_payload(d):
 
 
 def _ad_from(payload):
+    payload = _checked("decomposition", payload)
+    children = [_checked("child", c) for c in payload["children"]]
     return AttractorDecomposition(
         payload["level"],
         frozenset(payload["top_edges"]),
         frozenset(payload["top_attractor"]),
         tuple(
-            AdChild(
-                frozenset(c["subgame"]),
-                frozenset(c["attractor"]),
-                _ad_from(c["sub"]),
-            )
-            for c in payload["children"]
+            AdChild(frozenset(c["subgame"]), frozenset(c["attractor"]), _ad_from(c["sub"]))
+            for c in children
         ),
     )
 
@@ -148,6 +187,9 @@ def loads(text):
 
 
 def _from_payload(kind, payload):
+    if not isinstance(kind, str) or kind not in _SHAPES:
+        raise ParseError(f"unknown manifest kind {kind!r}")
+    payload = _checked(kind, payload)
     if kind == "graph":
         return _graph_from(payload)
     if kind == "game":
@@ -163,8 +205,8 @@ def _from_payload(kind, payload):
             _graph_from(payload["graph"]),
             payload["label_i"],
             payload["label_j"],
-            Index(*payload["index_i"]),
-            Index(*payload["index_j"]),
+            _index(kind, payload, "index_i"),
+            _index(kind, payload, "index_j"),
         )
     if kind == "automaton":
         return NPTA.make(
@@ -173,7 +215,7 @@ def _from_payload(kind, payload):
             payload["initial"],
             [tuple(t) for t in payload["transitions"]],
             [tuple(o) for o in payload["omega"]],
-            Index(*payload["index"]),
+            _index(kind, payload, "index"),
         )
     if kind == "regular-tree":
         return RegularTree.make(
@@ -184,10 +226,10 @@ def _from_payload(kind, payload):
     if kind == "strategy":
         return {v: e for v, e in payload["choices"]}
     if kind == "product":
-        base = _from_payload(payload["base"]["kind"], payload["base"]["payload"])
+        base = _checked("base", payload["base"])
         return reg_product(
-            base,
-            Index(*payload["J"]),
+            _from_payload(base["kind"], base["payload"]),
+            _index(kind, payload, "J"),
             payload["n"],
             rule=payload["rule"],
             starts=payload["starts"],

@@ -68,11 +68,9 @@ class RegProduct:
             return ("A", v, self._config(cfg), None)
         if phase == "B":
             _, eid, cfg = state
-            e = self._graph().edges[eid]
-            return ("B", e.src, self._config(cfg), eid)
+            return ("B", self._graph().src[eid], self._config(cfg), eid)
         _, eid, jx, cfg = state
-        e = self._graph().edges[eid]
-        return ("C", e.src, self._config(cfg), (eid, self.reg_indices[jx]))
+        return ("C", self._graph().src[eid], self._config(cfg), (eid, self.reg_indices[jx]))
 
     def _graph(self):
         return self.base.graph if isinstance(self.base, ParityGame) else self.base
@@ -218,46 +216,49 @@ def reg_product(base, J, n, *, rule=LIBERAL, cap=DEFAULT_STATE_CAP, starts=None)
     for v in starts:
         if v not in g.vertices:
             raise PreconditionFailed("reg_product", f"unknown start vertex {v!r}")
-    edges = []
+    g_out, g_dst, g_pri = g.out, g.dst, g.pri
+    src, dst, pri = [], [], []
     eve = []
+
+    def edge(s, d, p):
+        src.append(s)
+        dst.append(d)
+        pri.append(p)
 
     def expand(state, sid, intern):
         phase = state[0]
         if phase == "sink":
-            edges.append((sid, sid, 1))
+            edge(sid, sid, 1)
             return
         if phase == "A":
             _, v, cfg = state
             if game_mode and base.owner(v) == EVE:
                 eve.append(sid)
-            for eid in g.out[v]:
-                edges.append((sid, intern(("B", eid, cfg)), 0))
+            for eid in g_out[v]:
+                edge(sid, intern(("B", eid, cfg)), 0)
             return
         if phase == "B":
             _, eid, cfg = state
             eve.append(sid)
-            e = g.edges[eid]
+            p = g_pri[eid]
             for jx in range(len(regs)):
                 w, mid, loss = output(cfg, jx)
                 if loss:
-                    edges.append((sid, intern(("sink",)), 0))
-                elif e.priority % 2 == 0:
-                    nxt = ("A", e.dst, update(mid, e.priority, jx))
-                    edges.append((sid, intern(nxt), w))
+                    edge(sid, intern(("sink",)), 0)
+                elif p % 2 == 0:
+                    edge(sid, intern(("A", g_dst[eid], update(mid, p, jx))), w)
                 else:
-                    edges.append((sid, intern(("C", eid, jx, mid)), w))
+                    edge(sid, intern(("C", eid, jx, mid)), w)
             return
         _, eid, jx, cfg = state
         eve.append(sid)
-        e = g.edges[eid]
-        for i in range(e.priority, max_odd + 1, 2):
-            nxt = ("A", e.dst, update(cfg, i, jx))
-            edges.append((sid, intern(nxt), 0))
+        for i in range(g_pri[eid], max_odd + 1, 2):
+            edge(sid, intern(("A", g_dst[eid], update(cfg, i, jx))), 0)
 
     what = f"reg_product(J=[{J.lo},{J.hi}], n={n}, rule={rule})"
     decode, start_ids = explore((("A", v, cfg0) for v in starts), expand, what, cap)
     initial = dict(zip(starts, start_ids))
-    graph = ParityGraph._explored(len(decode), edges, Index(0, max(J.hi, 1)))
+    graph = ParityGraph._explored(len(decode), src, dst, pri, Index(0, max(J.hi, 1)))
     game = ParityGame.make(graph, eve)
     return RegProduct(
         game,
@@ -298,16 +299,17 @@ class SegmentedPath:
     segments: tuple
 
     def check(self, pair):
+        src, dst = pair.graph.src, pair.graph.dst
         prev_end = None
         for seg in self.segments:
             if not seg:
                 return False
             for a, b in zip(seg, seg[1:]):
-                if pair.graph.edges[a].dst != pair.graph.edges[b].src:
+                if dst[a] != src[b]:
                     return False
-            if prev_end is not None and pair.graph.edges[seg[0]].src != prev_end:
+            if prev_end is not None and src[seg[0]] != prev_end:
                 return False
-            prev_end = pair.graph.edges[seg[-1]].dst
+            prev_end = dst[seg[-1]]
             if max(pair.label_i[i] for i in seg) != self.odd:
                 return False
             if max(pair.label_j[i] for i in seg) != self.even:
@@ -339,7 +341,7 @@ def _segment_search(g, li, lj, odd, even, n):
             a, b = li[eid], lj[eid]
             if a > odd or b > even:
                 continue
-            nxt = (g.edges[eid].dst, s, fi or a == odd, fj or b == even)
+            nxt = (g.dst[eid], s, fi or a == odd, fj or b == even)
             if nxt not in parent:
                 parent[nxt] = (state, eid)
                 queue.append(nxt)
@@ -402,7 +404,7 @@ class ProductStrategy:
             else:
                 targets = list(g.out[v])
             for i in targets:
-                w = g.edges[i].dst
+                w = g.dst[i]
                 if w not in seen:
                     seen.add(w)
                     queue.append(w)
@@ -501,21 +503,21 @@ def synth_from_ad(g, d, n, *, rule=LIBERAL, cap=DEFAULT_STATE_CAP):
     h = n_strahler(tree_shape(d), n)
     if g.index.hi < d.level:
         # widen the declared range so the sharp choice can reach level-1
-        g = ParityGraph(g.vertices, g.edges, Index(g.index.lo, d.level))
+        g = g.with_priorities(g.pri, Index(g.index.lo, d.level))
     product = reg_product(g, Index(1, 2 * h), n + 1, rule=rule, cap=cap)
     reg_pos = {j: x for x, j in enumerate(product.reg_indices)}
 
     def choices(eid):
-        e = g.edges[eid]
-        level, strahler = _smallest_common(info, sig[e.src], sig[e.dst])
-        p = e.priority
+        at_src, at_dst = sig[g.src[eid]], sig[g.dst[eid]]
+        level, strahler = _smallest_common(info, at_src, at_dst)
+        p = g.pri[eid]
         if p % 2 == 1 and p < level - 1:
             i = level - 1
         else:
             i = p
-        if sig[e.dst] < sig[e.src]:
+        if at_dst < at_src:
             reg = 0
-        elif sig[e.src] < sig[e.dst]:
+        elif at_src < at_dst:
             reg = strahler
         else:
             reg = 0 if i < level else 1
@@ -530,6 +532,5 @@ def synth_from_ad(g, d, n, *, rule=LIBERAL, cap=DEFAULT_STATE_CAP):
         elif state[0] == "C":
             _, eid, _jx, _cfg = state
             i, _reg = choices(eid)
-            e = g.edges[eid]
-            sigma[vid] = _choice_edge(product, vid, (i - e.priority) // 2)
+            sigma[vid] = _choice_edge(product, vid, (i - g.pri[eid]) // 2)
     return ProductStrategy(product, sigma)

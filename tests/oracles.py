@@ -136,9 +136,7 @@ def brute_solve(game):
         for v in g.sorted_vertices():
             if game.owner(v) == ADAM:
                 keep.update(g.out[v])
-        sub = ParityGraph(
-            g.vertices, tuple(g.edges[i] for i in sorted(keep)), g.index
-        )
+        sub = ParityGraph.make(g.vertices, [g.edges[i] for i in sorted(keep)], g.index)
         bad = _bad_core_vertices(sub, keep)
         # losing vertices: those that can reach an odd cycle in the residual
         losing = set(bad)

@@ -69,6 +69,18 @@ class TestExitCodes:
         with pytest.raises(PreconditionFailed, match="unknown start vertex 7"):
             eve_wins_reg(g, Index(1, 2), 0, 7)
 
+    def test_malformed_manifest_is_usage_error(self, tmp_path, capsys):
+        graph = {"vertices": [0], "edges": [[0, 0, 2]], "index": [0, 2]}
+        no_eve = {"format": "paritykit/1", "kind": "game", "payload": {"graph": graph}}
+        short_edge = {"format": "paritykit/1", "kind": "graph", "payload": dict(graph, edges=[[0, 0]])}
+        for name, doc, named in (("no_eve", no_eve, "missing key 'eve'"), ("short", short_edge, "[0, 0]")):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(doc))
+            capsys.readouterr()
+            assert main(["solve", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert "usage error" in err and named in err
+
 
 class TestCommands:
     def test_solve(self, tmp_path, capsys):

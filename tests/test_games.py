@@ -174,7 +174,7 @@ class TestEvenness:
         assert is_even(ParityGraph.make([0], [(0, 0, 2)]))
 
     def test_terminal_rejected(self):
-        g = ParityGraph(frozenset({0}), (), Index(0, 0))
+        g = ParityGraph.make([0], [], Index(0, 0))
         with pytest.raises(TerminalVertex):
             is_even(g)
 
@@ -413,40 +413,53 @@ class TestLazySeeding:
 
 
 def explored_corpus():
-    """A graph from every builder that numbers its states with `explore`."""
+    """(graph, skeleton) pairs: a graph from every builder that numbers its
+    states with `explore` (skeleton None), and relabelled views of bounded
+    pairs and memory products with the graph whose successor tables they
+    share."""
     base = GenParams(seed=21057, vertex_count=5, priority_cap=4, edge_density=0.5)
     for salt in range(4):
         g = random_non_even_graph(base, salt=salt)
         for lo, hi in ((1, 2), (1, 4)):
             for n in (0, 1):
-                yield reg_product(g, Index(lo, hi), n).game.graph
-        yield reg_product(lab_random_game(base, salt=salt), Index(1, 2), 1).game.graph
+                yield reg_product(g, Index(lo, hi), n).game.graph, None
+        yield reg_product(lab_random_game(base, salt=salt), Index(1, 2), 1).game.graph, None
     rng = random.Random(41)
     trees = enumerate_regular_trees(2)
     for _ in range(12):
         a = random_automaton(rng)
         for t in rng.sample(trees, 4):
-            yield acceptance_game(a, t).game.graph
+            yield acceptance_game(a, t).game.graph, None
             try:
-                yield accepting_run(a, t).graph
+                yield accepting_run(a, t).graph, None
             except NoAcceptingRun:
                 pass
     for a, b, gf, trees in guided_suite():
         for t in trees:
-            yield guided_run(gf, a, b, t, accepting_run(b, t)).graph
+            yield guided_run(gf, a, b, t, accepting_run(b, t)).graph, None
     pair_params = GenParams(seed=21057, vertex_count=5, priority_cap=4, index_j=(1, 2))
     for salt in range(4):
-        yield memory_product(random_bounded_pair(pair_params, 1, salt=salt)).pair.graph
+        pair = random_bounded_pair(pair_params, 1, salt=salt)
+        mp = memory_product(pair)
+        yield mp.pair.graph, None
+        for p in (pair, mp.pair):
+            yield p.graph_i(), p.graph
+            yield p.graph_j(), p.graph
+        g = mp.pair.graph
+        yield g.with_priorities([i % 5 for i in range(len(g.pri))], Index(0, 4)), g
 
 
 class TestExploredGraphs:
     def test_every_builder_matches_make_of_the_same_edges(self):
-        count = 0
-        for g in explored_corpus():
+        count = views = 0
+        for g, skeleton in explored_corpus():
             ref = ParityGraph.make(g.vertices, g.edges, g.index)
             assert g == ref
             assert g.vertices == frozenset(range(len(g.vertices)))
             assert all(type(e) is Edge for e in g.edges)
             assert g.out == ref.out and g.inc == ref.inc
+            if skeleton is not None:
+                assert g.out is skeleton.out and g.inc is skeleton.inc
+                views += 1
             count += 1
-        assert count > 60
+        assert count > 60 and views == 20

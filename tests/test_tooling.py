@@ -24,3 +24,21 @@ def test_runtime_imports_only_the_standard_library():
                 if name.split(".")[0] not in sys.stdlib_module_names:
                     outside.append(f"{path.name}:{node.lineno} imports {name}")
     assert outside == []
+
+
+def test_graph_storage_stays_inside_games():
+    """Only games.py builds a ParityGraph from its columns, and no module
+    copies edges just to change their priorities."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Name) and func.id == "ParityGraph" and path.name != "games.py":
+                found.append(f"{path.name}:{node.lineno} calls ParityGraph(...)")
+            if isinstance(func, ast.Attribute) and func.attr == "_replace":
+                if any(k.arg == "priority" for k in node.keywords):
+                    found.append(f"{path.name}:{node.lineno} calls _replace(priority=...)")
+    assert found == []
