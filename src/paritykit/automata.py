@@ -19,6 +19,7 @@ from .games import Index, ParityGame, ParityGraph, explore, solve
 from .transduction import (
     LIBERAL,
     RegMachine,
+    _input_shift,
     n_bound_check,
     normalize_output_index,
 )
@@ -334,11 +335,8 @@ def compose_transducer(a, J, n, *, rule=LIBERAL, cap=DEFAULT_STATE_CAP):
     both directions into an odd-looping reject state.
     """
     J = normalize_output_index(J)
-    index_i = a.index
-    shift = 0
-    if index_i.lo >= 2:
-        shift = index_i.lo - (index_i.lo % 2)
-        index_i = index_i.shift(-shift)
+    shift = _input_shift(a.index)
+    index_i = a.index.shift(-shift)
     reject_priority = J.hi if J.hi % 2 == 1 else J.hi - 1
     if reject_priority < J.lo:
         raise EmptyIndex(f"output index {J} has no odd priority to reject with")

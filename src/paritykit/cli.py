@@ -138,10 +138,8 @@ def cmd_ad(args):
         tight = is_tight(g, d)
         print("tight" if tight else "not tight")
         return 0 if tight else 1
-    if args.action == "shape":
-        _emit(tree_shape(d), args)
-        return 0
-    raise PreconditionFailed("ad", f"unknown action {args.action}")
+    _emit(tree_shape(d), args)
+    return 0
 
 
 def cmd_strahler(args):
@@ -180,19 +178,15 @@ def cmd_reg(args):
         )
         print("eve wins" if won else "adam wins")
         return 0 if won else 1
-    if args.action == "synth":
-        if args.decomposition:
-            d = _load(args.decomposition)
-            strat = synth_from_ad(obj, d, args.n, rule=args.reset_rule, cap=args.cap_states)
-        else:
-            strat = strategy_from_bounded_pair(
-                obj, args.n, rule=args.reset_rule, cap=args.cap_states
-            )
-        verified = strat.verify()
-        print("verified" if verified else "not winning")
-        print(manifests.dumps(strat.sigma))
-        return 0 if verified else 1
-    raise PreconditionFailed("reg", f"unknown action {args.action}")
+    if args.decomposition:
+        d = _load(args.decomposition)
+        strat = synth_from_ad(obj, d, args.n, rule=args.reset_rule, cap=args.cap_states)
+    else:
+        strat = strategy_from_bounded_pair(obj, args.n, rule=args.reset_rule, cap=args.cap_states)
+    verified = strat.verify()
+    print("verified" if verified else "not winning")
+    print(manifests.dumps(strat.sigma))
+    return 0 if verified else 1
 
 
 def cmd_bound(args):
@@ -229,13 +223,11 @@ def cmd_aut(args):
         ok = membership(a, t)
         print("accepted" if ok else "rejected")
         return 0 if ok else 1
-    if args.action == "guide":
-        b = _load(args.guide_automaton)
-        gf = _load(args.guiding_function)
-        ok = guided_pair_bound_check(a, b, gf, t)
-        print("bounded" if ok else "not bounded")
-        return 0 if ok else 1
-    raise PreconditionFailed("aut", f"unknown action {args.action}")
+    b = _load(args.guide_automaton)
+    gf = _load(args.guiding_function)
+    ok = guided_pair_bound_check(a, b, gf, t)
+    print("bounded" if ok else "not bounded")
+    return 0 if ok else 1
 
 
 def cmd_lab(args):
@@ -246,29 +238,24 @@ def cmd_lab(args):
         instance_count=args.instances,
     )
     if args.action == "random":
-        kind = args.kind
-        if kind == "game":
+        if args.kind == "game":
             _emit(random_game(p), args)
-        elif kind == "even-graph":
+        elif args.kind == "even-graph":
             _emit(random_even_graph(p), args)
-        elif kind == "pair":
-            _emit(random_bounded_pair(p, args.n), args)
         else:
-            raise PreconditionFailed("lab random", f"unknown kind {kind}")
+            _emit(random_bounded_pair(p, args.n), args)
         return 0
-    if args.action == "battery":
-        report = run_theorem_battery(p)
-        print(report.summary())
-        if report.ok:
-            print("all checks passed")
-            return 0
-        for check in report.checks:
-            for desc, manifest in check.failures:
-                print(f"failure[{check.name}]: {desc}")
-                if manifest:
-                    print(manifest)
-        return 1
-    raise PreconditionFailed("lab", f"unknown action {args.action}")
+    report = run_theorem_battery(p)
+    print(report.summary())
+    if report.ok:
+        print("all checks passed")
+        return 0
+    for check in report.checks:
+        for desc, manifest in check.failures:
+            print(f"failure[{check.name}]: {desc}")
+            if manifest:
+                print(manifest)
+    return 1
 
 
 def cmd_convert(args):
@@ -373,7 +360,7 @@ def build_parser():
 
     s = sub.add_parser("lab", help="generators and the theorem battery")
     s.add_argument("action", choices=("random", "battery"))
-    s.add_argument("--kind", default="game")
+    s.add_argument("--kind", choices=("game", "even-graph", "pair"), default="game")
     s.add_argument("--vertices", type=int, default=6)
     s.add_argument("--priorities", type=int, default=4)
     s.add_argument("--instances", type=int, default=5)

@@ -11,7 +11,6 @@ most h, so removing the node's top edges is the same as capping the view
 at h.
 """
 
-from collections import deque
 from dataclasses import dataclass
 
 from .errors import (
@@ -456,25 +455,27 @@ def _view_core(g, part, cap):
     return part - _attract(g, part, cap)[0]
 
 
-def _two_layer_reach(g, alive, cap, start, oi):
-    """Vertices reachable from start in the view (alive, cap), split by
-    whether the path has already traversed an edge of priority oi:
-    returns (plain set, witnessed set)."""
-    dst, pri, out = g.dst, g.pri, g.out
-    seen = {(start, 0)}
-    queue = deque([(start, 0)])
-    while queue:
-        v, flag = queue.popleft()
-        for i in out[v]:
-            if pri[i] >= cap or dst[i] not in alive:
-                continue
-            nxt = (dst[i], 1 if (flag or pri[i] == oi) else 0)
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    plain = {v for v, _ in seen}
-    witnessed = {v for v, f in seen if f == 1}
-    return plain, witnessed
+def _star_layers(g, alive, cap, stars, oi, n):
+    """Star ranks as attractor layers of the view (alive, cap).  A witnessed
+    hop is a path that crosses a live edge of priority `oi`; T_r holds the
+    stars that start a chain of r witnessed hops between stars, and B_r the
+    vertices that reach T_r.  Returns [alive, T_1, ..., T_R, {}] and
+    [alive, B_1, ..., B_R, {}] for the largest rank R <= n+1."""
+    dst, pri = g.dst, g.pri
+    oi_edges = [i for i in _live_edges(g, alive, cap) if pri[i] == oi]
+    tiers, reach = [alive], [alive]
+    while stars:
+        # T_{n+2} also holds every star on a witnessed cycle
+        if len(tiers) > n + 1:
+            raise InvalidDecomposition(
+                f"star rank {n + 2} exceeds n+1={n + 1}; pair is not bounded"
+            )
+        tiers.append(stars)
+        b = _attract(g, alive, cap, stars, mine=alive)[0]
+        reach.append(b)
+        hops = frozenset(i for i in oi_edges if dst[i] in b)
+        stars = stars & _attract(g, alive, cap, target_edges=hops, mine=alive)[0]
+    return tiers + [stars], reach + [stars]
 
 
 def _rts_build(mp, g, label_j, alive, cap, i2, j2, n):
@@ -502,57 +503,18 @@ def _rts_build(mp, g, label_j, alive, cap, i2, j2, n):
     oi = level - 1
     ej = 2 * j2
 
-    stars_of = []
-    star_rank = {}
-    star_k = {}
-    for k, (s, _a) in enumerate(kids):
-        stars = frozenset(v for v in s if mp.flag_j_since_i(v, oi, ej))
-        stars_of.append(stars)
-        for v in stars:
-            star_k[v] = k
-    all_stars = sorted(star_k)
+    stars_of = [frozenset(v for v in s if mp.flag_j_since_i(v, oi, ej)) for s, _a in kids]
+    tiers, reach = _star_layers(g, alive1, cap1, frozenset().union(*stars_of), oi, n)
+    max_rank = len(tiers) - 2
 
-    witness_to = {}
-    for v in all_stars:
-        _plain, witnessed = _two_layer_reach(g, alive1, cap1, v, oi)
-        witness_to[v] = [u for u in all_stars if u in witnessed]
-
-    # a star's rank is the length of its longest chain of witnessed hops; a
-    # witnessed cycle would contradict every n-bound, so it is reported.
-    # Reach is transitive, so a star u witnessed from v witnesses a strict
-    # subset of v's stars (and plain reach never lifts v above that chain):
-    # fewer witnessed stars first is a topological order.
-    for v in all_stars:
-        if v in witness_to[v]:
-            raise InvalidDecomposition("witnessed star cycle; pair is not bounded")
-    for v in sorted(all_stars, key=lambda v: len(witness_to[v])):
-        star_rank[v] = 1 + max((star_rank[u] for u in witness_to[v]), default=0)
-    max_rank = max(star_rank.values(), default=0)
-    if max_rank > n + 1:
-        raise InvalidDecomposition(
-            f"star rank {max_rank} exceeds n+1={n + 1}; pair is not bounded"
-        )
-
-    thetas = {}
-    for v, r in star_rank.items():
-        thetas.setdefault(r, set()).add(v)
-
-    leftover_pieces = {m: [] for m in range(0, max_rank + 1)}
-    for k, (s, _a) in enumerate(kids):
-        stars = stars_of[k]
-        a_star = _attract(g, s, cap1, stars)[0]
-        left = s - a_star
-        if not left:
-            continue
-        by_rank = {}
-        for v in sorted(left):
-            plain, _w = _two_layer_reach(g, alive1, cap1, v, oi)
-            ranks = [star_rank[u] for u in all_stars if u in plain]
-            by_rank.setdefault(max(ranks, default=0), set()).add(v)
-        for m, part in sorted(by_rank.items()):
+    # a leftover vertex's rank is the highest star rank it reaches
+    leftover_pieces = [[] for _ in range(max_rank + 1)]
+    for (s, _a), stars in zip(kids, stars_of):
+        left = s - _attract(g, s, cap1, stars)[0]
+        for m in range(max_rank + 1):
             # dead-end vertices of a rank class exit it on every path and
             # are swept up by the assembly attractors instead
-            part = _view_core(g, part, cap1)
+            part = _view_core(g, (left & reach[m]) - reach[m + 1], cap1)
             if not part:
                 continue
             if j2 <= 1:
@@ -566,15 +528,13 @@ def _rts_build(mp, g, label_j, alive, cap, i2, j2, n):
                 raise InvalidDecomposition(
                     "leftover part unexpectedly contains a top output priority"
                 )
-            for s_p, _ap in _kids(g, part, cap1, label_j, ej - 1):
-                leftover_pieces[m].append(s_p)
+            leftover_pieces[m] += [s_p for s_p, _ap in _kids(g, part, cap1, label_j, ej - 1)]
 
     sequence = []
-    for m in range(0, max_rank + 1):
-        for part in leftover_pieces.get(m, []):
-            sequence.append((part, j2 - 1))
-        if m + 1 <= max_rank:
-            sequence.append((frozenset(thetas[m + 1]), j2))
+    for m, pieces in enumerate(leftover_pieces):
+        sequence += [(part, j2 - 1) for part in pieces]
+        if m < max_rank:
+            sequence.append((tiers[m + 1] - tiers[m + 2], j2))
 
     current = alive1
     children = []

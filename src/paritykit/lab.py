@@ -62,7 +62,6 @@ class GenParams:
     priority_cap: int = 4
     edge_density: float = 0.5
     index_j: tuple = (1, 2)
-    counter_bound: int = 1
     instance_count: int = 100
 
 

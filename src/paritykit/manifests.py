@@ -62,11 +62,17 @@ def _checked(kind, payload):
     return payload
 
 
-def _int_rows(kind, key, rows, arity):
-    """`rows` as tuples, once each is a list of `arity` ints."""
+def _int_rows(kind, key, rows, arity, ints=True):
+    """`rows` as tuples, once each is a list of `arity` entries, all ints
+    unless `ints` is false."""
+    what = "ints" if ints else "entries"
     for row in rows:
-        if not (isinstance(row, list) and len(row) == arity and all(type(x) is int for x in row)):
-            raise ParseError(f"{kind} payload: {key} entry {row!r} is not a list of {arity} ints")
+        if not isinstance(row, list) or len(row) != arity or (
+            ints and not all(type(x) is int for x in row)
+        ):
+            raise ParseError(
+                f"{kind} payload: {key} entry {row!r} is not a list of {arity} {what}"
+            )
     return [tuple(row) for row in rows]
 
 
@@ -213,8 +219,8 @@ def _from_payload(kind, payload):
             payload["alphabet"],
             payload["states"],
             payload["initial"],
-            [tuple(t) for t in payload["transitions"]],
-            [tuple(o) for o in payload["omega"]],
+            _int_rows(kind, "transitions", payload["transitions"], 4, ints=False),
+            _int_rows(kind, "omega", payload["omega"], 2),
             _index(kind, payload, "index"),
         )
     if kind == "regular-tree":
@@ -222,9 +228,10 @@ def _from_payload(kind, payload):
             payload["labels"], payload["succ0"], payload["succ1"], payload["root"]
         )
     if kind == "guiding-function":
-        return GuidingFunction({(p, tb): ta for p, tb, ta in payload["table"]})
+        rows = _int_rows(kind, "table", payload["table"], 3)
+        return GuidingFunction({(p, tb): ta for p, tb, ta in rows})
     if kind == "strategy":
-        return {v: e for v, e in payload["choices"]}
+        return dict(_int_rows(kind, "choices", payload["choices"], 2))
     if kind == "product":
         base = _checked("base", payload["base"])
         return reg_product(

@@ -92,6 +92,12 @@ def normalize_output_index(J):
     return J
 
 
+def _input_shift(index):
+    """The even amount to subtract from input priorities so that min(I)
+    lands in {0, 1}; both product builders shift the declared index."""
+    return index.lo - index.lo % 2 if index.lo >= 2 else 0
+
+
 def _register_indices(J):
     regs = sorted({e // 2 for e in J.evens()} | ({0} if 1 in J else set()))
     if not regs:
@@ -200,12 +206,10 @@ def reg_product(base, J, n, *, rule=LIBERAL, cap=DEFAULT_STATE_CAP, starts=None)
     g = base.graph if game_mode else base
     if g.terminals:
         raise PreconditionFailed("reg_product", f"terminal vertex {g.terminals[0]}")
-    index_i = g.index
-    if index_i.lo >= 2:
-        shift = index_i.lo - (index_i.lo % 2)
-        g = g.relabel(lambda p: p - shift)
-        index_i = g.index
-    machine = RegMachine(index_i, J, n, rule)
+    shift = _input_shift(g.index)
+    if shift:
+        g = g.with_priorities([p - shift for p in g.pri], g.index.shift(-shift))
+    machine = RegMachine(g.index, J, n, rule)
     regs = machine.regs
     max_odd = machine.max_odd
     cfg0 = machine.initial
@@ -416,8 +420,19 @@ class ProductStrategy:
         return verify_winning(self.product.game, sigma, region)
 
 
-def _choice_edge(product, vid, position):
-    return product.game.graph.out[vid][position]
+def _register_strategy(product, pick):
+    """Eve's strategy over `product` from pick(eid) -> (i, register) on base
+    edges: a "B" state takes its edge to `register`, a "C" state the edge
+    of the odd pick i (its out-edges list p, p+2, ... for base priority p)."""
+    out, base_pri = product.game.graph.out, product._graph().pri
+    reg_pos = {j: x for x, j in enumerate(product.reg_indices)}
+    sigma = {}
+    for vid, state in enumerate(product.decode):
+        if state[0] in ("B", "C"):
+            eid = state[1]
+            i, reg = pick(eid)
+            sigma[vid] = out[vid][reg_pos[reg] if state[0] == "B" else (i - base_pri[eid]) // 2]
+    return ProductStrategy(product, sigma)
 
 
 def strategy_from_bounded_pair(pair, n, *, rule=LIBERAL, cap=DEFAULT_STATE_CAP):
@@ -436,17 +451,7 @@ def strategy_from_bounded_pair(pair, n, *, rule=LIBERAL, cap=DEFAULT_STATE_CAP):
     if not bounded:
         raise PreconditionFailed("n-bound", f"witness {ce}")
     product = reg_product(pair.graph_i(), pair.index_j, n + 1, rule=rule, cap=cap)
-    reg_pos = {j: x for x, j in enumerate(product.reg_indices)}
-    sigma = {}
-    for vid, state in enumerate(product.decode):
-        if state[0] == "B":
-            _, eid, _cfg = state
-            j = pair.label_j[eid] // 2
-            sigma[vid] = _choice_edge(product, vid, reg_pos[j])
-        elif state[0] == "C":
-            _, eid, _jx, _cfg = state
-            sigma[vid] = _choice_edge(product, vid, 0)
-    return ProductStrategy(product, sigma)
+    return _register_strategy(product, lambda eid: (pair.label_i[eid], pair.label_j[eid] // 2))
 
 
 def _decomposition_signatures(d, n):
@@ -505,9 +510,8 @@ def synth_from_ad(g, d, n, *, rule=LIBERAL, cap=DEFAULT_STATE_CAP):
         # widen the declared range so the sharp choice can reach level-1
         g = g.with_priorities(g.pri, Index(g.index.lo, d.level))
     product = reg_product(g, Index(1, 2 * h), n + 1, rule=rule, cap=cap)
-    reg_pos = {j: x for x, j in enumerate(product.reg_indices)}
 
-    def choices(eid):
+    def pick(eid):
         at_src, at_dst = sig[g.src[eid]], sig[g.dst[eid]]
         level, strahler = _smallest_common(info, at_src, at_dst)
         p = g.pri[eid]
@@ -523,14 +527,4 @@ def synth_from_ad(g, d, n, *, rule=LIBERAL, cap=DEFAULT_STATE_CAP):
             reg = 0 if i < level else 1
         return i, reg
 
-    sigma = {}
-    for vid, state in enumerate(product.decode):
-        if state[0] == "B":
-            _, eid, _cfg = state
-            _i, reg = choices(eid)
-            sigma[vid] = _choice_edge(product, vid, reg_pos[reg])
-        elif state[0] == "C":
-            _, eid, _jx, _cfg = state
-            i, _reg = choices(eid)
-            sigma[vid] = _choice_edge(product, vid, (i - g.pri[eid]) // 2)
-    return ProductStrategy(product, sigma)
+    return _register_strategy(product, pick)

@@ -73,11 +73,26 @@ class TestExitCodes:
         graph = {"vertices": [0], "edges": [[0, 0, 2]], "index": [0, 2]}
         no_eve = {"format": "paritykit/1", "kind": "game", "payload": {"graph": graph}}
         short_edge = {"format": "paritykit/1", "kind": "graph", "payload": dict(graph, edges=[[0, 0]])}
-        for name, doc, named in (("no_eve", no_eve, "missing key 'eve'"), ("short", short_edge, "[0, 0]")):
+        automaton = {"alphabet": ["a"], "states": [0], "initial": 0, "index": [0, 1],
+                     "transitions": [[0, "a", 0, 0]], "omega": [[0, 0]]}
+        cases = [
+            ("no_eve", "solve", no_eve, "game payload: missing key 'eve'"),
+            ("short", "solve", short_edge, "graph payload: edges entry [0, 0]"),
+            ("choices", "convert", {"kind": "strategy", "payload": {"choices": [[0]]}},
+             "strategy payload: choices entry [0]"),
+            ("table", "convert", {"kind": "guiding-function", "payload": {"table": [[0, "x", 1]]}},
+             "guiding-function payload: table entry [0, 'x', 1]"),
+            ("omega", "convert", {"kind": "automaton", "payload": dict(automaton, omega=[[0]])},
+             "automaton payload: omega entry [0]"),
+            ("transitions", "convert",
+             {"kind": "automaton", "payload": dict(automaton, transitions=[[0, "a", 0]])},
+             "automaton payload: transitions entry [0, 'a', 0]"),
+        ]
+        for name, command, doc, named in cases:
             path = tmp_path / f"{name}.json"
-            path.write_text(json.dumps(doc))
+            path.write_text(json.dumps(dict(doc, format="paritykit/1")))
             capsys.readouterr()
-            assert main(["solve", str(path)]) == 2
+            assert main([command, str(path)]) == 2
             err = capsys.readouterr().err
             assert "usage error" in err and named in err
 
@@ -156,6 +171,7 @@ class TestCommands:
         first = capsys.readouterr().out
         assert main(["--seed", "11", "lab", "random", "--kind", "game"]) == 0
         assert capsys.readouterr().out == first
+        assert main(["lab", "random", "--kind", "foo"]) == 2
 
     def test_convert_pgsolver(self, tmp_path, capsys):
         text = "parity 1;\n0 2 0 1;\n1 2 1 0;\n"

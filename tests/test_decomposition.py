@@ -1,7 +1,9 @@
+import hashlib
 import random
 
 import pytest
 
+from paritykit import decomposition, manifests
 from paritykit.decomposition import (
     AdChild,
     AttractorDecomposition,
@@ -22,6 +24,7 @@ from paritykit.errors import (
     NotBounded,
     NotEven,
     OverlappingParts,
+    ParityKitError,
     PreconditionFailed,
     PriorityOutOfRange,
     StateExplosion,
@@ -383,6 +386,52 @@ class TestReachChecksAgainstOracle:
             assert ad_reachability_check(g, d) == brute_reachability_check(g, d)
             not_tight += not is_tight(g, d)
         assert not_tight >= 5
+
+
+# sha1 of every decomposition (as a manifest) and every error that
+# ad_from_bounded_pair gives on the corpus below, pinned so that no rewrite
+# of the construction changes a single answer
+BOUNDED_PAIR_SHA1 = "e7ca3533b07a3e886dee07b8e4050fe6bf627a7a"
+
+
+class TestBoundedPairDigest:
+    def test_corpus_digest_pinned(self, monkeypatch):
+        ranks, leftovers = [], []
+        star_layers, kids = decomposition._star_layers, decomposition._kids
+
+        def spy_layers(*args):
+            tiers, reach = star_layers(*args)
+            ranks.append(len(tiers) - 2)
+            return tiers, reach
+
+        def spy_kids(g, rest, cap, labels, odd):
+            # the construction peels leftover parts by their labelJ values
+            if labels is not g.pri:
+                leftovers.append(rest)
+            return kids(g, rest, cap, labels, odd)
+
+        monkeypatch.setattr(decomposition, "_star_layers", spy_layers)
+        monkeypatch.setattr(decomposition, "_kids", spy_kids)
+        digest = hashlib.sha1()
+        raised = 0
+        for seed in range(150):
+            m = seed % 3
+            for vertices in (4, 5, 6, 7):
+                for j in (1, 2, 3):
+                    p = GenParams(
+                        seed=seed, vertex_count=vertices, priority_cap=4, index_j=(1, 2 * j)
+                    )
+                    pair = random_bounded_pair(p, m)
+                    for n in (m, m + 1):
+                        try:
+                            answer = manifests.dumps(ad_from_bounded_pair(pair, n, j))
+                        except ParityKitError as err:
+                            raised += 1
+                            answer = f"{type(err).__name__}: {err}"
+                        digest.update(answer.encode())
+        assert max(ranks) >= 2 and leftovers
+        assert raised == 4
+        assert digest.hexdigest() == BOUNDED_PAIR_SHA1
 
 
 class TestBoundedPairOffByOne:

@@ -42,3 +42,21 @@ def test_graph_storage_stays_inside_games():
                 if any(k.arg == "priority" for k in node.keywords):
                     found.append(f"{path.name}:{node.lineno} calls _replace(priority=...)")
     assert found == []
+
+
+def test_every_private_function_is_used():
+    """Each module-level private function is referenced in the package
+    somewhere besides its own definition."""
+    defined, used = {}, set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_"):
+                defined[node.name] = f"{path.name}:{node.lineno}"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert defined
+    assert sorted(where for name, where in defined.items() if name not in used) == []

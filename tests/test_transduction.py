@@ -426,3 +426,18 @@ class TestNormalization:
             assert eve_wins_reg(g, Index(1, 2), 1, v) == eve_wins_reg(
                 g, Index(3, 4), 1, v
             )
+
+    def test_shifted_input_index_same_product(self):
+        """Shifting input priorities and their declared index by an even
+        amount changes no state and no edge of the product."""
+        rng = random.Random(32)
+        for k in range(40):
+            g = random_graph(rng, 4, 3, max_out=2)
+            g = g.with_priorities(g.pri, Index(k % 2, 3 + k % 3))
+            up = g.with_priorities([p + 2 for p in g.pri], g.index.shift(2))
+            for J in (Index(1, 2), Index(1, 4)):
+                a, b = reg_product(g, J, 1), reg_product(up, J, 1)
+                assert a.decode == b.decode
+                ga, gb = a.game.graph, b.game.graph
+                assert (ga.src, ga.dst, ga.pri, ga.index) == (gb.src, gb.dst, gb.pri, gb.index)
+                assert a.game.eve == b.game.eve
