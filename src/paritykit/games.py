@@ -9,7 +9,7 @@ ascending id order, so every operation is deterministic.
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
+from itertools import compress, repeat
 from typing import NamedTuple
 
 from .errors import (
@@ -129,10 +129,15 @@ class ParityGraph:
 
     def _by_vertex(self, column):
         """vertex -> tuple of the ids of the edges whose `column` entry is
-        that vertex, ascending."""
-        table = {v: [] for v in self.vertices}
+        that vertex, ascending: a list indexed by vertex when the vertices
+        are exactly 0..n-1, else a dict.  Readers only index it by vertex."""
+        vs = self.vertices
+        dense = not vs or (min(vs) == 0 and max(vs) == len(vs) - 1)
+        table = [[] for _ in vs] if dense else {v: [] for v in vs}
         for i, v in enumerate(column):
             table[v].append(i)
+        if dense:
+            return list(map(tuple, table))
         return {v: tuple(ids) for v, ids in table.items()}
 
     @cached_property
@@ -159,13 +164,6 @@ class ParityGraph:
 
     def sorted_vertices(self):
         return sorted(self.vertices)
-
-    def relabel(self, fn):
-        """New graph with priorities mapped through fn (index re-inferred)."""
-        pri = tuple(map(fn, self.pri))
-        if min(pri, default=0) < 0:
-            raise PriorityOutOfRange(f"negative priority {min(pri)} after relabelling")
-        return self.with_priorities(pri, Index(0, max(pri, default=0)))
 
 
 @dataclass(frozen=True)
@@ -306,16 +304,9 @@ def _attract(
     queue = sorted(targets & alive)
     push = queue.append
     strat = {}
+    # opponent vertex -> its escapes not yet cut off by attracted vertices
     esc = {}
-
-    def escapes(v):
-        k = 0
-        for i in out[v]:
-            if pri[i] < cap and dst[i] in alive and i not in target_edges:
-                k += 1
-        return k
-
-    seeds = alive.intersection(src[i] for i in target_edges) if live_moves else alive
+    seeds = alive.intersection(map(src.__getitem__, target_edges)) if live_moves else alive
     for v in sorted(seeds.difference(queue)):
         if v in mine:
             if target_edges:
@@ -325,7 +316,10 @@ def _attract(
                         push(v)
                         break
         else:
-            k = escapes(v)
+            k = 0
+            for i in out[v]:
+                if pri[i] < cap and dst[i] in alive and i not in target_edges:
+                    k += 1
             if k:
                 esc[v] = k
             else:
@@ -342,7 +336,10 @@ def _attract(
             else:
                 k = esc.get(u)
                 if k is None:
-                    k = escapes(u)
+                    k = 0
+                    for j in out[u]:
+                        if pri[j] < cap and dst[j] in alive and j not in target_edges:
+                            k += 1
                 if k > 1:
                     esc[u] = k - 1
                     continue
@@ -496,15 +493,21 @@ def is_even(g):
 # solving
 
 
-def _zielonka(game, alive, cap):
+def _zielonka(game, alive, cap, top=None):
     """Generator form of Zielonka's recursion for edge priorities on the
     view (alive, cap) of the game's graph.
 
-    Yields (alive, cap) argument pairs for sub-calls; the trampoline in
-    solve() sends back their results.  Returns a dict
+    Yields (alive, cap) or (alive, cap, top) argument tuples for sub-calls;
+    the trampoline in solve() sends back their results.  Returns a dict
     {EVE: region, ADAM: region, (EVE, 's'): strategy, (ADAM, 's'): strategy}.
     The first sub-call caps the view at d, the maximal live priority: that
     removes exactly the top edges, because no live edge lies above d.
+
+    `top`, if given, holds every live edge of maximal priority in some
+    view that contains this one and has the same cap.  Its edges that are
+    still live, if any, are then exactly this view's top edges, so they
+    give d without scanning the view.  The second sub-call's view lies
+    inside this one with the same cap, so it inherits this call's top.
 
     Views have no dead ends, so the attractors seed lazily: the root is a
     terminal-free game, and a vertex outside a player's attractor keeps a
@@ -514,18 +517,23 @@ def _zielonka(game, alive, cap):
     if not alive:
         return {EVE: frozenset(), ADAM: frozenset(), (EVE, "s"): {}, (ADAM, "s"): {}}
     g = game.graph
-    dst, pri, out = g.dst, g.pri, g.out
-    d = -1
-    top = set()
-    for v in alive:
-        for i in out[v]:
-            p = pri[i]
-            if d <= p < cap and dst[i] in alive:
-                if p > d:
-                    d = p
-                    top = {i}
-                else:
-                    top.add(i)
+    src, dst, pri, out = g.src, g.dst, g.pri, g.out
+    if top:
+        top = {i for i in top if src[i] in alive and dst[i] in alive}
+    if top:
+        d = pri[next(iter(top))]
+    else:
+        d = -1
+        top = set()
+        for v in alive:
+            for i in out[v]:
+                p = pri[i]
+                if d <= p < cap and dst[i] in alive:
+                    if p > d:
+                        d = p
+                        top = {i}
+                    else:
+                        top.add(i)
     if d < 0:
         # cannot happen: subgames of terminal-free games stay terminal-free
         raise TerminalVertex(min(alive))
@@ -533,8 +541,10 @@ def _zielonka(game, alive, cap):
     mine = game.player_vertices(player)
     area, reach = _attract(g, alive, cap, target_edges=top, mine=mine, live_moves=True)
     below = alive - area
-    # sub-calls nest deeply; a suspended call keeps only what its merge needs
-    del top, area
+    # sub-calls nest deeply; a suspended call keeps only what its merge
+    # needs, and the top edges as a tuple, which is smaller than a set
+    top = tuple(top)
+    del area
     sub = yield (below, d)
     del below
     if not sub[other]:
@@ -546,7 +556,7 @@ def _zielonka(game, alive, cap):
     theirs = game.player_vertices(other)
     trap, pull = _attract(g, alive, cap, won, mine=theirs, live_moves=True)
     del reach, sub, won
-    rest = yield (alive - trap, cap)
+    rest = yield (alive - trap, cap, top)
     other_strat = rest[(other, "s")]
     other_strat.update(pull)
     other_strat.update(kept)
@@ -562,12 +572,14 @@ def solve(game):
     """Zielonka regions and positional winning strategies for both players.
 
     Every recursive call reads only the live out-edges of its own
-    vertices in the graph's flat edge lists.
+    vertices in the graph's flat edge lists, or only the top edges that
+    it inherits; the root inherits the edges of the graph's top priority.
     """
     g = game.graph
     if g.terminals:
         raise TerminalVertex(g.terminals[0])
-    stack = [_zielonka(game, g.vertices, g.cap)]
+    top = tuple(compress(range(len(g.pri)), map((g.cap - 1).__eq__, g.pri)))
+    stack = [_zielonka(game, g.vertices, g.cap, top)]
     result = None
     while stack:
         try:

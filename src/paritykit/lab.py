@@ -193,11 +193,11 @@ def _odd_core(g, keep):
         if prio % 2 == 0:
             continue
         sub = [i for i in keep if edges[i].priority <= prio]
-        out = {}
+        succ = {}
         for i in sub:
-            out.setdefault(edges[i].src, []).append(edges[i].dst)
+            succ.setdefault(edges[i].src, []).append(edges[i].dst)
         scope = {edges[i].src for i in sub} | {edges[i].dst for i in sub}
-        comp = _tarjan_scc(scope, lambda v: iter(out.get(v, ())))
+        comp = _tarjan_scc(scope, lambda v: iter(succ.get(v, ())))
         for i in sub:
             e = edges[i]
             # same SCC means dst reaches src, closing a cycle of maximum prio

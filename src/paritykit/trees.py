@@ -29,34 +29,49 @@ class OrderedTree:
         return not self.children
 
     def node_count(self):
-        return 1 + sum(c.node_count() for c in self.children)
+        count, stack = 0, [self]
+        while stack:
+            count += 1
+            stack.extend(stack.pop().children)
+        return count
 
     def to_brackets(self):
         """Bracket text: leaf = "()", node = "(" + children + ")"."""
-        return "(" + "".join(c.to_brackets() for c in self.children) + ")"
+        parts = ["("]
+        # iterators over the children still to print, one per open node
+        stack = [iter(self.children)]
+        while stack:
+            child = next(stack[-1], None)
+            if child is None:
+                stack.pop()
+                parts.append(")")
+            else:
+                parts.append("(")
+                stack.append(iter(child.children))
+        return "".join(parts)
 
     @staticmethod
     def from_brackets(text):
         text = text.strip()
-        pos = 0
-
-        def parse():
-            nonlocal pos
-            if pos >= len(text) or text[pos] != "(":
+        # children parsed so far, one list per open node
+        stack = []
+        for pos, ch in enumerate(text):
+            if ch == "(":
+                stack.append([])
+            elif not stack:
                 raise PreconditionFailed("brackets", f"expected '(' at {pos}")
-            pos += 1
-            kids = []
-            while pos < len(text) and text[pos] == "(":
-                kids.append(parse())
-            if pos >= len(text) or text[pos] != ")":
+            elif ch == ")":
+                node = OrderedTree(tuple(stack.pop()))
+                if not stack:
+                    if pos + 1 != len(text):
+                        raise PreconditionFailed("brackets", "trailing characters")
+                    return node
+                stack[-1].append(node)
+            else:
                 raise PreconditionFailed("brackets", f"expected ')' at {pos}")
-            pos += 1
-            return OrderedTree(tuple(kids))
-
-        t = parse()
-        if pos != len(text):
-            raise PreconditionFailed("brackets", "trailing characters")
-        return t
+        if not text:
+            raise PreconditionFailed("brackets", "expected '(' at 0")
+        raise PreconditionFailed("brackets", f"expected ')' at {len(text)}")
 
     def __repr__(self):
         return f"OrderedTree{self.to_brackets()!r}"
@@ -83,21 +98,28 @@ def n_strahler(t, n):
     if n < 1:
         raise PreconditionFailed("n_strahler", "n must be >= 1")
     memo = {}
-
-    def rec(node):
-        got = memo.get(node)
-        if got is not None:
-            return got
-        if node.is_leaf:
-            memo[node] = 1
-            return 1
-        vals = [rec(c) for c in node.children]
-        m = max(vals)
-        out = m + 1 if vals.count(m) >= n + 1 else m
-        memo[node] = out
-        return out
-
-    return rec(t)
+    get = memo.get
+    # (node, iterator over its children, values of the children done)
+    stack = [(t, iter(t.children), [])]
+    while True:
+        node, kids, vals = stack[-1]
+        for c in kids:
+            v = get(c)
+            if v is None:
+                stack.append((c, iter(c.children), []))
+                break
+            vals.append(v)
+        else:
+            stack.pop()
+            if vals:
+                m = max(vals)
+                v = m + 1 if vals.count(m) >= n + 1 else m
+            else:
+                v = 1
+            memo[node] = v
+            if not stack:
+                return v
+            stack[-1][2].append(v)
 
 
 @dataclass(frozen=True)

@@ -129,6 +129,16 @@ class TestCommands:
         assert capsys.readouterr().out.strip() == "2"
         assert main(["universal", "--n", "2", "--k", "2", "--depth", "2", "--width", "3"]) == 0
 
+    def test_strahler_of_a_deep_tree(self, tmp_path, capsys):
+        brackets = "(" * 3000 + ")" * 3000
+        path = tmp_path / "deep.json"
+        manifest = {"format": "paritykit/1", "kind": "tree", "payload": {"brackets": brackets}}
+        path.write_text(json.dumps(manifest))
+        assert main(["strahler", str(path), "--n", "1"]) == 0
+        assert capsys.readouterr().out.strip() == "1"
+        t = OrderedTree.from_brackets(brackets)
+        assert t.node_count() == 3000 and t.to_brackets() == brackets
+
     def test_embed(self, tmp_path, capsys):
         small = write(tmp_path, "s.json", OrderedTree.from_brackets("(())"))
         host = write(tmp_path, "h.json", OrderedTree.from_brackets("((())())"))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paritykit import games
+from paritykit import games, manifests
 from paritykit.automata import accepting_run, acceptance_game, guided_run
 from paritykit.decomposition import memory_product
 from paritykit.errors import (
@@ -82,6 +82,40 @@ class TestRestrict:
             r = restrict(g, keep)
             expected = [e for e in g.edges if e.src in keep and e.dst in keep]
             assert list(r.edges) == expected
+
+
+class TestSuccessorTables:
+    def test_vertices_0_to_n_minus_1_give_list_tables(self):
+        g = ParityGraph.make(range(3), [(0, 1, 2), (1, 0, 1), (1, 2, 0), (2, 2, 3)])
+        assert g.out == [(0,), (1, 2), (3,)] and g.inc == [(1,), (0,), (2, 3)]
+        empty = ParityGraph.make([], [])
+        assert empty.out == [] and empty.inc == []
+
+    def test_sparse_pgsolver_ids_give_dict_tables_and_the_same_answers(self):
+        rng = random.Random(43)
+        for _ in range(30):
+            n = rng.randint(2, 12)
+            ids = sorted(rng.sample(range(1, 3 * n), n))
+            rows = [
+                (v, rng.randint(0, 5), rng.randint(0, 1), rng.sample(ids, rng.randint(1, min(3, n))))
+                for v in ids
+            ]
+
+            def text(name):
+                lines = [f"parity {name[ids[-1]]};"]
+                for v, p, o, succ in rows:
+                    lines.append(f"{name[v]} {p} {o} {','.join(str(name[w]) for w in succ)};")
+                return "\n".join(lines) + "\n"
+
+            renumber = {v: k for k, v in enumerate(ids)}
+            sparse = manifests.import_pgsolver(text({v: v for v in ids}))
+            dense = manifests.import_pgsolver(text(renumber))
+            assert type(sparse.graph.out) is dict and type(sparse.graph.inc) is dict
+            assert type(dense.graph.out) is list and type(dense.graph.inc) is list
+            assert [sparse.graph.out[v] for v in ids] == dense.graph.out
+            we, wa, se, sa = solve(sparse)
+            assert [{renumber[v] for v in region} for region in (we, wa)] == list(solve(dense)[:2])
+            assert verify_winning(sparse, se, we) and verify_winning(sparse, sa, wa, player=ADAM)
 
 
 class TestAttractors:
@@ -220,7 +254,9 @@ class TestSolve:
     def test_priority_shift_by_two_preserves_regions(self, seed):
         rng = random.Random(seed)
         gm = random_game(rng, 5, 3)
-        shifted = ParityGame(gm.graph.relabel(lambda p: p + 2), gm.eve)
+        g = gm.graph
+        pri = [p + 2 for p in g.pri]
+        shifted = ParityGame(g.with_priorities(pri, Index(0, max(pri))), gm.eve)
         assert solve(gm)[0] == solve(shifted)[0]
 
 
@@ -293,7 +329,8 @@ class TestVerifyWinning:
                         continue
                     h = strategy_graph(gm, choice, region, ADAM)
                     verdict = verify_winning(gm, choice, region, player=ADAM)
-                    assert verdict == is_even(h.relabel(lambda p: p + 1))
+                    pri = [p + 1 for p in h.pri]
+                    assert verdict == is_even(h.with_priorities(pri, Index(0, max(pri))))
                     verdicts.append(verdict)
         assert verdicts.count(True) > 10 and verdicts.count(False) > 10
 
@@ -377,15 +414,26 @@ class TestExplore:
             explore([0, 1, 2], self.doubling(0), "starts", cap=2)
 
 
+def solver_corpus():
+    """Random games of 4-40 vertices and three criterion-3 register products."""
+    rng = random.Random(37)
+    corpus = [random_game(rng, rng.randint(4, 40), rng.randint(1, 6)) for _ in range(80)]
+    base = GenParams(seed=21057, vertex_count=5, priority_cap=4, edge_density=0.5)
+    for salt in range(3):
+        g = random_non_even_graph(base, salt=salt)
+        corpus.append(reg_product(g, Index(1, 4), 1, starts=sorted(rejecting_vertices(g))).game)
+    return corpus
+
+
 class TestLazySeeding:
     def test_zielonka_views_have_live_moves_and_seed_lazily_as_by_full_scan(self, monkeypatch):
         real_zielonka, real_attract = games._zielonka, games._attract
         views = []
         lazy_calls = []
 
-        def zielonka(game, alive, cap):
+        def zielonka(game, alive, cap, top=None):
             views.append((game.graph, alive, cap))
-            return real_zielonka(game, alive, cap)
+            return real_zielonka(game, alive, cap, top)
 
         def attract(g, alive, cap, *args, live_moves=False, **kwargs):
             got = real_attract(g, alive, cap, *args, live_moves=live_moves, **kwargs)
@@ -398,18 +446,41 @@ class TestLazySeeding:
 
         monkeypatch.setattr(games, "_zielonka", zielonka)
         monkeypatch.setattr(games, "_attract", attract)
-        rng = random.Random(37)
-        corpus = [random_game(rng, rng.randint(4, 40), rng.randint(1, 6)) for _ in range(80)]
-        base = GenParams(seed=21057, vertex_count=5, priority_cap=4, edge_density=0.5)
-        for salt in range(3):
-            g = random_non_even_graph(base, salt=salt)
-            corpus.append(reg_product(g, Index(1, 4), 1, starts=sorted(rejecting_vertices(g))).game)
-        for gm in corpus:
+        for gm in solver_corpus():
             solve(gm)
         for g, alive, cap in views:
             for v in alive:
                 assert any(g.pri[i] < cap and g.dst[i] in alive for i in g.out[v])
         assert len(lazy_calls) > 500 and max(lazy_calls) > 1000
+
+
+class TestInheritedTop:
+    def test_solver_attractors_target_the_top_edges_of_a_full_scan(self, monkeypatch):
+        real_zielonka, real_attract = games._zielonka, games._attract
+        inherited = []
+        checked = []
+
+        def zielonka(game, alive, cap, top=None):
+            g = game.graph
+            if top and any(g.src[i] in alive and g.dst[i] in alive for i in top):
+                inherited.append(len(alive))
+            return real_zielonka(game, alive, cap, top)
+
+        def attract(g, alive, cap, targets=frozenset(), target_edges=frozenset(), **kwargs):
+            if target_edges:
+                live = [i for v in alive for i in g.out[v] if g.pri[i] < cap and g.dst[i] in alive]
+                d = max(g.pri[i] for i in live)
+                assert set(target_edges) == {i for i in live if g.pri[i] == d}
+                checked.append(len(target_edges))
+            return real_attract(g, alive, cap, targets, target_edges, **kwargs)
+
+        monkeypatch.setattr(games, "_zielonka", zielonka)
+        monkeypatch.setattr(games, "_attract", attract)
+        corpus = solver_corpus()
+        for gm in corpus:
+            solve(gm)
+        # every root and many second sub-calls find d in the top they inherit
+        assert len(inherited) > 2 * len(corpus) and len(checked) > 400
 
 
 def explored_corpus():

@@ -60,3 +60,19 @@ def test_every_private_function_is_used():
                 used.add(node.attr)
     assert defined
     assert sorted(where for name, where in defined.items() if name not in used) == []
+
+
+def test_successor_tables_are_only_indexed():
+    """No code reads `out`/`inc` through a dict method: on graphs with
+    vertices 0..n-1 the successor tables are lists indexed by vertex."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Attribute) and node.attr in ("get", "items", "keys", "values")):
+                continue
+            table = node.value
+            name = table.attr if isinstance(table, ast.Attribute) else getattr(table, "id", None)
+            if name in ("out", "inc"):
+                found.append(f"{path.name}:{node.lineno} calls {name}.{node.attr}")
+    assert found == []
