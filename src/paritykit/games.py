@@ -10,6 +10,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, repeat
+from operator import eq
 from typing import NamedTuple
 
 from .errors import (
@@ -380,80 +381,87 @@ def player_attractor(game, targets, player):
 # evenness
 
 
-def _tarjan_scc(vertices, succ):
-    """Iterative Tarjan; returns vertex -> component id."""
-    index = {}
-    low = {}
-    comp = {}
-    on_stack = set()
-    stack = []
-    counter = [0]
-    comp_counter = [0]
-    for root in sorted(vertices):
-        if root in index:
-            continue
-        work = [(root, iter(succ(root)))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(succ(w))))
-                    advanced = True
-                    break
-                elif w in on_stack:
-                    if index[w] < low[v]:
-                        low[v] = index[w]
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                if low[v] < low[parent]:
-                    low[parent] = low[v]
-            if low[v] == index[v]:
-                cid = comp_counter[0]
-                comp_counter[0] += 1
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp[w] = cid
-                    if w == v:
-                        break
-    return comp
-
-
 def _odd_cycle_witness(g, parity=1):
     """Lasso whose cycle's maximum has the given parity (1: odd), or None.
 
-    Scans priorities of that parity descending; a cycle with maximum
-    exactly p exists iff the view capped at p+1 has a p-edge inside one
-    of its strongly connected components.
+    A cycle with maximum exactly p exists iff the view capped at p+1 has
+    a p-edge inside one of its strongly connected components.  Those
+    components come from one refinement, the recursive SCC decomposition
+    of one-player parity graphs: for each priority p of that parity,
+    descending, only the cyclic components of the level above are split
+    into the SCCs of their edges of priority <= p, since every cycle of
+    the smaller view lies inside one of them.  A vertex on no cycle leaves
+    the search, and the search ends when no cyclic component is left.
     """
     src, dst, pri, out = g.src, g.dst, g.pri, g.out
-    by_priority = {}
-    for i, p in enumerate(pri):
-        by_priority.setdefault(p, []).append(i)
-    for p in sorted(by_priority, reverse=True):
-        if p % 2 != parity:
-            continue
-        comp = _tarjan_scc(g.vertices, lambda v: (dst[i] for i in out[v] if pri[i] <= p))
-        for i in by_priority[p]:
+    levels = sorted((p for p in set(pri) if p % 2 == parity), reverse=True)
+    # lowest self-loop priority: a one-vertex component is cyclic iff it is <= p
+    loop = {}
+    for i in compress(range(len(src)), map(eq, src, dst)):
+        if pri[i] < loop.get(src[i], pri[i] + 1):
+            loop[src[i]] = pri[i]
+    # vertex -> id of its cyclic component at the current level, -1 once
+    # it is on no cycle; the search starts from one piece holding everything
+    comp = dict.fromkeys(g.vertices, 0)
+    pieces = [(0, g.vertices)]
+    fresh = 1
+    for p in levels:
+        split = []
+        index, low = {}, {}
+        stack = []
+        for cid, piece in pieces:
+            for root in piece:
+                # a vertex whose component is done already carries a new id
+                if comp[root] != cid:
+                    continue
+                index[root] = low[root] = len(index)
+                stack.append(root)
+                work = [(root, iter(out[root]))]
+                while work:
+                    v, edges = work[-1]
+                    for i in edges:
+                        if pri[i] <= p:
+                            w = dst[i]
+                            if comp[w] == cid:
+                                x = index.get(w)
+                                if x is None:
+                                    index[w] = low[w] = len(index)
+                                    stack.append(w)
+                                    work.append((w, iter(out[w])))
+                                    break
+                                if x < low[v]:
+                                    low[v] = x
+                    else:
+                        work.pop()
+                        x = low[v]
+                        if work:
+                            u = work[-1][0]
+                            if x < low[u]:
+                                low[u] = x
+                        if x != index[v]:
+                            continue
+                        w = stack.pop()
+                        if w == v and loop.get(v, p + 1) > p:
+                            comp[v] = -1
+                            continue
+                        members = [w]
+                        while w != v:
+                            w = stack.pop()
+                            members.append(w)
+                        for w in members:
+                            comp[w] = fresh
+                        split.append((fresh, members))
+                        fresh += 1
+        if not split:
+            return None
+        pieces = split
+        for i in compress(range(len(pri)), map(p.__eq__, pri)):
             s, d = src[i], dst[i]
-            if comp[s] != comp[d]:
-                continue
-            if s == d:
-                return Lasso((), (i,))
-            # path d -> s inside the view, restricted to the SCC
             cid = comp[s]
+            if cid < 0 or cid != comp[d]:
+                continue
+            # path d -> s inside the view, restricted to the component (empty
+            # for a self-loop)
             parent = {d: None}
             queue = deque([d])
             while queue:

@@ -37,7 +37,6 @@ from .games import (
     ParityGame,
     ParityGraph,
     _odd_cycle_witness,
-    _tarjan_scc,
     is_even,
     solve,
     strategy_graph,
@@ -182,6 +181,57 @@ def brute_solve(game, cap=10**6):
                     changed = True
         eve_region |= g.vertices - losing
     return frozenset(eve_region), frozenset(g.vertices - eve_region)
+
+
+def _tarjan_scc(vertices, succ):
+    """Iterative Tarjan; returns vertex -> component id."""
+    index = {}
+    low = {}
+    comp = {}
+    on_stack = set()
+    stack = []
+    counter = [0]
+    comp_counter = [0]
+    for root in sorted(vertices):
+        if root in index:
+            continue
+        work = [(root, iter(succ(root)))]
+        index[root] = low[root] = counter[0]
+        counter[0] += 1
+        stack.append(root)
+        on_stack.add(root)
+        while work:
+            v, it = work[-1]
+            advanced = False
+            for w in it:
+                if w not in index:
+                    index[w] = low[w] = counter[0]
+                    counter[0] += 1
+                    stack.append(w)
+                    on_stack.add(w)
+                    work.append((w, iter(succ(w))))
+                    advanced = True
+                    break
+                elif w in on_stack:
+                    if index[w] < low[v]:
+                        low[v] = index[w]
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                if low[v] < low[parent]:
+                    low[parent] = low[v]
+            if low[v] == index[v]:
+                cid = comp_counter[0]
+                comp_counter[0] += 1
+                while True:
+                    w = stack.pop()
+                    on_stack.discard(w)
+                    comp[w] = cid
+                    if w == v:
+                        break
+    return comp
 
 
 def _odd_core(g, keep):
@@ -455,6 +505,16 @@ def shrink_game(game, predicate):
     return current
 
 
+def _solve_certified(game):
+    """Eve's region by `solve`, and whether both players' strategies from
+    `solve` verify on their regions by the independent odd-cycle test."""
+    eve_region, adam_region, eve_strat, adam_strat = solve(game)
+    certified = verify_winning(game, eve_strat, eve_region) and verify_winning(
+        game, adam_strat, adam_region, player=ADAM
+    )
+    return eve_region, certified
+
+
 def check_solver_cross_oracle(p, count=500, vertices=6, priority_cap=4):
     def run():
         failures = []
@@ -466,15 +526,9 @@ def check_solver_cross_oracle(p, count=500, vertices=6, priority_cap=4):
         )
         for k in range(count):
             game = random_game(base, salt=k)
-            eve_region, adam_region, eve_strat, adam_strat = solve(game)
+            eve_region, certified = _solve_certified(game)
             brute_eve, _ = brute_solve(game)
-            bad = eve_region != brute_eve
-            if not bad:
-                bad = not (
-                    verify_winning(game, eve_strat, eve_region)
-                    and verify_winning(game, adam_strat, adam_region, player=ADAM)
-                )
-            if bad:
+            if eve_region != brute_eve or not certified:
                 def mismatch(g):
                     return solve(g)[0] != brute_solve(g)[0]
 
@@ -552,7 +606,11 @@ def check_transduction_soundness(p, count=200, vertices=5, cap=DEFAULT_STATE_CAP
                 product = reg_product(
                     g, J, n, rule=rule, cap=cap, starts=sorted(rejecting)
                 )
-                eve_region, _, _, _ = solve(product.game)
+                eve_region, certified = _solve_certified(product.game)
+                if not certified:
+                    failures.append(
+                        (f"instance {k} J={J} n={n}: strategies not verified", manifests.dumps(g))
+                    )
                 for v in sorted(rejecting):
                     if product.initial[v] in eve_region:
                         failures.append(
@@ -711,7 +769,14 @@ def check_composition_correctness(p, count=50, tree_nodes=2, cap=400_000):
                     product = reg_product(
                         ag.game, J, n, cap=cap, starts=[ag.initial]
                     )
-                    eve_region, _, _, _ = solve(product.game)
+                    eve_region, certified = _solve_certified(product.game)
+                    if not certified:
+                        failures.append(
+                            (
+                                f"automaton {k} tree {ti} n={n}: strategies not verified",
+                                manifests.dumps(a) + "\n" + manifests.dumps(t),
+                            )
+                        )
                     rhs = product.initial[ag.initial] in eve_region
                     if lhs != rhs:
                         failures.append(

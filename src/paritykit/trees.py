@@ -18,11 +18,18 @@ class OrderedTree:
         return self._hash
 
     def __eq__(self, other):
-        if self is other:
-            return True
         if not isinstance(other, OrderedTree):
             return NotImplemented
-        return self._hash == other._hash and self.children == other.children
+        # pairs of subtrees still to compare, so deep trees need no recursion
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if a._hash != b._hash or len(a.children) != len(b.children):
+                return False
+            stack.extend(zip(a.children, b.children))
+        return True
 
     @property
     def is_leaf(self):

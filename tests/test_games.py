@@ -54,6 +54,7 @@ from oracles import (
     brute_solve,
     random_game,
     random_graph,
+    simple_cycles,
 )
 
 
@@ -370,6 +371,77 @@ class TestSolveAtProductScale:
             digest.update(json.dumps(answer).encode())
         assert sum(size >= 10_000 for size in sizes) >= 2 and mixed >= 4
         assert digest.hexdigest() == PRODUCT_SLICE_SHA1
+
+
+def witness_corpus():
+    """Seeded graphs for the lasso pin: vertex ids 0..n-1 or gapped, self-
+    loops of both parities, vertices without out-edges, the sparse
+    strategy graphs that verify_winning checks, and explored products
+    with relabelled views of them."""
+    for seed in range(400):
+        rng = random.Random(seed)
+        n = rng.randint(1, 12 if seed % 4 else 80)
+        vertices = sorted(rng.sample(range(3 * n), n)) if seed % 3 == 0 else list(range(n))
+        top = rng.randint(0, 9)
+        edges = []
+        for v in vertices:
+            for _ in range(rng.randint(0, 3)):
+                edges.append((v, rng.choice(vertices), rng.randint(0, top)))
+            if rng.random() < 0.25:
+                edges.append((v, v, rng.randint(0, top)))
+        yield ParityGraph.make(vertices, edges)
+    rng = random.Random(43)
+    for _ in range(60):
+        gm = random_game(rng, rng.randint(3, 9), 5)
+        we, wa, se, sa = solve(gm)
+        yield strategy_graph(gm, se, we)
+        yield strategy_graph(gm, sa, wa, ADAM)
+    base = GenParams(seed=21057, vertex_count=5, priority_cap=4, edge_density=0.5)
+    for salt in range(3):
+        g = random_non_even_graph(base, salt=salt)
+        product = reg_product(g, Index(1, 4), 1, starts=sorted(rejecting_vertices(g))).game.graph
+        yield product
+        yield product.with_priorities([(p + 1) % 5 for p in product.pri], Index(0, 4))
+    pair_params = GenParams(seed=21057, vertex_count=5, priority_cap=4, index_j=(1, 2))
+    for salt in range(4):
+        pair = random_bounded_pair(pair_params, 1, salt=salt)
+        yield pair.graph_i()
+        yield pair.graph_j()
+
+
+# sha1 of the lasso (stem, cycle) or None that _odd_cycle_witness gives for
+# both parities on witness_corpus(), pinned so that no rewrite of the
+# search changes a single lasso
+WITNESS_SHA1 = "07faf17797442d069e59e55bd8b28a445d334a4e"
+
+
+class TestOddCycleWitness:
+    def test_lassos_pinned(self):
+        digest = hashlib.sha1()
+        found = 0
+        for g in witness_corpus():
+            for parity in (1, 0):
+                lasso = games._odd_cycle_witness(g, parity)
+                if lasso is not None:
+                    found += 1
+                    assert lasso.check(g) and lasso.cycle_max_priority(g) % 2 == parity
+                answer = None if lasso is None else [lasso.stem, lasso.cycle]
+                digest.update(json.dumps(answer).encode())
+        assert found > 300
+        assert digest.hexdigest() == WITNESS_SHA1
+
+    def test_even_cycles_match_cycle_enumeration(self):
+        rng = random.Random(47)
+        seen = 0
+        for k in range(80):
+            g = random_graph(rng, 8, 4, max_out=2, no_terminals=k % 2 == 0)
+            lasso = games._odd_cycle_witness(g, 0)
+            even = [c for c in simple_cycles(g) if max(g.pri[i] for i in c) % 2 == 0]
+            assert (lasso is None) == (not even)
+            if lasso is not None:
+                seen += 1
+                assert lasso.check(g) and lasso.cycle_max_priority(g) % 2 == 0
+        assert 10 < seen < 80
 
 
 class TestExplore:

@@ -1,7 +1,8 @@
 import pytest
 
+from paritykit import lab
 from paritykit.errors import TooLarge
-from paritykit.games import ParityGame, ParityGraph, is_even, solve
+from paritykit.games import EVE, ParityGame, ParityGraph, is_even, solve
 from paritykit.lab import (
     GenParams,
     brute_solve,
@@ -135,3 +136,16 @@ class TestBattery:
             "guided-n-bound",
             "mutation-sensitivity",
         ]
+
+    def test_products_whose_strategies_fail_verification_are_failures(self, monkeypatch):
+        # Adam's strategies "fail": every product of criteria 3 and 8 is reported
+        monkeypatch.setattr(lab, "verify_winning", lambda game, sigma, region, player=EVE: player == EVE)
+        p = GenParams(seed=3)
+        soundness = lab.check_transduction_soundness(p, count=1)
+        names = [name for name, _ in soundness.failures]
+        assert len(names) == soundness.instances == 9
+        assert all(name.startswith("instance 0 J=") and name.endswith("strategies not verified") for name in names)
+        composition = lab.check_composition_correctness(p, count=1)
+        names = [name for name, _ in composition.failures]
+        assert len(names) == composition.instances
+        assert all(name.startswith("automaton 0 tree ") and name.endswith("strategies not verified") for name in names)

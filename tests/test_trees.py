@@ -260,3 +260,12 @@ class TestBrackets:
     @settings(max_examples=80, deadline=None)
     def test_round_trip_generated(self, t):
         assert OrderedTree.from_brackets(t.to_brackets()) == t
+
+    def test_deep_trees_compare_without_recursion(self):
+        brackets = "(" * 3000 + ")" * 3000
+        a, b = OrderedTree.from_brackets(brackets), OrderedTree.from_brackets(brackets)
+        assert a is not b and a == b and hash(a) == hash(b)
+        # one level deeper: the innermost leaf gets a child
+        other = OrderedTree.from_brackets("(" * 3000 + "()" + ")" * 3000)
+        assert a != other and other != a
+        assert OrderedTree.from_brackets("(()(()))") != OrderedTree.from_brackets("((())())")
