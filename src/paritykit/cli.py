@@ -44,12 +44,21 @@ from .trees import embed, n_strahler, universal_tree
 from .automata import acceptance_game, compose_transducer, guided_pair_bound_check, membership
 
 
-def _load(path, fmt="native"):
+GRAPHS = ("graph", "game")
+
+
+def _load(path, kinds, fmt="native"):
+    """The object of the manifest at `path`, which must be of one of `kinds`
+    (a PGSolver file is a game)."""
+    if path is None:
+        raise PreconditionFailed("manifest", f"no {' or '.join(kinds)} manifest given")
     with open(path) as handle:
         text = handle.read()
-    if fmt == "pgsolver":
-        return manifests.import_pgsolver(text)
-    return manifests.loads(text)
+    if fmt != "pgsolver":
+        return manifests.loads(text, kinds)
+    if "game" not in kinds:
+        raise ParseError(f"a {' or '.join(kinds)} manifest is needed, not a PGSolver game")
+    return manifests.import_pgsolver(text)
 
 
 def _emit(obj, args, meta=None):
@@ -70,7 +79,7 @@ def _positive_int(text):
 
 
 def cmd_solve(args):
-    obj = _load(args.file, args.format)
+    obj = _load(args.file, GRAPHS, args.format)
     if isinstance(obj, ParityGraph):
         obj = ParityGame.make(obj, {v: ADAM for v in obj.vertices})
     eve_region, adam_region, eve_strat, adam_strat = solve(obj)
@@ -82,7 +91,7 @@ def cmd_solve(args):
 
 
 def cmd_even(args):
-    g = _load(args.file, args.format)
+    g = _load(args.file, GRAPHS, args.format)
     if isinstance(g, ParityGame):
         g = g.graph
     ok, lasso = check_even(g)
@@ -95,7 +104,7 @@ def cmd_even(args):
 
 
 def cmd_attract(args):
-    obj = _load(args.file, args.format)
+    obj = _load(args.file, GRAPHS, args.format)
     targets = frozenset(args.targets)
     if args.player:
         if not isinstance(obj, ParityGame):
@@ -112,7 +121,7 @@ def cmd_attract(args):
 
 
 def cmd_ad(args):
-    g = _load(args.file, args.format)
+    g = _load(args.file, GRAPHS, args.format)
     if isinstance(g, ParityGame):
         g = g.graph
     if args.action == "build":
@@ -123,7 +132,7 @@ def cmd_ad(args):
         d = build_ad(g, h)
         _emit(d, args)
         return 0
-    d = _load(args.decomposition)
+    d = _load(args.decomposition, ("decomposition",))
     if args.action == "check":
         res = validate_ad(g, d)
         if res:
@@ -143,7 +152,7 @@ def cmd_ad(args):
 
 
 def cmd_strahler(args):
-    t = _load(args.file)
+    t = _load(args.file, ("tree",))
     print(n_strahler(t, args.n))
     return 0
 
@@ -154,8 +163,8 @@ def cmd_universal(args):
 
 
 def cmd_embed(args):
-    t = _load(args.tree)
-    host = _load(args.host)
+    t = _load(args.tree, ("tree",))
+    host = _load(args.host, ("tree",))
     e = embed(t, host)
     if e is None:
         print("no embedding")
@@ -166,7 +175,13 @@ def cmd_embed(args):
 
 
 def cmd_reg(args):
-    obj = _load(args.file, args.format)
+    if args.action != "synth":
+        kinds = GRAPHS
+    elif args.decomposition:
+        kinds = ("graph",)
+    else:
+        kinds = ("pair",)
+    obj = _load(args.file, kinds, args.format)
     J = Index(args.j_lo, args.j_hi)
     if args.action == "build":
         product = reg_product(obj, J, args.n, rule=args.reset_rule, cap=args.cap_states)
@@ -179,7 +194,7 @@ def cmd_reg(args):
         print("eve wins" if won else "adam wins")
         return 0 if won else 1
     if args.decomposition:
-        d = _load(args.decomposition)
+        d = _load(args.decomposition, ("decomposition",))
         strat = synth_from_ad(obj, d, args.n, rule=args.reset_rule, cap=args.cap_states)
     else:
         strat = strategy_from_bounded_pair(obj, args.n, rule=args.reset_rule, cap=args.cap_states)
@@ -190,7 +205,7 @@ def cmd_reg(args):
 
 
 def cmd_bound(args):
-    pair = _load(args.file)
+    pair = _load(args.file, ("pair",))
     ok, witness = n_bound_check(pair, args.n)
     if ok:
         print("bounded")
@@ -209,12 +224,12 @@ def cmd_bound(args):
 
 
 def cmd_aut(args):
-    a = _load(args.automaton)
+    a = _load(args.automaton, ("automaton",))
     if args.action == "compose":
         J = Index(args.j_lo, args.j_hi)
         _emit(compose_transducer(a, J, args.n, rule=args.reset_rule, cap=args.cap_states), args)
         return 0
-    t = _load(args.tree)
+    t = _load(args.tree, ("regular-tree",))
     if args.action == "game":
         ag = acceptance_game(a, t)
         _emit(ag.game, args)
@@ -223,8 +238,8 @@ def cmd_aut(args):
         ok = membership(a, t)
         print("accepted" if ok else "rejected")
         return 0 if ok else 1
-    b = _load(args.guide_automaton)
-    gf = _load(args.guiding_function)
+    b = _load(args.guide_automaton, ("automaton",))
+    gf = _load(args.guiding_function, ("guiding-function",))
     ok = guided_pair_bound_check(a, b, gf, t)
     print("bounded" if ok else "not bounded")
     return 0 if ok else 1

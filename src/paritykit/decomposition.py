@@ -65,50 +65,54 @@ class ValidationResult:
         return f"ValidationResult(clause={self.clause!r}, witness={self.witness!r})"
 
 
-def _live_edges(g, alive, cap):
-    """Live edge ids of the view (alive, cap), ascending."""
+def _live_edges(g, alive, cap, labels=None, value=None):
+    """Live edge ids of the view (alive, cap), or only those whose entry in
+    `labels` is `value`, as a frozenset."""
     dst, pri, out = g.dst, g.pri, g.out
-    return sorted(i for v in alive for i in out[v] if pri[i] < cap and dst[i] in alive)
-
-
-def _terminal_in_view(g, alive, cap):
-    dst, pri, out = g.dst, g.pri, g.out
-    for v in sorted(alive):
-        if not any(pri[i] < cap and dst[i] in alive for i in out[v]):
-            return v
-    return None
+    if labels is None:
+        return frozenset(i for v in alive for i in out[v] if pri[i] < cap and dst[i] in alive)
+    return frozenset(
+        i for v in alive for i in out[v] if labels[i] == value and pri[i] < cap and dst[i] in alive
+    )
 
 
 def _kids(g, rest, cap, labels, odd):
     """Peel maximal S_k off the residual: all vertices from which no live
     edge labelled `odd` is reachable, then their attractor.  An empty S_k
-    on a non-empty residual signals a non-even input."""
+    on a non-empty residual signals a non-even input.
+
+    The residual's view has no dead end (its vertices escaped an attractor
+    of a view without one), so the attractors seed lazily, and so does the
+    one that reaches the odd edges, where every vertex is the mover's.  The
+    odd edges are collected once and shrink with the residual."""
+    src, dst = g.src, g.dst
+    odd_edges = _live_edges(g, rest, cap, labels, odd)
     kids = []
     while rest:
-        odd_edges = frozenset(i for i in _live_edges(g, rest, cap) if labels[i] == odd)
-        bad, _ = _attract(g, rest, cap, target_edges=odd_edges, mine=rest)
+        bad, _ = _attract(g, rest, cap, target_edges=odd_edges, mine=rest, live_moves=True)
         s = rest - bad
         if not s:
             raise InvalidDecomposition(
                 f"no level-{odd - 1} core in a non-empty residual (graph not even?)"
             )
-        a, _ = _attract(g, rest, cap, s)
+        a, _ = _attract(g, rest, cap, s, live_moves=True)
         kids.append((s, frozenset(a)))
         rest = rest - a
+        odd_edges = frozenset(i for i in odd_edges if src[i] in rest and dst[i] in rest)
     return kids
 
 
 def _canonical_children(g, alive, cap, level):
-    """Top layer of the canonical decomposition: (H, A_0, [(S_k, A_k)])."""
-    h_edges = frozenset(i for i in _live_edges(g, alive, cap) if g.pri[i] == level)
-    a0 = frozenset(_attract(g, alive, cap, target_edges=h_edges)[0])
+    """Top layer of the canonical decomposition: (H, A_0, [(S_k, A_k)]),
+    for a view without dead ends."""
+    h_edges = _live_edges(g, alive, cap, g.pri, level)
+    a0 = frozenset(_attract(g, alive, cap, target_edges=h_edges, live_moves=True)[0])
     return h_edges, a0, _kids(g, alive - a0, min(cap, level), g.pri, level - 1)
 
 
 def _build(g, alive, cap, level):
     if level == 0:
-        live = frozenset(_live_edges(g, alive, cap))
-        return AttractorDecomposition(0, live, frozenset(alive), ())
+        return AttractorDecomposition(0, _live_edges(g, alive, cap), frozenset(alive), ())
     h_edges, a0, kids = _canonical_children(g, alive, cap, level)
     if not kids:
         return AttractorDecomposition(level, h_edges, frozenset(alive), ())
@@ -118,31 +122,74 @@ def _build(g, alive, cap, level):
 
 
 def build_ad(g, h):
-    """Canonical attractor decomposition of an even graph at even level h."""
+    """Canonical attractor decomposition of an even graph at even level h.
+
+    The construction itself detects a graph that is not even: a cycle with
+    odd maximum p enters no attractor above level p+1, and there it leaves
+    a residual without a level-p core.  Only then is the lasso searched."""
     if h < 0 or h % 2 == 1:
         raise PreconditionFailed("build_ad", "level must be an even natural")
     if max(g.pri, default=0) > h:
         raise PriorityOutOfRange(f"priority {max(g.pri)} exceeds level {h}")
-    lasso = _odd_cycle_witness(g)
-    if lasso is not None:
-        raise NotEven(lasso)
     if g.terminals:
+        lasso = _odd_cycle_witness(g)
+        if lasso is not None:
+            raise NotEven(lasso)
         raise PreconditionFailed("build_ad", f"terminal vertex {g.terminals[0]}")
-    return _build(g, g.vertices, g.cap, h)
+    try:
+        return _build(g, g.vertices, g.cap, h)
+    except InvalidDecomposition:
+        raise NotEven(_odd_cycle_witness(g)) from None
 
 
-def _validate(g, d, alive, cap):
+def _scan(g, s, current, cap, level):
+    """One pass over the view (s, cap), where `s` lies in `current`: the
+    smallest live edge id of priority above `level`, the smallest vertex
+    without a live edge, the first edge (by source, then id) from `s` into
+    the rest of `current`, each None if there is none, and the live edges
+    of priority `level`."""
+    dst, pri, out = g.dst, g.pri, g.out
+    over = terminal = leak = None
+    top = set()
+    for v in s:
+        live = False
+        for i in out[v]:
+            p = pri[i]
+            if p < cap:
+                w = dst[i]
+                if w in s:
+                    live = True
+                    if p >= level:
+                        if p == level:
+                            top.add(i)
+                        elif over is None or i < over:
+                            over = i
+                elif w in current and (leak is None or (v, i) < leak):
+                    leak = (v, i)
+        if not live and (terminal is None or v < terminal):
+            terminal = v
+    return over, terminal, leak and leak[1], top
+
+
+def _validate(g, d, alive, cap, top=None):
+    """Checks d against the view (alive, cap).  `top`, if given, holds the
+    view's live edges of priority d.level, and the view is known to have
+    no dead end and no live edge above d.level.
+
+    In a view without dead ends every attractor seeds lazily: a vertex
+    outside a checked attractor keeps a live move that avoids it, below
+    the node's level, so no residual has a dead end either."""
     if d.level < 0 or d.level % 2 == 1:
         return ValidationResult(False, "level-even", d.level)
-    dst, pri, out = g.dst, g.pri, g.out
-    live = _live_edges(g, alive, cap)
-    for i in live:
-        if pri[i] > d.level:
-            return ValidationResult(False, "priorities-bounded", i)
-    h_expected = frozenset(i for i in live if pri[i] == d.level)
-    if d.top_edges != h_expected:
-        return ValidationResult(False, "top-edges", d.top_edges ^ h_expected)
-    a0, _ = _attract(g, alive, cap, target_edges=h_expected)
+    lazy = top is not None
+    if top is None:
+        over, terminal, _, top = _scan(g, alive, alive, cap, d.level)
+        if over is not None:
+            return ValidationResult(False, "priorities-bounded", over)
+        lazy = terminal is None
+    if d.top_edges != top:
+        return ValidationResult(False, "top-edges", d.top_edges ^ top)
+    a0, _ = _attract(g, alive, cap, target_edges=top, live_moves=lazy)
     if d.top_attractor != a0:
         return ValidationResult(False, "top-attractor", d.top_attractor ^ a0)
     if not d.children:
@@ -159,22 +206,19 @@ def _validate(g, d, alive, cap):
             return ValidationResult(False, "child-nonempty", idx)
         if not s <= current:
             return ValidationResult(False, "child-in-residual", (idx, s - current))
-        for i in _live_edges(g, s, cap2):
-            if pri[i] > d.level - 2:
-                return ValidationResult(False, "child-priorities", (idx, i))
-        t = _terminal_in_view(g, s, cap2)
-        if t is not None:
-            return ValidationResult(False, "child-terminal", (idx, t))
-        for v in sorted(s):
-            for i in out[v]:
-                if pri[i] < cap2 and dst[i] in current and dst[i] not in s:
-                    return ValidationResult(False, "child-closed", (idx, i))
-        expected_a, _ = _attract(g, current, cap2, s)
+        over, terminal, leak, sub_top = _scan(g, s, current, cap2, d.level - 2)
+        if over is not None:
+            return ValidationResult(False, "child-priorities", (idx, over))
+        if terminal is not None:
+            return ValidationResult(False, "child-terminal", (idx, terminal))
+        if leak is not None:
+            return ValidationResult(False, "child-closed", (idx, leak))
+        expected_a, _ = _attract(g, current, cap2, s, live_moves=lazy)
         if a != expected_a:
             return ValidationResult(False, "child-attractor", (idx, a ^ expected_a))
         if sub.level != d.level - 2:
             return ValidationResult(False, "child-level", (idx, sub.level))
-        inner = _validate(g, sub, s, cap2)
+        inner = _validate(g, sub, s, cap2, sub_top)
         if not inner:
             return inner
         current = current - a
@@ -462,7 +506,7 @@ def _star_layers(g, alive, cap, stars, oi, n):
     vertices that reach T_r.  Returns [alive, T_1, ..., T_R, {}] and
     [alive, B_1, ..., B_R, {}] for the largest rank R <= n+1."""
     dst, pri = g.dst, g.pri
-    oi_edges = [i for i in _live_edges(g, alive, cap) if pri[i] == oi]
+    oi_edges = _live_edges(g, alive, cap, pri, oi)
     tiers, reach = [alive], [alive]
     while stars:
         # T_{n+2} also holds every star on a witnessed cycle
@@ -490,9 +534,8 @@ def _rts_build(mp, g, label_j, alive, cap, i2, j2, n):
     here and the children's top edges below."""
     level = 2 * i2
     if i2 == 0:
-        live = frozenset(_live_edges(g, alive, cap))
-        return AttractorDecomposition(0, live, frozenset(alive), ())
-    t = _terminal_in_view(g, alive, cap)
+        return AttractorDecomposition(0, _live_edges(g, alive, cap), frozenset(alive), ())
+    t = _scan(g, alive, alive, cap, level)[1]
     if t is not None:
         raise InvalidDecomposition(f"terminal vertex {t} in construction subgame")
     h_edges, a0, kids = _canonical_children(g, alive, cap, level)
@@ -524,7 +567,7 @@ def _rts_build(mp, g, label_j, alive, cap, i2, j2, n):
                 )
             # a view core has no forced vertex, so without top output
             # edges its labelJ top attractor is empty as well
-            if any(label_j[i] == ej for i in _live_edges(g, part, cap1)):
+            if _live_edges(g, part, cap1, label_j, ej):
                 raise InvalidDecomposition(
                     "leftover part unexpectedly contains a top output priority"
                 )

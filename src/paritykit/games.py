@@ -9,7 +9,7 @@ ascending id order, so every operation is deterministic.
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from operator import eq
 from typing import NamedTuple
 
@@ -381,7 +381,7 @@ def player_attractor(game, targets, player):
 # evenness
 
 
-def _odd_cycle_witness(g, parity=1):
+def _odd_cycle_witness(g, parity=1, view=None):
     """Lasso whose cycle's maximum has the given parity (1: odd), or None.
 
     A cycle with maximum exactly p exists iff the view capped at p+1 has
@@ -392,18 +392,31 @@ def _odd_cycle_witness(g, parity=1):
     into the SCCs of their edges of priority <= p, since every cycle of
     the smaller view lies inside one of them.  A vertex on no cycle leaves
     the search, and the search ends when no cyclic component is left.
+
+    `view`, if given, confines the search to a subgraph of g as a triple
+    (vertices, out, ids): `out` maps each vertex to its out-edge ids, none
+    of which leaves the vertices, and `ids` lists those edges.  The lasso's
+    cycle starts at the first p-edge in `ids` order that lies in a cyclic
+    component, so at the smallest one for the whole graph.
     """
-    src, dst, pri, out = g.src, g.dst, g.pri, g.out
-    levels = sorted((p for p in set(pri) if p % 2 == parity), reverse=True)
+    src, dst, pri = g.src, g.dst, g.pri
+    if view is None:
+        vertices, out, ids, at = g.vertices, g.out, range(len(pri)), pri
+        loops = compress(ids, map(eq, src, dst))
+    else:
+        vertices, out, ids = view
+        at = [pri[i] for i in ids]
+        loops = [i for i in ids if src[i] == dst[i]]
+    levels = sorted((p for p in set(at) if p % 2 == parity), reverse=True)
     # lowest self-loop priority: a one-vertex component is cyclic iff it is <= p
     loop = {}
-    for i in compress(range(len(src)), map(eq, src, dst)):
+    for i in loops:
         if pri[i] < loop.get(src[i], pri[i] + 1):
             loop[src[i]] = pri[i]
     # vertex -> id of its cyclic component at the current level, -1 once
     # it is on no cycle; the search starts from one piece holding everything
-    comp = dict.fromkeys(g.vertices, 0)
-    pieces = [(0, g.vertices)]
+    comp = dict.fromkeys(vertices, 0)
+    pieces = [(0, vertices)]
     fresh = 1
     for p in levels:
         split = []
@@ -455,7 +468,7 @@ def _odd_cycle_witness(g, parity=1):
         if not split:
             return None
         pieces = split
-        for i in compress(range(len(pri)), map(p.__eq__, pri)):
+        for i in compress(ids, map(p.__eq__, at)):
             s, d = src[i], dst[i]
             cid = comp[s]
             if cid < 0 or cid != comp[d]:
@@ -602,42 +615,56 @@ def solve(game):
     return result[EVE], result[ADAM], eve_strat, adam_strat
 
 
+def _strategy_view(game, sigma, region, player):
+    """The strategy graph on the frozenset `region` as a view of the game's
+    edges: vertex -> the ids of its out-edges, the chosen one for each of
+    `player`'s vertices and all for the opponent's.  Raises on a bad choice,
+    in ascending vertex order."""
+    g = game.graph
+    src, dst, out = g.src, g.dst, g.out
+    mine = game.player_vertices(player)
+    view = {}
+    for v in sorted(region):
+        if v not in mine:
+            view[v] = out[v]
+            continue
+        if v not in sigma:
+            raise UndefinedChoice(f"no choice at vertex {v}")
+        i = sigma[v]
+        if src[i] != v:
+            raise PreconditionFailed("strategy", f"edge {i} does not leave {v}")
+        if dst[i] not in region:
+            raise StrategyEscapesRegion(f"choice at {v} leaves the region")
+        view[v] = (i,)
+    return view
+
+
 def strategy_graph(game, sigma, region, player=EVE):
     """One-player graph: `player` vertices keep only their chosen edge,
     the opponent's keep all region-internal edges."""
     g = game.graph
-    src, dst = g.src, g.dst
     region = frozenset(region)
-    keep = []
-    for v in sorted(region):
-        if game.owner(v) == player:
-            if v not in sigma:
-                raise UndefinedChoice(f"no choice at vertex {v}")
-            i = sigma[v]
-            if src[i] != v:
-                raise PreconditionFailed("strategy", f"edge {i} does not leave {v}")
-            if dst[i] not in region:
-                raise StrategyEscapesRegion(f"choice at {v} leaves the region")
-            keep.append(i)
-        else:
-            for i in g.out[v]:
-                if dst[i] in region:
-                    keep.append(i)
-    return _subgraph(g, region, sorted(keep))
+    view = _strategy_view(game, sigma, region, player)
+    keep = sorted(i for ids in view.values() for i in ids if g.dst[i] in region)
+    return _subgraph(g, region, keep)
 
 
 def verify_winning(game, sigma, region, player=EVE):
     """True iff `region` is a trap for the opponent and fixing `sigma` on it
-    leaves only plays won by `player`."""
-    h = strategy_graph(game, sigma, region, player)
-    if not region:
-        return True
-    g = game.graph
-    for v in h.vertices:
-        if (v in game.eve) != (player == EVE):
-            if any(g.dst[i] not in h.vertices for i in g.out[v]):
-                return False
-    if h.terminals:
-        raise TerminalVertex(h.terminals[0])
+    leaves only plays won by `player`.
+
+    The strategy graph is searched as a view of the game's own edges, as
+    `strategy_graph` would check it: in a trap every opponent vertex keeps
+    all of its out-edges."""
+    dst = game.graph.dst
+    region = frozenset(region)
+    view = _strategy_view(game, sigma, region, player)
+    if not all(region.issuperset(map(dst.__getitem__, ids)) for ids in view.values()):
+        return False
+    terminal = min((v for v, ids in view.items() if not ids), default=None)
+    if terminal is not None:
+        raise TerminalVertex(terminal)
+    ids = list(chain.from_iterable(view.values()))
     # Eve wins iff no cycle with odd maximum survives, Adam iff none with even
-    return _odd_cycle_witness(h, 1 if player == EVE else 0) is None
+    parity = 1 if player == EVE else 0
+    return _odd_cycle_witness(game.graph, parity, (region, view, ids)) is None

@@ -22,6 +22,11 @@ from .trees import OrderedTree
 
 FORMAT = "paritykit/1"
 
+MAX_NESTING = 500
+"""Deepest nesting of JSON containers that `loads` accepts: deep enough for
+a decomposition of 160 levels, shallow enough that every recursive walk
+of what it loads, and printing it back, stays far from the stack limit."""
+
 
 def _graph_payload(g):
     return {
@@ -76,6 +81,23 @@ def _int_rows(kind, key, rows, arity, ints=True):
     return [tuple(row) for row in rows]
 
 
+def _ints(kind, key, values):
+    """`values`, once each is an int."""
+    for x in values:
+        if type(x) is not int:
+            raise ParseError(f"{kind} payload: {key} entry {x!r} is not an int")
+    return values
+
+
+def _scalars(kind, key, values):
+    """`values`, once they make a set of JSON scalars that sort together."""
+    try:
+        sorted(set(values))
+    except TypeError:
+        raise ParseError(f"{kind} payload: {key} entries are not scalars of one type") from None
+    return values
+
+
 def _index(kind, payload, key):
     return Index(*_int_rows(kind, key, [payload[key]], 2)[0])
 
@@ -83,7 +105,8 @@ def _index(kind, payload, key):
 def _graph_from(payload):
     payload = _checked("graph", payload)
     edges = _int_rows("graph", "edges", payload["edges"], 3)
-    return ParityGraph.make(payload["vertices"], edges, _index("graph", payload, "index"))
+    vertices = _ints("graph", "vertices", payload["vertices"])
+    return ParityGraph.make(vertices, edges, _index("graph", payload, "index"))
 
 
 def _payload(obj):
@@ -159,14 +182,19 @@ def _ad_payload(d):
 
 
 def _ad_from(payload):
-    payload = _checked("decomposition", payload)
+    kind = "decomposition"
+    payload = _checked(kind, payload)
     children = [_checked("child", c) for c in payload["children"]]
     return AttractorDecomposition(
         payload["level"],
-        frozenset(payload["top_edges"]),
-        frozenset(payload["top_attractor"]),
+        frozenset(_ints(kind, "top_edges", payload["top_edges"])),
+        frozenset(_ints(kind, "top_attractor", payload["top_attractor"])),
         tuple(
-            AdChild(frozenset(c["subgame"]), frozenset(c["attractor"]), _ad_from(c["sub"]))
+            AdChild(
+                frozenset(_ints("child", "subgame", c["subgame"])),
+                frozenset(_ints("child", "attractor", c["attractor"])),
+                _ad_from(c["sub"]),
+            )
             for c in children
         ),
     )
@@ -180,16 +208,37 @@ def dumps(obj, indent=None, meta=None):
     return json.dumps(doc, indent=indent, sort_keys=True)
 
 
-def loads(text):
+def _too_deep(doc):
+    """True iff the parsed JSON `doc` nests containers more than MAX_NESTING
+    deep."""
+    stack = [(doc, 1)] if isinstance(doc, (list, dict)) else []
+    while stack:
+        node, depth = stack.pop()
+        if depth > MAX_NESTING:
+            return True
+        children = node.values() if isinstance(node, dict) else node
+        stack += [(c, depth + 1) for c in children if isinstance(c, (list, dict))]
+    return False
+
+
+def loads(text, kinds=None):
+    """The object of a manifest; `kinds`, if given, lists the kinds the
+    caller can use, and a manifest of any other kind is a ParseError."""
+    too_deep = ParseError(f"not a manifest: nested more than {MAX_NESTING} deep")
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as err:
         raise ParseError(f"not a manifest: {err.msg}", line=err.lineno, column=err.colno)
+    except RecursionError:
+        raise too_deep from None
+    if _too_deep(doc):
+        raise too_deep
     if not isinstance(doc, dict) or doc.get("format") != FORMAT:
         raise ParseError("missing or unknown manifest format tag")
     kind = doc.get("kind")
-    payload = doc.get("payload")
-    return _from_payload(kind, payload)
+    if kinds is not None and kind not in kinds:
+        raise ParseError(f"a {' or '.join(kinds)} manifest is needed, not {kind!r}")
+    return _from_payload(kind, doc.get("payload"))
 
 
 def _from_payload(kind, payload):
@@ -199,9 +248,11 @@ def _from_payload(kind, payload):
     if kind == "graph":
         return _graph_from(payload)
     if kind == "game":
-        return ParityGame.make(_graph_from(payload["graph"]), payload["eve"])
+        return ParityGame.make(_graph_from(payload["graph"]), _ints(kind, "eve", payload["eve"]))
     if kind == "lasso":
-        return Lasso(tuple(payload["stem"]), tuple(payload["cycle"]))
+        return Lasso(
+            tuple(_ints(kind, "stem", payload["stem"])), tuple(_ints(kind, "cycle", payload["cycle"]))
+        )
     if kind == "tree":
         return OrderedTree.from_brackets(payload["brackets"])
     if kind == "decomposition":
@@ -209,15 +260,15 @@ def _from_payload(kind, payload):
     if kind == "pair":
         return LabellingPair.make(
             _graph_from(payload["graph"]),
-            payload["label_i"],
-            payload["label_j"],
+            _ints(kind, "label_i", payload["label_i"]),
+            _ints(kind, "label_j", payload["label_j"]),
             _index(kind, payload, "index_i"),
             _index(kind, payload, "index_j"),
         )
     if kind == "automaton":
         return NPTA.make(
-            payload["alphabet"],
-            payload["states"],
+            _scalars(kind, "alphabet", payload["alphabet"]),
+            _scalars(kind, "states", payload["states"]),
             payload["initial"],
             _int_rows(kind, "transitions", payload["transitions"], 4, ints=False),
             _int_rows(kind, "omega", payload["omega"], 2),
@@ -225,7 +276,10 @@ def _from_payload(kind, payload):
         )
     if kind == "regular-tree":
         return RegularTree.make(
-            payload["labels"], payload["succ0"], payload["succ1"], payload["root"]
+            _scalars(kind, "labels", payload["labels"]),
+            _ints(kind, "succ0", payload["succ0"]),
+            _ints(kind, "succ1", payload["succ1"]),
+            payload["root"],
         )
     if kind == "guiding-function":
         rows = _int_rows(kind, "table", payload["table"], 3)
@@ -239,7 +293,7 @@ def _from_payload(kind, payload):
             _index(kind, payload, "J"),
             payload["n"],
             rule=payload["rule"],
-            starts=payload["starts"],
+            starts=_ints(kind, "starts", payload["starts"]),
         )
     raise ParseError(f"unknown manifest kind {kind!r}")
 

@@ -1,13 +1,24 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paritykit import manifests
+from paritykit.automata import RegularTree
 from paritykit.cli import main
+from paritykit.decomposition import build_ad
 from paritykit.errors import PreconditionFailed
-from paritykit.games import Index, ParityGame, ParityGraph
-from paritykit.lab import GenParams, random_bounded_pair, random_game
-from paritykit.transduction import eve_wins_reg
+from paritykit.games import Index, Lasso, ParityGame, ParityGraph
+from paritykit.lab import (
+    GenParams,
+    _aut_eventually_b,
+    _deterministic_guide,
+    random_bounded_pair,
+    random_even_graph,
+    random_game,
+)
+from paritykit.transduction import eve_wins_reg, reg_product
 from paritykit.trees import OrderedTree
 
 
@@ -95,6 +106,63 @@ class TestExitCodes:
             assert main([command, str(path)]) == 2
             err = capsys.readouterr().err
             assert "usage error" in err and named in err
+
+    def test_manifest_of_another_kind_is_usage_error(self, tmp_path, capsys):
+        g = ParityGraph.make([0], [(0, 0, 2)])
+        d = write(tmp_path, "d.json", build_ad(g, 2))
+        pair = write(tmp_path, "pair.json", random_bounded_pair(GenParams(seed=9, vertex_count=4), 1))
+        graph = write(tmp_path, "g.json", g)
+        cases = [
+            (["even", d], "a graph or game manifest is needed, not 'decomposition'"),
+            (["solve", pair], "a graph or game manifest is needed, not 'pair'"),
+            (["bound", "check", graph], "a pair manifest is needed, not 'graph'"),
+            (["ad", "check", graph, "--decomposition", graph],
+             "a decomposition manifest is needed, not 'graph'"),
+            (["ad", "check", graph], "no decomposition manifest given"),
+        ]
+        for argv, named in cases:
+            capsys.readouterr()
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert "usage error" in err and named in err
+        assert main(["--json-errors", "even", d]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ParseError"
+
+    def test_non_int_ids_are_usage_errors(self, tmp_path, capsys):
+        graph = {"vertices": [0], "edges": [[0, 0, 2]], "index": [0, 2]}
+        node = {"level": 2, "top_edges": [0], "top_attractor": [0], "children": []}
+        cases = [
+            ("even", "graph", dict(graph, vertices=[[0, 1, 2]]), "graph payload: vertices entry [0, 1, 2]"),
+            ("solve", "game", {"graph": graph, "eve": ["0"]}, "game payload: eve entry '0'"),
+            ("convert", "decomposition", dict(node, top_attractor=[0, 2, None]),
+             "decomposition payload: top_attractor entry None"),
+            ("convert", "decomposition", dict(node, top_edges=[1.5]),
+             "decomposition payload: top_edges entry 1.5"),
+            ("convert", "decomposition",
+             dict(node, children=[{"subgame": [True], "attractor": [0], "sub": node}]),
+             "child payload: subgame entry True"),
+            ("convert", "decomposition",
+             dict(node, children=[{"subgame": [0], "attractor": [{}], "sub": node}]),
+             "child payload: attractor entry {}"),
+        ]
+        for command, kind, payload, named in cases:
+            path = tmp_path / "bad.json"
+            path.write_text(json.dumps({"format": "paritykit/1", "kind": kind, "payload": payload}))
+            capsys.readouterr()
+            assert main([command, str(path)]) == 2
+            err = capsys.readouterr().err
+            assert "usage error" in err and named in err
+
+    def test_deep_nesting_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text(_deep_decomposition(400))
+        assert main(["convert", str(path)]) == 2
+        assert "nested more than 500 deep" in capsys.readouterr().err
+        # 3 * 165 + 3 = 498 levels of JSON containers, then 501
+        path.write_text(_deep_decomposition(165))
+        assert main(["convert", str(path)]) == 0
+        path.write_text(_deep_decomposition(166))
+        assert main(["convert", str(path)]) == 2
 
 
 class TestCommands:
@@ -213,3 +281,127 @@ class TestCommands:
         path = write(tmp_path, "g.json", gm)
         assert main(["--format", "dot", "convert", path]) == 0
         assert capsys.readouterr().out.startswith("digraph")
+
+
+def _valid_manifests():
+    """One small manifest of every kind, as parsed JSON documents; the graph
+    is the one the decomposition was built for."""
+    g = random_even_graph(GenParams(seed=3, vertex_count=6))
+    h = max(g.pri) + max(g.pri) % 2
+    a = _aut_eventually_b()
+    loop = ParityGraph.make([0, 1], [(0, 1, 1), (1, 0, 2)])
+    objects = {
+        "graph": g,
+        "game": random_game(GenParams(seed=8, vertex_count=4)),
+        "lasso": Lasso((0,), (1, 2)),
+        "tree": OrderedTree.from_brackets("((())())"),
+        "decomposition": build_ad(g, h),
+        "pair": random_bounded_pair(GenParams(seed=9, vertex_count=4), 1),
+        "automaton": a,
+        "regular-tree": RegularTree.make(("b",), (0,), (0,), 0),
+        "guiding-function": _deterministic_guide(a, a),
+        "strategy": {0: 1},
+        "product": reg_product(loop, Index(1, 2), 0),
+    }
+    return {kind: json.loads(manifests.dumps(obj)) for kind, obj in objects.items()}
+
+
+VALID = _valid_manifests()
+
+# every command that reads a manifest, with the mutated one at "{}" and
+# valid manifests of the named kinds elsewhere
+COMMANDS = [
+    ["solve", "{}"],
+    ["even", "{}"],
+    ["attract", "{}", "0"],
+    ["attract", "{}", "0", "--player", "eve"],
+    ["ad", "build", "{}"],
+    ["ad", "check", "{}", "--decomposition", "decomposition"],
+    ["ad", "check", "graph", "--decomposition", "{}"],
+    ["ad", "tight", "graph", "--decomposition", "{}"],
+    ["ad", "shape", "graph", "--decomposition", "{}"],
+    ["strahler", "{}"],
+    ["embed", "{}", "tree"],
+    ["embed", "tree", "{}"],
+    ["reg", "build", "{}"],
+    ["reg", "solve", "{}"],
+    ["reg", "synth", "{}", "--n", "1"],
+    ["reg", "synth", "graph", "--n", "1", "--decomposition", "{}"],
+    ["bound", "check", "{}"],
+    ["aut", "game", "{}", "--tree", "regular-tree"],
+    ["aut", "member", "automaton", "--tree", "{}"],
+    ["aut", "compose", "{}"],
+    ["aut", "guide", "automaton", "--tree", "regular-tree", "--guide-automaton", "automaton",
+     "--guiding-function", "{}"],
+    ["convert", "{}"],
+    ["--format", "dot", "convert", "{}"],
+]
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=5,
+)
+
+
+def _deep_decomposition(depth):
+    """Text of a decomposition manifest nested `depth` levels deep."""
+    opens = "".join(
+        f'{{"level": {2 * k}, "top_edges": [], "top_attractor": [], "children": '
+        '[{"subgame": [0], "attractor": [0], "sub": '
+        for k in range(depth, 0, -1)
+    )
+    leaf = '{"level": 0, "top_edges": [], "top_attractor": [0], "children": []}'
+    return (
+        '{"format": "paritykit/1", "kind": "decomposition", "payload": '
+        + opens + leaf + "}]}" * depth + "}"
+    )
+
+
+def _mutate(data, doc):
+    """Text of `doc` with one change at a drawn place: a key or entry
+    dropped, a value replaced by a JSON value of any type, the kind
+    swapped, or a value wrapped in deeply nested lists; or a deeply nested
+    decomposition."""
+    how = data.draw(st.sampled_from(["drop", "replace", "kind", "nest", "deep-decomposition"]))
+    if how == "kind":
+        doc["kind"] = data.draw(st.sampled_from([*VALID, "base", "child", 7, None]))
+        return json.dumps(doc)
+    if how == "deep-decomposition":
+        return _deep_decomposition(data.draw(st.sampled_from([40, 165, 166, 320, 340, 2000])))
+    parent, key = None, None
+    node = doc
+    while isinstance(node, (dict, list)) and node and data.draw(st.integers(0, 3)):
+        parent = node
+        key = data.draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+        node = parent[key]
+    if parent is None:
+        return json.dumps(doc)
+    if how == "drop":
+        del parent[key]
+    elif how == "replace":
+        parent[key] = data.draw(json_values)
+    else:
+        depth = data.draw(st.sampled_from([5, 300, 495, 990, 1200, 5000]))
+        parent[key] = "\0nest"
+        nested = "[" * depth + json.dumps(node) + "]" * depth
+        return json.dumps(doc).replace(json.dumps("\0nest"), nested)
+    return json.dumps(doc)
+
+
+class TestHostileManifests:
+    @given(st.data())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_cli_ends_in_an_exit_code(self, tmp_path_factory, data):
+        tmp = tmp_path_factory.mktemp("hostile")
+        paths = {}
+        for kind, doc in VALID.items():
+            paths[kind] = tmp / f"{kind}.json"
+            paths[kind].write_text(json.dumps(doc))
+        kind = data.draw(st.sampled_from(sorted(VALID)))
+        bad = tmp / "bad.json"
+        bad.write_text(_mutate(data, json.loads(json.dumps(VALID[kind]))))
+        command = data.draw(st.sampled_from(COMMANDS))
+        argv = [str(bad) if arg == "{}" else str(paths.get(arg, arg)) for arg in command]
+        code = main(["--cap-states", "500", *argv])
+        assert code in (0, 1, 2, 3)

@@ -11,6 +11,7 @@ from paritykit.automata import accepting_run, acceptance_game, guided_run
 from paritykit.decomposition import memory_product
 from paritykit.errors import (
     NoAcceptingRun,
+    ParityKitError,
     StateExplosion,
     StrategyEscapesRegion,
     TerminalVertex,
@@ -606,3 +607,61 @@ class TestExploredGraphs:
                 views += 1
             count += 1
         assert count > 60 and views == 20
+
+
+def verify_corpus():
+    """(game, sigma, region, player) calls: both players' solved regions and
+    strategies on seeded games (ids 0..n-1 or gapped, some with terminal
+    vertices), and mutants of them: a vertex added to or dropped from the
+    region, a choice dropped, redirected or taken from another vertex, the
+    whole vertex set, and the other player's strategy."""
+    rng = random.Random(6060)
+    for k in range(300):
+        n = rng.choice((1, 3, 5, 8, 14))
+        g = random_graph(rng, n, rng.choice((1, 2, 3, 4, 6)), no_terminals=k % 5 != 0)
+        if k % 3 == 0:
+            g = ParityGraph.make(
+                [2 * v + 3 for v in g.vertices],
+                [(2 * e.src + 3, 2 * e.dst + 3, e.priority) for e in g.edges],
+            )
+        gm = ParityGame.make(g, [v for v in sorted(g.vertices) if rng.random() < 0.5])
+        if g.terminals:
+            we, wa = frozenset(g.vertices), frozenset()
+            se = {v: g.out[v][0] for v in g.vertices if v in gm.eve and g.out[v]}
+            sa = {}
+        else:
+            we, wa, se, sa = solve(gm)
+        vs = sorted(g.vertices)
+        for player, region, sigma in ((EVE, we, se), (ADAM, wa, sa)):
+            yield gm, sigma, region, player
+            v = rng.choice(vs)
+            yield gm, sigma, region ^ {v}, player
+            yield gm, sigma, g.vertices, player
+            yield gm, se if player == ADAM else sa, region, player
+            if sigma:
+                u = rng.choice(sorted(sigma))
+                yield gm, {w: e for w, e in sigma.items() if w != u}, region, player
+                yield gm, {**sigma, u: rng.randrange(len(g.src))}, region, player
+                yield gm, {**sigma, u: rng.choice(g.out[u])}, region, player
+
+
+# taken before verify_winning stopped building the strategy subgraph
+VERIFY_SHA1 = "19a9fb3622bc524cd020dfb37271b7ead7785d47"
+
+
+class TestVerifyWinningPinned:
+    def test_verdicts_and_errors_pinned(self):
+        digest = hashlib.sha1()
+        seen = set()
+        for gm, sigma, region, player in verify_corpus():
+            try:
+                answer = str(verify_winning(gm, sigma, region, player))
+            except ParityKitError as err:
+                answer = f"{type(err).__name__}: {err}"
+            seen.add(answer.split(":")[0])
+            digest.update(answer.encode() + b"\n")
+        assert seen == {
+            "True", "False", "UndefinedChoice", "PreconditionFailed",
+            "StrategyEscapesRegion", "TerminalVertex",
+        }
+        assert digest.hexdigest() == VERIFY_SHA1

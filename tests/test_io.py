@@ -163,3 +163,14 @@ class TestManifestErrors:
             manifests.loads(
                 '{"format": "paritykit/1", "kind": "mystery", "payload": {}}'
             )
+
+    def test_deep_nesting(self):
+        text = '{"format": "paritykit/1", "kind": "tree", "payload": ' + "[" * 5000 + "]" * 5000 + "}"
+        with pytest.raises(ParseError, match="nested more than 500 deep"):
+            manifests.loads(text)
+
+    def test_kind_not_among_the_wanted(self):
+        text = manifests.dumps(OrderedTree.from_brackets("(())"))
+        assert manifests.loads(text, ("tree",)) == OrderedTree.from_brackets("(())")
+        with pytest.raises(ParseError, match="a graph or game manifest is needed, not 'tree'"):
+            manifests.loads(text, ("graph", "game"))
