@@ -139,8 +139,30 @@ def acceptance_game(a, t):
     """Eve resolves nondeterminism at (node, state) vertices with edges of
     the minimal priority; Adam picks directions with the transition's
     per-direction priorities."""
+    what = f"acceptance_game(states={a.size()}, nodes={t.node_count()})"
+    decode, initial, game = _acceptance_product(a, t, what, by_tail=False)
+    return AcceptanceGame(game, tuple(decode), initial, a, t)
+
+
+def membership(a, t):
+    """Whether `a` accepts `t`, decided on the acceptance game's quotient."""
+    what = f"membership(states={a.size()}, nodes={t.node_count()})"
+    _decode, initial, game = _acceptance_product(a, t, what, by_tail=True)
+    eve_region, _, _, _ = solve(game)
+    return initial in eve_region
+
+
+def _acceptance_product(a, t, what, by_tail):
+    """(decode, initial vertex, game) of the acceptance game of `a` on `t`.
+
+    Adam's choice vertices are ("t", node, transition id); `by_tail` keys
+    them by the transition's tail ("t", node, (q0, q1, p0, p1)) instead.
+    Choices with one tail have the same out-edges in the same order, so
+    that quotient has the same winner at every vertex it keeps.
+    """
     if set(t.labels) - set(a.alphabet):
         raise AlphabetMismatch(sorted(set(t.labels) - set(a.alphabet)))
+    transitions, omega = a.transitions, a.omega
     eve = []
     src, dst, pri = [], [], []
     lo = a.index.lo
@@ -154,27 +176,20 @@ def acceptance_game(a, t):
                 raise IncompleteAutomaton(f"no transition from {q} over {t.labels[node]!r}")
             for tid in tids:
                 src.append(sid)
-                dst.append(intern(("t", node, tid)))
+                key = transitions[tid][2:] + omega[tid] if by_tail else tid
+                dst.append(intern(("t", node, key)))
                 pri.append(lo)
         else:
-            _, node, tid = state
-            _, _, q0, q1 = a.transitions[tid]
-            p0, p1 = a.omega[tid]
+            _, node, key = state
+            q0, q1, p0, p1 = key if by_tail else transitions[key][2:] + omega[key]
             src.extend((sid, sid))
             dst.append(intern(("q", t.succ0[node], q0)))
             dst.append(intern(("q", t.succ1[node], q1)))
             pri.extend((p0, p1))
 
-    what = f"acceptance_game(states={a.size()}, nodes={t.node_count()})"
     decode, (initial,) = explore([("q", t.root, a.initial)], expand, what)
     graph = ParityGraph._explored(len(decode), src, dst, pri, a.index)
-    return AcceptanceGame(ParityGame.make(graph, eve), tuple(decode), initial, a, t)
-
-
-def membership(a, t):
-    ag = acceptance_game(a, t)
-    eve_region, _, _, _ = solve(ag.game)
-    return ag.initial in eve_region
+    return decode, initial, ParityGame.make(graph, eve)
 
 
 @dataclass(frozen=True)
@@ -229,7 +244,7 @@ def accepting_run(a, t):
     ag = acceptance_game(a, t)
     eve_region, _, eve_strat, _ = solve(ag.game)
     if ag.initial not in eve_region:
-        raise NoAcceptingRun(f"the automaton rejects the tree")
+        raise NoAcceptingRun("the automaton rejects the tree")
     return run_graph(a, t, eve_strat, ag=ag)
 
 

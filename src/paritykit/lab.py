@@ -760,12 +760,12 @@ def check_composition_correctness(p, count=50, tree_nodes=2, cap=400_000):
         for k in range(count):
             rng = _rng(p, 8, k)
             a = random_automaton(rng)
+            games = [acceptance_game(a, t) for t in trees]
             for n in (0, 1):
                 composed = compose_transducer(a, J, n, cap=cap)
-                for ti, t in enumerate(trees):
+                for ti, (t, ag) in enumerate(zip(trees, games)):
                     instances += 1
                     lhs = membership(composed, t)
-                    ag = acceptance_game(a, t)
                     product = reg_product(
                         ag.game, J, n, cap=cap, starts=[ag.initial]
                     )

@@ -374,8 +374,12 @@ def n_bound_check(pair, n):
     """(True, None) if labelI is n-bound by labelJ, else (False, witness)."""
     if n < 0:
         raise PreconditionFailed("n_bound_check", "n must be a natural")
-    for odd in pair.index_i.odds():
-        for even in pair.index_j.evens():
+    # a closed segment needs an edge at each of its maxima, so only the
+    # priorities that occur (all inside their index) can witness
+    odds = sorted({p for p in pair.label_i if p % 2 == 1})
+    evens = sorted({p for p in pair.label_j if p % 2 == 0})
+    for odd in odds:
+        for even in evens:
             found = _segment_search(
                 pair.graph, pair.label_i, pair.label_j, odd, even, n
             )

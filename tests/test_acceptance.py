@@ -78,7 +78,7 @@ def test_criterion_7_universal_trees():
 
 def test_criterion_8_composition_correctness():
     result = check_composition_correctness(PARAMS, count=50, tree_nodes=2)
-    report(8, result)
+    report(8, result, budget=120)
 
 
 def test_criterion_9_guided_bound():

@@ -1,8 +1,12 @@
+import functools
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
 
+from paritykit import manifests
 from paritykit.automata import (
     NPTA,
     GuidingFunction,
@@ -23,11 +27,13 @@ from paritykit.errors import (
     NoAcceptingRun,
     StateExplosion,
 )
-from paritykit.games import Index, is_even, solve
+from paritykit.games import Index, explore, is_even, solve
 from paritykit.lab import (
+    GenParams,
     _aut_accept_all,
     _aut_eventually_b,
     _deterministic_guide,
+    _rng,
     enumerate_regular_trees,
     guided_negative,
     guided_suite,
@@ -117,6 +123,94 @@ class TestMembership:
                 assert exists == membership(a, t)
 
 
+def with_duplicates(a, rng):
+    """`a` with a seeded sample of its transitions listed a second time."""
+    extra = rng.sample(range(len(a.transitions)), k=max(1, len(a.transitions) // 2))
+    transitions = a.transitions + tuple(a.transitions[i] for i in extra)
+    omega = a.omega + tuple(a.omega[i] for i in extra)
+    return NPTA.make(a.alphabet, a.states, a.initial, transitions, omega, a.index)
+
+
+def with_copied_sources(a):
+    """`a` with every transition also leaving every other state: the copies
+    differ from their original only in their source state."""
+    transitions, omega = list(a.transitions), list(a.omega)
+    for (q, letter, q0, q1), o in zip(a.transitions, a.omega):
+        for other in a.states:
+            if other != q:
+                transitions.append((other, letter, q0, q1))
+                omega.append(o)
+    return NPTA.make(a.alphabet, a.states, a.initial, transitions, omega, a.index)
+
+
+def quotient_corpus():
+    """Seeded automata whose acceptance games have choice vertices with equal
+    out-edges: random ones, the same with duplicated transitions and with
+    transitions copied to other source states, and composed ones (J=[1,2],
+    n in {0, 1}); each paired with every regular tree of <= 2 nodes."""
+    rng = random.Random(2025)
+    automata = []
+    for _ in range(6):
+        a = random_automaton(rng)
+        automata += [a, with_duplicates(a, rng), with_copied_sources(a)]
+        automata += [compose_transducer(a, Index(1, 2), n) for n in (0, 1)]
+    return automata, enumerate_regular_trees(2)
+
+
+# taken before membership moved to the quotient game: the full acceptance
+# game of every pair in quotient_corpus(), and the membership answers of the
+# first 8 criterion-8 automata (acceptance seed) composed at n in {0, 1} on
+# the 26 regular trees of <= 2 nodes
+ACCEPTANCE_GAME_SHA1 = "366126a0c890cc1d7fc1e88db5222d8807f0bfc0"
+MEMBERSHIP_SHA1 = "284d64731f26187dd9181cccda1df751d0e83f02"
+
+
+class TestMembershipQuotient:
+    def test_membership_agrees_with_the_full_acceptance_game(self):
+        automata, trees = quotient_corpus()
+        answers = set()
+        for a in automata:
+            for t in trees:
+                ag = acceptance_game(a, t)
+                full = ag.initial in solve(ag.game)[0]
+                assert membership(a, t) == full
+                answers.add(full)
+        assert answers == {True, False}
+
+    def test_errors_match_the_acceptance_game(self, monkeypatch):
+        a = NPTA.make(("a",), (0,), 0, [(0, "a", 0, 0)], [(2, 2)], Index(1, 2))
+        incomplete = NPTA(("a", "b"), (0,), 0, ((0, "a", 0, 0),), ((2, 2),), Index(1, 2))
+        for build in (acceptance_game, membership):
+            with pytest.raises(AlphabetMismatch):
+                build(a, one_node_tree("b"))
+            with pytest.raises(IncompleteAutomaton):
+                build(incomplete, one_node_tree("b"))
+        monkeypatch.setattr("paritykit.automata.explore", functools.partial(explore, cap=1))
+        with pytest.raises(StateExplosion) as info:
+            membership(a, one_node_tree())
+        assert info.value.construction == "membership(states=1, nodes=1)"
+
+    def test_acceptance_games_pinned(self):
+        automata, trees = quotient_corpus()
+        digest = hashlib.sha1()
+        for a in automata:
+            for t in trees:
+                digest.update(manifests.dumps(acceptance_game(a, t).game).encode() + b"\n")
+        assert digest.hexdigest() == ACCEPTANCE_GAME_SHA1
+
+    def test_membership_pinned_on_criterion_8_subset(self):
+        p = GenParams(seed=21057)
+        trees = enumerate_regular_trees(2)
+        answers = []
+        for k in range(8):
+            a = random_automaton(_rng(p, 8, k))
+            for n in (0, 1):
+                composed = compose_transducer(a, Index(1, 2), n)
+                answers += [membership(composed, t) for t in trees]
+        assert sum(answers) and not all(answers)
+        assert hashlib.sha1(json.dumps(answers).encode()).hexdigest() == MEMBERSHIP_SHA1
+
+
 class TestRunGraph:
     def test_winning_strategy_gives_even_run(self):
         a = _aut_eventually_b()
@@ -126,7 +220,7 @@ class TestRunGraph:
         assert len(run.decode) <= t.node_count() * len(a.states)
 
     def test_rejected_tree_raises(self):
-        with pytest.raises(NoAcceptingRun):
+        with pytest.raises(NoAcceptingRun, match="^the automaton rejects the tree$"):
             accepting_run(_aut_eventually_b(), one_node_tree("a"))
 
     def test_losing_strategy_gives_odd_run(self):

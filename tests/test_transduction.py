@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -8,6 +9,7 @@ from paritykit.games import ADAM, EVE, Index, ParityGame, ParityGraph
 from paritykit.lab import GenParams, random_bounded_pair, random_even_graph, rejecting_vertices
 from paritykit.transduction import (
     NEVER,
+    _segment_search,
     eve_wins_reg,
     n_bound_check,
     normalize_output_index,
@@ -266,6 +268,37 @@ class TestNBoundCheck:
                 ok, _ = n_bound_check(pair, n)
                 if not oracle(pair, n):
                     assert not ok
+
+    def test_wide_declared_index_answers_quickly(self):
+        wide_i, wide_j = Index(0, 20000), Index(1, 20000)
+        start = time.perf_counter()
+        unbounded = self.pair([(0, 1), (1, 0)], (19999, 0), (2, 1), wide_i, wide_j)
+        ok, witness = n_bound_check(unbounded, 0)
+        assert not ok and (witness.odd, witness.even) == (19999, 2)
+        assert witness.check(unbounded)
+        bounded = self.pair([(0, 1), (1, 0)], (19999, 0), (19999, 2), wide_i, wide_j)
+        assert n_bound_check(bounded, 0) == (True, None)
+        assert time.perf_counter() - start < 5
+
+    def test_same_first_witness_as_every_declared_pair(self):
+        def declared_loop(pair, n):
+            for odd in pair.index_i.odds():
+                for even in pair.index_j.evens():
+                    found = _segment_search(pair.graph, pair.label_i, pair.label_j, odd, even, n)
+                    if found is not None:
+                        return False, (odd, even, found)
+            return True, None
+
+        rng = random.Random(29)
+        for _ in range(60):
+            g = random_graph(rng, 4, 0, max_out=2)
+            li = tuple(rng.choice([0, 3, 4, 5]) for _ in g.edges)
+            lj = tuple(rng.choice([1, 3, 4, 6]) for _ in g.edges)
+            pair = LabellingPair.make(g, li, lj, Index(0, 9), Index(1, 8))
+            for n in (0, 1):
+                ok, witness = n_bound_check(pair, n)
+                found = None if ok else (witness.odd, witness.even, witness.segments)
+                assert (ok, found) == declared_loop(pair, n)
 
     def test_monotone_in_n(self):
         for seed in range(10):
