@@ -77,6 +77,40 @@ class NPTA:
     def transitions_from(self, q, a):
         return self._by_state_letter.get((q, a), ())
 
+    @cached_property
+    def _quotient(self):
+        """Coarsest bisimulation: (state -> its class's first state,
+        (that state, letter) -> the class's tails in first-seen order).
+
+        States are bisimilar when, per letter, they have the same set of
+        tails (class of q0, class of q1, p0, p1).  Classes are refined from
+        one by those signatures until their count stops growing.
+        """
+        rows = {q: [] for q in self.states}
+        for (q, a, q0, q1), (p0, p1) in zip(self.transitions, self.omega):
+            rows[q].append((a, q0, q1, p0, p1))
+        cls, count = dict.fromkeys(self.states, 0), 1
+        while True:
+            sigs = {}
+            refined = {
+                q: sigs.setdefault(
+                    (cls[q], frozenset((a, cls[q0], cls[q1], p0, p1) for a, q0, q1, p0, p1 in r)),
+                    len(sigs),
+                )
+                for q, r in rows.items()
+            }
+            if len(sigs) == count:
+                break
+            cls, count = refined, len(sigs)
+        first = {}
+        rep = {q: first.setdefault(c, q) for q, c in cls.items()}
+        shared, table = {}, {}
+        for q in first.values():
+            for a, q0, q1, p0, p1 in rows[q]:
+                tail = (rep[q0], rep[q1], p0, p1)
+                table.setdefault((q, a), {})[shared.setdefault(tail, tail)] = None
+        return rep, {key: tuple(tails) for key, tails in table.items()}
+
     def size(self):
         return len(self.states)
 
@@ -140,29 +174,35 @@ def acceptance_game(a, t):
     the minimal priority; Adam picks directions with the transition's
     per-direction priorities."""
     what = f"acceptance_game(states={a.size()}, nodes={t.node_count()})"
-    decode, initial, game = _acceptance_product(a, t, what, by_tail=False)
+    transitions, omega = a.transitions, a.omega
+    decode, initial, game = _acceptance_product(
+        a, t, what, a.initial, a.transitions_from, lambda tid: transitions[tid][2:] + omega[tid]
+    )
     return AcceptanceGame(game, tuple(decode), initial, a, t)
 
 
 def membership(a, t):
-    """Whether `a` accepts `t`, decided on the acceptance game's quotient."""
+    """Whether `a` accepts `t`, decided on the acceptance game of the
+    automaton's bisimulation quotient: bisimilar states give bisimilar
+    games, whose winners agree."""
     what = f"membership(states={a.size()}, nodes={t.node_count()})"
-    _decode, initial, game = _acceptance_product(a, t, what, by_tail=True)
+    rep, tails = a._quotient
+    _decode, initial, game = _acceptance_product(
+        a, t, what, rep[a.initial], lambda q, letter: tails.get((q, letter), ()), lambda tail: tail
+    )
     eve_region, _, _, _ = solve(game)
     return initial in eve_region
 
 
-def _acceptance_product(a, t, what, by_tail):
-    """(decode, initial vertex, game) of the acceptance game of `a` on `t`.
+def _acceptance_product(a, t, what, start, moves, tail):
+    """(decode, initial vertex, game) of the acceptance game of `a` on `t`
+    from state `start`.
 
-    Adam's choice vertices are ("t", node, transition id); `by_tail` keys
-    them by the transition's tail ("t", node, (q0, q1, p0, p1)) instead.
-    Choices with one tail have the same out-edges in the same order, so
-    that quotient has the same winner at every vertex it keeps.
+    Eve's vertices are ("q", node, state), Adam's ("t", node, key) for each
+    key in moves(state, letter); tail(key) gives its (q0, q1, p0, p1).
     """
     if set(t.labels) - set(a.alphabet):
         raise AlphabetMismatch(sorted(set(t.labels) - set(a.alphabet)))
-    transitions, omega = a.transitions, a.omega
     eve = []
     src, dst, pri = [], [], []
     lo = a.index.lo
@@ -171,23 +211,22 @@ def _acceptance_product(a, t, what, by_tail):
         if state[0] == "q":
             _, node, q = state
             eve.append(sid)
-            tids = a.transitions_from(q, t.labels[node])
-            if not tids:
+            keys = moves(q, t.labels[node])
+            if not keys:
                 raise IncompleteAutomaton(f"no transition from {q} over {t.labels[node]!r}")
-            for tid in tids:
+            for key in keys:
                 src.append(sid)
-                key = transitions[tid][2:] + omega[tid] if by_tail else tid
                 dst.append(intern(("t", node, key)))
                 pri.append(lo)
         else:
             _, node, key = state
-            q0, q1, p0, p1 = key if by_tail else transitions[key][2:] + omega[key]
+            q0, q1, p0, p1 = tail(key)
             src.extend((sid, sid))
             dst.append(intern(("q", t.succ0[node], q0)))
             dst.append(intern(("q", t.succ1[node], q1)))
             pri.extend((p0, p1))
 
-    decode, (initial,) = explore([("q", t.root, a.initial)], expand, what)
+    decode, (initial,) = explore([("q", t.root, start)], expand, what)
     graph = ParityGraph._explored(len(decode), src, dst, pri, a.index)
     return decode, initial, ParityGame.make(graph, eve)
 

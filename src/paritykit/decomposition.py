@@ -22,6 +22,7 @@ from .errors import (
     OverlappingParts,
     PreconditionFailed,
     PriorityOutOfRange,
+    TooLarge,
 )
 from .games import Index, ParityGraph, _attract, _odd_cycle_witness, explore
 from .trees import LEAF, OrderedTree
@@ -435,7 +436,14 @@ class MemoryProduct:
 
 def memory_product(pair, cap=DEFAULT_STATE_CAP):
     """All (vertex, memory) states reachable from cleared memory at every
-    base vertex, with both labellings lifted edge-wise."""
+    base vertex, with both labellings lifted edge-wise.  Raises TooLarge
+    before building anything when the declared indices give more (odd,
+    even) flag pairs than `cap`."""
+    ii, jj = pair.index_i, pair.index_j
+    what = f"memory_product(I=[{ii.lo},{ii.hi}], J=[{jj.lo},{jj.hi}])"
+    flags = ((ii.hi + 1) // 2 - ii.lo // 2) * (jj.hi // 2 - (jj.lo + 1) // 2 + 1)
+    if flags > cap:
+        raise TooLarge(f"{what}: {flags} flag pairs exceed the cap {cap}")
     g = pair.graph
     flag_pairs = tuple(
         (oi, ej) for oi in pair.index_i.odds() for ej in pair.index_j.evens()
@@ -473,10 +481,6 @@ def memory_product(pair, cap=DEFAULT_STATE_CAP):
             label_j.append(b)
 
     starts = g.sorted_vertices()
-    what = (
-        f"memory_product(I=[{pair.index_i.lo},{pair.index_i.hi}],"
-        f" J=[{pair.index_j.lo},{pair.index_j.hi}])"
-    )
     decode, start_ids = explore(((v, 0) for v in starts), expand, what, cap)
     initial = dict(zip(starts, start_ids))
     product_graph = ParityGraph._explored(len(decode), src, dst, [0] * len(src), Index(0, 0))

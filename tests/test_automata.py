@@ -211,6 +211,90 @@ class TestMembershipQuotient:
         assert hashlib.sha1(json.dumps(answers).encode()).hexdigest() == MEMBERSHIP_SHA1
 
 
+    def test_bisimilar_states_have_equal_tail_sets(self):
+        automata, _trees = quotient_corpus()
+        letters_checked = 0
+        for a in automata:
+            rep, tails = a._quotient
+            assert set(rep.values()) <= set(a.states)
+            for q in a.states:
+                assert rep[rep[q]] == rep[q]
+                for letter in a.alphabet:
+                    seen = {
+                        (rep[a.transitions[tid][2]], rep[a.transitions[tid][3]], *a.omega[tid])
+                        for tid in a.transitions_from(q, letter)
+                    }
+                    assert seen == set(tails[rep[q], letter])
+                    letters_checked += 1
+        assert letters_checked
+
+    def test_classes_are_refined_no_further_than_needed(self):
+        # states in different classes differ in some letter's tail set
+        automata, _trees = quotient_corpus()
+        for a in automata:
+            rep, tails = a._quotient
+            reps = sorted(set(rep.values()))
+            for x, y in itertools.combinations(reps, 2):
+                assert any(
+                    set(tails[x, letter]) != set(tails[y, letter]) for letter in a.alphabet
+                )
+
+    def test_duplicated_transitions_fall_in_their_source_tail(self):
+        automata, _trees = quotient_corpus()
+        for source, duplicated, copied in zip(automata[::5], automata[1::5], automata[2::5]):
+            assert duplicated._quotient == source._quotient
+            # every state of `copied` leaves by every transition of the source
+            assert set(copied._quotient[0].values()) == {copied.states[0]}
+
+    def test_twin_states_fall_in_their_source_class(self):
+        rng = random.Random(41)
+        for _ in range(20):
+            a = random_automaton(rng)
+            k = len(a.states)
+            transitions, omega = list(a.transitions), list(a.omega)
+            for (q, letter, q0, q1), o in zip(a.transitions, a.omega):
+                # each child is the original state or its twin
+                q0, q1 = q0 + k * rng.randint(0, 1), q1 + k * rng.randint(0, 1)
+                transitions.append((q + k, letter, q0, q1))
+                omega.append(o)
+            twins = NPTA.make(a.alphabet, range(2 * k), 0, transitions, omega, a.index)
+            rep = twins._quotient[0]
+            assert all(rep[q + k] == rep[q] for q in a.states)
+            assert len(set(rep.values())) == len(set(a._quotient[0].values()))
+
+    def test_some_composed_automaton_has_fewer_classes_than_states(self):
+        automata, _trees = quotient_corpus()
+        composed = automata[3::5] + automata[4::5]
+        assert any(len(set(c._quotient[0].values())) < len(c.states) for c in composed)
+
+    def test_membership_game_no_larger_than_acceptance_game(self, monkeypatch):
+        solved = []
+        monkeypatch.setattr(
+            "paritykit.automata.solve", lambda game: solved.append(game) or solve(game)
+        )
+        automata, trees = quotient_corpus()
+        smaller = 0
+        for a in automata:
+            for t in trees:
+                full = acceptance_game(a, t).game.graph
+                membership(a, t)
+                quotient = solved.pop().graph
+                assert len(quotient.vertices) <= len(full.vertices)
+                assert len(quotient.src) <= len(full.src)
+                smaller += len(quotient.vertices) < len(full.vertices)
+        assert smaller
+
+    def test_incomplete_automaton_names_a_state_of_the_automaton(self):
+        # states 0 and 1 are bisimilar; the class of the initial state 1 is named by 0
+        a = NPTA(
+            ("a", "b"), (0, 1), 1, ((0, "a", 0, 0), (1, "a", 1, 1)), ((2, 2), (2, 2)), Index(1, 2)
+        )
+        assert a._quotient[0] == {0: 0, 1: 0}
+        with pytest.raises(IncompleteAutomaton) as info:
+            membership(a, one_node_tree("b"))
+        assert str(info.value) == "no transition from 0 over 'b'"
+
+
 class TestRunGraph:
     def test_winning_strategy_gives_even_run(self):
         a = _aut_eventually_b()

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import time
 
 import pytest
 
@@ -29,6 +30,7 @@ from paritykit.errors import (
     PreconditionFailed,
     PriorityOutOfRange,
     StateExplosion,
+    TooLarge,
 )
 from paritykit.games import Index, ParityGraph, attractor_vertices, check_even, is_even
 from paritykit.lab import GenParams, random_bounded_pair, random_even_graph
@@ -286,6 +288,22 @@ class TestMemoryProduct:
         # the cleared start states count toward the cap as well
         with pytest.raises(StateExplosion):
             memory_product(pair, cap=1)
+
+    def test_wide_declared_index_raises_too_large_before_building(self):
+        start = time.perf_counter()
+        wide = simple_pair(
+            (1, 2), (2, 2), [(0, 1), (1, 0)], ii=Index(0, 4000), jj=Index(1, 4000)
+        )
+        with pytest.raises(TooLarge) as info:
+            memory_product(wide)
+        assert str(info.value).startswith("memory_product(I=[0,4000], J=[1,4000]): 4000000 ")
+        assert time.perf_counter() - start < 5
+        # I=[0,4] and J=[1,4] declare 2 x 2 flag pairs: a cap of 4 admits them
+        pair = simple_pair((1, 2), (2, 2), [(0, 1), (1, 0)], ii=Index(0, 4), jj=Index(1, 4))
+        with pytest.raises(TooLarge):
+            memory_product(pair, cap=3)
+        size = len(memory_product(pair).decode)
+        assert size >= 4 and len(memory_product(pair, cap=size).decode) == size
 
     def test_unfolding_equivalence_to_depth_8(self):
         rng = random.Random(5)

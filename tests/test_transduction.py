@@ -8,6 +8,8 @@ from paritykit.errors import PreconditionFailed, StateExplosion
 from paritykit.games import ADAM, EVE, Index, ParityGame, ParityGraph
 from paritykit.lab import GenParams, random_bounded_pair, random_even_graph, rejecting_vertices
 from paritykit.transduction import (
+    LIBERAL,
+    LITERAL,
     NEVER,
     _segment_search,
     eve_wins_reg,
@@ -352,6 +354,20 @@ class TestStrategyFromBoundedPair:
         pair = LabellingPair.make(g, (3, 4), (2, 2), Index(0, 4), Index(1, 2))
         assert strategy_from_bounded_pair(pair, 1).verify()
         assert not strategy_from_bounded_pair(pair, 1, rule=NEVER).verify()
+
+    def test_literal_rule_pinned_unverified_against_the_paper(self):
+        # Pins today's behaviour of the `literal` reset rule, which is not
+        # checked against the paper's counter-update definition: on this
+        # bounded pair the mirror strategy verifies under `liberal` but not
+        # under `literal`, while Eve wins the product from every vertex
+        # under both rules (at the strategy's counter bound n + 1).
+        p = GenParams(seed=21057, vertex_count=5, priority_cap=4)
+        pair = random_bounded_pair(p, 2, salt=31)
+        assert strategy_from_bounded_pair(pair, 2, rule=LIBERAL).verify()
+        assert not strategy_from_bounded_pair(pair, 2, rule=LITERAL).verify()
+        g = pair.graph_i()
+        for rule in (LIBERAL, LITERAL):
+            assert all(eve_wins_reg(g, pair.index_j, 3, v, rule=rule) for v in g.vertices)
 
 
 class TestSynthFromAd:
