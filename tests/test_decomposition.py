@@ -735,3 +735,41 @@ class TestDecompositionPins:
             assert built == even
             odd += not even
         assert 100 <= odd <= 250
+
+
+# taken before the walks over decompositions became generators run by
+# games.unwind: every tree shape (with its DOT), width, tightness,
+# reachability check and DOT export of build_ad's decompositions of
+# build_corpus(), and the register picks of a seeded handful of
+# synth_from_ad strategies
+WALKS_SHA1 = "c3e923521dee2c0156f0d0a047bed1bb0a0f1140"
+
+
+class TestWalkPins:
+    def test_walk_answers_pinned(self):
+        from paritykit.transduction import synth_from_ad
+
+        digest = hashlib.sha1()
+        built = 0
+        for g, h in build_corpus():
+            try:
+                d = build_ad(g, h)
+            except ParityKitError:
+                continue
+            built += 1
+            shape = tree_shape(d)
+            assert manifests.loads(manifests.dumps(d)) == d
+            digest.update(
+                f"{shape.to_brackets()} {d.width()} {is_tight(g, d)} "
+                f"{ad_reachability_check(g, d)}\n".encode()
+            )
+            digest.update(manifests.export_dot(d).encode())
+            digest.update(manifests.export_dot(shape).encode())
+        for seed in range(12):
+            n = 1 + seed % 2
+            g = random_even_graph(GenParams(seed=seed, vertex_count=6, priority_cap=4))
+            h = max(g.pri) + max(g.pri) % 2
+            sigma = synth_from_ad(g, build_ad(g, h), n).sigma
+            digest.update(f"{sorted(sigma.items())}\n".encode())
+        assert built >= 250
+        assert digest.hexdigest() == WALKS_SHA1
