@@ -24,7 +24,7 @@ from .errors import (
     PriorityOutOfRange,
     TooLarge,
 )
-from .games import Index, ParityGraph, _attract, _odd_cycle_witness, explore
+from .games import Index, ParityGraph, _attract, _odd_cycle_witness, explore, gather, unwind
 from .trees import LEAF, OrderedTree
 
 
@@ -43,12 +43,11 @@ class AttractorDecomposition:
     children: tuple
 
     def width(self):
-        if not self.children:
-            return 0
-        return max(len(self.children), max(c.sub.width() for c in self.children))
+        def walk(d):
+            widths = yield from gather(walk(c.sub) for c in d.children)
+            return max([len(d.children), *widths])
 
-    def vertex_count(self):
-        return len(self.top_attractor) + sum(len(c.attractor) for c in self.children)
+        return unwind(walk(self))
 
 
 @dataclass
@@ -118,7 +117,8 @@ def _build(g, alive, cap, level):
     if not kids:
         return AttractorDecomposition(level, h_edges, frozenset(alive), ())
     cap1 = min(cap, level)
-    children = tuple(AdChild(s, a, _build(g, s, cap1, level - 2)) for s, a in kids)
+    subs = yield from gather(_build(g, s, cap1, level - 2) for s, _a in kids)
+    children = tuple(AdChild(s, a, sub) for (s, a), sub in zip(kids, subs))
     return AttractorDecomposition(level, h_edges, a0, children)
 
 
@@ -138,7 +138,7 @@ def build_ad(g, h):
             raise NotEven(lasso)
         raise PreconditionFailed("build_ad", f"terminal vertex {g.terminals[0]}")
     try:
-        return _build(g, g.vertices, g.cap, h)
+        return unwind(_build(g, g.vertices, g.cap, h))
     except InvalidDecomposition:
         raise NotEven(_odd_cycle_witness(g)) from None
 
@@ -219,7 +219,7 @@ def _validate(g, d, alive, cap, top=None):
             return ValidationResult(False, "child-attractor", (idx, a ^ expected_a))
         if sub.level != d.level - 2:
             return ValidationResult(False, "child-level", (idx, sub.level))
-        inner = _validate(g, sub, s, cap2, sub_top)
+        inner = yield _validate(g, sub, s, cap2, sub_top)
         if not inner:
             return inner
         current = current - a
@@ -231,7 +231,7 @@ def _validate(g, d, alive, cap, top=None):
 def validate_ad(g, d):
     """Check every clause of the decomposition definition; names the first
     violated clause and a witness on failure."""
-    return _validate(g, d, g.vertices, g.cap)
+    return unwind(_validate(g, d, g.vertices, g.cap))
 
 
 def _reach(g, starts, alive, cap):
@@ -258,7 +258,7 @@ def _reach_check(g, d):
         for later in d.children[i + 1 :]:
             if reach & later.attractor:
                 return False
-    return all(_reach_check(g, c.sub) for c in d.children)
+    return all((yield from gather(_reach_check(g, c.sub) for c in d.children)))
 
 
 def ad_reachability_check(g, d):
@@ -269,17 +269,17 @@ def ad_reachability_check(g, d):
     node of level h every edge of priority above h is the top edge of an
     ancestor, so the top-priority-free part of a node is the union of its
     child attractors capped at h."""
-    return _reach_check(g, d)
+    return unwind(_reach_check(g, d))
 
 
 def _shape(d):
     if not d.children:
         return LEAF
-    return OrderedTree(tuple(_shape(c.sub) for c in d.children))
+    return OrderedTree(tuple((yield from gather(_shape(c.sub) for c in d.children))))
 
 
 def tree_shape(d):
-    return _shape(d)
+    return unwind(_shape(d))
 
 
 def _tight(g, d, alive):
@@ -292,7 +292,7 @@ def _tight(g, d, alive):
         for earlier in d.children[:i]:
             if (reach - child.subgame) & earlier.subgame:
                 return False
-    return all(_tight(g, c.sub, c.subgame) for c in d.children)
+    return all((yield from gather(_tight(g, c.sub, c.subgame) for c in d.children)))
 
 
 def is_tight(g, d):
@@ -303,7 +303,7 @@ def is_tight(g, d):
     node of level h every edge of priority above h is the top edge of an
     ancestor, so the paths to check are those of the node's subgame
     capped at h-1."""
-    return _tight(g, d, g.vertices)
+    return unwind(_tight(g, d, g.vertices))
 
 
 def attr_partition(g, parts):
@@ -352,7 +352,7 @@ def join_ads(g, h, pieces):
                     raise HypothesisViolated("successor-closed", f"piece {k}, edge {i}")
         if sub.level != h - 2:
             raise HypothesisViolated("child-level", f"piece {k} has level {sub.level}")
-        inner = _validate(g, sub, s, h)
+        inner = unwind(_validate(g, sub, s, h))
         if not inner:
             raise HypothesisViolated(
                 "child-decomposition", f"piece {k}: {inner.clause}"
@@ -589,7 +589,7 @@ def _rts_build(mp, g, label_j, alive, cap, i2, j2, n):
         live_part = _view_core(g, frozenset(part) & current, cap1)
         if not live_part:
             continue
-        sub = _rts_build(mp, g, label_j, live_part, cap1, i2 - 1, sub_j, n)
+        sub = yield _rts_build(mp, g, label_j, live_part, cap1, i2 - 1, sub_j, n)
         a = frozenset(_attract(g, current, cap1, live_part)[0])
         children.append(AdChild(live_part, a, sub))
         current = current - a
@@ -627,7 +627,7 @@ def ad_from_bounded_pair(pair, n, j, cap=DEFAULT_STATE_CAP):
         raise NotBounded(ce)
     mp = memory_product(pair, cap=cap)
     g_i = mp.pair.graph_i()
-    d = _rts_build(mp, g_i, mp.pair.label_j, g_i.vertices, g_i.cap, ii.hi // 2, j, n)
+    d = unwind(_rts_build(mp, g_i, mp.pair.label_j, g_i.vertices, g_i.cap, ii.hi // 2, j, n))
     res = validate_ad(g_i, d)
     if not res:
         raise InvalidDecomposition(f"internal: {res.clause} ({res.witness})")

@@ -514,12 +514,36 @@ def is_even(g):
 # solving
 
 
+def unwind(gen):
+    """The return value of the generator `gen`, run on an explicit stack: a
+    generator that a running one yields is its sub-call, whose return value
+    is sent back.  An exception propagates out; no caller is resumed."""
+    stack, result = [gen], None
+    while stack:
+        try:
+            stack.append(stack[-1].send(result))
+            result = None
+        except StopIteration as stop:
+            result = stop.value
+            stack.pop()
+    return result
+
+
+def gather(gens):
+    """`values = yield from gather(gens)` inside a generator run by `unwind`:
+    the return values of the generators `gens`, called in turn."""
+    values = []
+    for gen in gens:
+        values.append((yield gen))
+    return values
+
+
 def _zielonka(game, alive, cap, top=None):
     """Generator form of Zielonka's recursion for edge priorities on the
     view (alive, cap) of the game's graph.
 
-    Yields (alive, cap) or (alive, cap, top) argument tuples for sub-calls;
-    the trampoline in solve() sends back their results.  Returns a dict
+    Yields its two sub-calls as generators, which `unwind` runs and sends
+    back the results of.  Returns a dict
     {EVE: region, ADAM: region, (EVE, 's'): strategy, (ADAM, 's'): strategy}.
     The first sub-call caps the view at d, the maximal live priority: that
     removes exactly the top edges, because no live edge lies above d.
@@ -566,7 +590,7 @@ def _zielonka(game, alive, cap, top=None):
     # needs, and the top edges as a tuple, which is smaller than a set
     top = tuple(top)
     del area
-    sub = yield (below, d)
+    sub = yield _zielonka(game, below, d)
     del below
     if not sub[other]:
         strat = sub[(player, "s")]
@@ -577,7 +601,7 @@ def _zielonka(game, alive, cap, top=None):
     theirs = game.player_vertices(other)
     trap, pull = _attract(g, alive, cap, won, mine=theirs, live_moves=True)
     del reach, sub, won
-    rest = yield (alive - trap, cap, top)
+    rest = yield _zielonka(game, alive - trap, cap, top)
     other_strat = rest[(other, "s")]
     other_strat.update(pull)
     other_strat.update(kept)
@@ -600,16 +624,7 @@ def solve(game):
     if g.terminals:
         raise TerminalVertex(g.terminals[0])
     top = tuple(compress(range(len(g.pri)), map((g.cap - 1).__eq__, g.pri)))
-    stack = [_zielonka(game, g.vertices, g.cap, top)]
-    result = None
-    while stack:
-        try:
-            args = stack[-1].send(result)
-            result = None
-            stack.append(_zielonka(game, *args))
-        except StopIteration as stop:
-            result = stop.value
-            stack.pop()
+    result = unwind(_zielonka(game, g.vertices, g.cap, top))
     eve_strat = {v: e for v, e in result[(EVE, "s")].items() if v in game.eve}
     adam_strat = {v: e for v, e in result[(ADAM, "s")].items() if v not in game.eve}
     return result[EVE], result[ADAM], eve_strat, adam_strat

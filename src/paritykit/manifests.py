@@ -15,17 +15,18 @@ from .errors import (
     NotExpressible,
     ParseError,
     PreconditionFailed,
+    TooLarge,
 )
-from .games import ADAM, EVE, Index, Lasso, ParityGame, ParityGraph
+from .games import ADAM, EVE, Index, Lasso, ParityGame, ParityGraph, gather, unwind
 from .transduction import RegProduct, reg_product
 from .trees import OrderedTree
 
 FORMAT = "paritykit/1"
 
 MAX_NESTING = 500
-"""Deepest nesting of JSON containers that `loads` accepts: deep enough for
-a decomposition of 160 levels, shallow enough that every recursive walk
-of what it loads, and printing it back, stays far from the stack limit."""
+"""Deepest nesting of JSON containers that `dumps` writes and `loads`
+accepts: a decomposition of 166 nodes from root to leaf.  Python's JSON
+encoder and decoder recurse, so it stays far from the stack limit."""
 
 
 def _graph_payload(g):
@@ -122,7 +123,7 @@ def _payload(obj):
     if isinstance(obj, OrderedTree):
         return "tree", {"brackets": obj.to_brackets()}
     if isinstance(obj, AttractorDecomposition):
-        return "decomposition", _ad_payload(obj)
+        return "decomposition", unwind(_ad_payload(obj))
     if isinstance(obj, LabellingPair):
         return "pair", {
             "graph": _graph_payload(obj.graph),
@@ -166,17 +167,14 @@ def _payload(obj):
 
 
 def _ad_payload(d):
+    subs = yield from gather(_ad_payload(c.sub) for c in d.children)
     return {
         "level": d.level,
         "top_edges": sorted(d.top_edges),
         "top_attractor": sorted(d.top_attractor),
         "children": [
-            {
-                "subgame": sorted(c.subgame),
-                "attractor": sorted(c.attractor),
-                "sub": _ad_payload(c.sub),
-            }
-            for c in d.children
+            {"subgame": sorted(c.subgame), "attractor": sorted(c.attractor), "sub": sub}
+            for c, sub in zip(d.children, subs)
         ],
     }
 
@@ -185,19 +183,14 @@ def _ad_from(payload):
     kind = "decomposition"
     payload = _checked(kind, payload)
     children = [_checked("child", c) for c in payload["children"]]
-    return AttractorDecomposition(
-        payload["level"],
-        frozenset(_ints(kind, "top_edges", payload["top_edges"])),
-        frozenset(_ints(kind, "top_attractor", payload["top_attractor"])),
-        tuple(
-            AdChild(
-                frozenset(_ints("child", "subgame", c["subgame"])),
-                frozenset(_ints("child", "attractor", c["attractor"])),
-                _ad_from(c["sub"]),
-            )
-            for c in children
-        ),
-    )
+    top_edges = frozenset(_ints(kind, "top_edges", payload["top_edges"]))
+    top_attractor = frozenset(_ints(kind, "top_attractor", payload["top_attractor"]))
+    kids = []
+    for c in children:
+        s = frozenset(_ints("child", "subgame", c["subgame"]))
+        a = frozenset(_ints("child", "attractor", c["attractor"]))
+        kids.append(AdChild(s, a, (yield _ad_from(c["sub"]))))
+    return AttractorDecomposition(payload["level"], top_edges, top_attractor, tuple(kids))
 
 
 def dumps(obj, indent=None, meta=None):
@@ -205,12 +198,14 @@ def dumps(obj, indent=None, meta=None):
     doc = {"format": FORMAT, "kind": kind, "payload": payload}
     if meta:
         doc["meta"] = meta
+    if _too_deep(doc):
+        raise TooLarge(f"{kind} manifest: nested more than {MAX_NESTING} deep")
     return json.dumps(doc, indent=indent, sort_keys=True)
 
 
 def _too_deep(doc):
-    """True iff the parsed JSON `doc` nests containers more than MAX_NESTING
-    deep."""
+    """True iff the JSON document `doc` nests containers more than
+    MAX_NESTING deep."""
     stack = [(doc, 1)] if isinstance(doc, (list, dict)) else []
     while stack:
         node, depth = stack.pop()
@@ -256,7 +251,7 @@ def _from_payload(kind, payload):
     if kind == "tree":
         return OrderedTree.from_brackets(payload["brackets"])
     if kind == "decomposition":
-        return _ad_from(payload)
+        return unwind(_ad_from(payload))
     if kind == "pair":
         return LabellingPair.make(
             _graph_from(payload["graph"]),
@@ -411,11 +406,11 @@ def _dot_tree(t):
         counter[0] += 1
         lines.append(f'  n{me} [label="", shape=point];')
         for c in node.children:
-            child = walk(c)
+            child = yield walk(c)
             lines.append(f"  n{me} -> n{child};")
         return me
 
-    walk(t)
+    unwind(walk(t))
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -424,7 +419,7 @@ def _dot_decomposition(d):
     lines = ["digraph decomposition {", "  compound=true;"]
     counter = [0]
 
-    def walk(node, path):
+    def walk(node):
         cid = counter[0]
         counter[0] += 1
         lines.append(f"  subgraph cluster_{cid} {{")
@@ -434,10 +429,10 @@ def _dot_decomposition(d):
         for k, child in enumerate(node.children, 1):
             att = ",".join(str(v) for v in sorted(child.attractor))
             lines.append(f'    a{cid}_{k} [label="A{k}: {att}", shape=box];')
-            walk(child.sub, path + (k,))
+            yield walk(child.sub)
         lines.append("  }")
 
-    walk(d, ())
+    unwind(walk(d))
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -27,6 +27,7 @@ from .games import (
     _odd_cycle_witness,
     explore,
     solve,
+    unwind,
     verify_winning,
 )
 from .trees import n_strahler
@@ -478,9 +479,9 @@ def _decomposition_signatures(d, n):
         for k, child in enumerate(node.children, 1):
             for v in child.attractor - child.subgame:
                 sig[v] = prefix + (k, 1)
-            walk(child.sub, prefix + (k, 0))
+            yield walk(child.sub, prefix + (k, 0))
 
-    walk(d, ())
+    unwind(walk(d, ()))
     return sig, info
 
 

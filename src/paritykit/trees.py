@@ -5,6 +5,7 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from .errors import PreconditionFailed, UndefinedTree
+from .games import unwind
 
 
 @dataclass(frozen=True)
@@ -235,8 +236,8 @@ def universal_tree(n, k, d, w):
         if kk == 1 and dd == 1:
             memo[(kk, dd)] = LEAF
             return LEAF
-        block = [build(kk - 1, dd - 1)] * w if kk >= 2 else []
-        mid = build(kk, dd - 1) if dd - 1 >= kk else None
+        block = [(yield build(kk - 1, dd - 1))] * w if kk >= 2 else []
+        mid = (yield build(kk, dd - 1)) if dd - 1 >= kk else None
         kids = list(block)
         for _ in range(n):
             if mid is not None:
@@ -246,7 +247,7 @@ def universal_tree(n, k, d, w):
         memo[(kk, dd)] = out
         return out
 
-    return build(k, d)
+    return unwind(build(k, d))
 
 
 def is_universal_for(host, candidates):

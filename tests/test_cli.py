@@ -164,6 +164,25 @@ class TestExitCodes:
         path.write_text(_deep_decomposition(166))
         assert main(["convert", str(path)]) == 2
 
+    def test_ad_build_past_the_nesting_cap_is_a_resource_cap(self, tmp_path, capsys):
+        def chain(k):
+            # decomposes k nodes deep, which prints as 3k levels of JSON
+            edges = [(i, i, 2 * i) for i in range(k)] + [(i, i - 1, 0) for i in range(1, k)]
+            return write(tmp_path, f"chain{k}.json", ParityGraph.make(range(k), edges))
+
+        for k in (167, 1200):
+            assert main(["ad", "build", chain(k)]) == 3
+            err = capsys.readouterr().err
+            assert "resource cap: decomposition manifest: nested more than 500 deep" in err
+        assert main(["--format", "dot", "ad", "build", chain(1200)]) == 0
+        assert capsys.readouterr().out.count("subgraph cluster_") == 1200
+        path = chain(166)
+        assert main(["ad", "build", path]) == 0
+        d_path = tmp_path / "d.json"
+        d_path.write_text(capsys.readouterr().out)
+        assert main(["ad", "check", path, "--decomposition", str(d_path)]) == 0
+        assert main(["ad", "tight", path, "--decomposition", str(d_path)]) == 0
+
 
 class TestCommands:
     def test_solve(self, tmp_path, capsys):
@@ -196,6 +215,11 @@ class TestCommands:
         assert main(["strahler", path, "--n", "2"]) == 0
         assert capsys.readouterr().out.strip() == "2"
         assert main(["universal", "--n", "2", "--k", "2", "--depth", "2", "--width", "3"]) == 0
+
+    def test_universal_chain_of_2000_nodes(self, capsys):
+        assert main(["universal", "--n", "1", "--k", "1", "--depth", "2000", "--width", "1"]) == 0
+        tree = manifests.loads(capsys.readouterr().out, ("tree",))
+        assert tree.node_count() == 2000
 
     def test_strahler_of_a_deep_tree(self, tmp_path, capsys):
         brackets = "(" * 3000 + ")" * 3000

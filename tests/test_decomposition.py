@@ -32,7 +32,7 @@ from paritykit.errors import (
     StateExplosion,
     TooLarge,
 )
-from paritykit.games import Index, ParityGraph, attractor_vertices, check_even, is_even
+from paritykit.games import Index, ParityGraph, attractor_vertices, check_even, is_even, unwind
 from paritykit.lab import GenParams, random_bounded_pair, random_even_graph
 from paritykit.trees import LEAF, OrderedTree, depth, n_strahler
 
@@ -140,6 +140,22 @@ class TestValidateAd:
         d = build_ad(g, 2)
         assert validate_ad(g, d)
         assert ad_reachability_check(g, d)
+
+
+class TestWidth:
+    def test_leaf(self):
+        g = ParityGraph.make([0], [(0, 0, 2)])
+        assert build_ad(g, 2).width() == 0
+
+    def test_widest_node_anywhere(self):
+        def node(level, *subs):
+            kids = tuple(AdChild(frozenset(), frozenset(), sub) for sub in subs)
+            return AttractorDecomposition(level, frozenset(), frozenset(), kids)
+
+        inner = node(2, node(0), node(0))
+        assert inner.width() == 2
+        assert node(4, inner).width() == 2
+        assert node(6, node(4, inner), node(4), node(4)).width() == 3
 
 
 class TestTreeShape:
@@ -728,7 +744,7 @@ class TestDecompositionPins:
             h = max(g.pri) + max(g.pri) % 2
             even, _ = check_even(g)
             try:
-                decomposition._build(g, g.vertices, g.cap, h)
+                unwind(decomposition._build(g, g.vertices, g.cap, h))
                 built = True
             except InvalidDecomposition:
                 built = False
@@ -773,3 +789,24 @@ class TestWalkPins:
             digest.update(f"{sorted(sigma.items())}\n".encode())
         assert built >= 250
         assert digest.hexdigest() == WALKS_SHA1
+
+
+def chain_graph(k):
+    """Vertex i has a self-loop of priority 2i and an edge of priority 0 to
+    i-1: its canonical decomposition at level 2(k-1) is k nodes deep."""
+    edges = [(i, i, 2 * i) for i in range(k)] + [(i, i - 1, 0) for i in range(1, k)]
+    return ParityGraph.make(range(k), edges)
+
+
+class TestDeepDecompositions:
+    def test_chain_of_1200_levels(self):
+        start = time.perf_counter()
+        g = chain_graph(1200)
+        d = build_ad(g, 2 * 1199)
+        assert validate_ad(g, d)
+        assert d.width() == 1
+        assert depth(tree_shape(d)) == 1200
+        assert is_tight(g, d) and ad_reachability_check(g, d)
+        dot = manifests.export_dot(d)
+        assert dot.count("subgraph cluster_") == 1200
+        assert time.perf_counter() - start < 30

@@ -2,8 +2,8 @@ import pytest
 
 from paritykit import manifests
 from paritykit.automata import RegularTree
-from paritykit.decomposition import build_ad
-from paritykit.errors import DanglingSuccessor, NotExpressible, ParseError
+from paritykit.decomposition import build_ad, validate_ad
+from paritykit.errors import DanglingSuccessor, NotExpressible, ParseError, TooLarge
 from paritykit.games import ADAM, EVE, Index, Lasso, ParityGame, ParityGraph
 from paritykit.lab import (
     GenParams,
@@ -15,6 +15,13 @@ from paritykit.lab import (
 )
 from paritykit.transduction import reg_product
 from paritykit.trees import OrderedTree
+
+
+def _chain(k):
+    """Vertex i has a self-loop of priority 2i and an edge of priority 0 to
+    i-1: it decomposes k nodes deep, which prints as 3k levels of JSON."""
+    edges = [(i, i, 2 * i) for i in range(k)] + [(i, i - 1, 0) for i in range(1, k)]
+    return ParityGraph.make(range(k), edges)
 
 
 class TestRoundTrips:
@@ -40,6 +47,22 @@ class TestRoundTrips:
         h += h % 2
         d = build_ad(g, h)
         assert manifests.loads(manifests.dumps(d)) == d
+
+    def test_decomposition_at_the_nesting_cap(self):
+        g = _chain(166)
+        d = build_ad(g, 2 * 165)
+        text = manifests.dumps(d)
+        back = manifests.loads(text)
+        assert validate_ad(g, back) and manifests.dumps(back) == text
+        # node by node: the dataclass equality recurses too deep here
+        pairs = [(back, d)]
+        while pairs:
+            a, b = pairs.pop()
+            assert (a.level, a.top_edges, a.top_attractor) == (b.level, b.top_edges, b.top_attractor)
+            assert [(c.subgame, c.attractor) for c in a.children] == [
+                (c.subgame, c.attractor) for c in b.children
+            ]
+            pairs += [(x.sub, y.sub) for x, y in zip(a.children, b.children)]
 
     def test_pair(self):
         pair = random_bounded_pair(GenParams(seed=4), 1)
@@ -168,6 +191,12 @@ class TestManifestErrors:
         text = '{"format": "paritykit/1", "kind": "tree", "payload": ' + "[" * 5000 + "]" * 5000 + "}"
         with pytest.raises(ParseError, match="nested more than 500 deep"):
             manifests.loads(text)
+
+    def test_dumps_refuses_what_loads_would_reject(self):
+        for k in (167, 1200):
+            d = build_ad(_chain(k), 2 * (k - 1))
+            with pytest.raises(TooLarge, match="decomposition manifest: nested more than 500 deep"):
+                manifests.dumps(d)
 
     def test_kind_not_among_the_wanted(self):
         text = manifests.dumps(OrderedTree.from_brackets("(())"))

@@ -76,3 +76,68 @@ def test_successor_tables_are_only_indexed():
             if name in ("out", "inc"):
                 found.append(f"{path.name}:{node.lineno} calls {name}.{node.attr}")
     assert found == []
+
+
+# functions that call themselves on Python's stack instead of being
+# generators run by games.unwind, each with why its depth stays harmless
+PLAIN_RECURSION = {
+    "trees.py:embed.fits": "embed as generators measured about twice as slow on the trees corpus",
+    "trees.py:embed.assign": "embed as generators measured about twice as slow on the trees corpus",
+    "trees.py:enumerate_trees.exact": "the size of its output bounds the depth",
+    "trees.py:_compositions.rec": "the size of its output bounds the depth",
+    "manifests.py:_payload": "one level per product base, bounded by MAX_NESTING",
+    "manifests.py:_from_payload": "one level per product base, bounded by MAX_NESTING",
+    "automata.py:RegularTree.unfolding_signature.rec": "its nested tuples recurse in C anyway",
+    "lab.py:check_universal_trees.run.backtrack": "a brute-force oracle on small trees",
+}
+
+
+def _own_nodes(fn):
+    """The nodes of a function's body outside nested functions and classes."""
+    stack = list(ast.iter_child_nodes(fn))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _self_calls(fn, is_method):
+    """True iff `fn` calls its own name, or, for a method, an attribute of
+    that name on anything but super()."""
+    for node in _own_nodes(fn):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        if isinstance(f, ast.Name) and f.id == fn.name:
+            return True
+        if is_method and isinstance(f, ast.Attribute) and f.attr == fn.name:
+            value = f.value
+            if not (isinstance(value, ast.Call) and getattr(value.func, "id", None) == "super"):
+                return True
+    return False
+
+
+def test_recursive_functions_are_generators():
+    """A function that calls itself yields its sub-calls to games.unwind, so
+    deep inputs cannot exhaust Python's stack; PLAIN_RECURSION names the
+    exceptions, and each of them must still recurse plainly."""
+    plain = []
+
+    def visit(node, prefix, in_class):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.", True)
+            elif isinstance(child, ast.FunctionDef):
+                name = prefix + child.name
+                generator = any(isinstance(n, (ast.Yield, ast.YieldFrom)) for n in _own_nodes(child))
+                if _self_calls(child, in_class) and not generator:
+                    plain.append(name)
+                visit(child, name + ".", False)
+            else:
+                visit(child, prefix, in_class)
+
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        visit(tree, f"{path.name}:", False)
+    assert sorted(plain) == sorted(PLAIN_RECURSION)

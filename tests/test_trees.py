@@ -149,6 +149,10 @@ class TestUniversalTree:
         for n in (1, 2, 3):
             assert universal_tree(n, 1, 1, 2) == LEAF
 
+    def test_deep_chain(self):
+        u = universal_tree(1, 1, 2000, 1)
+        assert u.node_count() == 2000 and depth(u) == 2000
+
     def test_undefined(self):
         with pytest.raises(UndefinedTree):
             universal_tree(2, 3, 2, 2)
