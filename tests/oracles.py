@@ -25,6 +25,14 @@ def random_graph(rng, n_vertices, max_priority, max_out=3, no_terminals=True):
     return ParityGraph.make(vertices, edges)
 
 
+def chain_graph(k):
+    """Vertex i has a self-loop of priority 2i and an edge of priority 0 to
+    i-1: its canonical decomposition at level 2(k-1) is k nodes deep, which
+    prints as 3k levels of JSON."""
+    edges = [(i, i, 2 * i) for i in range(k)] + [(i, i - 1, 0) for i in range(1, k)]
+    return ParityGraph.make(range(k), edges)
+
+
 def random_game(rng, n_vertices, max_priority, max_out=3):
     g = random_graph(rng, n_vertices, max_priority, max_out)
     eve = [v for v in g.sorted_vertices() if rng.random() < 0.5]

@@ -21,6 +21,8 @@ from paritykit.lab import (
 from paritykit.transduction import eve_wins_reg, reg_product
 from paritykit.trees import OrderedTree
 
+from oracles import chain_graph
+
 
 def write(tmp_path, name, obj):
     path = tmp_path / name
@@ -166,9 +168,7 @@ class TestExitCodes:
 
     def test_ad_build_past_the_nesting_cap_is_a_resource_cap(self, tmp_path, capsys):
         def chain(k):
-            # decomposes k nodes deep, which prints as 3k levels of JSON
-            edges = [(i, i, 2 * i) for i in range(k)] + [(i, i - 1, 0) for i in range(1, k)]
-            return write(tmp_path, f"chain{k}.json", ParityGraph.make(range(k), edges))
+            return write(tmp_path, f"chain{k}.json", chain_graph(k))
 
         for k in (167, 1200):
             assert main(["ad", "build", chain(k)]) == 3

@@ -36,7 +36,7 @@ from paritykit.games import Index, ParityGraph, attractor_vertices, check_even, 
 from paritykit.lab import GenParams, random_bounded_pair, random_even_graph
 from paritykit.trees import LEAF, OrderedTree, depth, n_strahler
 
-from oracles import brute_is_tight, brute_reachability_check, random_graph
+from oracles import brute_is_tight, brute_reachability_check, chain_graph, random_graph
 
 
 class TestBuildAd:
@@ -789,13 +789,6 @@ class TestWalkPins:
             digest.update(f"{sorted(sigma.items())}\n".encode())
         assert built >= 250
         assert digest.hexdigest() == WALKS_SHA1
-
-
-def chain_graph(k):
-    """Vertex i has a self-loop of priority 2i and an edge of priority 0 to
-    i-1: its canonical decomposition at level 2(k-1) is k nodes deep."""
-    edges = [(i, i, 2 * i) for i in range(k)] + [(i, i - 1, 0) for i in range(1, k)]
-    return ParityGraph.make(range(k), edges)
 
 
 class TestDeepDecompositions:

@@ -16,12 +16,7 @@ from paritykit.lab import (
 from paritykit.transduction import reg_product
 from paritykit.trees import OrderedTree
 
-
-def _chain(k):
-    """Vertex i has a self-loop of priority 2i and an edge of priority 0 to
-    i-1: it decomposes k nodes deep, which prints as 3k levels of JSON."""
-    edges = [(i, i, 2 * i) for i in range(k)] + [(i, i - 1, 0) for i in range(1, k)]
-    return ParityGraph.make(range(k), edges)
+from oracles import chain_graph
 
 
 class TestRoundTrips:
@@ -49,7 +44,7 @@ class TestRoundTrips:
         assert manifests.loads(manifests.dumps(d)) == d
 
     def test_decomposition_at_the_nesting_cap(self):
-        g = _chain(166)
+        g = chain_graph(166)
         d = build_ad(g, 2 * 165)
         text = manifests.dumps(d)
         back = manifests.loads(text)
@@ -194,7 +189,7 @@ class TestManifestErrors:
 
     def test_dumps_refuses_what_loads_would_reject(self):
         for k in (167, 1200):
-            d = build_ad(_chain(k), 2 * (k - 1))
+            d = build_ad(chain_graph(k), 2 * (k - 1))
             with pytest.raises(TooLarge, match="decomposition manifest: nested more than 500 deep"):
                 manifests.dumps(d)
 
