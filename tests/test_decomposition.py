@@ -753,6 +753,33 @@ class TestDecompositionPins:
         assert 100 <= odd <= 250
 
 
+# taken while AttractorDecomposition and AdChild still had the dataclass
+# __eq__ and __hash__: the hash of every decomposition of validate_corpus()
+# and of its children, whether it equals the case before it, and the hash
+# of chain decompositions shallow enough for the dataclass recursion
+EQ_HASH_SHA1 = "1b4f08c54dc58c3213603ce90f4137e2eab19f78"
+
+
+class TestEqHashPins:
+    def test_eq_and_hash_pinned(self):
+        digest = hashlib.sha1()
+        previous = None
+        equal = 0
+        for _, d in validate_corpus():
+            same = d == previous
+            equal += same
+            kids = [hash(c) for c in d.children]
+            digest.update(f"{hash(d)} {kids} {same} {d != previous}\n".encode())
+            previous = d
+        for k in (1, 2, 40, 120):
+            g = chain_graph(k)
+            d = build_ad(g, 2 * (k - 1))
+            assert d == build_ad(g, 2 * (k - 1))
+            digest.update(f"{k} {hash(d)}\n".encode())
+        assert equal >= 100
+        assert digest.hexdigest() == EQ_HASH_SHA1
+
+
 # taken before the walks over decompositions became generators run by
 # games.unwind: every tree shape (with its DOT), width, tightness,
 # reachability check and DOT export of build_ad's decompositions of

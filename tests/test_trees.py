@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -142,6 +143,61 @@ class TestEmbed:
                 found += 1
                 assert embed(a, c) is not None
         assert found > 10
+
+
+# taken before embed pruned by cached size and depth and ran on an explicit
+# stack: the mapping (sorted) or None of every query of <= 6 nodes embedded
+# into every host of <= 8 nodes, in enumeration order
+EMBED_SHA1 = "60ef92ed2fe750ce3b98431678c668c5813e8029"
+
+# taken at the same point: is_universal_for's (ok, missed) over criterion
+# 7's 54-point grid, once with the family criterion 7 checks (Strahler
+# number <= k) and once with the whole family, whose first miss is pinned
+UNIVERSAL_SHA1 = "3b4d8c9e553adf21fb5e581f88f586ba01c544ea"
+
+UNIVERSAL_GRID = [
+    (n, k, d, w)
+    for n in (1, 2, 3)
+    for d in (1, 2, 3)
+    for k in range(1, d + 1)
+    for w in (1, 2, 3)
+]
+
+
+class TestEmbedPins:
+    def test_embeddings_pinned(self):
+        queries = enumerate_trees(6, 6, 6)
+        hosts = enumerate_trees(8, 8, 8)
+        assert (len(queries), len(hosts)) == (65, 626)
+        digest = hashlib.sha1()
+        found = 0
+        for t in queries:
+            for h in hosts:
+                e = embed(t, h)
+                if e is not None:
+                    found += 1
+                    assert e.check(t, h)
+                answer = None if e is None else sorted(e.mapping.items())
+                digest.update(f"{answer}\n".encode())
+        assert found > 0
+        assert digest.hexdigest() == EMBED_SHA1
+
+    def test_universal_grid_pinned(self):
+        assert len(UNIVERSAL_GRID) == 54
+        digest = hashlib.sha1()
+        missed = 0
+        for n, k, d, w in UNIVERSAL_GRID:
+            u = universal_tree(n, k, d, w)
+            family = enumerate_trees(1 + w + w**2 + w**3, d, w)
+            bounded = [t for t in family if n_strahler(t, n) <= k]
+            assert is_universal_for(u, bounded) == (True, None)
+            for candidates in (bounded, family):
+                ok, bad = is_universal_for(u, candidates)
+                missed += bad is not None
+                answer = (ok, None if bad is None else bad.to_brackets())
+                digest.update(f"{(n, k, d, w)} {answer}\n".encode())
+        assert missed > 0
+        assert digest.hexdigest() == UNIVERSAL_SHA1
 
 
 class TestUniversalTree:
