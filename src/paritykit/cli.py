@@ -158,7 +158,14 @@ def cmd_strahler(args):
 
 
 def cmd_universal(args):
-    _emit(universal_tree(args.n, args.k, args.depth, args.width), args)
+    u = universal_tree(args.n, args.k, args.depth, args.width)
+    # shared subtrees print once per occurrence, so the cap is on the expanded count
+    if u.node_count() > args.cap_states:
+        raise TooLarge(
+            f"universal_tree(n={args.n}, k={args.k}, d={args.depth}, w={args.width}): "
+            f"{u.node_count()} nodes exceed the cap {args.cap_states}"
+        )
+    _emit(u, args)
     return 0
 
 

@@ -34,6 +34,12 @@ class AdChild:
     attractor: frozenset
     sub: "AttractorDecomposition"
 
+    def __eq__(self, other):
+        return _equal(self, other) if other.__class__ is AdChild else NotImplemented
+
+    def __hash__(self):
+        return _hash_up(self)
+
 
 @dataclass(frozen=True)
 class AttractorDecomposition:
@@ -42,12 +48,63 @@ class AttractorDecomposition:
     top_attractor: frozenset
     children: tuple
 
+    def __eq__(self, other):
+        return _equal(self, other) if other.__class__ is AttractorDecomposition else NotImplemented
+
+    def __hash__(self):
+        return _hash_up(self)
+
     def width(self):
         def walk(d):
             widths = yield from gather(walk(c.sub) for c in d.children)
             return max([len(d.children), *widths])
 
         return unwind(walk(self))
+
+
+def _equal(x, y):
+    """The dataclass == of two decompositions or two children, field by
+    field, on an explicit stack so that deep decompositions compare."""
+    stack = [(x, y)]
+    while stack:
+        a, b = stack.pop()
+        if a is b:
+            continue
+        if a.__class__ is not b.__class__:
+            return False
+        if a.__class__ is AdChild:
+            if a.subgame != b.subgame or a.attractor != b.attractor:
+                return False
+            stack.append((a.sub, b.sub))
+        else:
+            if (a.level, a.top_edges, a.top_attractor) != (b.level, b.top_edges, b.top_attractor):
+                return False
+            if len(a.children) != len(b.children):
+                return False
+            stack.extend(zip(a.children, b.children))
+    return True
+
+
+def _hash_up(x):
+    """The dataclass hash of a decomposition or child, cached on it and on
+    every node below it, computed bottom-up so that no hash recurses."""
+    h = vars(x).get("_hash")
+    if h is not None:
+        return h
+    # nodes without a cached hash, each before the nodes below it
+    order, stack = [], [x]
+    while stack:
+        y = stack.pop()
+        if "_hash" not in vars(y):
+            order.append(y)
+            stack.extend((y.sub,) if y.__class__ is AdChild else y.children)
+    for y in reversed(order):
+        if y.__class__ is AdChild:
+            h = hash((y.subgame, y.attractor, y.sub))
+        else:
+            h = hash((y.level, y.top_edges, y.top_attractor, y.children))
+        object.__setattr__(y, "_hash", h)
+    return h
 
 
 @dataclass

@@ -12,7 +12,7 @@ sink with a priority-1 self-loop.
 from collections import deque
 from dataclasses import dataclass, field
 
-from .decomposition import tree_shape, validate_ad
+from .decomposition import validate_ad
 from .errors import (
     DEFAULT_STATE_CAP,
     EmptyIndex,
@@ -30,7 +30,7 @@ from .games import (
     unwind,
     verify_winning,
 )
-from .trees import n_strahler
+from .trees import strahler_from_children
 
 LIBERAL = "liberal"
 LITERAL = "literal"
@@ -460,7 +460,8 @@ def strategy_from_bounded_pair(pair, n, *, rule=LIBERAL, cap=DEFAULT_STATE_CAP):
 
 
 def _decomposition_signatures(d, n):
-    """Per-vertex ordering signature plus (level, shape-Strahler) per node.
+    """Per-vertex ordering signature plus (level, shape-Strahler) per node,
+    the n-Strahler number of the node's tree shape taken bottom-up.
 
     Signature chunks are (slot, marker) pairs flattened into one tuple:
     child k contributes slot k, the top attractor slot kappa+1; marker 0
@@ -472,14 +473,17 @@ def _decomposition_signatures(d, n):
     info = {}
 
     def walk(node, prefix):
-        info[prefix] = (node.level, n_strahler(tree_shape(node), n))
         kappa = len(node.children)
         for v in node.top_attractor:
             sig[v] = prefix + (kappa + 1, 0)
+        values = []
         for k, child in enumerate(node.children, 1):
             for v in child.attractor - child.subgame:
                 sig[v] = prefix + (k, 1)
-            yield walk(child.sub, prefix + (k, 0))
+            values.append((yield walk(child.sub, prefix + (k, 0))))
+        strahler = strahler_from_children(values, n)
+        info[prefix] = (node.level, strahler)
+        return strahler
 
     unwind(walk(d, ()))
     return sig, info
@@ -510,7 +514,7 @@ def synth_from_ad(g, d, n, *, rule=LIBERAL, cap=DEFAULT_STATE_CAP):
     if not res:
         raise InvalidDecomposition(f"{res.clause} ({res.witness})")
     sig, info = _decomposition_signatures(d, n)
-    h = n_strahler(tree_shape(d), n)
+    h = info[()][1]
     if g.index.hi < d.level:
         # widen the declared range so the sharp choice can reach level-1
         g = g.with_priorities(g.pri, Index(g.index.lo, d.level))

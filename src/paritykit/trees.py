@@ -13,7 +13,16 @@ class OrderedTree:
     children: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "_hash", hash(tuple(hash(c) for c in self.children)))
+        # hash, expanded node count and depth, each from the children's
+        hashes, size, deep = [], 1, 0
+        for c in self.children:
+            hashes.append(c._hash)
+            size += c._size
+            if c._depth > deep:
+                deep = c._depth
+        object.__setattr__(self, "_hash", hash(tuple(hashes)))
+        object.__setattr__(self, "_size", size)
+        object.__setattr__(self, "_depth", deep + 1)
 
     def __hash__(self):
         return self._hash
@@ -37,11 +46,7 @@ class OrderedTree:
         return not self.children
 
     def node_count(self):
-        count, stack = 0, [self]
-        while stack:
-            count += 1
-            stack.extend(stack.pop().children)
-        return count
+        return self._size
 
     def to_brackets(self):
         """Bracket text: leaf = "()", node = "(" + children + ")"."""
@@ -90,19 +95,21 @@ LEAF = OrderedTree()
 
 def depth(t):
     """Leaf has depth 1; a node adds one to its deepest child."""
-    best = 0
-    stack = [(t, 1)]
-    while stack:
-        node, d = stack.pop()
-        if d > best:
-            best = d
-        for c in node.children:
-            stack.append((c, d + 1))
-    return best
+    return t._depth
+
+
+def strahler_from_children(values, n):
+    """n-Strahler number of a node whose children have the given ones: a
+    leaf has 1, and a node bumps the children's max by one exactly when at
+    least n+1 of them attain it."""
+    if not values:
+        return 1
+    m = max(values)
+    return m + 1 if values.count(m) >= n + 1 else m
 
 
 def n_strahler(t, n):
-    """Bumps by one exactly when at least n+1 children attain the current max."""
+    """n-Strahler number of t, bottom-up without recursion."""
     if n < 1:
         raise PreconditionFailed("n_strahler", "n must be >= 1")
     memo = {}
@@ -119,11 +126,7 @@ def n_strahler(t, n):
             vals.append(v)
         else:
             stack.pop()
-            if vals:
-                m = max(vals)
-                v = m + 1 if vals.count(m) >= n + 1 else m
-            else:
-                v = 1
+            v = strahler_from_children(vals, n)
             memo[node] = v
             if not stack:
                 return v
@@ -178,42 +181,69 @@ def embed(t, host):
 
     Greedy is exact here: whether child t_i fits under host child h_j does
     not depend on where the other children go, so any embedding can be
-    exchanged child by child into the leftmost one.
+    exchanged child by child into the leftmost one.  A leaf fits anywhere
+    and a tree larger or deeper than its host fits nowhere, so neither
+    needs a search.
     """
-    memo = {}
-
-    def fits(a, b):
-        key = (id(a), id(b))
-        got = memo.get(key)
-        if got is not None:
-            return got
-        j = 0
-        hosts = b.children
-        for c in a.children:
-            while j < len(hosts) and not fits(c, hosts[j]):
-                j += 1
-            if j == len(hosts):
-                memo[key] = False
-                return False
-            j += 1
-        memo[key] = True
-        return True
-
-    if not fits(t, host):
+    if t._size > host._size or t._depth > host._depth:
         return None
-    mapping = {(): ()}
-
-    def assign(a, b, path, image):
+    # verdicts of the searched pairs, by (id(a), id(b))
+    memo = {}
+    # frames [a, b, i, j]: child i of a is the next to place, from host child j
+    stack = [[t, host, 0, 0]]
+    verdict = None
+    while stack:
+        frame = stack[-1]
+        a, b, i, j = frame
+        kids, hosts = a.children, b.children
+        if verdict is not None:
+            # the frame just popped decided kids[i] under hosts[j]
+            if verdict:
+                i += 1
+            j += 1
+            verdict = None
+        while i < len(kids):
+            if len(hosts) - j < len(kids) - i:
+                verdict = False
+                break
+            c, h = kids[i], hosts[j]
+            if not c.children:
+                i += 1
+            elif c._size <= h._size and c._depth <= h._depth:
+                got = memo.get((id(c), id(h)))
+                if got is None:
+                    frame[2], frame[3] = i, j
+                    stack.append([c, h, 0, 0])
+                    break
+                if got:
+                    i += 1
+            j += 1
+        else:
+            verdict = True
+        if verdict is not None:
+            memo[id(a), id(b)] = verdict
+            stack.pop()
+    if not verdict:
+        return None
+    mapping = {}
+    # every non-leaf pair that a fitting pair's scan tried has its verdict
+    stack = [(t, host, (), ())]
+    while stack:
+        a, b, path, image = stack.pop()
+        mapping[path] = image
+        placed = []
         j = 0
         hosts = b.children
         for i, c in enumerate(a.children):
-            while not fits(c, hosts[j]):
+            while c.children and not (
+                c._size <= hosts[j]._size
+                and c._depth <= hosts[j]._depth
+                and memo[id(c), id(hosts[j])]
+            ):
                 j += 1
-            mapping[path + (i,)] = image + (j,)
-            assign(c, hosts[j], path + (i,), image + (j,))
+            placed.append((c, hosts[j], path + (i,), image + (j,)))
             j += 1
-
-    assign(t, host, (), ())
+        stack.extend(reversed(placed))
     return Embedding(mapping)
 
 

@@ -1,4 +1,6 @@
+import contextlib
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -237,6 +239,33 @@ class TestCommands:
         assert main(["embed", small, host]) == 0
         leaf_host = write(tmp_path, "l.json", OrderedTree.from_brackets("()"))
         assert main(["embed", small, leaf_host]) == 1
+
+    @pytest.mark.parametrize("k", [1000, 3000])
+    def test_embed_of_a_deep_tree(self, tmp_path, k):
+        # a spine k nodes long, each spine node with a leaf before the next
+        path = write(tmp_path, "t.json", OrderedTree.from_brackets("(()" * k + "()" + ")" * k))
+        out = tmp_path / "out.txt"
+        start = time.perf_counter()
+        with open(out, "w") as f, contextlib.redirect_stdout(f):
+            assert main(["embed", path, path]) == 0
+        assert time.perf_counter() - start < 30
+        lines = 0
+        with open(out) as f:
+            for line in f:
+                source, image = line.rstrip("\n").split(" -> ")
+                assert source == image
+                lines += 1
+        assert lines == 2 * k + 1
+
+    def test_universal_over_the_cap(self, capsys):
+        start = time.perf_counter()
+        assert main(["universal", "--n", "3", "--k", "4", "--depth", "9", "--width", "4"]) == 3
+        assert time.perf_counter() - start < 10
+        captured = capsys.readouterr()
+        assert captured.out == "" and "71719612 nodes exceed the cap 200000" in captured.err
+        chain = ["universal", "--n", "1", "--k", "1", "--depth", "2000", "--width", "1"]
+        assert main(["--cap-states", "1999", *chain]) == 3
+        assert capsys.readouterr().out == ""
 
     def test_reg_solve(self, tmp_path, capsys, odd_loop, even_loop):
         assert main(["reg", "solve", even_loop, "--n", "0"]) == 0

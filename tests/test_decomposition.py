@@ -830,3 +830,23 @@ class TestDeepDecompositions:
         dot = manifests.export_dot(d)
         assert dot.count("subgraph cluster_") == 1200
         assert time.perf_counter() - start < 30
+
+    def test_chains_of_1200_levels_compare_and_hash(self):
+        start = time.perf_counter()
+        a = build_ad(chain_graph(1200), 2 * 1199)
+        b = build_ad(chain_graph(1200), 2 * 1199)
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a.children[0] == b.children[0] and hash(a.children[0]) == hash(b.children[0])
+        # the same chain with its deepest node one level higher
+        nodes = [a]
+        while nodes[-1].children:
+            nodes.append(nodes[-1].children[0].sub)
+        x = nodes.pop()
+        c = AttractorDecomposition(x.level + 2, x.top_edges, x.top_attractor, x.children)
+        for x in reversed(nodes):
+            kid = x.children[0]
+            c = AttractorDecomposition(
+                x.level, x.top_edges, x.top_attractor, (AdChild(kid.subgame, kid.attractor, c),)
+            )
+        assert len(nodes) == 1199 and a != c and c != a
+        assert time.perf_counter() - start < 30

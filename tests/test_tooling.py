@@ -81,8 +81,6 @@ def test_successor_tables_are_only_indexed():
 # functions that call themselves on Python's stack instead of being
 # generators run by games.unwind, each with why its depth stays harmless
 PLAIN_RECURSION = {
-    "trees.py:embed.fits": "embed as generators measured about twice as slow on the trees corpus",
-    "trees.py:embed.assign": "embed as generators measured about twice as slow on the trees corpus",
     "trees.py:enumerate_trees.exact": "the size of its output bounds the depth",
     "trees.py:_compositions.rec": "the size of its output bounds the depth",
     "manifests.py:_payload": "one level per product base, bounded by MAX_NESTING",

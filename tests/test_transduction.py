@@ -3,7 +3,13 @@ import time
 
 import pytest
 
-from paritykit.decomposition import LabellingPair, build_ad, tree_shape
+from paritykit.decomposition import (
+    AdChild,
+    AttractorDecomposition,
+    LabellingPair,
+    build_ad,
+    tree_shape,
+)
 from paritykit.errors import PreconditionFailed, StateExplosion
 from paritykit.games import ADAM, EVE, Index, ParityGame, ParityGraph
 from paritykit.lab import GenParams, random_bounded_pair, random_even_graph, rejecting_vertices
@@ -11,6 +17,7 @@ from paritykit.transduction import (
     LIBERAL,
     LITERAL,
     NEVER,
+    _decomposition_signatures,
     _segment_search,
     eve_wins_reg,
     n_bound_check,
@@ -19,9 +26,9 @@ from paritykit.transduction import (
     strategy_from_bounded_pair,
     synth_from_ad,
 )
-from paritykit.trees import OrderedTree, n_strahler
+from paritykit.trees import OrderedTree, depth, enumerate_trees, n_strahler
 
-from oracles import random_graph
+from oracles import chain_graph, random_graph
 
 
 def simulate_reachable_configs(g, J, n):
@@ -420,6 +427,47 @@ class TestSynthFromAd:
         strat = synth_from_ad(g, d, 1)
         assert strat.product.J == Index(1, 6)
         assert strat.verify()
+
+
+class TestDecompositionSignatures:
+    @staticmethod
+    def _nodes(d):
+        stack = [((), d)]
+        while stack:
+            prefix, node = stack.pop()
+            yield prefix, node
+            for k, child in enumerate(node.children, 1):
+                stack.append((prefix + (k, 0), child.sub))
+
+    @staticmethod
+    def _shaped(shape, level):
+        """A decomposition with the given tree shape and empty vertex sets."""
+        kids = tuple(
+            AdChild(frozenset(), frozenset(), TestDecompositionSignatures._shaped(c, level - 2))
+            for c in shape.children
+        )
+        return AttractorDecomposition(level, frozenset(), frozenset(), kids)
+
+    def test_each_node_has_its_shape_strahler(self):
+        checked = set()
+        for shape in enumerate_trees(7, 7, 7):
+            d = self._shaped(shape, 2 * depth(shape))
+            assert tree_shape(d) == shape
+            for n in (1, 2, 3):
+                _, info = _decomposition_signatures(d, n)
+                for prefix, node in self._nodes(d):
+                    assert info[prefix] == (node.level, n_strahler(tree_shape(node), n))
+                    checked.add((n, info[prefix][1]))
+        assert checked == {(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1), (3, 2)}
+
+    def test_chain_of_1200_levels(self):
+        start = time.perf_counter()
+        d = build_ad(chain_graph(1200), 2 * 1199)
+        for n in (1, 2):
+            sig, info = _decomposition_signatures(d, n)
+            assert len(info) == 1200 and len(sig) == 1200
+            assert info[()] == (2398, n_strahler(tree_shape(d), n)) == (2398, 1)
+        assert time.perf_counter() - start < 30
 
 
 class TestGuidedPairStrategy:

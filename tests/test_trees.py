@@ -164,6 +164,41 @@ UNIVERSAL_GRID = [
 ]
 
 
+def caterpillar(k):
+    """A spine k nodes long, each spine node with a leaf before the next:
+    2k+1 nodes, k+1 deep."""
+    return OrderedTree.from_brackets("(()" * k + "()" + ")" * k)
+
+
+class TestDeepEmbed:
+    def test_self_embedding_1000_deep(self):
+        t = caterpillar(1000)
+        e = embed(t, t)
+        assert len(e.mapping) == 2001 and all(p == q for p, q in e.mapping.items())
+        assert e.check(t, t)
+
+    def test_spine_goes_under_the_deep_child(self):
+        k = 3000
+        spine = OrderedTree.from_brackets("(" * k + ")" * k)
+        e = embed(spine, caterpillar(k))
+        # the spine's last node is a leaf, which goes leftmost
+        assert e.mapping == {(0,) * i: (1,) * i for i in range(k - 1)} | {
+            (0,) * (k - 1): (1,) * (k - 2) + (0,)
+        }
+
+    def test_deep_miss(self):
+        # leaves after the spine child cannot fit where the leaves come first
+        k = 3000
+        late = OrderedTree.from_brackets("(" * k + "()" + "())" * k)
+        assert (late.node_count(), depth(late)) == (caterpillar(k).node_count(), k + 1)
+        assert embed(late, caterpillar(k)) is None
+        assert embed(late, late) is not None
+
+    def test_larger_or_deeper_query_misses(self):
+        assert embed(caterpillar(10), caterpillar(9)) is None
+        assert embed(OrderedTree.from_brackets("(((())))"), T(*[LEAF] * 9)) is None
+
+
 class TestEmbedPins:
     def test_embeddings_pinned(self):
         queries = enumerate_trees(6, 6, 6)
@@ -291,7 +326,18 @@ trees_strategy = st.recursive(
 )
 
 
+def _oracle_depth(t):
+    return 1 + max((_oracle_depth(c) for c in t.children), default=0)
+
+
 class TestProperties:
+    @given(trees_strategy)
+    @settings(max_examples=120, deadline=None)
+    def test_cached_measures(self, t):
+        assert t.node_count() == sum(1 for _ in _nodes(t))
+        assert depth(t) == _oracle_depth(t)
+        assert hash(t) == hash(tuple(hash(c) for c in t.children))
+
     @given(trees_strategy, st.integers(1, 4))
     @settings(max_examples=120, deadline=None)
     def test_strahler_bounded_by_depth(self, t, n):
