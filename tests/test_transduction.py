@@ -467,7 +467,8 @@ class TestDecompositionSignatures:
             sig, info = _decomposition_signatures(d, n)
             assert len(info) == 1200 and len(sig) == 1200
             assert info[()] == (2398, n_strahler(tree_shape(d), n)) == (2398, 1)
-        assert time.perf_counter() - start < 30
+        # rebuilding every subtree's shape took about 7 s per n here
+        assert time.perf_counter() - start < 10
 
 
 class TestGuidedPairStrategy:
