@@ -45,19 +45,26 @@ class NPTA:
         omega = tuple(tuple(o) for o in omega)
         if len(omega) != len(transitions):
             raise PreconditionFailed("omega", "priority map must be total on transitions")
-        if initial not in states:
+        known, letters = frozenset(states), frozenset(alphabet)
+        try:
+            hash((initial, transitions))
+        except TypeError:
+            # an unhashable entry is in no set: scan the tuples, which say so
+            known, letters = states, alphabet
+        if initial not in known:
             raise PreconditionFailed("initial", f"{initial} not a state")
         for q, a, q0, q1 in transitions:
-            if q not in states or q0 not in states or q1 not in states:
+            if q not in known or q0 not in known or q1 not in known:
                 raise PreconditionFailed("transition", f"unknown state in {(q, a, q0, q1)}")
-            if a not in alphabet:
+            if a not in letters:
                 raise PreconditionFailed("transition", f"unknown letter in {(q, a, q0, q1)}")
         if index is None:
             hi = max((max(o) for o in omega), default=0)
             lo = min((min(o) for o in omega), default=0)
             index = Index(lo, hi)
+        lo, hi = index.lo, index.hi
         for o in omega:
-            if o[0] not in index or o[1] not in index:
+            if not (lo <= o[0] <= hi and lo <= o[1] <= hi):
                 raise PreconditionFailed("omega", f"priorities {o} outside {index}")
         aut = NPTA(alphabet, states, initial, transitions, omega, index)
         for q in states:
@@ -402,11 +409,17 @@ def compose_transducer(a, J, n, *, rule=LIBERAL, cap=DEFAULT_STATE_CAP):
     transitions = []
     omega = []
     seen_rows = set()
+    rounds = {}
 
     def play_round(cfg, priority):
         """All (output, config) results of one round after an input edge of
-        the given shifted priority; (None, None) stands for a loss."""
-        outs = []
+        the given shifted priority; (None, None) stands for a loss.  Each
+        round is played once and then looked up."""
+        key = (cfg, priority)
+        outs = rounds.get(key)
+        if outs is not None:
+            return outs
+        outs = rounds[key] = []
         for jx in range(len(machine.regs)):
             w, mid, loss = machine.output(cfg, jx)
             if loss:

@@ -40,7 +40,7 @@ from .transduction import (
     strategy_from_bounded_pair,
     synth_from_ad,
 )
-from .trees import embed, n_strahler, universal_tree
+from .trees import embed, n_strahler, universal_tree, universal_tree_size
 from .automata import acceptance_game, compose_transducer, guided_pair_bound_check, membership
 
 
@@ -158,14 +158,15 @@ def cmd_strahler(args):
 
 
 def cmd_universal(args):
-    u = universal_tree(args.n, args.k, args.depth, args.width)
-    # shared subtrees print once per occurrence, so the cap is on the expanded count
-    if u.node_count() > args.cap_states:
+    # shared subtrees print once per occurrence, so the cap is on the
+    # expanded count, taken before the tree is built
+    size = universal_tree_size(args.n, args.k, args.depth, args.width, args.cap_states)
+    if size > args.cap_states:
         raise TooLarge(
             f"universal_tree(n={args.n}, k={args.k}, d={args.depth}, w={args.width}): "
-            f"{u.node_count()} nodes exceed the cap {args.cap_states}"
+            f"{size} nodes or more exceed the cap {args.cap_states}"
         )
-    _emit(u, args)
+    _emit(universal_tree(args.n, args.k, args.depth, args.width), args)
     return 0
 
 

@@ -506,23 +506,24 @@ def memory_product(pair, cap=DEFAULT_STATE_CAP):
         (oi, ej) for oi in pair.index_i.odds() for ej in pair.index_j.evens()
     )
 
-    step_cache = {}
+    masks = {}
 
     def step(mem, a, b):
-        key = (mem, a, b)
-        got = step_cache.get(key)
-        if got is not None:
-            return got
-        out = 0
-        for p, (oi, ej) in enumerate(flag_pairs):
-            f1 = (mem >> (2 * p)) & 1
-            f2 = (mem >> (2 * p + 1)) & 1
-            nf1 = (1 if b == ej else 0) if a == oi else (f1 | (1 if b == ej else 0))
-            nf2 = (1 if a == oi else 0) if b == ej else (f2 | (1 if a == oi else 0))
-            out |= nf1 << (2 * p)
-            out |= nf2 << (2 * p + 1)
-        step_cache[key] = out
-        return out
+        # an edge (a, b) clears the first flag of each pair (a, ej) and the
+        # second of each pair (oi, b), then sets the first of each (oi, b)
+        # and the second of each (a, ej): with A and B the first-flag bits
+        # of those pairs, mem & ~(A | B << 1) | B | A << 1
+        got = masks.get((a, b))
+        if got is None:
+            a_bits = b_bits = 0
+            for p, (oi, ej) in enumerate(flag_pairs):
+                if oi == a:
+                    a_bits |= 1 << (2 * p)
+                if ej == b:
+                    b_bits |= 1 << (2 * p)
+            got = masks[(a, b)] = (~(a_bits | b_bits << 1), b_bits | a_bits << 1)
+        keep, put = got
+        return (mem & keep) | put
 
     src, dst = [], []
     label_i = []

@@ -7,6 +7,7 @@ ascending id order, so every operation is deterministic.
 """
 
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, repeat
@@ -73,6 +74,39 @@ class Edge(NamedTuple):
     priority: int
 
 
+class EdgeView(Sequence):
+    """A graph's edges as a sequence of `Edge`s by id, read from its
+    columns: its length is the edge count, and each `Edge` is built when
+    it is indexed or iterated, never kept.  It equals a tuple or view of
+    the same edges."""
+
+    __slots__ = ("_g",)
+
+    def __init__(self, g):
+        self._g = g
+
+    def __len__(self):
+        return len(self._g.src)
+
+    def __getitem__(self, i):
+        g = self._g
+        if isinstance(i, slice):
+            return tuple(map(tuple.__new__, repeat(Edge), zip(g.src[i], g.dst[i], g.pri[i])))
+        return tuple.__new__(Edge, (g.src[i], g.dst[i], g.pri[i]))
+
+    def __iter__(self):
+        g = self._g
+        return map(tuple.__new__, repeat(Edge), zip(g.src, g.dst, g.pri))
+
+    def __eq__(self, other):
+        if isinstance(other, EdgeView):
+            a, b = self._g, other._g
+            return a.src == b.src and a.dst == b.dst and a.pri == b.pri
+        if isinstance(other, tuple):
+            return tuple(self) == other
+        return NotImplemented
+
+
 @dataclass(frozen=True)
 class ParityGraph:
     """Edge-priority-labelled directed graph, stored as per-edge columns:
@@ -123,10 +157,10 @@ class ParityGraph:
         object.__setattr__(g, "_skeleton", self._skeleton or self)
         return g
 
-    @cached_property
+    @property
     def edges(self):
-        """The edges as `Edge`s by id, built on first read."""
-        return tuple(map(tuple.__new__, repeat(Edge), zip(self.src, self.dst, self.pri)))
+        """The edges as `Edge`s by id: a read-only view of the columns."""
+        return EdgeView(self)
 
     def _by_vertex(self, column):
         """vertex -> tuple of the ids of the edges whose `column` entry is

@@ -166,7 +166,7 @@ def brute_solve(game, cap=10**6):
         i for v in g.sorted_vertices() if game.owner(v) == ADAM for i in g.out[v]
     ]
     eve_region = set()
-    edges = g.edges
+    src, dst = g.src, g.dst
     for combo in itertools.product(*[g.out[v] for v in eve_vs]):
         keep = sorted(set(combo).union(adam_edges))
         bad = _odd_core(g, keep)
@@ -175,9 +175,8 @@ def brute_solve(game, cap=10**6):
         while changed:
             changed = False
             for i in keep:
-                e = edges[i]
-                if e.dst in losing and e.src not in losing:
-                    losing.add(e.src)
+                if dst[i] in losing and src[i] not in losing:
+                    losing.add(src[i])
                     changed = True
         eve_region |= g.vertices - losing
     return frozenset(eve_region), frozenset(g.vertices - eve_region)
@@ -237,22 +236,21 @@ def _tarjan_scc(vertices, succ):
 def _odd_core(g, keep):
     """Vertices on a cycle with odd maximum in the edge-filtered graph."""
     bad = set()
-    edges = g.edges
-    priorities = sorted({edges[i].priority for i in keep}, reverse=True)
+    src, dst, pri = g.src, g.dst, g.pri
+    priorities = sorted({pri[i] for i in keep}, reverse=True)
     for prio in priorities:
         if prio % 2 == 0:
             continue
-        sub = [i for i in keep if edges[i].priority <= prio]
+        sub = [i for i in keep if pri[i] <= prio]
         succ = {}
         for i in sub:
-            succ.setdefault(edges[i].src, []).append(edges[i].dst)
-        scope = {edges[i].src for i in sub} | {edges[i].dst for i in sub}
+            succ.setdefault(src[i], []).append(dst[i])
+        scope = {src[i] for i in sub} | {dst[i] for i in sub}
         comp = _tarjan_scc(scope, lambda v: iter(succ.get(v, ())))
         for i in sub:
-            e = edges[i]
             # same SCC means dst reaches src, closing a cycle of maximum prio
-            if e.priority == prio and comp[e.src] == comp[e.dst]:
-                cid = comp[e.src]
+            if pri[i] == prio and comp[src[i]] == comp[dst[i]]:
+                cid = comp[src[i]]
                 bad.update(v for v in scope if comp[v] == cid)
     return bad
 
@@ -574,14 +572,13 @@ def check_evenness_decomposition(p, count=300, vertices=10):
 def rejecting_vertices(g):
     """Vertices from which a cycle with odd maximum is reachable; exactly
     where soundness promises Adam a win."""
-    keep = list(range(len(g.edges)))
-    bad = _odd_core(g, keep)
+    bad = _odd_core(g, range(len(g.src)))
     changed = True
     while changed:
         changed = False
-        for e in g.edges:
-            if e.dst in bad and e.src not in bad:
-                bad.add(e.src)
+        for s, d in zip(g.src, g.dst):
+            if d in bad and s not in bad:
+                bad.add(s)
                 changed = True
     return frozenset(bad)
 

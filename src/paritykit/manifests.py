@@ -356,7 +356,7 @@ def export_pgsolver(game):
             )
     lines = [f"parity {max(g.vertices)};"]
     for v in g.sorted_vertices():
-        succ = ",".join(str(g.edges[i].dst) for i in g.out[v])
+        succ = ",".join(str(g.dst[i]) for i in g.out[v])
         if not succ:
             raise NotExpressible(f"terminal vertex {v}")
         p = vertex_priority.get(v, 0)

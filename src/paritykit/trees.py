@@ -254,10 +254,7 @@ def universal_tree(n, k, d, w):
     truncated block of fewer than n+1 equal children cannot force the bump).
     Universality is guaranteed for candidates of branching degree <= w.
     """
-    if n < 1 or w < 1:
-        raise PreconditionFailed("universal_tree", "n and w must be positive")
-    if k == 0 or k > d:
-        raise UndefinedTree(f"U(n={n},k={k},d={d}) is undefined")
+    _check_universal(n, k, d, w)
     memo = {}
 
     def build(kk, dd):
@@ -278,6 +275,40 @@ def universal_tree(n, k, d, w):
         return out
 
     return unwind(build(k, d))
+
+
+def _check_universal(n, k, d, w):
+    if n < 1 or w < 1:
+        raise PreconditionFailed("universal_tree", "n and w must be positive")
+    if k == 0 or k > d:
+        raise UndefinedTree(f"U(n={n},k={k},d={d}) is undefined")
+
+
+def universal_tree_size(n, k, d, w, cap):
+    """Expanded node count of `universal_tree(n, k, d, w)`, from the
+    recurrence of its `build` and without building it; or, once a count
+    exceeds `cap`, the first such count met, a subtree's, which the whole
+    tree's is no smaller than.
+
+    The tree (kk, dd) holds (n+1)*w copies of (kk-1, dd-1) if kk >= 2 and
+    n copies of (kk, dd-1) if dd-1 >= kk; counts are taken by the gap
+    dd-kk, ascending, each gap's by kk ascending.
+    """
+    _check_universal(n, k, d, w)
+    row = []
+    for gap in range(d - k + 1):
+        new = []
+        for x, kk in enumerate(range(min(k, 1), k + 1)):
+            size = 1
+            if kk >= 2:
+                size += (n + 1) * w * new[x - 1]
+            if gap:
+                size += n * row[x]
+            if size > cap:
+                return size
+            new.append(size)
+        row = new
+    return row[-1]
 
 
 def is_universal_for(host, candidates):

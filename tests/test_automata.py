@@ -163,6 +163,9 @@ def quotient_corpus():
 # the 26 regular trees of <= 2 nodes
 ACCEPTANCE_GAME_SHA1 = "366126a0c890cc1d7fc1e88db5222d8807f0bfc0"
 MEMBERSHIP_SHA1 = "284d64731f26187dd9181cccda1df751d0e83f02"
+# taken before compose_transducer played each register round once: the
+# manifests of the automata composed for the membership pin
+COMPOSE_SHA1 = "989c01e7dadf04d447eff9e41b04f13743e1d92d"
 
 
 class TestMembershipQuotient:
@@ -202,13 +205,16 @@ class TestMembershipQuotient:
         p = GenParams(seed=21057)
         trees = enumerate_regular_trees(2)
         answers = []
+        composed_digest = hashlib.sha1()
         for k in range(8):
             a = random_automaton(_rng(p, 8, k))
             for n in (0, 1):
                 composed = compose_transducer(a, Index(1, 2), n)
+                composed_digest.update(manifests.dumps(composed).encode() + b"\n")
                 answers += [membership(composed, t) for t in trees]
         assert sum(answers) and not all(answers)
         assert hashlib.sha1(json.dumps(answers).encode()).hexdigest() == MEMBERSHIP_SHA1
+        assert composed_digest.hexdigest() == COMPOSE_SHA1
 
 
     def test_bisimilar_states_have_equal_tail_sets(self):

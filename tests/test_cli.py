@@ -102,6 +102,11 @@ class TestExitCodes:
             ("transitions", "convert",
              {"kind": "automaton", "payload": dict(automaton, transitions=[[0, "a", 0]])},
              "automaton payload: transitions entry [0, 'a', 0]"),
+            ("initial", "convert", {"kind": "automaton", "payload": dict(automaton, initial=[0])},
+             "initial ([0] not a state)"),
+            ("state", "convert",
+             {"kind": "automaton", "payload": dict(automaton, transitions=[[0, "a", [0], 0]])},
+             "unknown state in (0, 'a', [0], 0)"),
         ]
         for name, command, doc, named in cases:
             path = tmp_path / f"{name}.json"
@@ -262,10 +267,20 @@ class TestCommands:
         assert main(["universal", "--n", "3", "--k", "4", "--depth", "9", "--width", "4"]) == 3
         assert time.perf_counter() - start < 10
         captured = capsys.readouterr()
-        assert captured.out == "" and "71719612 nodes exceed the cap 200000" in captured.err
+        # the tree has 71,719,612 nodes; the check stops at a subtree's count
+        assert captured.out == "" and "438829 nodes or more exceed the cap 200000" in captured.err
         chain = ["universal", "--n", "1", "--k", "1", "--depth", "2000", "--width", "1"]
         assert main(["--cap-states", "1999", *chain]) == 3
         assert capsys.readouterr().out == ""
+        assert main(["--cap-states", "2000", *chain]) == 0
+        assert manifests.loads(capsys.readouterr().out, ("tree",)).node_count() == 2000
+
+    def test_universal_over_the_cap_exits_before_building(self, capsys):
+        start = time.perf_counter()
+        chain = ["universal", "--n", "1", "--k", "1", "--depth", "300000", "--width", "1"]
+        assert main(chain) == 3
+        assert time.perf_counter() - start < 1
+        assert "200001 nodes or more exceed the cap 200000" in capsys.readouterr().err
 
     def test_reg_solve(self, tmp_path, capsys, odd_loop, even_loop):
         assert main(["reg", "solve", even_loop, "--n", "0"]) == 0

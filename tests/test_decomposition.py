@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 import time
 
@@ -320,6 +321,21 @@ class TestMemoryProduct:
             memory_product(pair, cap=3)
         size = len(memory_product(pair).decode)
         assert size >= 4 and len(memory_product(pair, cap=size).decode) == size
+
+    def test_wide_declared_index_below_the_cap_answers_quickly(self):
+        # 445 x 445 flag pairs; the digest of its product was taken before
+        # the flags were stepped by masks, when it took 13 s
+        wide = simple_pair(
+            (1, 2), (2, 2), [(0, 1), (1, 0)], ii=Index(0, 890), jj=Index(1, 890)
+        )
+        start = time.perf_counter()
+        mp = memory_product(wide)
+        assert time.perf_counter() - start < 2
+        g = mp.pair.graph
+        product = [[[v, hex(m)] for v, m in mp.decode], g.src, g.dst, mp.pair.label_i,
+                   mp.pair.label_j, sorted(mp.initial.items())]
+        digest = hashlib.sha1(json.dumps(product).encode()).hexdigest()
+        assert digest == "686d935acf1bbf8f61ab965d2f45baa3ae96bb4d"
 
     def test_unfolding_equivalence_to_depth_8(self):
         rng = random.Random(5)

@@ -608,6 +608,23 @@ class TestExploredGraphs:
             count += 1
         assert count > 60 and views == 20
 
+    def test_edges_view_reads_as_the_tuple_of_edges(self):
+        for g, _skeleton in explored_corpus():
+            ref = tuple(Edge(*e) for e in zip(g.src, g.dst, g.pri))
+            view = g.edges
+            m = len(ref)
+            assert len(view) == m
+            assert [view[i] for i in range(-m, m)] == [ref[i] for i in range(-m, m)]
+            for cut in (slice(None), slice(1, None, 2), slice(-3, None), slice(None, None, -1)):
+                assert view[cut] == ref[cut] and type(view[cut]) is tuple
+            assert tuple(view) == ref and list(view) == list(ref)
+            assert view == ref and ref == view and view == g.edges
+            assert view == ParityGraph.make(g.vertices, ref, g.index).edges
+            assert view != ref[:-1] and view != list(ref)
+            assert all(type(e) is Edge for e in view) and type(view[-1]) is Edge
+            with pytest.raises(IndexError):
+                view[m]
+
 
 def verify_corpus():
     """(game, sigma, region, player) calls: both players' solved regions and

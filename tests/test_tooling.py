@@ -78,6 +78,37 @@ def test_successor_tables_are_only_indexed():
     assert found == []
 
 
+# functions that may read a graph's `edges`: exports off the solving path,
+# which print every edge anyway
+EDGE_READERS = {
+    "manifests.py:_graph_payload",
+    "manifests.py:export_pgsolver",
+    "manifests.py:_dot_game",
+    "manifests.py:_dot_product",
+    "lab.py:shrink_game",
+}
+
+
+def test_edges_are_read_from_the_columns():
+    """`ParityGraph.edges` builds an `Edge` per item it yields, so package
+    code indexes or walks `src`/`dst`/`pri` instead; only EDGE_READERS read
+    `.edges`, and each of them still does."""
+    readers = set()
+
+    def visit(node, name):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{name}.{child.name}" if name else child.name)
+                continue
+            if isinstance(child, ast.Attribute) and child.attr == "edges":
+                readers.add(f"{path.name}:{name}")
+            visit(child, name)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(), filename=str(path)), "")
+    assert readers == EDGE_READERS
+
+
 # functions that call themselves on Python's stack instead of being
 # generators run by games.unwind, each with why its depth stays harmless
 PLAIN_RECURSION = {

@@ -16,6 +16,7 @@ from paritykit.trees import (
     is_universal_for,
     n_strahler,
     universal_tree,
+    universal_tree_size,
 )
 
 
@@ -249,6 +250,20 @@ class TestUniversalTree:
             universal_tree(2, 3, 2, 2)
         with pytest.raises(UndefinedTree):
             universal_tree(2, 0, 1, 2)
+
+    def test_size_follows_the_recurrence_without_building(self):
+        cases = 0
+        for n, w, d in itertools.product((1, 2, 3), (1, 2, 3), range(1, 7)):
+            for k in range(1, d + 1):
+                size = universal_tree(n, k, d, w).node_count()
+                assert universal_tree_size(n, k, d, w, size) == size
+                # over a smaller cap: a subtree's count above it, no more than the total
+                assert size // 2 < universal_tree_size(n, k, d, w, size // 2) <= size
+                cases += 1
+        assert cases == 189
+        assert universal_tree_size(1, 1, 10**9, 1, 1000) == 1001
+        with pytest.raises(UndefinedTree):
+            universal_tree_size(2, 3, 2, 2, 10)
 
     def test_2_2_2_3(self):
         u = universal_tree(2, 2, 2, 3)
