@@ -18,10 +18,11 @@ from .errors import (
 from .games import Index, ParityGame, ParityGraph, explore, solve
 from .transduction import (
     LIBERAL,
-    RegMachine,
     _input_shift,
+    _size_machine,
     n_bound_check,
     normalize_output_index,
+    reg_machine,
 )
 
 
@@ -401,7 +402,10 @@ def compose_transducer(a, J, n, *, rule=LIBERAL, cap=DEFAULT_STATE_CAP):
     reject_priority = J.hi if J.hi % 2 == 1 else J.hi - 1
     if reject_priority < J.lo:
         raise EmptyIndex(f"output index {J} has no odd priority to reject with")
-    machine = RegMachine(index_i, J, n, rule)
+    what = f"compose_transducer(J=[{J.lo},{J.hi}], n={n}, rule={rule})"
+    _size_machine(index_i, J, cap, what)
+    machine = reg_machine(index_i, J, n, rule)
+    play_round = machine.round
     lo = index_i.lo
 
     # the reject state is the second start, so its id is 1
@@ -409,25 +413,6 @@ def compose_transducer(a, J, n, *, rule=LIBERAL, cap=DEFAULT_STATE_CAP):
     transitions = []
     omega = []
     seen_rows = set()
-    rounds = {}
-
-    def play_round(cfg, priority):
-        """All (output, config) results of one round after an input edge of
-        the given shifted priority; (None, None) stands for a loss.  Each
-        round is played once and then looked up."""
-        key = (cfg, priority)
-        outs = rounds.get(key)
-        if outs is not None:
-            return outs
-        outs = rounds[key] = []
-        for jx in range(len(machine.regs)):
-            w, mid, loss = machine.output(cfg, jx)
-            if loss:
-                outs.append((None, None))
-                continue
-            for i in machine.sharp_choices(priority):
-                outs.append((w, machine.update(mid, i, jx)))
-        return outs
 
     def add_row(row):
         if row not in seen_rows:
@@ -452,18 +437,19 @@ def compose_transducer(a, J, n, *, rule=LIBERAL, cap=DEFAULT_STATE_CAP):
                         continue
                     seconds1 = play_round(cfg1, p1 - shift)
                     for w20, cfg20 in play_round(cfg1, p0 - shift):
+                        # seconds1 is never empty, so interning the
+                        # direction-0 child here keeps the numbering
+                        if w20 is None:
+                            child0, pr0 = reject, reject_priority
+                        else:
+                            child0, pr0 = intern((q0, cfg20)), max(w1, w20)
                         for w21, cfg21 in seconds1:
-                            if w20 is None:
-                                child0, pr0 = reject, reject_priority
-                            else:
-                                child0, pr0 = intern((q0, cfg20)), max(w1, w20)
                             if w21 is None:
                                 child1, pr1 = reject, reject_priority
                             else:
                                 child1, pr1 = intern((q1, cfg21)), max(w1, w21)
                             add_row((sid, letter, child0, child1, pr0, pr1))
 
-    what = f"compose_transducer(J=[{J.lo},{J.hi}], n={n}, rule={rule})"
     states, (initial, _reject) = explore(
         [(a.initial, machine.initial), ("reject",)], expand, what, cap
     )

@@ -18,6 +18,7 @@ from .errors import (
     EmptyIndex,
     InvalidDecomposition,
     PreconditionFailed,
+    TooLarge,
 )
 from .games import (
     EVE,
@@ -86,11 +87,7 @@ class RegProduct:
 
 def normalize_output_index(J):
     """Shift J by even steps until min(J) lands in {1, 2}."""
-    while J.lo > 2:
-        J = J.shift(-2)
-    while J.lo < 1:
-        J = J.shift(2)
-    return J
+    return J.shift(2) if J.lo == 0 else J.shift(-2 * ((J.lo - 1) // 2))
 
 
 def _input_shift(index):
@@ -108,13 +105,16 @@ def _register_indices(J):
 
 class RegMachine:
     """The register/counter data structure shared by the product game and
-    the automaton composition: outputs and updates over interned configs."""
+    the automaton composition: outputs, updates and rounds over interned
+    configs.  It is a pure function of (I, J, n, rule), so `reg_machine`
+    keeps one per parameter set and its tables fill across products."""
 
     def __init__(self, index_i, J, n, rule):
         if n < 0:
             raise PreconditionFailed("reg machine", "counter bound must be a natural")
         if rule not in (LIBERAL, LITERAL, NEVER):
             raise PreconditionFailed("reg machine", f"unknown reset rule {rule}")
+        self.key = (index_i, J, n, rule)
         self.index_i = index_i
         self.J = J
         self.n = n
@@ -130,8 +130,22 @@ class RegMachine:
             tuple(init_reg for _ in self.regs),
             tuple(0 for _ in self.counter_keys),
         )
+        self._forget()
+
+    def _forget(self):
+        """Empty every table."""
+        self._configs = {}
         self._out_cache = {}
         self._upd_cache = {}
+        self._rounds = {}
+
+    def _intern(self, cfg):
+        """The machine's one object equal to `cfg`."""
+        got = self._configs.get(cfg)
+        if got is None:
+            _charge(self)
+            got = self._configs[cfg] = cfg
+        return got
 
     def output(self, cfg, jx):
         """(output priority, config after counter effects, instant loss?)."""
@@ -142,21 +156,23 @@ class RegMachine:
         regs_t, ctr_t = cfg
         j = self.regs[jx]
         if j == 0:
-            res = (1, cfg, False)
+            res = (1, self._intern(cfg), False)
         else:
             r = regs_t[jx]
             if r % 2 == 0:
-                res = (2 * j, cfg, False)
+                res = (2 * j, self._intern(cfg), False)
             else:
                 ci = self._ck_pos[(r, j)]
                 c = ctr_t[ci]
                 ctr2 = list(ctr_t)
                 if c == self.n:
                     ctr2[ci] = 0
-                    res = (2 * j + 1, (regs_t, tuple(ctr2)), 2 * j + 1 not in self.J)
+                    mid = self._intern((regs_t, tuple(ctr2)))
+                    res = (2 * j + 1, mid, 2 * j + 1 not in self.J)
                 else:
                     ctr2[ci] = c + 1
-                    res = (2 * j, (regs_t, tuple(ctr2)), False)
+                    res = (2 * j, self._intern((regs_t, tuple(ctr2))), False)
+        _charge(self)
         self._out_cache[key] = res
         return res
 
@@ -184,15 +200,82 @@ class RegMachine:
         for x in range(jx + 1, len(self.regs)):
             if regs2[x] < i:
                 regs2[x] = i
-        res = (tuple(regs2), tuple(ctr2))
+        res = self._intern((tuple(regs2), tuple(ctr2)))
+        _charge(self)
         self._upd_cache[key] = res
         return res
+
+    def round(self, cfg, priority):
+        """Every (output, config) result of one round after an input edge
+        of the given priority, register by register and then by odd pick;
+        (None, None) stands for an instant loss."""
+        key = (cfg, priority)
+        outs = self._rounds.get(key)
+        if outs is not None:
+            return outs
+        outs = []
+        for jx in range(len(self.regs)):
+            w, mid, loss = self.output(cfg, jx)
+            if loss:
+                outs.append((None, None))
+                continue
+            for i in self.sharp_choices(priority):
+                outs.append((w, self.update(mid, i, jx)))
+        outs = tuple(outs)
+        _charge(self)
+        self._rounds[key] = outs
+        return outs
 
     def sharp_choices(self, priority):
         """Available odd picks after an edge of the given priority."""
         if priority % 2 == 0:
             return (priority,)
         return tuple(range(priority, self.max_odd + 1, 2))
+
+
+# The process's machines by (I, J, n, rule), and the entries of all their
+# tables together, interned configs included.  Every table maps a key to a
+# pure function of it, so a race between threads can cost recomputation,
+# never an answer.
+_machines = {}
+_held = 0
+
+
+def _charge(machine):
+    """Count one more table entry of `machine`.  The pool holds at most
+    DEFAULT_STATE_CAP entries: past that it starts afresh, with every
+    table emptied and only `machine` kept."""
+    global _held
+    if _held >= DEFAULT_STATE_CAP:
+        for m in _machines.values():
+            m._forget()
+        machine._forget()
+        _machines.clear()
+        _machines[machine.key] = machine
+        _held = 0
+    _held += 1
+
+
+def reg_machine(index_i, J, n, rule):
+    """The process's one `RegMachine` for (I, J, n, rule).  Invalid
+    parameters raise on every call and are never stored."""
+    machine = _machines.get((index_i, J, n, rule))
+    if machine is None:
+        machine = RegMachine(index_i, J, n, rule)
+        _machines[machine.key] = machine
+        machine.initial = machine._intern(machine.initial)
+    return machine
+
+
+def _size_machine(index_i, J, cap, what):
+    """Refuse, before they are listed, more registers or counter keys
+    (odd input priorities x registers) than `cap`."""
+    odds = (index_i.hi + 1) // 2 - index_i.lo // 2
+    regs = J.hi // 2 - (J.lo + 1) // 2 + 1 + (1 in J and 0 not in J)
+    if max(odds, 1) * regs > cap:
+        raise TooLarge(
+            f"{what}: {regs} registers and {odds * regs} counter keys exceed the cap {cap}"
+        )
 
 
 def reg_product(base, J, n, *, rule=LIBERAL, cap=DEFAULT_STATE_CAP, starts=None):
@@ -210,7 +293,9 @@ def reg_product(base, J, n, *, rule=LIBERAL, cap=DEFAULT_STATE_CAP, starts=None)
     shift = _input_shift(g.index)
     if shift:
         g = g.with_priorities([p - shift for p in g.pri], g.index.shift(-shift))
-    machine = RegMachine(g.index, J, n, rule)
+    what = f"reg_product(J=[{J.lo},{J.hi}], n={n}, rule={rule})"
+    _size_machine(g.index, J, cap, what)
+    machine = reg_machine(g.index, J, n, rule)
     regs = machine.regs
     max_odd = machine.max_odd
     cfg0 = machine.initial
@@ -260,7 +345,6 @@ def reg_product(base, J, n, *, rule=LIBERAL, cap=DEFAULT_STATE_CAP, starts=None)
         for i in range(g_pri[eid], max_odd + 1, 2):
             edge(sid, intern(("A", g_dst[eid], update(cfg, i, jx))), 0)
 
-    what = f"reg_product(J=[{J.lo},{J.hi}], n={n}, rule={rule})"
     decode, start_ids = explore((("A", v, cfg0) for v in starts), expand, what, cap)
     initial = dict(zip(starts, start_ids))
     graph = ParityGraph._explored(len(decode), src, dst, pri, Index(0, max(J.hi, 1)))

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paritykit import manifests
-from paritykit.automata import RegularTree
+from paritykit.automata import NPTA, RegularTree
 from paritykit.cli import main
 from paritykit.decomposition import build_ad
 from paritykit.errors import PreconditionFailed
@@ -473,3 +473,34 @@ class TestHostileManifests:
         argv = [str(bad) if arg == "{}" else str(paths.get(arg, arg)) for arg in command]
         code = main(["--cap-states", "500", *argv])
         assert code in (0, 1, 2, 3)
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["reg", "build", "huge-graph", "--j-lo", "1", "--j-hi", "2", "--n", "0"], 3),
+            (["reg", "solve", "huge-graph", "--n", "1"], 3),
+            (["reg", "build", "graph", "--j-lo", "1", "--j-hi", str(10**9)], 3),
+            (["reg", "build", "graph", "--j-lo", str(10**9 + 1), "--j-hi", str(10**9 + 2)], 0),
+            (["aut", "compose", "huge-automaton", "--n", "1"], 3),
+        ],
+    )
+    def test_huge_priorities_and_indices_end_in_seconds(self, tmp_path, capsys, argv, code):
+        huge = 10**9
+        paths = {
+            "graph": write(tmp_path, "g.json", ParityGraph.make([0, 1], [(0, 1, 1), (1, 0, 2)])),
+            "huge-graph": write(
+                tmp_path,
+                "huge-g.json",
+                ParityGraph.make([0, 1], [(0, 0, huge), (0, 1, 0), (1, 0, 0)], Index(0, huge)),
+            ),
+            "huge-automaton": write(
+                tmp_path,
+                "huge-a.json",
+                NPTA.make(("a",), (0,), 0, [(0, "a", 0, 0)], [(huge, huge)], Index(0, huge)),
+            ),
+        }
+        start = time.perf_counter()
+        assert main([paths.get(arg, arg) for arg in argv]) == code
+        assert time.perf_counter() - start < 2
+        if code == 3:
+            assert "counter keys exceed the cap 200000" in capsys.readouterr().err

@@ -1,8 +1,11 @@
+import functools
 import random
 import time
 
 import pytest
 
+from paritykit import transduction
+from paritykit.automata import NPTA, compose_transducer
 from paritykit.decomposition import (
     AdChild,
     AttractorDecomposition,
@@ -10,9 +13,18 @@ from paritykit.decomposition import (
     build_ad,
     tree_shape,
 )
-from paritykit.errors import PreconditionFailed, StateExplosion
+from paritykit.errors import PreconditionFailed, StateExplosion, TooLarge
 from paritykit.games import ADAM, EVE, Index, ParityGame, ParityGraph
-from paritykit.lab import GenParams, random_bounded_pair, random_even_graph, rejecting_vertices
+from paritykit.lab import (
+    GenParams,
+    _rng,
+    random_automaton,
+    random_bounded_pair,
+    random_even_graph,
+    random_game,
+    random_non_even_graph,
+    rejecting_vertices,
+)
 from paritykit.transduction import (
     LIBERAL,
     LITERAL,
@@ -22,6 +34,7 @@ from paritykit.transduction import (
     eve_wins_reg,
     n_bound_check,
     normalize_output_index,
+    reg_machine,
     reg_product,
     strategy_from_bounded_pair,
     synth_from_ad,
@@ -515,6 +528,10 @@ class TestNormalization:
         assert normalize_output_index(Index(4, 6)) == Index(2, 4)
         assert normalize_output_index(Index(0, 2)) == Index(2, 4)
         assert normalize_output_index(Index(1, 2)) == Index(1, 2)
+        # a huge J shifts in one step, not one step per two priorities
+        huge = 10**9
+        assert normalize_output_index(Index(huge + 1, huge + 4)) == Index(1, 4)
+        assert normalize_output_index(Index(huge, huge + 2)) == Index(2, 4)
 
     def test_shifted_output_index_same_winner(self):
         rng = random.Random(31)
@@ -539,3 +556,146 @@ class TestNormalization:
                 ga, gb = a.game.graph, b.game.graph
                 assert (ga.src, ga.dst, ga.pri, ga.index) == (gb.src, gb.dst, gb.pri, gb.index)
                 assert a.game.eve == b.game.eve
+
+
+def machine_builds():
+    """Zero-argument builds of every product that steps a register machine
+    in the explored-graph corpus of tests/test_games.py and in the corpus
+    of COMPOSE_SHA1 in tests/test_automata.py."""
+    base = GenParams(seed=21057, vertex_count=5, priority_cap=4, edge_density=0.5)
+    builds = []
+    for salt in range(4):
+        g = random_non_even_graph(base, salt=salt)
+        for lo, hi in ((1, 2), (1, 4)):
+            for n in (0, 1):
+                builds.append(functools.partial(reg_product, g, Index(lo, hi), n))
+        builds.append(functools.partial(reg_product, random_game(base, salt=salt), Index(1, 2), 1))
+    p = GenParams(seed=21057)
+    for k in range(8):
+        a = random_automaton(_rng(p, 8, k))
+        for n in (0, 1):
+            builds.append(functools.partial(compose_transducer, a, Index(1, 2), n))
+    return builds
+
+
+def build_answer(built):
+    """A register product's decode, columns, Eve's vertices and starts, or
+    a composed automaton."""
+    if isinstance(built, NPTA):
+        return built
+    g = built.game.graph
+    return built.decode, g.src, g.dst, g.pri, built.game.eve, built.initial
+
+
+def empty_pool(monkeypatch):
+    monkeypatch.setattr(transduction, "_machines", {})
+    monkeypatch.setattr(transduction, "_held", 0)
+
+
+def pooled_entries():
+    return sum(
+        len(m._configs) + len(m._out_cache) + len(m._upd_cache) + len(m._rounds)
+        for m in transduction._machines.values()
+    )
+
+
+class TestSharedMachines:
+    def test_one_machine_per_parameter_set(self, monkeypatch):
+        empty_pool(monkeypatch)
+        for _ in range(2):
+            with pytest.raises(PreconditionFailed):
+                reg_machine(Index(0, 2), Index(1, 2), -1, LIBERAL)
+            with pytest.raises(PreconditionFailed):
+                reg_machine(Index(0, 2), Index(1, 2), 1, "sometimes")
+        assert transduction._machines == {} and transduction._held == 0
+        m = reg_machine(Index(0, 2), Index(1, 2), 1, LIBERAL)
+        assert reg_machine(Index(0, 2), Index(1, 2), 1, LIBERAL) is m
+        assert reg_machine(Index(0, 2), Index(1, 2), 1, LITERAL) is not m
+        assert transduction._held == pooled_entries() == 2
+
+    def test_cold_and_warm_builds_are_equal(self, monkeypatch):
+        builds = machine_builds()
+        cold = []
+        for build in builds:
+            empty_pool(monkeypatch)
+            cold.append(build_answer(build()))
+        for build, answer in reversed(list(zip(builds, cold))):
+            assert build_answer(build()) == answer
+        # warm builds are served from the tables, which no longer grow
+        held, machines = transduction._held, len(transduction._machines)
+        assert held == pooled_entries()
+        for build, answer in zip(builds, cold):
+            assert build_answer(build()) == answer
+        assert (transduction._held, len(transduction._machines)) == (held, machines)
+
+    def test_equal_configurations_are_one_object(self, monkeypatch):
+        empty_pool(monkeypatch)
+        base = GenParams(seed=21057, vertex_count=5, priority_cap=4, edge_density=0.5)
+        first = {}
+        shared = 0
+        for salt in (0, 1):
+            g = random_non_even_graph(base, salt=salt)
+            assert g.index == Index(0, 4)
+            product = reg_product(g, Index(1, 4), 1)
+            configs = [state[-1] for state in product.decode if state[0] != "sink"]
+            if salt == 0:
+                for cfg in configs:
+                    assert first.setdefault(cfg, cfg) is cfg
+            else:
+                for cfg in configs:
+                    if cfg in first:
+                        assert first[cfg] is cfg
+                        shared += 1
+        assert len(first) > 100 and shared > 100
+
+    def test_pool_never_holds_more_than_the_cap(self, monkeypatch):
+        builds = machine_builds()
+        expected = [build_answer(build()) for build in builds]
+        cap = 300
+        empty_pool(monkeypatch)
+        monkeypatch.setattr(transduction, "DEFAULT_STATE_CAP", cap)
+        charge = transduction._charge
+        fresh_starts = []
+
+        def bounded_charge(machine):
+            before = transduction._held
+            charge(machine)
+            assert transduction._held <= cap
+            if transduction._held <= before:
+                fresh_starts.append(before)
+
+        monkeypatch.setattr(transduction, "_charge", bounded_charge)
+        for build, answer in zip(builds, expected):
+            assert build_answer(build()) == answer
+            assert transduction._held == pooled_entries() <= cap
+        assert len(fresh_starts) > 10 and set(fresh_starts) == {cap}
+
+
+class TestMachineSizing:
+    def test_counter_keys_are_counted_before_they_are_listed(self):
+        huge = 10**9
+        g = ParityGraph.make([0, 1], [(0, 0, huge), (0, 1, 0), (1, 0, 0)], Index(0, huge))
+        a = NPTA.make(("a",), (0,), 0, [(0, "a", 0, 0)], [(huge, huge)], Index(0, huge))
+        start = time.perf_counter()
+        with pytest.raises(TooLarge) as info:
+            reg_product(g, Index(1, 2), 0)
+        assert str(info.value) == (
+            "reg_product(J=[1,2], n=0, rule=liberal): "
+            "2 registers and 1000000000 counter keys exceed the cap 200000"
+        )
+        with pytest.raises(TooLarge) as info:
+            compose_transducer(a, Index(1, 2), 0)
+        assert str(info.value).startswith("compose_transducer(J=[1,2], n=0, rule=liberal): ")
+        # a huge J is refused by its register count alone
+        with pytest.raises(TooLarge):
+            reg_product(ParityGraph.make([0], [(0, 0, 2)]), Index(1, huge), 0)
+        assert time.perf_counter() - start < 2
+
+    def test_the_cap_itself_is_allowed(self):
+        # odds {1, 3} x registers {0, 1, 2}: 6 counter keys
+        g = ParityGraph.make([0], [(0, 0, 3)], Index(0, 3))
+        with pytest.raises(TooLarge):
+            reg_product(g, Index(1, 4), 0, cap=5)
+        with pytest.raises(StateExplosion):
+            reg_product(g, Index(1, 4), 0, cap=6)
+        assert reg_product(g, Index(1, 4), 0).game.graph.vertices
