@@ -155,23 +155,18 @@ class RegMachine:
             return got
         regs_t, ctr_t = cfg
         j = self.regs[jx]
-        if j == 0:
-            res = (1, self._intern(cfg), False)
-        else:
-            r = regs_t[jx]
-            if r % 2 == 0:
-                res = (2 * j, self._intern(cfg), False)
+        r = regs_t[jx]
+        w, mid, loss = (2 * j if j else 1), cfg, False
+        if j and r % 2 == 1:
+            ci = self._ck_pos[(r, j)]
+            ctr2 = list(ctr_t)
+            if ctr2[ci] == self.n:
+                ctr2[ci] = 0
+                w, loss = 2 * j + 1, 2 * j + 1 not in self.J
             else:
-                ci = self._ck_pos[(r, j)]
-                c = ctr_t[ci]
-                ctr2 = list(ctr_t)
-                if c == self.n:
-                    ctr2[ci] = 0
-                    mid = self._intern((regs_t, tuple(ctr2)))
-                    res = (2 * j + 1, mid, 2 * j + 1 not in self.J)
-                else:
-                    ctr2[ci] = c + 1
-                    res = (2 * j, self._intern((regs_t, tuple(ctr2))), False)
+                ctr2[ci] += 1
+            mid = (regs_t, tuple(ctr2))
+        res = (w, self._intern(mid), loss)
         _charge(self)
         self._out_cache[key] = res
         return res
