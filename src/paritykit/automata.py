@@ -435,19 +435,22 @@ def compose_transducer(a, J, n, *, rule=LIBERAL, cap=DEFAULT_STATE_CAP):
                     if w1 is None:
                         add_row((sid, letter, reject, reject, reject_priority, reject_priority))
                         continue
-                    seconds1 = play_round(cfg1, p1 - shift)
+                    children1 = None
                     for w20, cfg20 in play_round(cfg1, p0 - shift):
-                        # seconds1 is never empty, so interning the
-                        # direction-0 child here keeps the numbering
                         if w20 is None:
                             child0, pr0 = reject, reject_priority
                         else:
                             child0, pr0 = intern((q0, cfg20)), max(w1, w20)
-                        for w21, cfg21 in seconds1:
-                            if w21 is None:
-                                child1, pr1 = reject, reject_priority
-                            else:
-                                child1, pr1 = intern((q1, cfg21)), max(w1, w21)
+                        if children1 is None:
+                            # interned once, right after the first direction-0
+                            # child, which keeps the state numbering
+                            children1 = [
+                                (reject, reject_priority)
+                                if w21 is None
+                                else (intern((q1, cfg21)), max(w1, w21))
+                                for w21, cfg21 in play_round(cfg1, p1 - shift)
+                            ]
+                        for child1, pr1 in children1:
                             add_row((sid, letter, child0, child1, pr0, pr1))
 
     states, (initial, _reject) = explore(

@@ -71,11 +71,19 @@ def _emit(obj, args, meta=None):
         print(manifests.dumps(obj, indent=2, meta=meta))
 
 
-def _positive_int(text):
+def _int_at_least(text, low):
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
     return value
+
+
+def _positive_int(text):
+    return _int_at_least(text, 1)
+
+
+def _natural_int(text):
+    return _int_at_least(text, 0)
 
 
 def cmd_solve(args):
@@ -385,9 +393,9 @@ def build_parser():
     s.add_argument("action", choices=("random", "battery"))
     s.add_argument("--kind", choices=("game", "even-graph", "pair"), default="game")
     s.add_argument("--vertices", type=int, default=6)
-    s.add_argument("--priorities", type=int, default=4)
-    s.add_argument("--instances", type=int, default=5)
-    s.add_argument("--n", type=int, default=1)
+    s.add_argument("--priorities", type=_natural_int, default=4)
+    s.add_argument("--instances", type=_positive_int, default=5)
+    s.add_argument("--n", type=_natural_int, default=1)
     s.set_defaults(func=cmd_lab)
 
     s = sub.add_parser("convert", help="convert between formats")

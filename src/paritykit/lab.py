@@ -1,15 +1,16 @@
 """Random instance generation, the brute-force solver oracle, and the
 theorem-regression battery tying all modules together.
 
-Every generator is a pure function of its seed.  The battery's checks are
-the acceptance criteria; failures carry serialized, replayable
-counterexamples.
+Every generator is a pure function of its seed.  The battery is one table,
+`CRITERIA`, of the acceptance criteria; failures carry serialized,
+replayable counterexamples.
 """
 
 import itertools
+import json
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import manifests
 from .automata import (
@@ -30,7 +31,7 @@ from .decomposition import (
     tree_shape,
     validate_ad,
 )
-from .errors import DEFAULT_STATE_CAP, ExhaustedRetries, NotEven, ParityKitError, TooLarge
+from .errors import ExhaustedRetries, NotEven, ParityKitError, TooLarge
 from .games import (
     ADAM,
     Index,
@@ -43,7 +44,6 @@ from .games import (
     verify_winning,
 )
 from .transduction import (
-    LIBERAL,
     NEVER,
     eve_wins_reg,
     n_bound_check,
@@ -441,8 +441,6 @@ class TheoremReport:
         return "\n".join(lines)
 
     def to_json(self):
-        import json
-
         return json.dumps(
             {
                 "ok": self.ok,
@@ -463,12 +461,6 @@ class TheoremReport:
         )
 
 
-def _record(name, fn):
-    start = time.perf_counter()
-    instances, failures = fn()
-    return CheckResult(name, instances, failures, time.perf_counter() - start)
-
-
 def shrink_game(game, predicate):
     """Greedy vertex deletion preserving the failure predicate."""
     current = game
@@ -481,17 +473,13 @@ def shrink_game(game, predicate):
                 edges = [
                     e for e in current.graph.edges if e.src in keep and e.dst in keep
                 ]
-                with_out = {e.src for e in edges}
-                terminals = keep - with_out
+                terminals = keep - {e.src for e in edges}
                 if not terminals:
                     break
                 keep -= terminals
             if not keep:
                 continue
-            g = ParityGraph.make(
-                sorted(keep),
-                [e for e in current.graph.edges if e.src in keep and e.dst in keep],
-            )
+            g = ParityGraph.make(sorted(keep), edges)
             candidate = ParityGame.make(g, current.eve & frozenset(keep))
             try:
                 if predicate(candidate):
@@ -513,60 +501,55 @@ def _solve_certified(game):
     return eve_region, certified
 
 
-def check_solver_cross_oracle(p, count=500, vertices=6, priority_cap=4):
-    def run():
-        failures = []
-        base = GenParams(
-            seed=p.seed,
-            vertex_count=vertices,
-            priority_cap=priority_cap,
-            edge_density=p.edge_density,
-        )
-        for k in range(count):
-            game = random_game(base, salt=k)
-            eve_region, certified = _solve_certified(game)
-            brute_eve, _ = brute_solve(game)
-            if eve_region != brute_eve or not certified:
-                def mismatch(g):
-                    return solve(g)[0] != brute_solve(g)[0]
-
-                small = shrink_game(game, mismatch) if eve_region != brute_eve else game
-                failures.append((f"instance {k}", manifests.dumps(small)))
-        return count, failures
-
-    return _record("solver-cross-oracle", run)
+def _corpus_params(p, vertices, priority_cap=None, index_j=(1, 2)):
+    """A criterion's generator parameters: `p`'s seed and edge density, the
+    criterion's own vertex count and index J, and `p`'s priority cap
+    bounded by 4 unless `priority_cap` is given, which keeps the register
+    products of the corpus small."""
+    if priority_cap is None:
+        priority_cap = min(p.priority_cap, 4)
+    return replace(p, vertex_count=vertices, priority_cap=priority_cap, index_j=index_j)
 
 
-def check_evenness_decomposition(p, count=300, vertices=10):
-    def run():
-        failures = []
-        base = GenParams(
-            seed=p.seed,
-            vertex_count=vertices,
-            priority_cap=p.priority_cap,
-            edge_density=p.edge_density,
-        )
-        for k in range(count):
-            rng = _rng(base, 4, k)
-            g = _random_graph(rng, vertices, base.priority_cap, base.edge_density)
-            even = is_even(g)
-            h = max(g.pri, default=0)
-            h += h % 2
-            try:
-                d = build_ad(g, h)
-                built = True
-            except NotEven:
-                built = False
-            if built != even:
-                failures.append((f"instance {k}: even={even} built={built}", manifests.dumps(g)))
-                continue
-            if built:
-                res = validate_ad(g, d)
-                if not res or not ad_reachability_check(g, d):
-                    failures.append((f"instance {k}: {res.clause}", manifests.dumps(g)))
-        return count, failures
+# Each criterion below runs a corpus of `count` members generated from
+# `p`'s seed and returns (instances, failures); a failure is a description
+# and a serialized, replayable counterexample.
 
-    return _record("evenness-decomposition", run)
+
+def _solver_cross_oracle(p, count):
+    failures = []
+    base = _corpus_params(p, 6, priority_cap=4)
+    for k in range(count):
+        game = random_game(base, salt=k)
+        eve_region, certified = _solve_certified(game)
+        brute_eve, _ = brute_solve(game)
+        if eve_region != brute_eve or not certified:
+            if eve_region != brute_eve:
+                game = shrink_game(game, lambda g: solve(g)[0] != brute_solve(g)[0])
+            failures.append((f"instance {k}", manifests.dumps(game)))
+    return count, failures
+
+
+def _evenness_decomposition(p, count):
+    failures = []
+    for k in range(count):
+        g = _random_graph(_rng(p, 4, k), 10, p.priority_cap, p.edge_density)
+        even = is_even(g)
+        h = max(g.pri, default=0)
+        h += h % 2
+        try:
+            d = build_ad(g, h)
+            built = True
+        except NotEven:
+            built = False
+        if built != even:
+            failures.append((f"instance {k}: even={even} built={built}", manifests.dumps(g)))
+            continue
+        if built:
+            res = validate_ad(g, d)
+            if not res or not ad_reachability_check(g, d):
+                failures.append((f"instance {k}: {res.clause}", manifests.dumps(g)))
+    return count, failures
 
 
 def rejecting_vertices(g):
@@ -583,298 +566,227 @@ def rejecting_vertices(g):
     return frozenset(bad)
 
 
-def check_transduction_soundness(p, count=200, vertices=5, cap=DEFAULT_STATE_CAP, rule=LIBERAL):
-    grid = [(Index(1, 2), n) for n in (0, 1, 2)]
-    grid += [(Index(1, 4), n) for n in (0, 1, 2)]
-    grid += [(Index(2, 4), n) for n in (0, 1, 2)]
-
-    def run():
-        failures = []
-        base = GenParams(
-            seed=p.seed,
-            vertex_count=vertices,
-            priority_cap=min(p.priority_cap, 4),
-            edge_density=p.edge_density,
-        )
-        for k in range(count):
-            g = random_non_even_graph(base, salt=k)
-            rejecting = rejecting_vertices(g)
-            for J, n in grid:
-                product = reg_product(
-                    g, J, n, rule=rule, cap=cap, starts=sorted(rejecting)
-                )
-                eve_region, certified = _solve_certified(product.game)
-                if not certified:
-                    failures.append(
-                        (f"instance {k} J={J} n={n}: strategies not verified", manifests.dumps(g))
-                    )
-                for v in sorted(rejecting):
-                    if product.initial[v] in eve_region:
-                        failures.append(
-                            (f"instance {k} J={J} n={n} from {v}", manifests.dumps(g))
-                        )
-                        break
-        return count * len(grid), failures
-
-    return _record("transduction-soundness", run)
-
-
-def check_bounded_pair_completeness(p, count=150, vertices=5, cap=DEFAULT_STATE_CAP, rule=LIBERAL):
-    def run():
-        failures = []
-        base = GenParams(
-            seed=p.seed,
-            vertex_count=vertices,
-            priority_cap=min(p.priority_cap, 4),
-            edge_density=p.edge_density,
-            index_j=p.index_j,
-        )
-        for k in range(count):
-            n = k % 3
-            pair = random_bounded_pair(base, n, salt=k)
-            strat = strategy_from_bounded_pair(pair, n, rule=rule, cap=cap)
-            if not strat.verify():
-                failures.append((f"instance {k} n={n}: strategy", manifests.dumps(pair)))
-                continue
-            won = eve_wins_reg(pair.graph_i(), pair.index_j, n + 1, rule=rule, cap=cap)
-            if not won:
-                failures.append((f"instance {k} n={n}: solve", manifests.dumps(pair)))
-        return count, failures
-
-    return _record("bounded-pair-completeness", run)
-
-
-def check_strahler_completeness(p, count=150, vertices=6, cap=DEFAULT_STATE_CAP):
-    def run():
-        failures = []
-        base = GenParams(
-            seed=p.seed,
-            vertex_count=vertices,
-            priority_cap=min(p.priority_cap, 4),
-            edge_density=p.edge_density,
-        )
-        for k in range(count):
-            n = 1 + (k % 2)
-            g = random_even_graph(base, salt=k)
-            h = max(g.pri, default=0)
-            h += h % 2
-            d = build_ad(g, h)
-            strat = synth_from_ad(g, d, n, cap=cap)
-            if not strat.verify():
-                failures.append((f"instance {k} n={n}", manifests.dumps(g)))
-        return count, failures
-
-    return _record("strahler-completeness", run)
-
-
-def check_bounded_pair_low_strahler(p, count=100, vertices=5, cap=DEFAULT_STATE_CAP):
-    def run():
-        failures = []
-        for k in range(count):
-            j = 1 + (k % 2)
-            m = k % 2
-            base = GenParams(
-                seed=p.seed,
-                vertex_count=vertices,
-                priority_cap=min(p.priority_cap, 4),
-                edge_density=p.edge_density,
-                index_j=(1, 2 * j),
-            )
-            pair = random_bounded_pair(base, m, salt=k)
-            d = ad_from_bounded_pair(pair, m, j, cap=cap)
-            mp = memory_product(pair, cap=cap)
-            res = validate_ad(mp.pair.graph_i(), d)
-            shape = tree_shape(d)
-            if not res:
-                failures.append((f"instance {k}: {res.clause}", manifests.dumps(pair)))
-            elif n_strahler(shape, m + 1) > j:
+def _transduction_soundness(p, count):
+    grid = [(J, n) for J in (Index(1, 2), Index(1, 4), Index(2, 4)) for n in (0, 1, 2)]
+    failures = []
+    base = _corpus_params(p, 5)
+    for k in range(count):
+        g = random_non_even_graph(base, salt=k)
+        rejecting = rejecting_vertices(g)
+        for J, n in grid:
+            product = reg_product(g, J, n, starts=sorted(rejecting))
+            eve_region, certified = _solve_certified(product.game)
+            if not certified:
                 failures.append(
-                    (
-                        f"instance {k}: S_{m + 1}={n_strahler(shape, m + 1)} > {j}",
-                        manifests.dumps(pair),
-                    )
+                    (f"instance {k} J={J} n={n}: strategies not verified", manifests.dumps(g))
                 )
-        return count, failures
-
-    return _record("bounded-pair-low-strahler", run)
-
-
-def check_universal_trees(p, embed_nodes=7, host_nodes=9):
-    def run():
-        failures = []
-        instances = 0
-        for n in (1, 2, 3):
-            for d in (1, 2, 3):
-                for k in range(1, d + 1):
-                    for w in (1, 2, 3):
-                        instances += 1
-                        u = universal_tree(n, k, d, w)
-                        family = [
-                            t
-                            for t in enumerate_trees(1 + w + w**2 + w**3, d, w)
-                            if n_strahler(t, n) <= k
-                        ]
-                        ok, bad = is_universal_for(u, family)
-                        if not ok:
-                            failures.append(
-                                (f"U({n},{k},{d},{w}) missed", manifests.dumps(bad))
-                            )
-        # embedding checker vs exhaustive backtracking
-        def backtrack(t, host):
-            if not t.children:
-                return True
-            if len(t.children) > len(host.children):
-                return False
-            for combo in itertools.combinations(range(len(host.children)), len(t.children)):
-                if all(
-                    backtrack(c, host.children[j])
-                    for c, j in zip(t.children, combo)
-                ):
-                    return True
-            return False
-
-        smalls = enumerate_trees(embed_nodes, embed_nodes, embed_nodes)
-        hosts = enumerate_trees(host_nodes, host_nodes, host_nodes)
-        for t in smalls:
-            for h in hosts:
-                instances += 1
-                if (embed(t, h) is not None) != backtrack(t, h):
-                    failures.append(
-                        ("embed mismatch", manifests.dumps(t) + manifests.dumps(h))
-                    )
-        return instances, failures
-
-    return _record("universal-trees", run)
+            for v in sorted(rejecting):
+                if product.initial[v] in eve_region:
+                    failures.append((f"instance {k} J={J} n={n} from {v}", manifests.dumps(g)))
+                    break
+    return count * len(grid), failures
 
 
-def check_composition_correctness(p, count=50, tree_nodes=2, cap=400_000):
-    J = Index(1, 2)
+def _bounded_pair_completeness(p, count):
+    failures = []
+    base = _corpus_params(p, 5, index_j=p.index_j)
+    for k in range(count):
+        n = k % 3
+        pair = random_bounded_pair(base, n, salt=k)
+        if not strategy_from_bounded_pair(pair, n).verify():
+            failures.append((f"instance {k} n={n}: strategy", manifests.dumps(pair)))
+        elif not eve_wins_reg(pair.graph_i(), pair.index_j, n + 1):
+            failures.append((f"instance {k} n={n}: solve", manifests.dumps(pair)))
+    return count, failures
 
-    def run():
-        failures = []
-        trees = enumerate_regular_trees(tree_nodes)
-        instances = 0
-        for k in range(count):
-            rng = _rng(p, 8, k)
-            a = random_automaton(rng)
-            games = [acceptance_game(a, t) for t in trees]
-            for n in (0, 1):
-                composed = compose_transducer(a, J, n, cap=cap)
-                for ti, (t, ag) in enumerate(zip(trees, games)):
+
+def _strahler_completeness(p, count):
+    failures = []
+    base = _corpus_params(p, 6)
+    for k in range(count):
+        n = 1 + (k % 2)
+        g = random_even_graph(base, salt=k)
+        h = max(g.pri, default=0)
+        h += h % 2
+        d = build_ad(g, h)
+        if not synth_from_ad(g, d, n).verify():
+            failures.append((f"instance {k} n={n}", manifests.dumps(g)))
+    return count, failures
+
+
+def _bounded_pair_low_strahler(p, count):
+    failures = []
+    for k in range(count):
+        j = 1 + (k % 2)
+        m = k % 2
+        pair = random_bounded_pair(_corpus_params(p, 5, index_j=(1, 2 * j)), m, salt=k)
+        d = ad_from_bounded_pair(pair, m, j)
+        res = validate_ad(memory_product(pair).pair.graph_i(), d)
+        if not res:
+            failures.append((f"instance {k}: {res.clause}", manifests.dumps(pair)))
+            continue
+        strahler = n_strahler(tree_shape(d), m + 1)
+        if strahler > j:
+            failures.append((f"instance {k}: S_{m + 1}={strahler} > {j}", manifests.dumps(pair)))
+    return count, failures
+
+
+def _embeds_by_backtracking(t, host):
+    """Whether `t` embeds in `host`, by exhaustive backtracking over the
+    host's children: the independent oracle for `trees.embed`."""
+    if not t.children:
+        return True
+    if len(t.children) > len(host.children):
+        return False
+    for combo in itertools.combinations(range(len(host.children)), len(t.children)):
+        if all(
+            _embeds_by_backtracking(c, host.children[j])
+            for c, j in zip(t.children, combo)
+        ):
+            return True
+    return False
+
+
+def _universal_trees(p, count):
+    """Each U(n, k, d, w) against the trees it must embed, then `embed`
+    against backtracking on every pair of a query and a host: queries of at
+    most 7 nodes in hosts of at most 9 at full scale (count 100, the
+    battery's scale in percent), 5 in 6 below it."""
+    failures = []
+    instances = 0
+    for n in (1, 2, 3):
+        for d in (1, 2, 3):
+            for k in range(1, d + 1):
+                for w in (1, 2, 3):
                     instances += 1
-                    lhs = membership(composed, t)
-                    product = reg_product(
-                        ag.game, J, n, cap=cap, starts=[ag.initial]
-                    )
-                    eve_region, certified = _solve_certified(product.game)
-                    if not certified:
-                        failures.append(
-                            (
-                                f"automaton {k} tree {ti} n={n}: strategies not verified",
-                                manifests.dumps(a) + "\n" + manifests.dumps(t),
-                            )
-                        )
-                    rhs = product.initial[ag.initial] in eve_region
-                    if lhs != rhs:
-                        failures.append(
-                            (
-                                f"automaton {k} tree {ti} n={n}: membership={lhs} reg={rhs}",
-                                manifests.dumps(a) + "\n" + manifests.dumps(t),
-                            )
-                        )
-        return instances, failures
-
-    return _record("composition-correctness", run)
+                    u = universal_tree(n, k, d, w)
+                    family = [
+                        t
+                        for t in enumerate_trees(1 + w + w**2 + w**3, d, w)
+                        if n_strahler(t, n) <= k
+                    ]
+                    ok, bad = is_universal_for(u, family)
+                    if not ok:
+                        failures.append((f"U({n},{k},{d},{w}) missed", manifests.dumps(bad)))
+    query_nodes, host_nodes = (7, 9) if count >= 100 else (5, 6)
+    hosts = enumerate_trees(host_nodes, host_nodes, host_nodes)
+    for t in enumerate_trees(query_nodes, query_nodes, query_nodes):
+        for h in hosts:
+            instances += 1
+            if (embed(t, h) is not None) != _embeds_by_backtracking(t, h):
+                failures.append(("embed mismatch", manifests.dumps(t) + manifests.dumps(h)))
+    return instances, failures
 
 
-def check_guided_bound(p):
-    def run():
-        failures = []
-        instances = 0
-        for idx, (a, b, gf, trees) in enumerate(guided_suite()):
-            if len(trees) < 3:
-                failures.append((f"suite {idx}: fewer than 3 member trees", ""))
-            for ti, t in enumerate(trees):
+def _composition_correctness(p, count):
+    J = Index(1, 2)
+    failures = []
+    trees = enumerate_regular_trees(2)
+    instances = 0
+    for k in range(count):
+        a = random_automaton(_rng(p, 8, k))
+        games = [acceptance_game(a, t) for t in trees]
+        for n in (0, 1):
+            composed = compose_transducer(a, J, n)
+            for ti, (t, ag) in enumerate(zip(trees, games)):
                 instances += 1
-                if not guided_pair_bound_check(a, b, gf, t):
-                    failures.append(
-                        (f"suite {idx} tree {ti}", manifests.dumps(a))
-                    )
-        a, b, gf, trees = guided_negative()
-        hit = False
-        for t in trees:
-            if membership(b, t) and not guided_pair_bound_check(a, b, gf, t):
-                hit = True
-        instances += 1
-        if not hit:
-            failures.append(("negative control never failed", ""))
-        return instances, failures
-
-    return _record("guided-n-bound", run)
+                lhs = membership(composed, t)
+                product = reg_product(ag.game, J, n, starts=[ag.initial])
+                eve_region, certified = _solve_certified(product.game)
+                rhs = product.initial[ag.initial] in eve_region
+                problems = [] if certified else ["strategies not verified"]
+                if lhs != rhs:
+                    problems.append(f"membership={lhs} reg={rhs}")
+                for problem in problems:
+                    witness = manifests.dumps(a) + "\n" + manifests.dumps(t)
+                    failures.append((f"automaton {k} tree {ti} n={n}: {problem}", witness))
+    return instances, failures
 
 
-def check_mutation_sensitivity(p, count=25, vertices=5, cap=DEFAULT_STATE_CAP):
+def _guided_bound(p, count):
+    """The fixed guided suite and its negative control; `count` is unused."""
+    failures = []
+    instances = 0
+    for idx, (a, b, gf, trees) in enumerate(guided_suite()):
+        if len(trees) < 3:
+            failures.append((f"suite {idx}: fewer than 3 member trees", ""))
+        for ti, t in enumerate(trees):
+            instances += 1
+            if not guided_pair_bound_check(a, b, gf, t):
+                failures.append((f"suite {idx} tree {ti}", manifests.dumps(a)))
+    a, b, gf, trees = guided_negative()
+    instances += 1
+    if not any(membership(b, t) and not guided_pair_bound_check(a, b, gf, t) for t in trees):
+        failures.append(("negative control never failed", ""))
+    return instances, failures
+
+
+def _mutation_sensitivity(p, count):
     """Re-run the bounded-pair completeness check under the never-reset
     rule; the mirror strategy must stop verifying on some corpus instance.
 
     Note full solving cannot distinguish the rules when 1 is in J: waiting
     on r_0 until the running input maximum is even wins regardless of
     counters, so the sensitivity lives in the synthesized strategy."""
+    base = _corpus_params(p, 5)
+    # fixed corpus member: a 3/4-alternating cycle whose mirror strategy
+    # must recycle its counter through the update resets
+    cycle = ParityGraph.make([0, 1], [(0, 1, 0), (1, 0, 0)])
+    pairs = [(1, LabellingPair.make(cycle, (3, 4), (2, 2), Index(0, 4), Index(1, 2)))]
+    for k in range(count):
+        # n = 0 cannot distinguish reset rules (counters never leave 0)
+        n = 1 + (k % 2)
+        pairs.append((n, random_bounded_pair(base, n, salt=k)))
+    hits = 0
+    for n, pair in pairs:
+        liberal = strategy_from_bounded_pair(pair, n).verify()
+        never = strategy_from_bounded_pair(pair, n, rule=NEVER).verify()
+        if liberal and not never:
+            hits += 1
+    failures = [] if hits else [("never-reset mutation was not detected", "")]
+    return len(pairs), failures
 
-    def run():
-        base = GenParams(
-            seed=p.seed,
-            vertex_count=vertices,
-            priority_cap=min(p.priority_cap, 4),
-            edge_density=p.edge_density,
-        )
-        # fixed corpus member: a 3/4-alternating cycle whose mirror strategy
-        # must recycle its counter through the update resets
-        cycle = ParityGraph.make([0, 1], [(0, 1, 0), (1, 0, 0)])
-        pairs = [
-            (1, LabellingPair.make(cycle, (3, 4), (2, 2), Index(0, 4), Index(1, 2)))
-        ]
-        for k in range(count):
-            # n = 0 cannot distinguish reset rules (counters never leave 0)
-            n = 1 + (k % 2)
-            pairs.append((n, random_bounded_pair(base, n, salt=k)))
-        hits = 0
-        for n, pair in pairs:
-            liberal = strategy_from_bounded_pair(pair, n, cap=cap).verify()
-            never = strategy_from_bounded_pair(pair, n, rule=NEVER, cap=cap).verify()
-            if liberal and not never:
-                hits += 1
-        failures = [] if hits else [("never-reset mutation was not detected", "")]
-        return len(pairs), failures
 
-    return _record("mutation-sensitivity", run)
+@dataclass(frozen=True)
+class Criterion:
+    """One acceptance criterion: its name, its count at full scale, and
+    `run(p, count)`, which runs a corpus of `count` members (except where
+    the run's docstring says how it reads `count`)."""
+
+    name: str
+    count: int
+    run: object
+
+    def check(self, p, count=None):
+        """The timed result of running `count` corpus members (by default
+        the full-scale count)."""
+        start = time.perf_counter()
+        instances, failures = self.run(p, self.count if count is None else count)
+        return CheckResult(self.name, instances, failures, time.perf_counter() - start)
+
+
+# the acceptance criteria, numbered from 1 in this order; every product
+# they build runs under its builder's default cap, DEFAULT_STATE_CAP
+CRITERIA = (
+    Criterion("solver-cross-oracle", 500, _solver_cross_oracle),
+    Criterion("evenness-decomposition", 300, _evenness_decomposition),
+    Criterion("transduction-soundness", 200, _transduction_soundness),
+    Criterion("bounded-pair-completeness", 150, _bounded_pair_completeness),
+    Criterion("strahler-completeness", 150, _strahler_completeness),
+    Criterion("bounded-pair-low-strahler", 100, _bounded_pair_low_strahler),
+    Criterion("universal-trees", 100, _universal_trees),
+    Criterion("composition-correctness", 50, _composition_correctness),
+    Criterion("guided-n-bound", 1, _guided_bound),
+    Criterion("mutation-sensitivity", 25, _mutation_sensitivity),
+)
 
 
 def run_theorem_battery(p):
     """The acceptance-criteria suite at a scale set by p.instance_count
-    (100 reproduces the full criteria counts)."""
+    (100 reproduces the full criteria counts): each criterion runs its
+    full-scale count times p.instance_count / 100, and at least 1."""
     report = TheoremReport()
-    if p.instance_count <= 0:
-        return report
-    factor = p.instance_count / 100
-
-    def scaled(full):
-        return max(1, round(full * factor))
-
-    report.checks.append(check_solver_cross_oracle(p, count=scaled(500)))
-    report.checks.append(check_evenness_decomposition(p, count=scaled(300)))
-    report.checks.append(check_transduction_soundness(p, count=scaled(200)))
-    report.checks.append(check_bounded_pair_completeness(p, count=scaled(150)))
-    report.checks.append(check_strahler_completeness(p, count=scaled(150)))
-    report.checks.append(check_bounded_pair_low_strahler(p, count=scaled(100)))
-    report.checks.append(
-        check_universal_trees(
-            p,
-            embed_nodes=7 if factor >= 1 else 5,
-            host_nodes=9 if factor >= 1 else 6,
-        )
-    )
-    report.checks.append(check_composition_correctness(p, count=scaled(50)))
-    report.checks.append(check_guided_bound(p))
-    report.checks.append(check_mutation_sensitivity(p, count=scaled(25)))
+    if p.instance_count > 0:
+        factor = p.instance_count / 100
+        report.checks = [c.check(p, max(1, round(c.count * factor))) for c in CRITERIA]
     return report

@@ -74,6 +74,19 @@ class TestExitCodes:
         assert main(["--cap-states", "-5", "reg", "build", path]) == 2
         assert "--cap-states" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["lab", "random", "--priorities", "-1"], "--priorities"),
+            (["lab", "random", "--kind", "pair", "--n", "-1"], "--n"),
+            (["lab", "battery", "--instances", "0"], "--instances"),
+            (["lab", "battery", "--instances", "-3"], "--instances"),
+        ],
+    )
+    def test_lab_out_of_range_integer_is_usage_error(self, argv, flag, capsys):
+        assert main(argv) == 2
+        assert f"argument {flag}: must be at least" in capsys.readouterr().err
+
     def test_unknown_start_vertex(self, tmp_path, capsys):
         g = ParityGraph.make([0, 1], [(0, 1, 1), (1, 0, 2)])
         path = write(tmp_path, "g.json", g)

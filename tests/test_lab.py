@@ -124,7 +124,7 @@ class TestBattery:
     def test_battery_checks_named_after_criteria(self):
         report = run_theorem_battery(GenParams(seed=3, instance_count=2))
         names = [c.name for c in report.checks]
-        assert names == [
+        assert names == [c.name for c in lab.CRITERIA] == [
             "solver-cross-oracle",
             "evenness-decomposition",
             "transduction-soundness",
@@ -136,16 +136,19 @@ class TestBattery:
             "guided-n-bound",
             "mutation-sensitivity",
         ]
+        # each full-scale count scaled by 2 / 100, at least 1; universal-trees
+        # runs its small corpus and guided-n-bound its fixed suite
+        assert [c.instances for c in report.checks] == [10, 6, 36, 3, 3, 2, 1549, 52, 16, 2]
 
     def test_products_whose_strategies_fail_verification_are_failures(self, monkeypatch):
         # Adam's strategies "fail": every product of criteria 3 and 8 is reported
         monkeypatch.setattr(lab, "verify_winning", lambda game, sigma, region, player=EVE: player == EVE)
         p = GenParams(seed=3)
-        soundness = lab.check_transduction_soundness(p, count=1)
+        soundness = lab.CRITERIA[2].check(p, 1)
         names = [name for name, _ in soundness.failures]
         assert len(names) == soundness.instances == 9
         assert all(name.startswith("instance 0 J=") and name.endswith("strategies not verified") for name in names)
-        composition = lab.check_composition_correctness(p, count=1)
+        composition = lab.CRITERIA[7].check(p, 1)
         names = [name for name, _ in composition.failures]
         assert len(names) == composition.instances
         assert all(name.startswith("automaton 0 tree ") and name.endswith("strategies not verified") for name in names)

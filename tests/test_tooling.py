@@ -117,7 +117,7 @@ PLAIN_RECURSION = {
     "manifests.py:_payload": "one level per product base, bounded by MAX_NESTING",
     "manifests.py:_from_payload": "one level per product base, bounded by MAX_NESTING",
     "automata.py:RegularTree.unfolding_signature.rec": "its nested tuples recurse in C anyway",
-    "lab.py:check_universal_trees.run.backtrack": "a brute-force oracle on small trees",
+    "lab.py:_embeds_by_backtracking": "a brute-force oracle on small trees",
 }
 
 
