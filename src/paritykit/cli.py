@@ -262,9 +262,11 @@ def cmd_aut(args):
 
 
 def cmd_lab(args):
+    if args.action == "battery" and args.vertices is not None:
+        raise PreconditionFailed("--vertices", "the battery's criteria fix their own vertex counts")
     p = GenParams(
         seed=args.seed,
-        vertex_count=args.vertices,
+        vertex_count=6 if args.vertices is None else args.vertices,
         priority_cap=args.priorities,
         instance_count=args.instances,
     )
@@ -392,7 +394,7 @@ def build_parser():
     s = sub.add_parser("lab", help="generators and the theorem battery")
     s.add_argument("action", choices=("random", "battery"))
     s.add_argument("--kind", choices=("game", "even-graph", "pair"), default="game")
-    s.add_argument("--vertices", type=int, default=6)
+    s.add_argument("--vertices", type=_positive_int, default=None, help="random only (default 6)")
     s.add_argument("--priorities", type=_natural_int, default=4)
     s.add_argument("--instances", type=_positive_int, default=5)
     s.add_argument("--n", type=_natural_int, default=1)

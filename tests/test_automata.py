@@ -301,6 +301,94 @@ class TestMembershipQuotient:
         assert str(info.value) == "no transition from 0 over 'b'"
 
 
+def dominance_corpus():
+    """Seeded automata whose quotients hold dominated tails: criterion-8
+    automata composed at J=[1,2] with n in {0, 1} and at J=[1,4] with n=1,
+    and random automata; each paired with every regular tree of <= 2 nodes."""
+    p = GenParams(seed=21057)
+    base = {k: random_automaton(_rng(p, 8, k)) for k in (0, 1, 2, 3, 7, 28)}
+    automata = [compose_transducer(base[k], Index(1, 2), n) for k in range(4) for n in (0, 1)]
+    automata += [compose_transducer(base[k], Index(1, 4), 1) for k in (7, 28)]
+    rng = random.Random(2026)
+    automata += [random_automaton(rng) for _ in range(20)]
+    return automata, enumerate_regular_trees(2)
+
+
+def eve_prefers(p, q):
+    """Whether priority p is at least as good for Eve as q: every odd
+    priority is below every even one, a smaller odd priority is better and
+    a larger even one is better."""
+    if p % 2 != q % 2:
+        return p % 2 == 0
+    return p >= q if p % 2 == 0 else p <= q
+
+
+def dominates(u, t):
+    """Whether tail u = (q0, q1, p0, p1) dominates another tail t."""
+    return u != t and u[:2] == t[:2] and eve_prefers(u[2], t[2]) and eve_prefers(u[3], t[3])
+
+
+class TestMembershipDominance:
+    def test_membership_agrees_with_the_full_acceptance_game(self):
+        automata, trees = dominance_corpus()
+        answers = set()
+        for a in automata:
+            for t in trees:
+                ag = acceptance_game(a, t)
+                full = ag.initial in solve(ag.game)[0]
+                assert membership(a, t) == full
+                answers.add(full)
+        assert answers == {True, False}
+        offered = sum(len(tails) for a in automata for tails in a._quotient[1].values())
+        kept = sum(len(tails) for a in automata for tails in a._undominated.values())
+        assert kept < offered
+
+    def test_entries_are_nonempty_subsequences_of_the_quotient(self):
+        automata, _trees = dominance_corpus()
+        for a in automata:
+            tails = a._quotient[1]
+            assert a._undominated.keys() == tails.keys()
+            for key, kept in a._undominated.items():
+                assert kept
+                rest = iter(tails[key])
+                assert all(tail in rest for tail in kept)
+
+    def test_exactly_the_dominated_tails_are_removed(self):
+        automata, _trees = dominance_corpus()
+        for a in automata:
+            for key, tails in a._quotient[1].items():
+                kept = a._undominated[key]
+                for t in tails:
+                    if t in kept:
+                        assert not any(dominates(u, t) for u in tails)
+                    else:
+                        assert any(dominates(u, t) for u in kept)
+
+
+class TestAutomatonFootprint:
+    def test_transition_index_is_built_on_first_use(self):
+        a = compose_transducer(random_automaton(random.Random(3)), Index(1, 2), 1)
+        assert "_by_state_letter" not in a.__dict__
+        membership(a, one_node_tree(a.alphabet[0]))
+        assert "_by_state_letter" not in a.__dict__
+        assert a.transitions_from(a.initial, a.alphabet[0])
+        assert "_by_state_letter" in a.__dict__
+
+    def test_equal_priority_pairs_are_one_object(self):
+        composed = compose_transducer(random_automaton(random.Random(3)), Index(1, 2), 1)
+        loaded = manifests.loads(manifests.dumps(composed))
+        for a in (composed, loaded):
+            assert len(a.omega) > len(set(a.omega))
+            assert len({id(o) for o in a.omega}) == len(set(a.omega))
+
+    def test_incomplete_automaton_names_the_first_missing_pair(self):
+        # (1, "a") and (0, "b") are missing; states, then letters, ascend
+        transitions = [(1, "b", 0, 0), (0, "a", 1, 1), (2, "a", 2, 2), (2, "b", 2, 2)]
+        with pytest.raises(IncompleteAutomaton) as info:
+            NPTA.make(("b", "a"), (2, 1, 0), 2, transitions, [(2, 2)] * 4, Index(1, 2))
+        assert str(info.value) == "no transition from 0 over 'b'"
+
+
 class TestRunGraph:
     def test_winning_strategy_gives_even_run(self):
         a = _aut_eventually_b()

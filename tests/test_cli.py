@@ -81,11 +81,25 @@ class TestExitCodes:
             (["lab", "random", "--kind", "pair", "--n", "-1"], "--n"),
             (["lab", "battery", "--instances", "0"], "--instances"),
             (["lab", "battery", "--instances", "-3"], "--instances"),
+            (["lab", "random", "--vertices", "-2"], "--vertices"),
+            (["lab", "random", "--vertices", "0"], "--vertices"),
         ],
     )
     def test_lab_out_of_range_integer_is_usage_error(self, argv, flag, capsys):
         assert main(argv) == 2
         assert f"argument {flag}: must be at least" in capsys.readouterr().err
+
+    def test_lab_random_defaults_to_six_vertices(self, capsys):
+        assert main(["--seed", "3", "lab", "random"]) == 0
+        default = capsys.readouterr().out
+        assert main(["--seed", "3", "lab", "random", "--vertices", "6"]) == 0
+        assert capsys.readouterr().out == default
+        assert len(manifests.loads(default).graph.vertices) == 6
+
+    def test_lab_battery_rejects_vertices(self, capsys):
+        assert main(["lab", "battery", "--instances", "1", "--vertices", "3"]) == 2
+        err = capsys.readouterr().err
+        assert "usage error" in err and "criteria fix their own vertex counts" in err
 
     def test_unknown_start_vertex(self, tmp_path, capsys):
         g = ParityGraph.make([0, 1], [(0, 1, 1), (1, 0, 2)])

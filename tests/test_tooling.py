@@ -89,10 +89,8 @@ EDGE_READERS = {
 }
 
 
-def test_edges_are_read_from_the_columns():
-    """`ParityGraph.edges` builds an `Edge` per item it yields, so package
-    code indexes or walks `src`/`dst`/`pri` instead; only EDGE_READERS read
-    `.edges`, and each of them still does."""
+def _attribute_readers(attr):
+    """"file:Class.function" of every package function that reads `.attr`."""
     readers = set()
 
     def visit(node, name):
@@ -100,13 +98,30 @@ def test_edges_are_read_from_the_columns():
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                 visit(child, f"{name}.{child.name}" if name else child.name)
                 continue
-            if isinstance(child, ast.Attribute) and child.attr == "edges":
+            if isinstance(child, ast.Attribute) and child.attr == attr:
                 readers.add(f"{path.name}:{name}")
             visit(child, name)
 
     for path in sorted(SRC.glob("*.py")):
         visit(ast.parse(path.read_text(), filename=str(path)), "")
-    assert readers == EDGE_READERS
+    return readers
+
+
+def test_edges_are_read_from_the_columns():
+    """`ParityGraph.edges` builds an `Edge` per item it yields, so package
+    code indexes or walks `src`/`dst`/`pri` instead; only EDGE_READERS read
+    `.edges`, and each of them still does."""
+    assert _attribute_readers("edges") == EDGE_READERS
+
+
+def test_transition_index_is_read_only_by_transitions_from():
+    """Only `NPTA.transitions_from` reads `_by_state_letter`, and no method
+    of `NPTA` calls `transitions_from`, so an automaton builds that index
+    only when a caller asks for transitions by state and letter, never in
+    `NPTA.make`."""
+    assert _attribute_readers("_by_state_letter") == {"automata.py:NPTA.transitions_from"}
+    callers = _attribute_readers("transitions_from")
+    assert sorted(c for c in callers if c.startswith("automata.py:NPTA.")) == []
 
 
 # functions that call themselves on Python's stack instead of being
