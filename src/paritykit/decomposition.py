@@ -184,7 +184,11 @@ def build_ad(g, h):
 
     The construction itself detects a graph that is not even: a cycle with
     odd maximum p enters no attractor above level p+1, and there it leaves
-    a residual without a level-p core.  Only then is the lasso searched."""
+    a residual without a level-p core.  Only then is the lasso searched.
+
+    The decomposition of a non-empty graph has one node per even level, so
+    h/2 + 1 nodes; more than DEFAULT_STATE_CAP raise TooLarge before
+    anything is built."""
     if h < 0 or h % 2 == 1:
         raise PreconditionFailed("build_ad", "level must be an even natural")
     if max(g.pri, default=0) > h:
@@ -194,6 +198,8 @@ def build_ad(g, h):
         if lasso is not None:
             raise NotEven(lasso)
         raise PreconditionFailed("build_ad", f"terminal vertex {g.terminals[0]}")
+    if g.vertices and h // 2 + 1 > DEFAULT_STATE_CAP:
+        raise TooLarge(f"build_ad(h={h}): {h // 2 + 1} nodes exceed the cap {DEFAULT_STATE_CAP}")
     try:
         return unwind(_build(g, g.vertices, g.cap, h))
     except InvalidDecomposition:

@@ -153,8 +153,15 @@ def random_bounded_pair(p, n, salt=0, retries=300):
 
 
 def brute_solve(game, cap=10**6):
-    """Exact regions by enumerating Eve's positional strategies and testing
-    each residual one-player graph for reachable odd cycles."""
+    """Exact regions by enumerating Eve's positional strategies, which
+    suffice by positional determinacy: a vertex is Eve's iff some strategy
+    leaves no cycle with odd maximum reachable from it in the residual
+    one-player graph.
+
+    The strategies are counted first and refused with TooLarge beyond
+    `cap`; each then costs one `_odd_reach`, about n^2 per odd priority, so
+    the whole cost is exponential in Eve's choices.  The enumeration stops
+    as soon as Eve wins every vertex."""
     g = game.graph
     eve_vs = sorted(game.eve)
     total = 1
@@ -162,97 +169,64 @@ def brute_solve(game, cap=10**6):
         total *= max(1, len(g.out[v]))
         if total > cap:
             raise TooLarge(f"strategy space exceeds {cap}")
-    adam_edges = [
-        i for v in g.sorted_vertices() if game.owner(v) == ADAM for i in g.out[v]
-    ]
-    eve_region = set()
-    src, dst = g.src, g.dst
-    for combo in itertools.product(*[g.out[v] for v in eve_vs]):
-        keep = sorted(set(combo).union(adam_edges))
-        bad = _odd_core(g, keep)
-        losing = set(bad)
-        changed = True
-        while changed:
-            changed = False
-            for i in keep:
-                if dst[i] in losing and src[i] not in losing:
-                    losing.add(src[i])
-                    changed = True
-        eve_region |= g.vertices - losing
-    return frozenset(eve_region), frozenset(g.vertices - eve_region)
+    order, edges = _positions(g)
+    adam_edges = [edges[i] for v in order if v not in game.eve for i in g.out[v]]
+    full = (1 << len(order)) - 1
+    eve = 0
+    for combo in itertools.product(*[[edges[i] for i in g.out[v]] for v in eve_vs]):
+        eve |= full & ~_odd_reach(len(order), adam_edges + list(combo))
+        if eve == full:
+            break
+    eve_region = frozenset(v for k, v in enumerate(order) if eve >> k & 1)
+    return eve_region, g.vertices - eve_region
 
 
-def _tarjan_scc(vertices, succ):
-    """Iterative Tarjan; returns vertex -> component id."""
-    index = {}
-    low = {}
-    comp = {}
-    on_stack = set()
-    stack = []
-    counter = [0]
-    comp_counter = [0]
-    for root in sorted(vertices):
-        if root in index:
-            continue
-        work = [(root, iter(succ(root)))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(succ(w))))
-                    advanced = True
-                    break
-                elif w in on_stack:
-                    if index[w] < low[v]:
-                        low[v] = index[w]
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                if low[v] < low[parent]:
-                    low[parent] = low[v]
-            if low[v] == index[v]:
-                cid = comp_counter[0]
-                comp_counter[0] += 1
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp[w] = cid
-                    if w == v:
-                        break
-    return comp
+def _positions(g):
+    """g's vertices in ascending id, and its edges by id as (source, target,
+    priority) triples with each vertex at its position in that order."""
+    order = g.sorted_vertices()
+    at = {v: k for k, v in enumerate(order)}
+    return order, [(at[s], at[d], p) for s, d, p in zip(g.src, g.dst, g.pri)]
 
 
-def _odd_core(g, keep):
-    """Vertices on a cycle with odd maximum in the edge-filtered graph."""
-    bad = set()
-    src, dst, pri = g.src, g.dst, g.pri
-    priorities = sorted({pri[i] for i in keep}, reverse=True)
-    for prio in priorities:
-        if prio % 2 == 0:
-            continue
-        sub = [i for i in keep if pri[i] <= prio]
-        succ = {}
-        for i in sub:
-            succ.setdefault(src[i], []).append(dst[i])
-        scope = {src[i] for i in sub} | {dst[i] for i in sub}
-        comp = _tarjan_scc(scope, lambda v: iter(succ.get(v, ())))
-        for i in sub:
-            # same SCC means dst reaches src, closing a cycle of maximum prio
-            if pri[i] == prio and comp[src[i]] == comp[dst[i]]:
-                cid = comp[src[i]]
-                bad.update(v for v in scope if comp[v] == cid)
-    return bad
+def _odd_reach(n, edges):
+    """Bit mask of the positions 0..n-1 that reach a cycle with odd maximum
+    in the graph of `edges`, (source, target, priority) triples of
+    positions.
+
+    For each odd priority p that occurs, Warshall's closure over int masks
+    of the edges of priority <= p marks the source s of each p-edge s -> d
+    whose target reaches s (a self-loop included): that edge closes a
+    cycle of maximum p.  The result is those sources and every position
+    that reaches one.  Each odd priority costs about n^2 mask operations,
+    quadratic rather than linear in the graph: this suits the oracles'
+    graphs of a dozen vertices, and from a few hundred vertices on a
+    linear-time SCC search is faster."""
+    bad = 0
+    for p in sorted({q for _, _, q in edges if q % 2}):
+        reach = [0] * n
+        for s, d, q in edges:
+            if q <= p:
+                reach[s] |= 1 << d
+        for k in range(n):
+            bit, row = 1 << k, reach[k]
+            for i in range(n):
+                if reach[i] & bit:
+                    reach[i] |= row
+        for s, d, q in edges:
+            if q == p and reach[d] >> s & 1:
+                bad |= 1 << s
+    pred = [0] * n
+    for s, d, _ in edges:
+        pred[d] |= 1 << s
+    losing = todo = bad
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        grown = pred[low.bit_length() - 1] & ~losing
+        losing |= grown
+        todo |= grown
+    return losing
 
 
 # ---------------------------------------------------------------------------
@@ -554,16 +528,11 @@ def _evenness_decomposition(p, count):
 
 def rejecting_vertices(g):
     """Vertices from which a cycle with odd maximum is reachable; exactly
-    where soundness promises Adam a win."""
-    bad = _odd_core(g, range(len(g.src)))
-    changed = True
-    while changed:
-        changed = False
-        for s, d in zip(g.src, g.dst):
-            if d in bad and s not in bad:
-                bad.add(s)
-                changed = True
-    return frozenset(bad)
+    where soundness promises Adam a win.  One `_odd_reach` over the whole
+    graph, so about n^2 per odd priority."""
+    order, edges = _positions(g)
+    bad = _odd_reach(len(order), edges)
+    return frozenset(v for k, v in enumerate(order) if bad >> k & 1)
 
 
 def _transduction_soundness(p, count):

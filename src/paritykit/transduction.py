@@ -506,15 +506,17 @@ class ProductStrategy:
 
 def _register_strategy(product, pick):
     """Eve's strategy over `product` from pick(eid) -> (i, register) on base
-    edges: a "B" state takes its edge to `register`, a "C" state the edge
-    of the odd pick i (its out-edges list p, p+2, ... for base priority p)."""
+    edges, called once per base edge: a "B" state takes its edge to
+    `register`, a "C" state the edge of the odd pick i (its out-edges list
+    p, p+2, ... for base priority p)."""
     out, base_pri = product.game.graph.out, product._graph().pri
     reg_pos = {j: x for x, j in enumerate(product.reg_indices)}
+    picks = list(map(pick, range(len(base_pri))))
     sigma = {}
     for vid, state in enumerate(product.decode):
         if state[0] in ("B", "C"):
             eid = state[1]
-            i, reg = pick(eid)
+            i, reg = picks[eid]
             sigma[vid] = out[vid][reg_pos[reg] if state[0] == "B" else (i - base_pri[eid]) // 2]
     return ProductStrategy(product, sigma)
 

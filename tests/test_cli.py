@@ -531,3 +531,16 @@ class TestHostileManifests:
         assert time.perf_counter() - start < 2
         if code == 3:
             assert "counter keys exceed the cap 200000" in capsys.readouterr().err
+
+    def test_ad_build_at_a_huge_level_ends_in_seconds(self, tmp_path, capsys):
+        # the decomposition would hold one node per even level, 5*10**8 + 1
+        huge = 10**9
+        path = write(
+            tmp_path,
+            "huge-g.json",
+            ParityGraph.make([0, 1], [(0, 0, huge), (0, 1, 0), (1, 0, 0)], Index(0, huge)),
+        )
+        start = time.perf_counter()
+        assert main(["ad", "build", path]) == 3
+        assert time.perf_counter() - start < 2
+        assert f"build_ad(h={huge}): {huge // 2 + 1} nodes exceed the cap 200000" in capsys.readouterr().err

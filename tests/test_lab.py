@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from paritykit import lab
@@ -14,6 +16,29 @@ from paritykit.lab import (
     shrink_game,
 )
 from paritykit.transduction import n_bound_check
+
+import oracles
+
+
+def _oracle_corpus(count):
+    """Seeded games of 1-8 vertices with gapped ids, priorities up to 2-6
+    and out-degree 0-3, so some vertices are terminal; every fifth game has
+    no Eve vertex and every fifth after it is all Eve's."""
+    games = []
+    for seed in range(count):
+        rng = random.Random(seed)
+        n = 1 + seed % 8
+        ids = sorted(rng.sample(range(3 * n), n))
+        cap = rng.choice([2, 4, 6])
+        edges = [
+            (v, rng.choice(ids), rng.randint(0, cap))
+            for v in ids
+            for _ in range(rng.choice([0, 1, 1, 2, 2, 2, 2, 3]))
+        ]
+        mode = seed % 5
+        eve = [] if mode == 0 else ids if mode == 1 else [v for v in ids if rng.random() < 0.5]
+        games.append(ParityGame.make(ParityGraph.make(ids, edges), eve))
+    return games
 
 
 class TestGenerators:
@@ -69,6 +94,29 @@ class TestBruteSolve:
             gm = random_game(GenParams(seed=seed, vertex_count=5, priority_cap=4))
             assert brute_solve(gm)[0] == solve(gm)[0]
 
+    def test_agrees_with_the_simple_cycle_oracle(self):
+        games = _oracle_corpus(400)
+        assert any(gm.graph.terminals for gm in games)
+        assert any(gm.graph.sorted_vertices() != list(range(len(gm.graph.vertices))) for gm in games)
+        for gm in games:
+            assert brute_solve(gm) == oracles.brute_solve(gm)
+
+    def test_stops_once_eve_wins_everywhere(self, monkeypatch):
+        # 2**17 strategies; the first takes every self-loop of priority 0
+        g = ParityGraph.make(
+            range(17), [e for v in range(17) for e in ((v, v, 0), (v, (v + 1) % 17, 1))]
+        )
+        calls = []
+        kernel = lab._odd_reach
+
+        def spy(n, edges):
+            calls.append(n)
+            return kernel(n, edges)
+
+        monkeypatch.setattr(lab, "_odd_reach", spy)
+        assert brute_solve(ParityGame.make(g, range(17))) == (g.vertices, frozenset())
+        assert calls == [17]
+
     def test_size_cap(self):
         g = ParityGraph.make(
             range(12), [(v, w, 0) for v in range(12) for w in range(12)]
@@ -86,6 +134,18 @@ class TestRejectingVertices:
     def test_even_graph_has_none(self):
         g = ParityGraph.make([0], [(0, 0, 2)])
         assert rejecting_vertices(g) == frozenset()
+
+    def test_agrees_with_the_simple_cycle_definition(self):
+        for gm in _oracle_corpus(400):
+            g = gm.graph
+            on_odd_cycle = {
+                g.src[i]
+                for cycle in oracles.simple_cycles(g)
+                if max(g.pri[i] for i in cycle) % 2 == 1
+                for i in cycle
+            }
+            expected = {v for v in g.vertices if oracles.walk_ends(g, {v}) & on_odd_cycle}
+            assert rejecting_vertices(g) == expected
 
 
 class TestShrink:

@@ -185,3 +185,31 @@ def test_recursive_functions_are_generators():
         tree = ast.parse(path.read_text(), filename=str(path))
         visit(tree, f"{path.name}:", False)
     assert sorted(plain) == sorted(PLAIN_RECURSION)
+
+
+def test_brute_force_oracles_call_no_games_algorithm():
+    """`brute_solve`, `rejecting_vertices` and everything in lab.py that
+    they call read graphs and games only through their accessors: no
+    module-level function of games.py (solve, attractors, odd-cycle
+    searches, verification) is named there, so the oracles stay
+    independent of the code they check.  Imports are by name, so
+    `_attribute_readers` alone would miss a call."""
+    games = ast.parse((SRC / "games.py").read_text())
+    algorithms = {node.name for node in games.body if isinstance(node, ast.FunctionDef)}
+    assert {"solve", "_attract", "_zielonka", "_odd_cycle_witness", "verify_winning", "check_even", "is_even"} <= algorithms
+    lab = ast.parse((SRC / "lab.py").read_text())
+    functions = {node.name: node for node in lab.body if isinstance(node, ast.FunctionDef)}
+    reached, todo, named = set(), ["brute_solve", "rejecting_vertices", "_odd_reach"], set()
+    while todo:
+        name = todo.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        for node in ast.walk(functions[name]):
+            ident = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if ident in functions:
+                todo.append(ident)
+            elif ident in algorithms:
+                named.add(f"lab.py:{name} names games.{ident}")
+    assert "_positions" in reached
+    assert sorted(named) == []
