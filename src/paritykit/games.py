@@ -269,7 +269,8 @@ def explore(starts, expand, what, cap=DEFAULT_STATE_CAP):
     `expand(state, sid, intern)` runs once per state in id order, and
     `intern(state)` returns a state's id, numbering it if it is new; so a
     builder that appends its out-edges inside `expand` lists them by
-    source id, each source's in the order it emits them.  Raises
+    source id, each source's in the order it emits them.  An `expand` that
+    returns true ends the exploration: no later state is expanded.  Raises
     StateExplosion naming the construction `what` when more than `cap`
     states are needed.  Returns (states by id, ids of `starts`).
     """
@@ -289,7 +290,8 @@ def explore(starts, expand, what, cap=DEFAULT_STATE_CAP):
 
     start_ids = [intern(state) for state in starts]
     for sid, state in enumerate(states):
-        expand(state, sid, intern)
+        if expand(state, sid, intern):
+            break
     return states, start_ids
 
 

@@ -31,7 +31,14 @@ from .decomposition import (
     tree_shape,
     validate_ad,
 )
-from .errors import ExhaustedRetries, NotEven, ParityKitError, TooLarge
+from .errors import (
+    DEFAULT_STATE_CAP,
+    ExhaustedRetries,
+    NotEven,
+    ParityKitError,
+    TerminalVertex,
+    TooLarge,
+)
 from .games import (
     ADAM,
     Index,
@@ -152,21 +159,24 @@ def random_bounded_pair(p, n, salt=0, retries=300):
     raise ExhaustedRetries(f"no {n}-bound even pair found")
 
 
-def brute_solve(game, cap=10**6):
+def brute_solve(game, cap=DEFAULT_STATE_CAP):
     """Exact regions by enumerating Eve's positional strategies, which
     suffice by positional determinacy: a vertex is Eve's iff some strategy
     leaves no cycle with odd maximum reachable from it in the residual
-    one-player graph.
+    one-player graph.  A terminal vertex raises TerminalVertex, as in
+    `solve`.
 
     The strategies are counted first and refused with TooLarge beyond
     `cap`; each then costs one `_odd_reach`, about n^2 per odd priority, so
     the whole cost is exponential in Eve's choices.  The enumeration stops
     as soon as Eve wins every vertex."""
     g = game.graph
+    if g.terminals:
+        raise TerminalVertex(g.terminals[0])
     eve_vs = sorted(game.eve)
     total = 1
     for v in eve_vs:
-        total *= max(1, len(g.out[v]))
+        total *= len(g.out[v])
         if total > cap:
             raise TooLarge(f"strategy space exceeds {cap}")
     order, edges = _positions(g)

@@ -9,7 +9,6 @@ priority 0, outputs carry their own value, and instant losses route to a
 sink with a priority-1 self-loop.
 """
 
-from collections import deque
 from dataclasses import dataclass, field
 
 from .decomposition import validate_ad
@@ -402,52 +401,43 @@ class SegmentedPath:
 
 
 def _segment_search(g, li, lj, odd, even, n):
-    """BFS over (vertex, closed segments, seen-odd, seen-even); a close is an
-    epsilon step allowed when both maxima have been witnessed."""
-    parent = {}
-    queue = deque()
-    for v in g.sorted_vertices():
-        s0 = (v, 0, False, False)
-        if s0 not in parent:
-            parent[s0] = None
-            queue.append(s0)
-    while queue:
-        state = queue.popleft()
+    """Breadth-first search on `explore` over (vertex, closed segments,
+    seen-odd, seen-even); a close is an epsilon step allowed when both
+    maxima have been witnessed.  Returns the first n+1 closed segments
+    found, or None."""
+    out, dst = g.out, g.dst
+    starts = [(v, 0, False, False) for v in g.sorted_vertices()]
+    # state id -> (parent id, edge id or None for a close); starts have none
+    parent = [None] * len(starts)
+    closing = []
+
+    def expand(state, sid, intern):
         v, s, fi, fj = state
         if fi and fj:
-            nxt = (v, s + 1, False, False)
-            if nxt not in parent:
-                parent[nxt] = (state, None)
-                if s + 1 == n + 1:
-                    return _reconstruct(parent, nxt)
-                queue.append(nxt)
-        for eid in g.out[v]:
+            if s == n:
+                closing.append((sid, None))
+                return True
+            if intern((v, s + 1, False, False)) == len(parent):
+                parent.append((sid, None))
+        for eid in out[v]:
             a, b = li[eid], lj[eid]
-            if a > odd or b > even:
-                continue
-            nxt = (g.dst[eid], s, fi or a == odd, fj or b == even)
-            if nxt not in parent:
-                parent[nxt] = (state, eid)
-                queue.append(nxt)
-    return None
+            if a <= odd and b <= even:
+                if intern((dst[eid], s, fi or a == odd, fj or b == even)) == len(parent):
+                    parent.append((sid, eid))
 
-
-def _reconstruct(parent, state):
-    steps = []
-    while parent[state] is not None:
-        prev, eid = parent[state]
-        steps.append(eid)
-        state = prev
-    steps.reverse()
-    segments = []
-    current = []
-    for eid in steps:
+    explore(starts, expand, f"n_bound_check(n={n}, odd={odd}, even={even})")
+    if not closing:
+        return None
+    # walk back from the last close: each close starts an earlier segment
+    segments, link = [], closing[0]
+    while link is not None:
+        sid, eid = link
         if eid is None:
-            segments.append(tuple(current))
-            current = []
+            segments.append([])
         else:
-            current.append(eid)
-    return tuple(segments)
+            segments[-1].append(eid)
+        link = parent[sid]
+    return tuple(tuple(reversed(seg)) for seg in reversed(segments))
 
 
 def n_bound_check(pair, n):
@@ -481,22 +471,17 @@ class ProductStrategy:
 
     def reachable_region(self):
         """Vertices reachable from the initial ones when Eve follows sigma."""
-        game = self.product.game
-        g = game.graph
-        seen = set(self.product.initial.values())
-        queue = deque(sorted(seen))
-        while queue:
-            v = queue.popleft()
-            if game.owner(v) == EVE:
-                targets = [self.sigma[v]]
-            else:
-                targets = list(g.out[v])
-            for i in targets:
-                w = g.dst[i]
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        return frozenset(seen)
+        game, sigma = self.product.game, self.sigma
+        out, dst = game.graph.out, game.graph.dst
+
+        def expand(v, sid, intern):
+            for i in (sigma[v],) if game.owner(v) == EVE else out[v]:
+                intern(dst[i])
+
+        # a region never holds more states than the product
+        cap = len(game.graph.vertices)
+        states, _ = explore(self.product.initial.values(), expand, "reachable_region", cap)
+        return frozenset(states)
 
     def verify(self):
         region = self.reachable_region()

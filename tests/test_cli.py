@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from paritykit import manifests
 from paritykit.automata import NPTA, RegularTree
 from paritykit.cli import main
-from paritykit.decomposition import build_ad
+from paritykit.decomposition import LabellingPair, build_ad
 from paritykit.errors import PreconditionFailed
 from paritykit.games import Index, Lasso, ParityGame, ParityGraph
 from paritykit.lab import (
@@ -544,3 +544,16 @@ class TestHostileManifests:
         assert main(["ad", "build", path]) == 3
         assert time.perf_counter() - start < 2
         assert f"build_ad(h={huge}): {huge // 2 + 1} nodes exceed the cap 200000" in capsys.readouterr().err
+
+    def test_bound_check_at_a_huge_bound_ends_in_seconds(self, tmp_path, capsys):
+        # one self-loop closes a segment every two states of the search
+        g = ParityGraph.make([0], [(0, 0, 0)])
+        path = write(tmp_path, "loop-pair.json", LabellingPair.make(g, (1,), (2,)))
+        start = time.perf_counter()
+        assert main(["bound", "check", path, "--n", str(10**9)]) == 3
+        assert time.perf_counter() - start < 2
+        assert "n_bound_check(" in capsys.readouterr().err
+        assert main(["bound", "check", path, "--n", "1000"]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "not bounded"
+        assert json.loads(out[1])["segments"] == [[0]] * 1001

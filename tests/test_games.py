@@ -486,6 +486,19 @@ class TestExplore:
         with pytest.raises(StateExplosion):
             explore([0, 1, 2], self.doubling(0), "starts", cap=2)
 
+    def test_an_expand_that_returns_true_ends_the_exploration(self):
+        calls = []
+        grow = self.doubling(10, calls)
+
+        def expand(state, sid, intern):
+            grow(state, sid, intern)
+            return state == 6
+
+        states, start_ids = explore([3, 1], expand, "doubling")
+        # 3 -> 6, 7; 1 -> 2; 6 stops before 7 and 2 are expanded
+        assert states == [3, 1, 6, 7, 2] and start_ids == [0, 1]
+        assert calls == [(3, 0), (1, 1), (6, 2)]
+
 
 def solver_corpus():
     """Random games of 4-40 vertices and three criterion-3 register products."""

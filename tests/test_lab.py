@@ -3,7 +3,7 @@ import random
 import pytest
 
 from paritykit import lab
-from paritykit.errors import TooLarge
+from paritykit.errors import TerminalVertex, TooLarge
 from paritykit.games import EVE, ParityGame, ParityGraph, is_even, solve
 from paritykit.lab import (
     GenParams,
@@ -96,10 +96,17 @@ class TestBruteSolve:
 
     def test_agrees_with_the_simple_cycle_oracle(self):
         games = _oracle_corpus(400)
-        assert any(gm.graph.terminals for gm in games)
         assert any(gm.graph.sorted_vertices() != list(range(len(gm.graph.vertices))) for gm in games)
+        terminal = 0
         for gm in games:
-            assert brute_solve(gm) == oracles.brute_solve(gm)
+            if gm.graph.terminals:
+                terminal += 1
+                with pytest.raises(TerminalVertex) as info:
+                    brute_solve(gm)
+                assert info.value.vertex == min(gm.graph.terminals)
+            else:
+                assert brute_solve(gm) == oracles.brute_solve(gm)
+        assert terminal == 165
 
     def test_stops_once_eve_wins_everywhere(self, monkeypatch):
         # 2**17 strategies; the first takes every self-loop of priority 0

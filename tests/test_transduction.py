@@ -358,6 +358,17 @@ class TestNBoundCheck:
         assert len(verdicts) >= 1000 and verdicts.count(True) > 100 and verdicts.count(False) > 100
         assert digest.hexdigest() == N_BOUND_SHA1
 
+    def test_a_huge_bound_stops_at_the_state_cap(self):
+        # two states per segment: the search would need about 2 * 10**6
+        pair = self.pair([(0, 0)], (1,), (2,))
+        start = time.perf_counter()
+        with pytest.raises(StateExplosion) as info:
+            n_bound_check(pair, 10**6)
+        assert time.perf_counter() - start < 5
+        assert info.value.construction.startswith("n_bound_check(")
+        ok, witness = n_bound_check(pair, 1000)
+        assert not ok and witness.segments == ((0,),) * 1001
+
     def test_monotone_in_n(self):
         for seed in range(10):
             p = GenParams(seed=seed, vertex_count=5, priority_cap=4)
