@@ -218,8 +218,7 @@ def n_bound_corpus():
     for k in range(300):
         if k % 4 == 3:
             p = GenParams(seed=k, vertex_count=rng.randint(3, 6), priority_cap=4)
-            pair = random_bounded_pair(p, k % 3)
-            yield pair
+            yield random_bounded_pair(p, k % 3)
             continue
         g = random_graph(rng, rng.randint(2, 7), 0, max_out=2)
         li = tuple(rng.randint(0, 5) for _ in g.src)
@@ -366,8 +365,6 @@ class TestNBoundCheck:
             n_bound_check(pair, 10**6)
         assert time.perf_counter() - start < 5
         assert info.value.construction.startswith("n_bound_check(")
-        ok, witness = n_bound_check(pair, 1000)
-        assert not ok and witness.segments == ((0,),) * 1001
 
     def test_monotone_in_n(self):
         for seed in range(10):
