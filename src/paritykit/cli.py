@@ -271,6 +271,10 @@ def cmd_lab(args):
         instance_count=args.instances,
     )
     if args.action == "random":
+        if p.vertex_count > args.cap_states:
+            raise TooLarge(
+                f"lab random(vertices={p.vertex_count}): more vertices than the cap {args.cap_states}"
+            )
         if args.kind == "game":
             _emit(random_game(p), args)
         elif args.kind == "even-graph":
@@ -353,10 +357,8 @@ def build_parser():
     s.set_defaults(func=cmd_strahler)
 
     s = sub.add_parser("universal", help="finite universal tree")
-    s.add_argument("--n", type=int, required=True)
-    s.add_argument("--k", type=int, required=True)
-    s.add_argument("--depth", type=int, required=True)
-    s.add_argument("--width", type=int, required=True)
+    for flag in ("--n", "--k", "--depth", "--width"):
+        s.add_argument(flag, type=_positive_int, required=True)
     s.set_defaults(func=cmd_universal)
 
     s = sub.add_parser("embed", help="isomorphic tree embedding")

@@ -8,6 +8,7 @@ positional-strategy enumeration instead of Zielonka recursion.
 
 import itertools
 
+from paritykit.errors import TerminalVertex
 from paritykit.games import ADAM, ParityGame, ParityGraph
 
 
@@ -133,8 +134,12 @@ def _bad_core_vertices(g, region_edges):
 
 
 def brute_solve(game):
-    """Exact regions by enumerating Eve's positional strategies."""
+    """Exact regions by enumerating Eve's positional strategies; a vertex
+    without out-edges raises TerminalVertex for the smallest such vertex."""
     g = game.graph
+    terminals = [v for v in g.sorted_vertices() if not g.out[v]]
+    if terminals:
+        raise TerminalVertex(terminals[0])
     eve_vs = sorted(game.eve)
     eve_region = set()
     choice_lists = [g.out[v] for v in eve_vs]

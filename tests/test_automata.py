@@ -1,7 +1,5 @@
 import functools
-import hashlib
 import itertools
-import json
 import random
 
 import pytest
@@ -40,6 +38,8 @@ from paritykit.lab import (
     random_automaton,
 )
 from paritykit.transduction import reg_product
+
+from corpora import quotient_corpus
 
 
 def one_node_tree(letter="a"):
@@ -123,51 +123,6 @@ class TestMembership:
                 assert exists == membership(a, t)
 
 
-def with_duplicates(a, rng):
-    """`a` with a seeded sample of its transitions listed a second time."""
-    extra = rng.sample(range(len(a.transitions)), k=max(1, len(a.transitions) // 2))
-    transitions = a.transitions + tuple(a.transitions[i] for i in extra)
-    omega = a.omega + tuple(a.omega[i] for i in extra)
-    return NPTA.make(a.alphabet, a.states, a.initial, transitions, omega, a.index)
-
-
-def with_copied_sources(a):
-    """`a` with every transition also leaving every other state: the copies
-    differ from their original only in their source state."""
-    transitions, omega = list(a.transitions), list(a.omega)
-    for (q, letter, q0, q1), o in zip(a.transitions, a.omega):
-        for other in a.states:
-            if other != q:
-                transitions.append((other, letter, q0, q1))
-                omega.append(o)
-    return NPTA.make(a.alphabet, a.states, a.initial, transitions, omega, a.index)
-
-
-def quotient_corpus():
-    """Seeded automata whose acceptance games have choice vertices with equal
-    out-edges: random ones, the same with duplicated transitions and with
-    transitions copied to other source states, and composed ones (J=[1,2],
-    n in {0, 1}); each paired with every regular tree of <= 2 nodes."""
-    rng = random.Random(2025)
-    automata = []
-    for _ in range(6):
-        a = random_automaton(rng)
-        automata += [a, with_duplicates(a, rng), with_copied_sources(a)]
-        automata += [compose_transducer(a, Index(1, 2), n) for n in (0, 1)]
-    return automata, enumerate_regular_trees(2)
-
-
-# taken before membership moved to the quotient game: the full acceptance
-# game of every pair in quotient_corpus(), and the membership answers of the
-# first 8 criterion-8 automata (acceptance seed) composed at n in {0, 1} on
-# the 26 regular trees of <= 2 nodes
-ACCEPTANCE_GAME_SHA1 = "366126a0c890cc1d7fc1e88db5222d8807f0bfc0"
-MEMBERSHIP_SHA1 = "284d64731f26187dd9181cccda1df751d0e83f02"
-# taken before compose_transducer played each register round once: the
-# manifests of the automata composed for the membership pin
-COMPOSE_SHA1 = "989c01e7dadf04d447eff9e41b04f13743e1d92d"
-
-
 class TestMembershipQuotient:
     def test_membership_agrees_with_the_full_acceptance_game(self):
         automata, trees = quotient_corpus()
@@ -192,30 +147,6 @@ class TestMembershipQuotient:
         with pytest.raises(StateExplosion) as info:
             membership(a, one_node_tree())
         assert info.value.construction == "membership(states=1, nodes=1)"
-
-    def test_acceptance_games_pinned(self):
-        automata, trees = quotient_corpus()
-        digest = hashlib.sha1()
-        for a in automata:
-            for t in trees:
-                digest.update(manifests.dumps(acceptance_game(a, t).game).encode() + b"\n")
-        assert digest.hexdigest() == ACCEPTANCE_GAME_SHA1
-
-    def test_membership_pinned_on_criterion_8_subset(self):
-        p = GenParams(seed=21057)
-        trees = enumerate_regular_trees(2)
-        answers = []
-        composed_digest = hashlib.sha1()
-        for k in range(8):
-            a = random_automaton(_rng(p, 8, k))
-            for n in (0, 1):
-                composed = compose_transducer(a, Index(1, 2), n)
-                composed_digest.update(manifests.dumps(composed).encode() + b"\n")
-                answers += [membership(composed, t) for t in trees]
-        assert sum(answers) and not all(answers)
-        assert hashlib.sha1(json.dumps(answers).encode()).hexdigest() == MEMBERSHIP_SHA1
-        assert composed_digest.hexdigest() == COMPOSE_SHA1
-
 
     def test_bisimilar_states_have_equal_tail_sets(self):
         automata, _trees = quotient_corpus()

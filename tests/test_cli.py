@@ -89,6 +89,35 @@ class TestExitCodes:
         assert main(argv) == 2
         assert f"argument {flag}: must be at least" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "sizes, flag",
+        [
+            (("1", "-1", "-2", "1"), "--k"),
+            (("1", "1", "-5", "1"), "--depth"),
+            (("-1", "1", "1", "1"), "--n"),
+            (("1", "0", "1", "1"), "--k"),
+            (("1", "1", "1", "0"), "--width"),
+        ],
+    )
+    def test_universal_out_of_range_integer_is_usage_error(self, sizes, flag, capsys):
+        n, k, d, w = sizes
+        assert main(["universal", "--n", n, "--k", k, "--depth", d, "--width", w]) == 2
+        assert f"argument {flag}: must be at least 1" in capsys.readouterr().err
+
+    def test_universal_k_above_depth_is_undefined(self, capsys):
+        assert main(["universal", "--n", "1", "--k", "2", "--depth", "1", "--width", "1"]) == 1
+        assert "error: U(n=1,k=2,d=1) is undefined" in capsys.readouterr().err
+
+    def test_lab_random_above_the_cap_exits_before_generating(self, capsys):
+        start = time.perf_counter()
+        assert main(["lab", "random", "--vertices", "100000000"]) == 3
+        assert time.perf_counter() - start < 1
+        err = capsys.readouterr().err
+        assert "resource cap: lab random(vertices=100000000)" in err
+        for kind in ("game", "even-graph", "pair"):
+            assert main(["--cap-states", "5", "lab", "random", "--kind", kind, "--vertices", "6"]) == 3
+            assert main(["--cap-states", "5", "lab", "random", "--kind", kind, "--vertices", "5"]) == 0
+
     def test_lab_random_defaults_to_six_vertices(self, capsys):
         assert main(["--seed", "3", "lab", "random"]) == 0
         default = capsys.readouterr().out

@@ -1,5 +1,3 @@
-import hashlib
-import json
 import random
 import time
 
@@ -27,7 +25,6 @@ from paritykit.errors import (
     NotBounded,
     NotEven,
     OverlappingParts,
-    ParityKitError,
     PreconditionFailed,
     PriorityOutOfRange,
     StateExplosion,
@@ -37,6 +34,7 @@ from paritykit.games import Index, ParityGraph, attractor_vertices, check_even, 
 from paritykit.lab import GenParams, random_bounded_pair, random_even_graph
 from paritykit.trees import LEAF, OrderedTree, depth, n_strahler
 
+from corpora import repaired_even_graph, wide_flag_pair
 from oracles import brute_is_tight, brute_reachability_check, chain_graph, random_graph
 
 
@@ -323,19 +321,11 @@ class TestMemoryProduct:
         assert size >= 4 and len(memory_product(pair, cap=size).decode) == size
 
     def test_wide_declared_index_below_the_cap_answers_quickly(self):
-        # 445 x 445 flag pairs; the digest of its product was taken before
-        # the flags were stepped by masks, when it took 13 s
-        wide = simple_pair(
-            (1, 2), (2, 2), [(0, 1), (1, 0)], ii=Index(0, 890), jj=Index(1, 890)
-        )
+        # 445 x 445 flag pairs, whose product the pin wide_memory_product
+        # holds; it took 13 s before the flags were stepped by masks
         start = time.perf_counter()
-        mp = memory_product(wide)
+        memory_product(wide_flag_pair())
         assert time.perf_counter() - start < 2
-        g = mp.pair.graph
-        product = [[[v, hex(m)] for v, m in mp.decode], g.src, g.dst, mp.pair.label_i,
-                   mp.pair.label_j, sorted(mp.initial.items())]
-        digest = hashlib.sha1(json.dumps(product).encode()).hexdigest()
-        assert digest == "686d935acf1bbf8f61ab965d2f45baa3ae96bb4d"
 
     def test_unfolding_equivalence_to_depth_8(self):
         rng = random.Random(5)
@@ -439,52 +429,6 @@ class TestReachChecksAgainstOracle:
         assert not_tight >= 5
 
 
-# sha1 of every decomposition (as a manifest) and every error that
-# ad_from_bounded_pair gives on the corpus below, pinned so that no rewrite
-# of the construction changes a single answer
-BOUNDED_PAIR_SHA1 = "e7ca3533b07a3e886dee07b8e4050fe6bf627a7a"
-
-
-class TestBoundedPairDigest:
-    def test_corpus_digest_pinned(self, monkeypatch):
-        ranks, leftovers = [], []
-        star_layers, kids = decomposition._star_layers, decomposition._kids
-
-        def spy_layers(*args):
-            tiers, reach = star_layers(*args)
-            ranks.append(len(tiers) - 2)
-            return tiers, reach
-
-        def spy_kids(g, rest, cap, labels, odd):
-            # the construction peels leftover parts by their labelJ values
-            if labels is not g.pri:
-                leftovers.append(rest)
-            return kids(g, rest, cap, labels, odd)
-
-        monkeypatch.setattr(decomposition, "_star_layers", spy_layers)
-        monkeypatch.setattr(decomposition, "_kids", spy_kids)
-        digest = hashlib.sha1()
-        raised = 0
-        for seed in range(150):
-            m = seed % 3
-            for vertices in (4, 5, 6, 7):
-                for j in (1, 2, 3):
-                    p = GenParams(
-                        seed=seed, vertex_count=vertices, priority_cap=4, index_j=(1, 2 * j)
-                    )
-                    pair = random_bounded_pair(p, m)
-                    for n in (m, m + 1):
-                        try:
-                            answer = manifests.dumps(ad_from_bounded_pair(pair, n, j))
-                        except ParityKitError as err:
-                            raised += 1
-                            answer = f"{type(err).__name__}: {err}"
-                        digest.update(answer.encode())
-        assert max(ranks) >= 2 and leftovers
-        assert raised == 4
-        assert digest.hexdigest() == BOUNDED_PAIR_SHA1
-
-
 class TestBoundedPairOffByOne:
     """A 1-bound pair whose memory product admits no 1-Strahler-1
     decomposition: the construction's star ranks legitimately reach n+1,
@@ -516,247 +460,13 @@ class TestBoundedPairOffByOne:
         assert n_strahler(shape, 1) == 2  # provably unavoidable here
 
 
-# ---------------------------------------------------------------------------
-# pinned answers of build_ad and validate_ad
-
-
-def _repaired_even_graph(rng, n, top, odd_share):
-    """Random terminal-free graph with mostly even priorities up to `top`;
-    the top edge of each odd cycle that check_even reports is bumped by one
-    until none is left."""
-    edges = []
-    for v in range(n):
-        for _ in range(1 + sum(1 for _ in range(2) if rng.random() < 0.5)):
-            p = 2 * rng.randint(0, top // 2)
-            if rng.random() < odd_share:
-                p = p - 1 if p else 1
-            edges.append((v, rng.randrange(n), p))
-    while True:
-        g = ParityGraph.make(range(n), edges)
-        even, lasso = check_even(g)
-        if even:
-            return g
-        i = max(lasso.cycle, key=lambda k: (edges[k][2], k))
-        s, d, p = edges[i]
-        edges[i] = (s, d, p + 1)
-
-
-def _gapped(g, rng):
-    """The same graph, or with vertex v renamed 3v + 1 (dict successor
-    tables), each with its edges listed in source order or shuffled."""
-    gap = rng.random() < 0.5
-    edges = [(3 * s + 1, 3 * d + 1, p) if gap else (s, d, p) for s, d, p in g.edges]
-    if rng.random() < 0.5:
-        rng.shuffle(edges)
-    return ParityGraph.make([3 * v + 1 if gap else v for v in g.vertices], edges)
-
-
-def build_corpus():
-    """(graph, level) pairs: repaired even graphs, strategy graphs on Eve's
-    regions (gapped ids), random graphs that are mostly odd, and random
-    graphs with terminals, at the canonical level, above it, below it and
-    at an odd level."""
-    rng = random.Random(9090)
-    cases = []
-    for k in range(480):
-        kind = k % 4
-        n = rng.choice((2, 4, 7, 12, 30, 60))
-        top = rng.choice((2, 4, 6, 8))
-        if kind == 0:
-            g = _gapped(_repaired_even_graph(rng, n, top, rng.choice((0.1, 0.3))), rng)
-        elif kind == 1:
-            p = GenParams(seed=k, vertex_count=n, priority_cap=top)
-            g = random_even_graph(p, salt=k)
-        elif kind == 2:
-            g = _gapped(random_graph(rng, n, top), rng)
-        else:
-            g = _gapped(random_graph(rng, n, top, no_terminals=False), rng)
-        h = max(g.pri, default=0)
-        h += h % 2
-        levels = [h]
-        if k % 7 == 0:
-            levels.append(h + 2)
-        if k % 23 == 0:
-            levels += [h - 1, max(h - 2, 0)]
-        cases += [(g, level) for level in levels]
-    return cases
-
-
-def _canon(witness):
-    if isinstance(witness, (set, frozenset)):
-        return sorted(witness)
-    if isinstance(witness, tuple):
-        return [_canon(w) for w in witness]
-    return witness
-
-
-def _nodes(d, path=()):
-    yield path, d
-    for k, child in enumerate(d.children):
-        yield from _nodes(child.sub, path + (k,))
-
-
-def _replace(d, path, new):
-    if not path:
-        return new
-    kids = list(d.children)
-    c = kids[path[0]]
-    kids[path[0]] = AdChild(c.subgame, c.attractor, _replace(c.sub, path[1:], new))
-    return AttractorDecomposition(d.level, d.top_edges, d.top_attractor, tuple(kids))
-
-
-def _mutants(g, d, rng):
-    """(graph, decomposition) pairs: d with one node changed (children
-    dropped, merged, swapped or emptied, vertices moved, levels and top
-    sets changed) or d against g with one extra edge."""
-    out = [(g, d)]
-    edge_ids = range(len(g.src) + 2)
-    vs = sorted(g.vertices)
-    for _ in range(10):
-        path, x = rng.choice(list(_nodes(d)))
-        kids = list(x.children)
-        k = rng.randrange(len(kids)) if kids else None
-        m = rng.randrange(17)
-        new = None
-        if m == 0 and kids:
-            del kids[k]
-        elif m == 1 and len(kids) > 1 and k + 1 < len(kids):
-            a, b = kids[k], kids[k + 1]
-            kids[k : k + 2] = [AdChild(a.subgame | b.subgame, a.attractor | b.attractor, a.sub)]
-        elif m == 2 and len(kids) > 1 and k + 1 < len(kids):
-            kids[k], kids[k + 1] = kids[k + 1], kids[k]
-        elif m == 3 and kids:
-            kids.insert(k, AdChild(frozenset(), frozenset(), kids[k].sub))
-        elif m == 4 and len(kids) > 1:
-            a, b = kids[k], kids[(k + 1) % len(kids)]
-            v = rng.choice(sorted(a.subgame))
-            kids[k] = AdChild(a.subgame - {v}, a.attractor - {v}, a.sub)
-            kids[(k + 1) % len(kids)] = AdChild(b.subgame | {v}, b.attractor | {v}, b.sub)
-        elif m == 5 and kids:
-            a = kids[k]
-            v = rng.choice(sorted(a.subgame))
-            kids[k] = AdChild(a.subgame - {v}, a.attractor, a.sub)
-        elif m == 6 and kids and x.top_attractor:
-            v = rng.choice(sorted(x.top_attractor))
-            a = kids[k]
-            kids[k] = AdChild(a.subgame | {v}, a.attractor | {v}, a.sub)
-            new = AttractorDecomposition(
-                x.level, x.top_edges, x.top_attractor - {v}, tuple(kids)
-            )
-        elif m == 7:
-            new = AttractorDecomposition(
-                x.level + rng.choice((-2, -1, 1, 2)), x.top_edges, x.top_attractor, x.children
-            )
-        elif m == 8:
-            new = AttractorDecomposition(
-                x.level, x.top_edges ^ {rng.choice(edge_ids)}, x.top_attractor, x.children
-            )
-        elif m == 9:
-            new = AttractorDecomposition(
-                x.level, x.top_edges, x.top_attractor ^ {rng.choice(vs)}, x.children
-            )
-        elif m == 10 and not kids:
-            leaf = AttractorDecomposition(max(x.level - 2, 0), frozenset(), frozenset(), ())
-            kids = [AdChild(x.top_attractor, x.top_attractor, leaf)]
-        elif m == 11 and kids:
-            a = kids[k]
-            extra = rng.choice(vs)
-            kids[k] = AdChild(a.subgame, a.attractor ^ {extra}, a.sub)
-        elif m == 12:
-            # one more edge, into a new vertex without out-edges half the time
-            u, w = rng.choice(vs), rng.choice((vs[-1] + 1,) * len(vs) + tuple(vs))
-            p = rng.randint(0, d.level + 1)
-            g2 = ParityGraph.make(g.vertices | {w}, [*g.edges, (u, w, p)])
-            out.append((g2, d))
-            continue
-        elif m == 13 and kids:
-            a = kids[k]
-            kids[k] = AdChild(a.subgame, a.attractor, _replace(a.sub, (), AttractorDecomposition(
-                a.sub.level, a.sub.top_edges, a.sub.top_attractor, a.sub.children[:-1]
-            )))
-        elif m == 14 and kids:
-            a = kids[k]
-            kids[k] = AdChild(a.subgame | x.top_attractor, a.attractor | x.top_attractor, a.sub)
-            new = AttractorDecomposition(x.level, x.top_edges, frozenset(), tuple(kids))
-        elif m == 15 and kids:
-            a, b = kids[k], kids[(k + 1) % len(kids)]
-            both = sorted(a.subgame | b.subgame)
-            half = frozenset(rng.sample(both, (len(both) + 1) // 2))
-            kids[k] = AdChild(half, a.attractor | b.attractor, a.sub)
-        elif m == 16 and kids:
-            a, b = kids[k], kids[(k + 1) % len(kids)]
-            kids[k] = AdChild(a.attractor | b.attractor, a.attractor | b.attractor, a.sub)
-        else:
-            continue
-        if new is None:
-            new = AttractorDecomposition(x.level, x.top_edges, x.top_attractor, tuple(kids))
-        out.append((g, _replace(d, path, new)))
-    return out
-
-
-def validate_corpus():
-    """(graph, decomposition) pairs: canonical decompositions of even
-    graphs of the build corpus and of memory products, each with its
-    mutants."""
-    rng = random.Random(4242)
-    cases = []
-    for g, h in build_corpus():
-        try:
-            d = build_ad(g, h)
-        except ParityKitError:
-            continue
-        cases += _mutants(g, d, rng)
-    for seed in range(12):
-        p = GenParams(seed=seed, vertex_count=5, priority_cap=4, index_j=(1, 4))
-        pair = random_bounded_pair(p, seed % 2)
-        try:
-            d = ad_from_bounded_pair(pair, seed % 2, 2)
-        except ParityKitError:
-            continue
-        cases += _mutants(memory_product(pair).pair.graph_i(), d, rng)
-    return cases
-
-
-# taken before build_ad stopped checking evenness up front and validate_ad
-# moved to one pass per view: every decomposition, error and lasso of
-# build_ad, and every (clause, witness) of validate_ad
-BUILD_AD_SHA1 = "0791468d9419a5295adbce6b13f14827347b5621"
-VALIDATE_AD_SHA1 = "063c197f0fa83983174277ec8ea2a00c4820e0ea"
-
-
 class TestDecompositionPins:
-    def test_build_ad_answers_pinned(self):
-        digest = hashlib.sha1()
-        kinds = {}
-        for g, h in build_corpus():
-            try:
-                answer = manifests.dumps(build_ad(g, h))
-            except ParityKitError as err:
-                answer = f"{type(err).__name__}: {err}"
-                if isinstance(err, NotEven):
-                    answer += f" {err.lasso.stem} {err.lasso.cycle}"
-            kinds[answer.split(":")[0]] = kinds.get(answer.split(":")[0], 0) + 1
-            digest.update(answer.encode() + b"\n")
-        assert kinds["NotEven"] >= 150 and kinds['{"format"'] >= 250
-        assert kinds["PreconditionFailed"] >= 50 and kinds["PriorityOutOfRange"] >= 20
-        assert digest.hexdigest() == BUILD_AD_SHA1
-
-    def test_validate_ad_answers_pinned(self):
-        digest = hashlib.sha1()
-        clauses = set()
-        for g, d in validate_corpus():
-            res = validate_ad(g, d)
-            clauses.add(res.clause)
-            digest.update(f"{res.ok} {res.clause} {_canon(res.witness)}\n".encode())
-        assert len(clauses) >= 14
-        assert digest.hexdigest() == VALIDATE_AD_SHA1
-
     def test_construction_fails_exactly_on_odd_graphs(self):
         rng = random.Random(77)
         odd = 0
         for k in range(400):
             n, top = rng.choice((1, 3, 5, 8, 20)), rng.choice((1, 2, 3, 4, 5))
-            g = random_graph(rng, n, top) if k % 2 else _repaired_even_graph(rng, n, top, 0.3)
+            g = random_graph(rng, n, top) if k % 2 else repaired_even_graph(rng, n, top, 0.3)
             h = max(g.pri) + max(g.pri) % 2
             even, _ = check_even(g)
             try:
@@ -767,71 +477,6 @@ class TestDecompositionPins:
             assert built == even
             odd += not even
         assert 100 <= odd <= 250
-
-
-# taken while AttractorDecomposition and AdChild still had the dataclass
-# __eq__ and __hash__: the hash of every decomposition of validate_corpus()
-# and of its children, whether it equals the case before it, and the hash
-# of chain decompositions shallow enough for the dataclass recursion
-EQ_HASH_SHA1 = "1b4f08c54dc58c3213603ce90f4137e2eab19f78"
-
-
-class TestEqHashPins:
-    def test_eq_and_hash_pinned(self):
-        digest = hashlib.sha1()
-        previous = None
-        equal = 0
-        for _, d in validate_corpus():
-            same = d == previous
-            equal += same
-            kids = [hash(c) for c in d.children]
-            digest.update(f"{hash(d)} {kids} {same} {d != previous}\n".encode())
-            previous = d
-        for k in (1, 2, 40, 120):
-            g = chain_graph(k)
-            d = build_ad(g, 2 * (k - 1))
-            assert d == build_ad(g, 2 * (k - 1))
-            digest.update(f"{k} {hash(d)}\n".encode())
-        assert equal >= 100
-        assert digest.hexdigest() == EQ_HASH_SHA1
-
-
-# taken before the walks over decompositions became generators run by
-# games.unwind: every tree shape (with its DOT), width, tightness,
-# reachability check and DOT export of build_ad's decompositions of
-# build_corpus(), and the register picks of a seeded handful of
-# synth_from_ad strategies
-WALKS_SHA1 = "c3e923521dee2c0156f0d0a047bed1bb0a0f1140"
-
-
-class TestWalkPins:
-    def test_walk_answers_pinned(self):
-        from paritykit.transduction import synth_from_ad
-
-        digest = hashlib.sha1()
-        built = 0
-        for g, h in build_corpus():
-            try:
-                d = build_ad(g, h)
-            except ParityKitError:
-                continue
-            built += 1
-            shape = tree_shape(d)
-            assert manifests.loads(manifests.dumps(d)) == d
-            digest.update(
-                f"{shape.to_brackets()} {d.width()} {is_tight(g, d)} "
-                f"{ad_reachability_check(g, d)}\n".encode()
-            )
-            digest.update(manifests.export_dot(d).encode())
-            digest.update(manifests.export_dot(shape).encode())
-        for seed in range(12):
-            n = 1 + seed % 2
-            g = random_even_graph(GenParams(seed=seed, vertex_count=6, priority_cap=4))
-            h = max(g.pri) + max(g.pri) % 2
-            sigma = synth_from_ad(g, build_ad(g, h), n).sigma
-            digest.update(f"{sorted(sigma.items())}\n".encode())
-        assert built >= 250
-        assert digest.hexdigest() == WALKS_SHA1
 
 
 class TestDeepDecompositions:

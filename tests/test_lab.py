@@ -101,9 +101,12 @@ class TestBruteSolve:
         for gm in games:
             if gm.graph.terminals:
                 terminal += 1
-                with pytest.raises(TerminalVertex) as info:
-                    brute_solve(gm)
-                assert info.value.vertex == min(gm.graph.terminals)
+                raised = []
+                for solver in (brute_solve, oracles.brute_solve):
+                    with pytest.raises(TerminalVertex) as info:
+                        solver(gm)
+                    raised.append(info.value.vertex)
+                assert raised == [min(gm.graph.terminals)] * 2
             else:
                 assert brute_solve(gm) == oracles.brute_solve(gm)
         assert terminal == 165

