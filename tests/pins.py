@@ -43,10 +43,18 @@ from paritykit.lab import (
     enumerate_regular_trees,
     random_bounded_pair,
     random_even_graph,
+    random_game,
     random_non_even_graph,
     rejecting_vertices,
 )
-from paritykit.transduction import n_bound_check, reg_product, synth_from_ad
+from paritykit.transduction import (
+    LIBERAL,
+    LITERAL,
+    NEVER,
+    n_bound_check,
+    reg_product,
+    synth_from_ad,
+)
 from paritykit.trees import embed, enumerate_trees, is_universal_for, n_strahler, universal_tree
 
 from corpora import (
@@ -354,6 +362,33 @@ def n_bound_answers():
     assert len(verdicts) >= 1000 and verdicts.count(True) > 100 and verdicts.count(False) > 100
 
 
+def product_dot_answers():
+    """The DOT export of seeded register products: graph and game bases,
+    each reset rule, several output indices J and counter bounds n, input
+    indices shifted up by 2 and ones without an even priority."""
+    seen = set()
+    for seed in range(8):
+        p = GenParams(seed=seed, vertex_count=2 + seed % 2, priority_cap=3)
+        g = random_non_even_graph(p, salt=seed)
+        game = random_game(p, salt=seed)
+        bases = {
+            "graph": g,
+            "game": game,
+            "shifted": g.with_priorities([q + 2 for q in g.pri], g.index.shift(2)),
+            "odd-only": g.with_priorities([1] * len(g.pri), Index(1, 1)),
+            "shifted-odd-only": g.with_priorities([3] * len(g.pri), Index(3, 3)),
+        }
+        for kind, base in bases.items():
+            for k, rule in enumerate((LIBERAL, LITERAL, NEVER)):
+                J = (Index(1, 2), Index(1, 4), Index(2, 4), Index(0, 3))[(seed + k) % 4]
+                n = (seed // 4 + k) % (3 if J.hi < 4 else 2)
+                product = reg_product(base, J, n, rule=rule)
+                seen.add((kind, rule))
+                label = f"seed={seed} {kind} J=[{J.lo},{J.hi}] n={n} rule={rule}"
+                yield label, manifests.export_dot(product).encode()
+    assert len(seen) == 15
+
+
 # name -> (sha1 of the answers in order, generator of (label, answer))
 PINS = {
     "product_slice": ("fd05fd30a6d40d64dcabd22928bf124762504d88", product_slice_answers),
@@ -373,6 +408,7 @@ PINS = {
     "embed": ("60ef92ed2fe750ce3b98431678c668c5813e8029", embed_answers),
     "universal": ("3b4d8c9e553adf21fb5e581f88f586ba01c544ea", universal_answers),
     "n_bound": ("f2b83602eb8ba34bd7491040bd61396efe97392c", n_bound_answers),
+    "product_dot": ("150d36603583784bb1440d813c921465eccdff2e", product_dot_answers),
 }
 
 
