@@ -4,7 +4,7 @@ games, runs, guided runs, and the output-index composition."""
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .decomposition import LabellingPair
+from .decomposition import LabellingPair, n_bound_check
 from .errors import (
     DEFAULT_STATE_CAP,
     AlphabetMismatch,
@@ -20,7 +20,6 @@ from .transduction import (
     LIBERAL,
     _input_shift,
     _size_machine,
-    n_bound_check,
     normalize_output_index,
     reg_machine,
 )
@@ -207,8 +206,6 @@ class AcceptanceGame:
     game: ParityGame
     decode: tuple  # per vertex: ("q", node, state) or ("t", node, transition id)
     initial: int
-    automaton: NPTA
-    tree: RegularTree
 
 
 def acceptance_game(a, t):
@@ -220,7 +217,7 @@ def acceptance_game(a, t):
     decode, initial, game = _acceptance_product(
         a, t, what, a.initial, a.transitions_from, lambda tid: transitions[tid][2:] + omega[tid]
     )
-    return AcceptanceGame(game, tuple(decode), initial, a, t)
+    return AcceptanceGame(game, tuple(decode), initial)
 
 
 def _eve_rank(p):
@@ -299,8 +296,6 @@ class RunGraph:
     decode: tuple
     chosen: tuple
     root: int
-    automaton: NPTA
-    tree: RegularTree
 
     def direction_edges(self, vid):
         return self.graph.out[vid]
@@ -333,7 +328,7 @@ def run_graph(a, t, sigma, ag=None):
     states, (root,) = explore([ag.initial], expand, what)
     graph = ParityGraph._explored(len(states), src, dst, pri, a.index)
     decode = tuple(ag.decode[game_vid][1:] for game_vid in states)
-    return RunGraph(graph, decode, tuple(chosen), root, a, t)
+    return RunGraph(graph, decode, tuple(chosen), root)
 
 
 def accepting_run(a, t):
@@ -360,6 +355,8 @@ class GuidingFunction:
                 if key not in table:
                     raise IncompatibleGuide(f"table not total at {key}")
                 tid_a = table[key]
+                if tid_a not in range(len(a.transitions)):
+                    raise IncompatibleGuide(f"g{key} = {tid_a} is not a transition id")
                 ta = a.transitions[tid_a]
                 tb = b.transitions[tid_b]
                 if ta[0] != p or ta[1] != tb[1]:
@@ -390,6 +387,8 @@ def _guided_run(gf, a, b, t, run_b):
         tid_a = gf.table.get((p, tid_b))
         if tid_a is None:
             raise IncompatibleGuide(f"no entry for ({p}, transition {tid_b})")
+        if tid_a not in range(len(a.transitions)):
+            raise IncompatibleGuide(f"entry ({p}, {tid_b}) -> {tid_a} is not a transition id")
         ta = a.transitions[tid_a]
         if ta[0] != p or ta[1] != b.transitions[tid_b][1]:
             raise IncompatibleGuide(f"entry ({p}, {tid_b}) -> {tid_a} incompatible")
@@ -406,7 +405,7 @@ def _guided_run(gf, a, b, t, run_b):
     states, (root,) = explore([(run_b.root, a.initial)], expand, what)
     graph = ParityGraph._explored(len(states), src, dst, pri, a.index)
     decode = tuple((run_b.decode[bvid][0], p) for bvid, p in states)
-    run = RunGraph(graph, decode, tuple(chosen), root, a, t)
+    run = RunGraph(graph, decode, tuple(chosen), root)
     return run, tuple(bvid for bvid, _p in states)
 
 

@@ -9,7 +9,7 @@ import json
 import sys
 
 from . import manifests
-from .decomposition import build_ad, is_tight, tree_shape, validate_ad
+from .decomposition import build_ad, is_tight, n_bound_check, tree_shape, validate_ad
 from .errors import (
     DEFAULT_STATE_CAP,
     NotBounded,
@@ -35,7 +35,6 @@ from .lab import GenParams, random_bounded_pair, random_even_graph, random_game,
 from .transduction import (
     LIBERAL,
     eve_wins_reg,
-    n_bound_check,
     reg_product,
     strategy_from_bounded_pair,
     synth_from_ad,

@@ -1,5 +1,6 @@
-"""Attractor decompositions: construction, validation, transformation, and
-the bounded-pair to low-Strahler construction on memory products.
+"""Attractor decompositions: construction, validation, transformation, the
+n-bound check of labelling pairs, and the bounded-pair to low-Strahler
+construction on memory products.
 
 All vertex and edge references inside a decomposition are in the id space
 of the root graph it was built for; recursion happens on (alive vertices,
@@ -434,7 +435,7 @@ def dismantle(d):
 
 
 # ---------------------------------------------------------------------------
-# labelling pairs and the memory product
+# labelling pairs, their n-bound check and the memory product
 
 
 @dataclass(frozen=True)
@@ -478,6 +479,92 @@ class LabellingPair:
 
 
 @dataclass(frozen=True)
+class SegmentedPath:
+    """Witness against an n-bound: n+1 consecutive segments whose labelI and
+    labelJ maxima are the fixed odd/even pair."""
+
+    odd: int
+    even: int
+    segments: tuple
+
+    def check(self, pair):
+        src, dst = pair.graph.src, pair.graph.dst
+        prev_end = None
+        for seg in self.segments:
+            if not seg:
+                return False
+            for a, b in zip(seg, seg[1:]):
+                if dst[a] != src[b]:
+                    return False
+            if prev_end is not None and src[seg[0]] != prev_end:
+                return False
+            prev_end = dst[seg[-1]]
+            if max(pair.label_i[i] for i in seg) != self.odd:
+                return False
+            if max(pair.label_j[i] for i in seg) != self.even:
+                return False
+        return True
+
+
+def _segment_search(g, li, lj, odd, even, n):
+    """Breadth-first search on `explore` over (vertex, closed segments,
+    seen-odd, seen-even); a close is an epsilon step allowed when both
+    maxima have been witnessed.  Returns the first n+1 closed segments
+    found, or None."""
+    out, dst = g.out, g.dst
+    starts = [(v, 0, False, False) for v in g.sorted_vertices()]
+    # state id -> (parent id, edge id or None for a close); starts have none
+    parent = [None] * len(starts)
+    closing = []
+
+    def expand(state, sid, intern):
+        v, s, fi, fj = state
+        if fi and fj:
+            if s == n:
+                closing.append((sid, None))
+                return True
+            if intern((v, s + 1, False, False)) == len(parent):
+                parent.append((sid, None))
+        for eid in out[v]:
+            a, b = li[eid], lj[eid]
+            if a <= odd and b <= even:
+                if intern((dst[eid], s, fi or a == odd, fj or b == even)) == len(parent):
+                    parent.append((sid, eid))
+
+    explore(starts, expand, f"n_bound_check(n={n}, odd={odd}, even={even})")
+    if not closing:
+        return None
+    # walk back from the last close: each close starts an earlier segment
+    segments, link = [], closing[0]
+    while link is not None:
+        sid, eid = link
+        if eid is None:
+            segments.append([])
+        else:
+            segments[-1].append(eid)
+        link = parent[sid]
+    return tuple(tuple(reversed(seg)) for seg in reversed(segments))
+
+
+def n_bound_check(pair, n):
+    """(True, None) if labelI is n-bound by labelJ, else (False, witness)."""
+    if n < 0:
+        raise PreconditionFailed("n_bound_check", "n must be a natural")
+    # a closed segment needs an edge at each of its maxima, so only the
+    # priorities that occur (all inside their index) can witness
+    odds = sorted({p for p in pair.label_i if p % 2 == 1})
+    evens = sorted({p for p in pair.label_j if p % 2 == 0})
+    for odd in odds:
+        for even in evens:
+            found = _segment_search(
+                pair.graph, pair.label_i, pair.label_j, odd, even, n
+            )
+            if found is not None:
+                return False, SegmentedPath(odd, even, found)
+    return True, None
+
+
+@dataclass(frozen=True)
 class MemoryProduct:
     """Product of a labelling pair with per-(odd i, even j) freshness flags.
 
@@ -486,7 +573,6 @@ class MemoryProduct:
     priorities at once sets both flags.
     """
 
-    base: LabellingPair
     pair: LabellingPair
     decode: tuple
     flag_pairs: tuple
@@ -551,7 +637,7 @@ def memory_product(pair, cap=DEFAULT_STATE_CAP):
     product_pair = LabellingPair.make(
         product_graph, label_i, label_j, pair.index_i, pair.index_j
     )
-    return MemoryProduct(pair, product_pair, tuple(decode), flag_pairs, initial)
+    return MemoryProduct(product_pair, tuple(decode), flag_pairs, initial)
 
 
 # ---------------------------------------------------------------------------
@@ -671,9 +757,6 @@ def ad_from_bounded_pair(pair, n, j, cap=DEFAULT_STATE_CAP):
     ranks stay at n or below (in particular whenever the pair is already
     (n-1)-bound) the n-Strahler number is at most j as well.
     """
-    # transduction imports this module: the package's one import cycle
-    from .transduction import n_bound_check
-
     ii, jj = pair.index_i, pair.index_j
     if ii.lo != 0 or ii.hi % 2 == 1:
         raise PreconditionFailed("index-I", f"{ii} is not of the form [0,2i]")

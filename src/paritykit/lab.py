@@ -28,6 +28,7 @@ from .decomposition import (
     ad_reachability_check,
     build_ad,
     memory_product,
+    n_bound_check,
     tree_shape,
     validate_ad,
 )
@@ -53,7 +54,6 @@ from .games import (
 from .transduction import (
     NEVER,
     eve_wins_reg,
-    n_bound_check,
     reg_product,
     strategy_from_bounded_pair,
     synth_from_ad,
@@ -69,6 +69,12 @@ class GenParams:
     edge_density: float = 0.5
     index_j: tuple = (1, 2)
     instance_count: int = 100
+
+
+# draws per generator call before it gives up; the retry count enters
+# each attempt's salt, so changing it changes every seeded instance
+GRAPH_RETRIES = 200
+PAIR_RETRIES = 300
 
 
 def _rng(p, *salts):
@@ -96,10 +102,10 @@ def random_game(p, salt=0):
     return ParityGame.make(g, eve)
 
 
-def random_even_graph(p, salt=0, retries=200):
+def random_even_graph(p, salt=0):
     """Eve's strategy graph on her winning region of a random game."""
-    for attempt in range(retries):
-        game = random_game(p, salt * retries + attempt)
+    for attempt in range(GRAPH_RETRIES):
+        game = random_game(p, salt * GRAPH_RETRIES + attempt)
         eve_region, _, eve_strat, _ = solve(game)
         if not eve_region:
             continue
@@ -109,9 +115,9 @@ def random_even_graph(p, salt=0, retries=200):
     raise ExhaustedRetries("no even strategy graph found")
 
 
-def random_non_even_graph(p, salt=0, retries=200):
-    for attempt in range(retries):
-        rng = _rng(p, 2, salt * retries + attempt)
+def random_non_even_graph(p, salt=0):
+    for attempt in range(GRAPH_RETRIES):
+        rng = _rng(p, 2, salt * GRAPH_RETRIES + attempt)
         cap = max(1, p.priority_cap)
         g = _random_graph(rng, p.vertex_count, cap, p.edge_density)
         if not is_even(g):
@@ -132,7 +138,7 @@ def _repair_even(g, labels, index):
         labels[worst] += 1
 
 
-def random_bounded_pair(p, n, salt=0, retries=300):
+def random_bounded_pair(p, n, salt=0):
     """Even pair passing the n-bound check: labelJ is an even labelling in
     [1, 2j], labelI adds sparse odd bursts and is rejection-sampled."""
     j_lo, j_hi = p.index_j
@@ -140,8 +146,8 @@ def random_bounded_pair(p, n, salt=0, retries=300):
     i_hi = p.priority_cap + (p.priority_cap % 2)
     index_i = Index(0, max(2, i_hi))
     odd_bias = 0.35 / (n + 1)
-    for attempt in range(retries):
-        rng = _rng(p, 3, salt * retries + attempt, n)
+    for attempt in range(PAIR_RETRIES):
+        rng = _rng(p, 3, salt * PAIR_RETRIES + attempt, n)
         g = _random_graph(rng, p.vertex_count, 0, p.edge_density)
         label_j = [rng.randint(j_lo, j_hi) for _ in g.src]
         label_j = _repair_even(g, label_j, index_j)
@@ -242,26 +248,28 @@ def _odd_reach(n, edges):
 # ---------------------------------------------------------------------------
 # automata corpus
 
+ALPHABET = ("a", "b")
 
-def random_automaton(rng, max_states=3, alphabet=("a", "b"), priority_cap=3):
+
+def random_automaton(rng, max_states=3):
     n_states = rng.randint(1, max_states)
     states = list(range(n_states))
     transitions = []
     omega = []
     for q in states:
-        for a in alphabet:
+        for a in ALPHABET:
             for _ in range(rng.randint(1, 2)):
                 transitions.append((q, a, rng.choice(states), rng.choice(states)))
-                omega.append((rng.randint(0, priority_cap), rng.randint(0, priority_cap)))
-    return NPTA.make(alphabet, states, 0, transitions, omega, Index(0, priority_cap))
+                omega.append((rng.randint(0, 3), rng.randint(0, 3)))
+    return NPTA.make(ALPHABET, states, 0, transitions, omega, Index(0, 3))
 
 
-def enumerate_regular_trees(max_nodes, alphabet=("a", "b")):
+def enumerate_regular_trees(max_nodes):
     """All regular trees presented by rooted graphs with at most max_nodes
     nodes, deduplicated by bounded unfolding."""
     seen = {}
     for m in range(1, max_nodes + 1):
-        for labels in itertools.product(alphabet, repeat=m):
+        for labels in itertools.product(ALPHABET, repeat=m):
             for succ0 in itertools.product(range(m), repeat=m):
                 for succ1 in itertools.product(range(m), repeat=m):
                     t = RegularTree.make(labels, succ0, succ1, 0)

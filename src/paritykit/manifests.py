@@ -344,6 +344,8 @@ def import_pgsolver(text, *, use_source_priority=False):
 def export_pgsolver(game):
     """Inverse of the import where expressible: every vertex's incoming
     edges must agree on a single priority."""
+    if not isinstance(game, ParityGame):
+        raise PreconditionFailed("pgsolver", f"unsupported object {type(game).__name__}")
     g = game.graph
     vertex_priority = {}
     for e in g.edges:
@@ -439,17 +441,19 @@ def _dot_decomposition(d):
 
 def _dot_product(p):
     g = p.game.graph
+    base_src = p._graph().src
     lines = ["digraph product {"]
-    for v in g.sorted_vertices():
-        phase, base, cfg, pending = p.describe(v)
+    for v, state in enumerate(p.decode):
+        phase = state[0]
         if phase == "sink":
             label = "sink"
         else:
-            regs = ",".join(f"r{j}={x}" for j, x in sorted(cfg.registers.items()))
-            ctrs = ",".join(
-                f"c{i},{j}={x}" for (i, j), x in sorted(cfg.counters.items()) if x
-            )
-            label = f"{phase} {base} [{regs}]" + (f" [{ctrs}]" if ctrs else "")
+            # an "A" state holds its base vertex, the others a base edge
+            at = state[1] if phase == "A" else base_src[state[1]]
+            regs_t, ctrs_t = state[-1]
+            regs = ",".join(f"r{j}={x}" for j, x in zip(p.reg_indices, regs_t))
+            ctrs = ",".join(f"c{i},{j}={x}" for (i, j), x in zip(p.counter_keys, ctrs_t) if x)
+            label = f"{phase} {at} [{regs}]" + (f" [{ctrs}]" if ctrs else "")
         shape = "box" if p.game.owner(v) == ADAM else "ellipse"
         lines.append(f'  v{v} [label="{label}", shape={shape}];')
     for e in g.edges:

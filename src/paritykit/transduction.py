@@ -1,5 +1,5 @@
-"""The J,n-priority transduction game as a finite parity game, with
-boundedness checking and the two strategy syntheses.
+"""The J,n-priority transduction game as a finite parity game, and the
+two strategy syntheses.
 
 Round structure per base move: (1) the base owner picks an edge, (2) Eve
 picks a register, which fixes the output priority, (3) if the base edge
@@ -11,7 +11,7 @@ sink with a priority-1 self-loop.
 
 from dataclasses import dataclass, field
 
-from .decomposition import validate_ad
+from .decomposition import n_bound_check, validate_ad
 from .errors import (
     DEFAULT_STATE_CAP,
     EmptyIndex,
@@ -38,14 +38,6 @@ NEVER = "never"
 
 
 @dataclass(frozen=True)
-class RegConfig:
-    """Decoded register/counter contents of one product configuration."""
-
-    registers: dict = field(hash=False)
-    counters: dict = field(hash=False)
-
-
-@dataclass(frozen=True)
 class RegProduct:
     game: ParityGame
     decode: tuple
@@ -56,32 +48,9 @@ class RegProduct:
     rule: str
     reg_indices: tuple
     counter_keys: tuple
-    degenerate_init: bool
-
-    def describe(self, vid):
-        """(phase, base vertex, RegConfig, pending data) for one vertex."""
-        state = self.decode[vid]
-        phase = state[0]
-        if phase == "sink":
-            return ("sink", None, None, None)
-        if phase == "A":
-            _, v, cfg = state
-            return ("A", v, self._config(cfg), None)
-        if phase == "B":
-            _, eid, cfg = state
-            return ("B", self._graph().src[eid], self._config(cfg), eid)
-        _, eid, jx, cfg = state
-        return ("C", self._graph().src[eid], self._config(cfg), (eid, self.reg_indices[jx]))
 
     def _graph(self):
         return self.base.graph if isinstance(self.base, ParityGame) else self.base
-
-    def _config(self, cfg):
-        regs_t, ctr_t = cfg
-        return RegConfig(
-            dict(zip(self.reg_indices, regs_t)),
-            dict(zip(self.counter_keys, ctr_t)),
-        )
 
 
 def normalize_output_index(J):
@@ -123,8 +92,7 @@ class RegMachine:
         self.counter_keys = tuple((i, j) for i in self.odds for j in self.regs)
         self._ck_pos = {key: x for x, key in enumerate(self.counter_keys)}
         self.max_odd = index_i.max_odd
-        self.degenerate_init = index_i.max_even is None
-        init_reg = index_i.max_even if not self.degenerate_init else index_i.lo - 1
+        init_reg = index_i.lo - 1 if index_i.max_even is None else index_i.max_even
         self.initial = (
             tuple(init_reg for _ in self.regs),
             tuple(0 for _ in self.counter_keys),
@@ -343,18 +311,7 @@ def reg_product(base, J, n, *, rule=LIBERAL, cap=DEFAULT_STATE_CAP, starts=None)
     initial = dict(zip(starts, start_ids))
     graph = ParityGraph._explored(len(decode), src, dst, pri, Index(0, max(J.hi, 1)))
     game = ParityGame.make(graph, eve)
-    return RegProduct(
-        game,
-        tuple(decode),
-        initial,
-        base,
-        J,
-        n,
-        rule,
-        regs,
-        machine.counter_keys,
-        machine.degenerate_init,
-    )
+    return RegProduct(game, tuple(decode), initial, base, J, n, rule, regs, machine.counter_keys)
 
 
 def eve_wins_reg(base, J, n, from_vertex=None, *, rule=LIBERAL, cap=DEFAULT_STATE_CAP):
@@ -366,96 +323,6 @@ def eve_wins_reg(base, J, n, from_vertex=None, *, rule=LIBERAL, cap=DEFAULT_STAT
     product = reg_product(base, J, n, rule=rule, cap=cap, starts=[from_vertex])
     eve_region, _, _, _ = solve(product.game)
     return product.initial[from_vertex] in eve_region
-
-
-# ---------------------------------------------------------------------------
-# n-boundedness
-
-
-@dataclass(frozen=True)
-class SegmentedPath:
-    """Witness against an n-bound: n+1 consecutive segments whose labelI and
-    labelJ maxima are the fixed odd/even pair."""
-
-    odd: int
-    even: int
-    segments: tuple
-
-    def check(self, pair):
-        src, dst = pair.graph.src, pair.graph.dst
-        prev_end = None
-        for seg in self.segments:
-            if not seg:
-                return False
-            for a, b in zip(seg, seg[1:]):
-                if dst[a] != src[b]:
-                    return False
-            if prev_end is not None and src[seg[0]] != prev_end:
-                return False
-            prev_end = dst[seg[-1]]
-            if max(pair.label_i[i] for i in seg) != self.odd:
-                return False
-            if max(pair.label_j[i] for i in seg) != self.even:
-                return False
-        return True
-
-
-def _segment_search(g, li, lj, odd, even, n):
-    """Breadth-first search on `explore` over (vertex, closed segments,
-    seen-odd, seen-even); a close is an epsilon step allowed when both
-    maxima have been witnessed.  Returns the first n+1 closed segments
-    found, or None."""
-    out, dst = g.out, g.dst
-    starts = [(v, 0, False, False) for v in g.sorted_vertices()]
-    # state id -> (parent id, edge id or None for a close); starts have none
-    parent = [None] * len(starts)
-    closing = []
-
-    def expand(state, sid, intern):
-        v, s, fi, fj = state
-        if fi and fj:
-            if s == n:
-                closing.append((sid, None))
-                return True
-            if intern((v, s + 1, False, False)) == len(parent):
-                parent.append((sid, None))
-        for eid in out[v]:
-            a, b = li[eid], lj[eid]
-            if a <= odd and b <= even:
-                if intern((dst[eid], s, fi or a == odd, fj or b == even)) == len(parent):
-                    parent.append((sid, eid))
-
-    explore(starts, expand, f"n_bound_check(n={n}, odd={odd}, even={even})")
-    if not closing:
-        return None
-    # walk back from the last close: each close starts an earlier segment
-    segments, link = [], closing[0]
-    while link is not None:
-        sid, eid = link
-        if eid is None:
-            segments.append([])
-        else:
-            segments[-1].append(eid)
-        link = parent[sid]
-    return tuple(tuple(reversed(seg)) for seg in reversed(segments))
-
-
-def n_bound_check(pair, n):
-    """(True, None) if labelI is n-bound by labelJ, else (False, witness)."""
-    if n < 0:
-        raise PreconditionFailed("n_bound_check", "n must be a natural")
-    # a closed segment needs an edge at each of its maxima, so only the
-    # priorities that occur (all inside their index) can witness
-    odds = sorted({p for p in pair.label_i if p % 2 == 1})
-    evens = sorted({p for p in pair.label_j if p % 2 == 0})
-    for odd in odds:
-        for even in evens:
-            found = _segment_search(
-                pair.graph, pair.label_i, pair.label_j, odd, even, n
-            )
-            if found is not None:
-                return False, SegmentedPath(odd, even, found)
-    return True, None
 
 
 # ---------------------------------------------------------------------------

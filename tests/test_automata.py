@@ -474,6 +474,12 @@ class TestGuidedRun:
         with pytest.raises(IncompatibleGuide):
             GuidingFunction.make(a, b, table)
 
+    @pytest.mark.parametrize("entry", [999, -1])
+    def test_guide_entry_outside_the_transitions_rejected(self, entry):
+        a, b, gf, _trees = guided_suite()[0]
+        with pytest.raises(IncompatibleGuide, match=rf"g\(0, 1\) = {entry} is not a transition id"):
+            GuidingFunction.make(a, b, {**gf.table, (0, 1): entry})
+
 
 class TestComposeTransducer:
     def test_state_cap_names_construction(self):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paritykit import manifests
-from paritykit.automata import NPTA, RegularTree
+from paritykit.automata import NPTA, GuidingFunction, RegularTree
 from paritykit.cli import main
 from paritykit.decomposition import LabellingPair, build_ad
 from paritykit.errors import PreconditionFailed
@@ -16,6 +16,7 @@ from paritykit.lab import (
     GenParams,
     _aut_eventually_b,
     _deterministic_guide,
+    guided_suite,
     random_bounded_pair,
     random_even_graph,
     random_game,
@@ -406,6 +407,46 @@ class TestCommands:
         assert main(["--format", "dot", "convert", path]) == 0
         assert capsys.readouterr().out.startswith("digraph")
 
+    @pytest.mark.parametrize(
+        "argv, kind",
+        [
+            (["universal", "--n", "1", "--k", "1", "--depth", "2", "--width", "2"], "OrderedTree"),
+            (["lab", "random", "--kind", "pair"], "LabellingPair"),
+            (["lab", "random", "--kind", "even-graph"], "ParityGraph"),
+            (["aut", "compose", "automaton"], "NPTA"),
+            (["ad", "build", "game.pg"], "AttractorDecomposition"),
+            (["reg", "build", "game.pg"], "RegProduct"),
+            (["convert", "graph"], "ParityGraph"),
+            (["convert", "tree"], "OrderedTree"),
+        ],
+    )
+    def test_pgsolver_output_of_a_non_game_is_usage_error(self, tmp_path, capsys, argv, kind):
+        pg = tmp_path / "game.pg"
+        pg.write_text("parity 1;\n0 2 0 1;\n1 2 1 0;\n")
+        paths = {
+            "game.pg": str(pg),
+            "automaton": write(tmp_path, "a.json", _aut_eventually_b()),
+            "graph": write(tmp_path, "g.json", ParityGraph.make([0], [(0, 0, 2)])),
+            "tree": write(tmp_path, "t.json", OrderedTree.from_brackets("(()())")),
+        }
+        assert main(["--format", "pgsolver", *[paths.get(arg, arg) for arg in argv]]) == 2
+        err = capsys.readouterr().err
+        assert f"precondition failed: pgsolver (unsupported object {kind})" in err
+
+    @pytest.mark.parametrize("entry", [999, -1])
+    def test_guide_entry_outside_the_transitions_is_rejected(self, tmp_path, capsys, entry):
+        a, b, gf, trees = guided_suite()[0]
+        # the guide's run of trees[0] takes guide transition 1 from state 0
+        table = {**gf.table, (0, 1): entry}
+        argv = [
+            "aut", "guide", write(tmp_path, "a.json", a),
+            "--tree", write(tmp_path, "t.json", trees[0]),
+            "--guide-automaton", write(tmp_path, "b.json", b),
+            "--guiding-function", write(tmp_path, "g.json", GuidingFunction(table)),
+        ]
+        assert main(argv) == 1
+        assert f"error: entry (0, 1) -> {entry} is not a transition id" in capsys.readouterr().err
+
 
 def _valid_manifests():
     """One small manifest of every kind, as parsed JSON documents; the graph
@@ -459,6 +500,7 @@ COMMANDS = [
      "--guiding-function", "{}"],
     ["convert", "{}"],
     ["--format", "dot", "convert", "{}"],
+    ["--format", "pgsolver", "convert", "{}"],
 ]
 
 json_values = st.recursive(

@@ -19,6 +19,7 @@ from paritykit.games import (
     EVE,
     Edge,
     Index,
+    Lasso,
     ParityGame,
     ParityGraph,
     attractor_edges,
@@ -347,6 +348,18 @@ class TestOddCycleWitness:
                 seen += 1
                 assert lasso.check(g) and lasso.cycle_max_priority(g) % 2 == 0
         assert 10 < seen < 80
+
+    def test_check_rejects_each_broken_lasso(self):
+        # edges 0: 0->1, 1: 1->2, 2: 2->1, 3: 2->0
+        g = ParityGraph.make([0, 1, 2], [(0, 1, 0), (1, 2, 1), (2, 1, 2), (2, 0, 1)])
+        assert Lasso((0,), (1, 2)).check(g)
+        broken = [
+            Lasso((0, 0), (1, 2)),  # a gap inside the stem
+            Lasso((1,), (1, 2)),  # the stem does not lead into the cycle
+            Lasso((), (1, 3, 2)),  # a gap inside the cycle, which still closes
+            Lasso((), (0, 1)),  # the cycle does not return to its start
+        ]
+        assert [lasso.check(g) for lasso in broken] == [False] * 4
 
 
 class TestExplore:

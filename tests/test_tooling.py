@@ -1,8 +1,11 @@
 """Guards on the package source itself."""
 
 import ast
+import graphlib
 import pathlib
 import sys
+
+import pytest
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "paritykit"
 
@@ -232,3 +235,61 @@ def test_only_the_pin_registry_hashes_answers():
             if "hashlib" in names:
                 found.append(path.name)
     assert found == ["pins.py"]
+
+
+def _is_dataclass(node):
+    for deco in node.decorator_list:
+        target = deco.func if isinstance(deco, ast.Call) else deco
+        if getattr(target, "id", None) == "dataclass":
+            return True
+    return False
+
+
+def test_every_dataclass_field_is_read():
+    """Each field of a package dataclass is read as an attribute somewhere
+    in src/, tests/ or perfbench/, so no record stores what nobody reads.
+    Reads on the CLI's `args` namespace do not count: its attributes are
+    options, not fields."""
+    root = SRC.parent.parent
+    fields = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                for item in node.body:
+                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                        fields[f"{path.name}:{node.name}.{item.target.id}"] = item.target.id
+    read = set()
+    for path in sorted([*SRC.glob("*.py"), *(root / "tests").glob("*.py"), *(root / "perfbench").glob("*.py")]):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                if path.name == "cli.py" and getattr(node.value, "id", None) == "args":
+                    continue
+                read.add(node.attr)
+    assert len(fields) > 30
+    assert sorted(where for where, name in fields.items() if name not in read) == []
+
+
+def _package_imports(path):
+    """The package modules that `path` imports, at any depth of its code."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            # `from .x import y` names module x; `from . import x` names x
+            names |= {node.module} if node.module else {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("paritykit."):
+            names.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            names |= {a.name.split(".")[1] for a in node.names if a.name.startswith("paritykit.")}
+    return names
+
+
+def test_package_imports_have_no_cycle():
+    """The modules of the package import each other, function-level imports
+    included, without a cycle; __init__ only gathers the others."""
+    modules = {path.stem: path for path in SRC.glob("*.py") if path.stem != "__init__"}
+    graph = {name: _package_imports(path) & modules.keys() for name, path in modules.items()}
+    assert graph["transduction"] and graph["automata"]
+    try:
+        list(graphlib.TopologicalSorter(graph).static_order())
+    except graphlib.CycleError as err:
+        pytest.fail(f"import cycle {err.args[1]}")

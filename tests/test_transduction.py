@@ -10,6 +10,8 @@ from paritykit.decomposition import (
     AdChild,
     AttractorDecomposition,
     LabellingPair,
+    SegmentedPath,
+    _segment_search,
     build_ad,
     tree_shape,
 )
@@ -30,7 +32,6 @@ from paritykit.transduction import (
     LITERAL,
     NEVER,
     _decomposition_signatures,
-    _segment_search,
     eve_wins_reg,
     n_bound_check,
     normalize_output_index,
@@ -221,6 +222,19 @@ class TestNBoundCheck:
         assert not ok
         assert witness.odd == 1 and witness.even == 2
         assert witness.check(pair)
+
+    def test_witness_check_rejects_each_broken_path(self):
+        # edges 0: 0->1, 1: 1->0, 2: 0->0
+        pair = self.pair([(0, 1), (1, 0), (0, 0)], (1, 0, 1), (2, 2, 1), jj=Index(1, 2))
+        assert SegmentedPath(1, 2, ((0, 1), (0, 1))).check(pair)
+        broken = [
+            ((0, 1), ()),  # an empty segment
+            ((0, 0),),  # a gap inside a segment
+            ((0,), (0,)),  # a segment that starts away from the previous end
+            ((1,),),  # labelI maximum 0, not the odd 1
+            ((2,),),  # labelJ maximum 1, not the even 2
+        ]
+        assert [SegmentedPath(1, 2, segments).check(pair) for segments in broken] == [False] * 5
 
     def test_all_even_label_i(self):
         pair = self.pair([(0, 1), (1, 0)], (2, 0), (1, 2))

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from paritykit.errors import UndefinedTree
 from paritykit.trees import (
     LEAF,
+    Embedding,
     OrderedTree,
     depth,
     embed,
@@ -109,6 +110,25 @@ class TestEmbed:
         assert e is not None
         assert all(p == q for p, q in e.mapping.items())
         assert e.check(t, t)
+
+    def test_check_rejects_each_broken_mapping(self):
+        t = OrderedTree.from_brackets("((())())")
+        host = OrderedTree.from_brackets("((()())()(()))")
+        good = {(): (), (0,): (0,), (0, 0): (0, 1), (1,): (2,)}
+        assert Embedding(good).check(t, host)
+        broken = [
+            {**good, (): (1,)},  # the root goes elsewhere
+            {**good, (0, 0): (0, 1, 0)},  # a path and its image differ in length
+            {k: v for k, v in good.items() if k != (0,)},  # a node whose parent is unmapped
+            {**good, (0, 0): (2, 0)},  # a node off its parent's image
+            {**good, (1, 0): (2, 0)},  # a path that is no node of the query
+            {**good, (0, 0): (0, 5)},  # an image that is no node of the host
+            {k: v for k, v in good.items() if k != (1,)},  # a node left out
+            {(): (), (0,): (2,), (0, 0): (2, 0), (1,): (0,)},  # siblings out of order
+            {(): (), (0,): (0,), (0, 0): (0, 0), (1,): (0,)},  # siblings on one image
+            {**good, (-1,): (2,)},  # a path that names a node by a negative index
+        ]
+        assert [Embedding(m).check(t, host) for m in broken] == [False] * 10
 
     def test_too_few_children(self):
         assert embed(T(LEAF, LEAF), T(LEAF)) is None
