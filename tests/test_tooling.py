@@ -259,7 +259,7 @@ def test_every_dataclass_field_is_read():
                     if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
                         fields[f"{path.name}:{node.name}.{item.target.id}"] = item.target.id
     read = set()
-    for path in sorted([*SRC.glob("*.py"), *(root / "tests").glob("*.py"), *(root / "perfbench").glob("*.py")]):
+    for path in sorted(path for d in (SRC, root / "tests", root / "perfbench") for path in d.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 if path.name == "cli.py" and getattr(node.value, "id", None) == "args":
