@@ -10,19 +10,33 @@ from .games import unwind
 
 @dataclass(frozen=True)
 class OrderedTree:
+    """An ordered tree, immutable and hashable by structure.
+
+    Each tree caches, from its children's when it is built, its hash, its
+    expanded node count (`node_count`), its depth and its leaf count
+    (`_leaves`, 1 for a leaf), so none of them takes a walk.  A tree that
+    embeds in another has at most its size, depth and leaf count (its
+    children go to distinct children of its image), so `embed` prunes its
+    search by all three.  Bracket parsing and printing, `==` and
+    `n_strahler` run on explicit stacks, so a tree thousands of levels deep
+    is fine.
+    """
+
     children: tuple = ()
 
     def __post_init__(self):
-        # hash, expanded node count and depth, each from the children's
-        hashes, size, deep = [], 1, 0
+        # hash, expanded node count, depth and leaf count, each from the children's
+        hashes, size, deep, leaves = [], 1, 0, 0
         for c in self.children:
             hashes.append(c._hash)
             size += c._size
+            leaves += c._leaves
             if c._depth > deep:
                 deep = c._depth
         object.__setattr__(self, "_hash", hash(tuple(hashes)))
         object.__setattr__(self, "_size", size)
         object.__setattr__(self, "_depth", deep + 1)
+        object.__setattr__(self, "_leaves", leaves or 1)
 
     def __hash__(self):
         return self._hash
@@ -140,55 +154,46 @@ class Embedding:
     mapping: dict = field(hash=False)
 
     def check(self, t, host):
-        """Validate root-to-root, per-node strict order preservation and totality."""
-
-        def node_at(tree, path):
-            for i in path:
-                tree = tree.children[i]
-            return tree
-
-        if self.mapping.get(()) != ():
+        """Validate root-to-root, per-node strict order preservation and
+        totality, walking the query and the host down together, so each node
+        is reached from its parent's entry, never by its path from the root."""
+        mapping = self.mapping
+        if mapping.get(()) != ():
             return False
-        for path, image in self.mapping.items():
-            if len(path) != len(image):
-                return False
-            if path and (path[:-1] not in self.mapping or self.mapping[path[:-1]] != image[:-1]):
-                return False
-            try:
-                node_at(t, path), node_at(host, image)
-            except IndexError:
-                return False
-        seen = set()
-        stack = [()]
+        # (query node, its image, both paths), each reached through its parent
+        stack = [(t, host, (), ())]
+        reached = 1
         while stack:
-            p = stack.pop()
-            seen.add(p)
-            node = node_at(t, p)
-            images = []
-            for i in range(len(node.children)):
-                child = p + (i,)
-                if child not in self.mapping:
+            a, b, path, image = stack.pop()
+            last = -1
+            for i, c in enumerate(a.children):
+                child = path + (i,)
+                got = mapping.get(child)
+                if got is None or len(got) != len(child) or got[:-1] != image:
                     return False
-                images.append(self.mapping[child][-1])
-                stack.append(child)
-            if images != sorted(set(images)) or len(set(images)) != len(images):
-                return False
-        return seen == set(self.mapping)
+                k = got[-1]
+                if not last < k < len(b.children):
+                    return False
+                last = k
+                stack.append((c, b.children[k], child, got))
+                reached += 1
+        # every key reached names a distinct query node; any other key names none
+        return reached == len(mapping)
 
 
-def embed(t, host):
-    """Greedy leftmost isomorphic embedding, or None.
+def _fits(t, host, memo):
+    """Whether t embeds in host, by the greedy leftmost search.
 
     Greedy is exact here: whether child t_i fits under host child h_j does
     not depend on where the other children go, so any embedding can be
-    exchanged child by child into the leftmost one.  A leaf fits anywhere
-    and a tree larger or deeper than its host fits nowhere, so neither
-    needs a search.
+    exchanged child by child into the leftmost one.  A leaf fits anywhere,
+    and a child larger, deeper or with more leaves than a host child fits
+    nowhere under it, so neither needs a search; a scan stops once fewer
+    host children are left than children to place.  The search runs on an
+    explicit stack, so trees thousands of levels deep are fine.  `memo`
+    maps (id(a), id(b)) to the verdict of every searched pair, so its
+    caller keeps each `a` alive while `memo` is in use.
     """
-    if t._size > host._size or t._depth > host._depth:
-        return None
-    # verdicts of the searched pairs, by (id(a), id(b))
-    memo = {}
     # frames [a, b, i, j]: child i of a is the next to place, from host child j
     stack = [[t, host, 0, 0]]
     verdict = None
@@ -209,7 +214,7 @@ def embed(t, host):
             c, h = kids[i], hosts[j]
             if not c.children:
                 i += 1
-            elif c._size <= h._size and c._depth <= h._depth:
+            elif c._size <= h._size and c._depth <= h._depth and c._leaves <= h._leaves:
                 got = memo.get((id(c), id(h)))
                 if got is None:
                     frame[2], frame[3] = i, j
@@ -223,27 +228,50 @@ def embed(t, host):
         if verdict is not None:
             memo[id(a), id(b)] = verdict
             stack.pop()
-    if not verdict:
+    return verdict
+
+
+def embed(t, host):
+    """Greedy leftmost isomorphic embedding, or None.
+
+    A query larger, deeper or with more leaves than its host, or whose root
+    has more children than the host's, is refused before any search.
+    Otherwise `_fits` decides, and a second pass follows the same scan,
+    reading its verdicts, to map each node's child-index path to its
+    image's.
+    """
+    if (
+        t._size > host._size
+        or t._depth > host._depth
+        or t._leaves > host._leaves
+        or len(t.children) > len(host.children)
+    ):
         return None
-    mapping = {}
+    memo = {}
+    if not _fits(t, host, memo):
+        return None
+    mapping = {(): ()}
     # every non-leaf pair that a fitting pair's scan tried has its verdict
     stack = [(t, host, (), ())]
     while stack:
         a, b, path, image = stack.pop()
-        mapping[path] = image
-        placed = []
-        j = 0
         hosts = b.children
+        j = 0
         for i, c in enumerate(a.children):
+            h = hosts[j]
             while c.children and not (
-                c._size <= hosts[j]._size
-                and c._depth <= hosts[j]._depth
-                and memo[id(c), id(hosts[j])]
+                c._size <= h._size
+                and c._depth <= h._depth
+                and c._leaves <= h._leaves
+                and memo[id(c), id(h)]
             ):
                 j += 1
-            placed.append((c, hosts[j], path + (i,), image + (j,)))
+                h = hosts[j]
+            child, got = path + (i,), image + (j,)
+            mapping[child] = got
+            if c.children:
+                stack.append((c, h, child, got))
             j += 1
-        stack.extend(reversed(placed))
     return Embedding(mapping)
 
 
@@ -253,6 +281,10 @@ def universal_tree(n, k, d, w):
     The n-Strahler number of the result equals k whenever w >= n+1 (a
     truncated block of fewer than n+1 equal children cannot force the bump).
     Universality is guaranteed for candidates of branching degree <= w.
+    Built without recursion, as a generator run by `unwind`, with one
+    object per distinct subtree; a printout repeats a shared subtree at
+    each occurrence, so `paritykit universal` sizes the tree first with
+    `universal_tree_size`.
     """
     _check_universal(n, k, d, w)
     memo = {}
@@ -292,7 +324,10 @@ def universal_tree_size(n, k, d, w, cap):
 
     The tree (kk, dd) holds (n+1)*w copies of (kk-1, dd-1) if kk >= 2 and
     n copies of (kk, dd-1) if dd-1 >= kk; counts are taken by the gap
-    dd-kk, ascending, each gap's by kk ascending.
+    dd-kk, ascending, each gap's by kk ascending.  So `paritykit universal`
+    exits 3 before building anything: `--n 3 --k 4 --depth 9 --width 4`,
+    whose tree has 71,719,612 nodes, names a subtree of 438,829 under the
+    default cap, and `--depth 300000` on the 1-wide chain exits at once.
     """
     _check_universal(n, k, d, w)
     row = []
@@ -312,9 +347,18 @@ def universal_tree_size(n, k, d, w, cap):
 
 
 def is_universal_for(host, candidates):
-    """(True, None) if every candidate embeds into host, else (False, first failure)."""
+    """(True, None) if every candidate embeds into host, else (False, first failure).
+
+    Only verdicts are needed, so each candidate runs `_fits` with no
+    mapping pass, and one memo serves the whole call: candidates that share
+    subtrees share their verdicts.  The memo is keyed by `id`, so `kept`
+    holds every candidate until the call returns; a subtree freed before
+    then, as one a generator drops, could pass its id to a new tree.
+    """
+    memo, kept = {}, []
     for t in candidates:
-        if embed(t, host) is None:
+        kept.append(t)
+        if not _fits(t, host, memo):
             return False, t
     return True, None
 

@@ -373,3 +373,13 @@ def n_bound_corpus():
         li = tuple(rng.randint(0, 5) for _ in g.src)
         lj = tuple(rng.randint(1, 6) for _ in g.src)
         yield LabellingPair.make(g, li, lj, Index(0, 5), Index(1, 6))
+
+
+# criterion 7's universal-tree grid: U(n, k, d, w) for n, d, w in 1-3, k <= d
+UNIVERSAL_GRID = tuple(
+    (n, k, d, w)
+    for n in (1, 2, 3)
+    for d in (1, 2, 3)
+    for k in range(1, d + 1)
+    for w in (1, 2, 3)
+)

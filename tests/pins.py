@@ -58,6 +58,7 @@ from paritykit.transduction import (
 from paritykit.trees import embed, enumerate_trees, is_universal_for, n_strahler, universal_tree
 
 from corpora import (
+    UNIVERSAL_GRID,
     build_corpus,
     composed_corpus,
     n_bound_corpus,
@@ -326,16 +327,9 @@ def universal_answers():
     """is_universal_for's (ok, first miss) over criterion 7's 54-point grid,
     once with the family criterion 7 checks (Strahler number <= k), which
     must all embed, and once with the whole family."""
-    grid = [
-        (n, k, d, w)
-        for n in (1, 2, 3)
-        for d in (1, 2, 3)
-        for k in range(1, d + 1)
-        for w in (1, 2, 3)
-    ]
-    assert len(grid) == 54
+    assert len(UNIVERSAL_GRID) == 54
     missed = 0
-    for n, k, d, w in grid:
+    for n, k, d, w in UNIVERSAL_GRID:
         u = universal_tree(n, k, d, w)
         family = enumerate_trees(1 + w + w**2 + w**3, d, w)
         bounded = [t for t in family if n_strahler(t, n) <= k]

@@ -293,3 +293,37 @@ def test_package_imports_have_no_cycle():
         list(graphlib.TopologicalSorter(graph).static_order())
     except graphlib.CycleError as err:
         pytest.fail(f"import cycle {err.args[1]}")
+
+
+def _identifiers(tree):
+    """Every name, attribute, imported name and string constant in `tree`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+def test_embedding_oracles_share_no_pruning():
+    """The backtracking oracles that check `trees.embed` and
+    `is_universal_for` (`lab._embeds_by_backtracking`, perfbench's
+    `backtrack_embeds` and `backtracking_embed` in tests/test_trees.py)
+    must not prune by what they check: no file under src/ but trees.py,
+    none under perfbench/, and not `backtracking_embed`, names the cached
+    leaf count `_leaves` or the search `_fits`."""
+    root = SRC.parent.parent
+    pruning = {"_leaves", "_fits"}
+    assert pruning <= set(_identifiers(ast.parse((SRC / "trees.py").read_text())))
+    found = []
+    paths = [p for p in sorted(SRC.glob("*.py")) if p.name != "trees.py"]
+    for path in paths + sorted((root / "perfbench").rglob("*.py")):
+        names = set(_identifiers(ast.parse(path.read_text(), filename=str(path))))
+        found += [f"{path.name} names {name}" for name in sorted(names & pruning)]
+    tests = ast.parse((root / "tests" / "test_trees.py").read_text())
+    (oracle,) = [n for n in tests.body if isinstance(n, ast.FunctionDef) and n.name == "backtracking_embed"]
+    found += [f"backtracking_embed names {name}" for name in sorted(set(_identifiers(oracle)) & pruning)]
+    assert found == []

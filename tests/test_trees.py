@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import paritykit.trees
 from paritykit.errors import UndefinedTree
 from paritykit.trees import (
     LEAF,
@@ -18,6 +19,8 @@ from paritykit.trees import (
     universal_tree,
     universal_tree_size,
 )
+
+from corpora import UNIVERSAL_GRID
 
 
 def T(*kids):
@@ -130,6 +133,13 @@ class TestEmbed:
         ]
         assert [Embedding(m).check(t, host) for m in broken] == [False] * 10
 
+    def test_check_rejects_a_negative_image_index(self):
+        # -1 names no child by its index: Python would read it as the last
+        # child, after child 1's image in the first mapping
+        t = host = OrderedTree.from_brackets("(()())")
+        assert not Embedding({(): (), (0,): (-1,), (1,): (0,)}).check(t, host)
+        assert not Embedding({(): (), (0,): (0,), (1,): (-1,)}).check(t, host)
+
     def test_too_few_children(self):
         assert embed(T(LEAF, LEAF), T(LEAF)) is None
 
@@ -169,6 +179,31 @@ def caterpillar(k):
     """A spine k nodes long, each spine node with a leaf before the next:
     2k+1 nodes, k+1 deep."""
     return OrderedTree.from_brackets("(()" * k + "()" + ")" * k)
+
+
+class TestPruningInvariants:
+    def test_cached_leaf_count(self):
+        trees = enumerate_trees(9, 9, 9) + [caterpillar(3000)]
+        assert len(trees) == 2057
+        assert [t._leaves for t in trees] == [_leaf_count(t) for t in trees]
+        assert trees[-1]._leaves == 3001
+
+    def test_equal_leaf_count_still_embeds(self):
+        # equal at the roots and at the first pair of children
+        t = OrderedTree.from_brackets("((()())())")
+        host = OrderedTree.from_brackets("(((())())(()))")
+        assert (t._leaves, t.children[0]._leaves) == (host._leaves, host.children[0]._leaves) == (3, 2)
+        e = embed(t, host)
+        assert e.mapping == {(): (), (0,): (0,), (0, 0): (0, 0), (0, 1): (0, 1), (1,): (1,)}
+        assert e.check(t, host)
+
+    def test_equal_root_fan_out_still_embeds(self):
+        t = OrderedTree.from_brackets("(()())")
+        host = OrderedTree.from_brackets("((()())())")
+        assert len(t.children) == len(host.children) == 2 and t._leaves < host._leaves
+        e = embed(t, host)
+        assert e.mapping == {(): (), (0,): (0,), (1,): (1,)}
+        assert e.check(t, host)
 
 
 class TestDeepEmbed:
@@ -258,6 +293,30 @@ class TestUniversalTree:
                         assert ok, f"n={n} k={k} d={d} w={w} missed {bad}"
 
 
+def first_miss(host, candidates):
+    """is_universal_for's answer, from one `embed` call per candidate."""
+    for t in candidates:
+        if embed(t, host) is None:
+            return False, t
+    return True, None
+
+
+def strahler_family():
+    """U(2, 3, 5, 3) and the 14,998 trees of <= 12 nodes, depth <= 5 and
+    fan-out <= 3 whose 2-Strahler number is at most 3."""
+    family = [t for t in enumerate_trees(12, 5, 3) if n_strahler(t, 2) <= 3]
+    assert len(family) == 14998
+    return universal_tree(2, 3, 5, 3), family
+
+
+def complete_ternary(h):
+    """2-Strahler number h: every inner node has three children that attain it."""
+    t = LEAF
+    for _ in range(h - 1):
+        t = T(t, t, t)
+    return t
+
+
 class TestIsUniversalFor:
     def test_leaf_always_embeds(self):
         assert is_universal_for(figure_tree(), [LEAF]) == (True, None)
@@ -265,6 +324,57 @@ class TestIsUniversalFor:
     def test_leaf_host_fails(self):
         ok, bad = is_universal_for(LEAF, [T(LEAF)])
         assert not ok and bad == T(LEAF)
+
+    def test_same_first_miss_as_embed_on_the_criterion_7_grid(self):
+        missed = 0
+        for n, k, d, w in UNIVERSAL_GRID:
+            u = universal_tree(n, k, d, w)
+            family = enumerate_trees(1 + w + w**2 + w**3, d, w)
+            bounded = [t for t in family if n_strahler(t, n) <= k]
+            for candidates in (bounded, family):
+                ok, bad = is_universal_for(u, candidates)
+                want_ok, want_bad = first_miss(u, candidates)
+                assert ok == want_ok and bad is want_bad
+                missed += bad is not None
+        assert missed > 0
+
+    def test_same_answer_as_embed_on_a_strahler_family(self):
+        u, family = strahler_family()
+        assert is_universal_for(u, family) == first_miss(u, family) == (True, None)
+
+    def test_planted_miss_is_the_first_miss(self):
+        u, family = strahler_family()
+        miss = complete_ternary(4)
+        assert n_strahler(miss, 2) == 4 and depth(miss) <= 5
+        candidates = family[:7000] + [miss] + family[7000:]
+        ok, bad = is_universal_for(u, candidates)
+        assert not ok and bad is miss
+        assert first_miss(u, candidates) == (False, miss)
+
+    def test_candidates_from_a_generator_that_drops_each_tree(self):
+        # every candidate is built fresh and freed once the next is asked
+        # for, so its subtrees' ids are free for the trees that follow
+        u, family = strahler_family()
+        brackets = [t.to_brackets() for t in family[::10]]
+        planted = brackets[:700] + [complete_ternary(4).to_brackets()] + brackets[700:]
+        for texts in (brackets, planted):
+            ok, bad = is_universal_for(u, (OrderedTree.from_brackets(b) for b in texts))
+            want_ok, want_bad = first_miss(u, (OrderedTree.from_brackets(b) for b in texts))
+            assert (ok, bad) == (want_ok, want_bad)
+        assert not ok and bad == complete_ternary(4)
+
+    def test_answers_without_building_an_embedding(self, monkeypatch):
+        def refuse(mapping):
+            raise AssertionError("an Embedding was built")
+
+        monkeypatch.setattr(paritykit.trees, "Embedding", refuse)
+        with pytest.raises(AssertionError):
+            embed(LEAF, LEAF)
+        u = universal_tree(2, 2, 3, 3)
+        family = [t for t in enumerate_trees(40, 3, 3) if n_strahler(t, 2) <= 2]
+        assert is_universal_for(u, family) == (True, None)
+        ok, bad = is_universal_for(u, family + [complete_ternary(3)])
+        assert not ok and bad == complete_ternary(3)
 
 
 class TestEnumerate:
@@ -309,6 +419,15 @@ def _oracle_depth(t):
     return 1 + max((_oracle_depth(c) for c in t.children), default=0)
 
 
+def _leaf_count(t):
+    """Leaves of t by a walk on an explicit stack, not from the cache."""
+    return sum(1 for node in _nodes(t) if not node.children)
+
+
+def _measures(t):
+    return sum(1 for _ in _nodes(t)), _oracle_depth(t), _leaf_count(t), len(t.children)
+
+
 class TestProperties:
     @given(trees_strategy)
     @settings(max_examples=120, deadline=None)
@@ -332,6 +451,13 @@ class TestProperties:
     def test_embedding_is_strahler_monotone(self, t, host, n):
         if embed(t, host) is not None:
             assert n_strahler(t, n) <= n_strahler(host, n)
+
+    @given(trees_strategy, trees_strategy)
+    @settings(max_examples=200, deadline=None)
+    def test_embedding_grows_no_pruned_measure(self, t, host):
+        # size, depth, leaf count and root fan-out, each counted by a walk
+        if embed(t, host) is not None:
+            assert all(a <= b for a, b in zip(_measures(t), _measures(host)))
 
 
 class TestBrackets:
