@@ -443,9 +443,9 @@ def compose_transducer(a, J, n, *, rule=LIBERAL, cap=DEFAULT_STATE_CAP):
     level plays two transduction rounds (Eve's transition-choice edge at
     the minimal input priority, then the direction edge), whose two outputs
     fold into one per-direction priority by maximum; instant losses route
-    both directions into an odd-looping reject state.  Each register round
-    (configuration, input priority) is played once per process, on the
-    shared machine from `reg_machine`.
+    both directions into an odd-looping reject state.  Each round's step
+    row (configuration, input priority) is computed once per process, on
+    the shared machine from `reg_machine`.
     """
     J = normalize_output_index(J)
     shift = _input_shift(a.index)
@@ -456,20 +456,14 @@ def compose_transducer(a, J, n, *, rule=LIBERAL, cap=DEFAULT_STATE_CAP):
     what = f"compose_transducer(J=[{J.lo},{J.hi}], n={n}, rule={rule})"
     _size_machine(index_i, J, cap, what)
     machine = reg_machine(index_i, J, n, rule)
-    play_round = machine.round
+    step = machine.step
     lo = index_i.lo
 
     # the reject state is the second start, so its id is 1
     reject = 1
-    transitions = []
-    omega = []
-    seen_rows = set()
-
-    def add_row(row):
-        if row not in seen_rows:
-            seen_rows.add(row)
-            transitions.append(row[:4])
-            omega.append(row[4:])
+    # (state, letter, child0, child1, priority0, priority1), repeats included
+    rows = []
+    add_row = rows.append
 
     def expand(state, sid, intern):
         if sid == reject:
@@ -477,36 +471,43 @@ def compose_transducer(a, J, n, *, rule=LIBERAL, cap=DEFAULT_STATE_CAP):
                 add_row((reject, letter, reject, reject, reject_priority, reject_priority))
             return
         q, cfg = state
-        first = play_round(cfg, lo)
+        first = step(cfg, lo)
         for letter in a.alphabet:
             for tid in a.transitions_from(q, letter):
                 _, _, q0, q1 = a.transitions[tid]
                 p0, p1 = a.omega[tid]
-                for w1, cfg1 in first:
-                    if w1 is None:
-                        add_row((sid, letter, reject, reject, reject_priority, reject_priority))
-                        continue
-                    children1 = None
-                    for w20, cfg20 in play_round(cfg1, p0 - shift):
-                        if w20 is None:
-                            child0, pr0 = reject, reject_priority
-                        else:
-                            child0, pr0 = intern((q0, cfg20)), max(w1, w20)
-                        if children1 is None:
-                            # interned once, right after the first direction-0
-                            # child, which keeps the state numbering
-                            children1 = [
-                                (reject, reject_priority)
-                                if w21 is None
-                                else (intern((q1, cfg21)), max(w1, w21))
-                                for w21, cfg21 in play_round(cfg1, p1 - shift)
-                            ]
-                        for child1, pr1 in children1:
-                            add_row((sid, letter, child0, child1, pr0, pr1))
+                # an instant loss (output None) has one outcome, None
+                for w1, _, after1 in first:
+                    for cfg1 in after1:
+                        if w1 is None:
+                            add_row((sid, letter, reject, reject, reject_priority, reject_priority))
+                            continue
+                        children1 = None
+                        for w20, _, after20 in step(cfg1, p0 - shift):
+                            for cfg20 in after20:
+                                if w20 is None:
+                                    child0, pr0 = reject, reject_priority
+                                else:
+                                    child0, pr0 = intern((q0, cfg20)), max(w1, w20)
+                                if children1 is None:
+                                    # interned once, right after the first
+                                    # direction-0 child, which keeps the numbering
+                                    children1 = [
+                                        (reject, reject_priority)
+                                        if w21 is None
+                                        else (intern((q1, cfg21)), max(w1, w21))
+                                        for w21, _, after21 in step(cfg1, p1 - shift)
+                                        for cfg21 in after21
+                                    ]
+                                for child1, pr1 in children1:
+                                    add_row((sid, letter, child0, child1, pr0, pr1))
 
     states, (initial, _reject) = explore(
         [(a.initial, machine.initial), ("reject",)], expand, what, cap
     )
+    rows = dict.fromkeys(rows)
+    transitions = [row[:4] for row in rows]
+    omega = [row[4:] for row in rows]
     return NPTA.make(
         a.alphabet, range(len(states)), initial, transitions, omega, Index(J.lo, J.hi)
     )

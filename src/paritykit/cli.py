@@ -46,14 +46,15 @@ from .automata import acceptance_game, compose_transducer, guided_pair_bound_che
 GRAPHS = ("graph", "game")
 
 
-def _load(path, kinds, fmt="native"):
-    """The object of the manifest at `path`, which must be of one of `kinds`
-    (a PGSolver file is a game)."""
+def _load(path, kinds):
+    """The object of the manifest at `path`, which must be of one of `kinds`.
+    A file that starts with a `parity N;` header is a PGSolver game; any
+    other is a native (JSON) manifest."""
     if path is None:
         raise PreconditionFailed("manifest", f"no {' or '.join(kinds)} manifest given")
     with open(path) as handle:
         text = handle.read()
-    if fmt != "pgsolver":
+    if not text.lstrip().startswith("parity"):
         return manifests.loads(text, kinds)
     if "game" not in kinds:
         raise ParseError(f"a {' or '.join(kinds)} manifest is needed, not a PGSolver game")
@@ -86,7 +87,7 @@ def _natural_int(text):
 
 
 def cmd_solve(args):
-    obj = _load(args.file, GRAPHS, args.format)
+    obj = _load(args.file, GRAPHS)
     if isinstance(obj, ParityGraph):
         obj = ParityGame.make(obj, {v: ADAM for v in obj.vertices})
     eve_region, adam_region, eve_strat, adam_strat = solve(obj)
@@ -98,7 +99,7 @@ def cmd_solve(args):
 
 
 def cmd_even(args):
-    g = _load(args.file, GRAPHS, args.format)
+    g = _load(args.file, GRAPHS)
     if isinstance(g, ParityGame):
         g = g.graph
     ok, lasso = check_even(g)
@@ -111,7 +112,7 @@ def cmd_even(args):
 
 
 def cmd_attract(args):
-    obj = _load(args.file, GRAPHS, args.format)
+    obj = _load(args.file, GRAPHS)
     targets = frozenset(args.targets)
     if args.player:
         if not isinstance(obj, ParityGame):
@@ -128,7 +129,7 @@ def cmd_attract(args):
 
 
 def cmd_ad(args):
-    g = _load(args.file, GRAPHS, args.format)
+    g = _load(args.file, GRAPHS)
     if isinstance(g, ParityGame):
         g = g.graph
     if args.action == "build":
@@ -196,7 +197,7 @@ def cmd_reg(args):
         kinds = ("graph",)
     else:
         kinds = ("pair",)
-    obj = _load(args.file, kinds, args.format)
+    obj = _load(args.file, kinds)
     J = Index(args.j_lo, args.j_hi)
     if args.action == "build":
         product = reg_product(obj, J, args.n, rule=args.reset_rule, cap=args.cap_states)
@@ -318,7 +319,10 @@ def build_parser():
     )
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
-        "--format", choices=("native", "pgsolver", "dot"), default="native"
+        "--format",
+        choices=("native", "pgsolver", "dot"),
+        default="native",
+        help="output format (input is recognised by its content)",
     )
     parser.add_argument("--cap-states", type=_positive_int, default=DEFAULT_STATE_CAP)
     parser.add_argument(

@@ -269,8 +269,11 @@ def explore(starts, expand, what, cap=DEFAULT_STATE_CAP):
     `expand(state, sid, intern)` runs once per state in id order, and
     `intern(state)` returns a state's id, numbering it if it is new; so a
     builder that appends its out-edges inside `expand` lists them by
-    source id, each source's in the order it emits them.  An `expand` that
-    returns true ends the exploration: no later state is expanded.  Raises
+    source id, each source's in the order it emits them.  `intern(state,
+    True)` numbers a state that the caller knows to be new without looking
+    it up, and never finds it later: only a state with one predecessor,
+    which is expanded once, may be numbered so.  An `expand` that returns
+    true ends the exploration: no later state is expanded.  Raises
     StateExplosion naming the construction `what` when more than `cap`
     states are needed.  Returns (states by id, ids of `starts`).
     """
@@ -278,13 +281,14 @@ def explore(starts, expand, what, cap=DEFAULT_STATE_CAP):
     # ids are pop order, so the decode list doubles as the queue
     states = []
 
-    def intern(state):
-        sid = ids.get(state)
+    def intern(state, new=False):
+        sid = None if new else ids.get(state)
         if sid is None:
             sid = len(states)
             if sid >= cap:
                 raise StateExplosion(sid + 1, cap, what)
-            ids[state] = sid
+            if not new:
+                ids[state] = sid
             states.append(state)
         return sid
 

@@ -35,6 +35,8 @@ from .trees import strahler_from_children
 LIBERAL = "liberal"
 LITERAL = "literal"
 NEVER = "never"
+# a step row's entry for an instant loss: no output and one outcome, None
+LOSS = (None, None, (None,))
 
 
 @dataclass(frozen=True)
@@ -73,9 +75,9 @@ def _register_indices(J):
 
 class RegMachine:
     """The register/counter data structure shared by the product game and
-    the automaton composition: outputs, updates and rounds over interned
-    configs.  It is a pure function of (I, J, n, rule), so `reg_machine`
-    keeps one per parameter set and its tables fill across products."""
+    the automaton composition: one step table over interned configs.  It
+    is a pure function of (I, J, n, rule), so `reg_machine` keeps one per
+    parameter set and its tables fill across products."""
 
     def __init__(self, index_i, J, n, rule):
         if n < 0:
@@ -83,28 +85,21 @@ class RegMachine:
         if rule not in (LIBERAL, LITERAL, NEVER):
             raise PreconditionFailed("reg machine", f"unknown reset rule {rule}")
         self.key = (index_i, J, n, rule)
-        self.index_i = index_i
         self.J = J
         self.n = n
         self.rule = rule
-        self.odds = tuple(index_i.odds())
         self.regs = tuple(_register_indices(J))
-        self.counter_keys = tuple((i, j) for i in self.odds for j in self.regs)
+        self.counter_keys = tuple((i, j) for i in index_i.odds() for j in self.regs)
         self._ck_pos = {key: x for x, key in enumerate(self.counter_keys)}
         self.max_odd = index_i.max_odd
         init_reg = index_i.lo - 1 if index_i.max_even is None else index_i.max_even
-        self.initial = (
-            tuple(init_reg for _ in self.regs),
-            tuple(0 for _ in self.counter_keys),
-        )
+        self.initial = ((init_reg,) * len(self.regs), (0,) * len(self.counter_keys))
         self._forget()
 
     def _forget(self):
         """Empty every table."""
         self._configs = {}
-        self._out_cache = {}
-        self._upd_cache = {}
-        self._rounds = {}
+        self._steps = {}
 
     def _intern(self, cfg):
         """The machine's one object equal to `cfg`."""
@@ -114,85 +109,58 @@ class RegMachine:
             got = self._configs[cfg] = cfg
         return got
 
-    def output(self, cfg, jx):
-        """(output priority, config after counter effects, instant loss?)."""
-        key = (cfg, jx)
-        got = self._out_cache.get(key)
-        if got is not None:
-            return got
+    def step(self, cfg, priority):
+        """The step row of one round after an input edge of `priority`:
+        per register, (output priority, config after the output's counter
+        effect, configs after each odd pick p, p+2, ... up to the largest
+        odd input, or after p itself when p is even), or LOSS."""
+        key = (cfg, priority)
+        row = self._steps.get(key)
+        if row is None:
+            picks = range(priority, self.max_odd + 1, 2) if priority % 2 else (priority,)
+            row = tuple(self._register_step(cfg, jx, picks) for jx in range(len(self.regs)))
+            _charge(self)
+            self._steps[key] = row
+        return row
+
+    def _register_step(self, cfg, jx, picks):
+        """One register's entry of a step row."""
         regs_t, ctr_t = cfg
         j = self.regs[jx]
         r = regs_t[jx]
-        w, mid, loss = (2 * j if j else 1), cfg, False
+        w, mid = (2 * j if j else 1), cfg
         if j and r % 2 == 1:
             ci = self._ck_pos[(r, j)]
             ctr2 = list(ctr_t)
             if ctr2[ci] == self.n:
+                if 2 * j + 1 not in self.J:
+                    return LOSS
                 ctr2[ci] = 0
-                w, loss = 2 * j + 1, 2 * j + 1 not in self.J
+                w = 2 * j + 1
             else:
                 ctr2[ci] += 1
-            mid = (regs_t, tuple(ctr2))
-        res = (w, self._intern(mid), loss)
-        _charge(self)
-        self._out_cache[key] = res
-        return res
-
-    def update(self, cfg, i, jx):
-        key = (cfg, i, jx)
-        got = self._upd_cache.get(key)
-        if got is not None:
-            return got
-        regs_t, ctr_t = cfg
-        j = self.regs[jx]
-        ctr2 = list(ctr_t)
-        if self.rule == LIBERAL:
-            for x, (ki, kj) in enumerate(self.counter_keys):
-                if ki < i or kj < j:
-                    ctr2[x] = 0
-        elif self.rule == LITERAL:
-            old = regs_t[jx]
-            for x, (ki, kj) in enumerate(self.counter_keys):
-                if kj == j and ki < i:
-                    ctr2[x] = 0
-                elif old % 2 == 1 and ki == old and kj < j:
-                    ctr2[x] = 0
-        regs2 = list(regs_t)
-        regs2[jx] = i
-        for x in range(jx + 1, len(self.regs)):
-            if regs2[x] < i:
-                regs2[x] = i
-        res = self._intern((tuple(regs2), tuple(ctr2)))
-        _charge(self)
-        self._upd_cache[key] = res
-        return res
-
-    def round(self, cfg, priority):
-        """Every (output, config) result of one round after an input edge
-        of the given priority, register by register and then by odd pick;
-        (None, None) stands for an instant loss."""
-        key = (cfg, priority)
-        outs = self._rounds.get(key)
-        if outs is not None:
-            return outs
-        outs = []
-        for jx in range(len(self.regs)):
-            w, mid, loss = self.output(cfg, jx)
-            if loss:
-                outs.append((None, None))
-                continue
-            for i in self.sharp_choices(priority):
-                outs.append((w, self.update(mid, i, jx)))
-        outs = tuple(outs)
-        _charge(self)
-        self._rounds[key] = outs
-        return outs
-
-    def sharp_choices(self, priority):
-        """Available odd picks after an edge of the given priority."""
-        if priority % 2 == 0:
-            return (priority,)
-        return tuple(range(priority, self.max_odd + 1, 2))
+            mid = self._intern((regs_t, tuple(ctr2)))
+            ctr_t = mid[1]
+        after = []
+        for i in picks:
+            ctr2 = list(ctr_t)
+            if self.rule == LIBERAL:
+                for x, (ki, kj) in enumerate(self.counter_keys):
+                    if ki < i or kj < j:
+                        ctr2[x] = 0
+            elif self.rule == LITERAL:
+                for x, (ki, kj) in enumerate(self.counter_keys):
+                    if kj == j and ki < i:
+                        ctr2[x] = 0
+                    elif r % 2 == 1 and ki == r and kj < j:
+                        ctr2[x] = 0
+            regs2 = list(regs_t)
+            regs2[jx] = i
+            for x in range(jx + 1, len(self.regs)):
+                if regs2[x] < i:
+                    regs2[x] = i
+            after.append(self._intern((tuple(regs2), tuple(ctr2))))
+        return w, mid, tuple(after)
 
 
 # The process's machines by (I, J, n, rule), and the entries of all their
@@ -258,11 +226,7 @@ def reg_product(base, J, n, *, rule=LIBERAL, cap=DEFAULT_STATE_CAP, starts=None)
     what = f"reg_product(J=[{J.lo},{J.hi}], n={n}, rule={rule})"
     _size_machine(g.index, J, cap, what)
     machine = reg_machine(g.index, J, n, rule)
-    regs = machine.regs
-    max_odd = machine.max_odd
-    cfg0 = machine.initial
-    output = machine.output
-    update = machine.update
+    step = machine.step
 
     starts = g.sorted_vertices() if starts is None else list(starts)
     for v in starts:
@@ -271,47 +235,56 @@ def reg_product(base, J, n, *, rule=LIBERAL, cap=DEFAULT_STATE_CAP, starts=None)
     g_out, g_dst, g_pri = g.out, g.dst, g.pri
     src, dst, pri = [], [], []
     eve = []
+    # the odd picks of each "C" state not yet expanded, by its id
+    picks_of = {}
 
     def edge(s, d, p):
         src.append(s)
         dst.append(d)
         pri.append(p)
 
+    # A "B" state's one predecessor is the "A" state of its edge's source
+    # with the same config, and a "C" state's is the "B" state it comes
+    # from (a register's counter effect changes at most one counter, so it
+    # is injective): both are numbered new, without a lookup.
     def expand(state, sid, intern):
         phase = state[0]
-        if phase == "sink":
-            edge(sid, sid, 1)
-            return
         if phase == "A":
             _, v, cfg = state
             if game_mode and base.owner(v) == EVE:
                 eve.append(sid)
             for eid in g_out[v]:
-                edge(sid, intern(("B", eid, cfg)), 0)
+                edge(sid, intern(("B", eid, cfg), True), 0)
             return
         if phase == "B":
             _, eid, cfg = state
             eve.append(sid)
             p = g_pri[eid]
-            for jx in range(len(regs)):
-                w, mid, loss = output(cfg, jx)
-                if loss:
+            for jx, (w, mid, picks) in enumerate(step(cfg, p)):
+                if w is None:
                     edge(sid, intern(("sink",)), 0)
                 elif p % 2 == 0:
-                    edge(sid, intern(("A", g_dst[eid], update(mid, p, jx))), w)
+                    edge(sid, intern(("A", g_dst[eid], picks[0])), w)
                 else:
-                    edge(sid, intern(("C", eid, jx, mid)), w)
+                    cid = intern(("C", eid, jx, mid), True)
+                    picks_of[cid] = picks
+                    edge(sid, cid, w)
             return
-        _, eid, jx, cfg = state
+        if phase == "sink":
+            edge(sid, sid, 1)
+            return
         eve.append(sid)
-        for i in range(g_pri[eid], max_odd + 1, 2):
-            edge(sid, intern(("A", g_dst[eid], update(cfg, i, jx))), 0)
+        d = g_dst[state[1]]
+        for cfg in picks_of.pop(sid):
+            edge(sid, intern(("A", d, cfg)), 0)
 
-    decode, start_ids = explore((("A", v, cfg0) for v in starts), expand, what, cap)
+    decode, start_ids = explore((("A", v, machine.initial) for v in starts), expand, what, cap)
     initial = dict(zip(starts, start_ids))
     graph = ParityGraph._explored(len(decode), src, dst, pri, Index(0, max(J.hi, 1)))
     game = ParityGame.make(graph, eve)
-    return RegProduct(game, tuple(decode), initial, base, J, n, rule, regs, machine.counter_keys)
+    return RegProduct(
+        game, tuple(decode), initial, base, J, n, rule, machine.regs, machine.counter_keys
+    )
 
 
 def eve_wins_reg(base, J, n, from_vertex=None, *, rule=LIBERAL, cap=DEFAULT_STATE_CAP):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from paritykit import manifests
 from paritykit.automata import NPTA, GuidingFunction, RegularTree
 from paritykit.cli import main
-from paritykit.decomposition import LabellingPair, build_ad
+from paritykit.decomposition import AttractorDecomposition, LabellingPair, build_ad
 from paritykit.errors import PreconditionFailed
 from paritykit.games import Index, Lasso, ParityGame, ParityGraph
 from paritykit.lab import (
@@ -21,7 +21,7 @@ from paritykit.lab import (
     random_even_graph,
     random_game,
 )
-from paritykit.transduction import eve_wins_reg, reg_product
+from paritykit.transduction import RegProduct, eve_wins_reg, reg_product
 from paritykit.trees import OrderedTree
 
 from oracles import chain_graph
@@ -432,6 +432,22 @@ class TestCommands:
         assert main(["--format", "pgsolver", *[paths.get(arg, arg) for arg in argv]]) == 2
         err = capsys.readouterr().err
         assert f"precondition failed: pgsolver (unsupported object {kind})" in err
+
+    @pytest.mark.parametrize("fmt", ["native", "dot"])
+    @pytest.mark.parametrize(
+        "command, kind", [("ad", AttractorDecomposition), ("reg", RegProduct)]
+    )
+    def test_pgsolver_input_with_native_or_dot_output(self, tmp_path, capsys, command, kind, fmt):
+        """A PGSolver game is recognised by its header, so `--format` sets
+        only how the result is printed."""
+        pg = tmp_path / "game.pg"
+        pg.write_text("parity 1;\n0 2 0 1;\n1 2 1 0;\n")
+        assert main(["--format", fmt, command, "build", str(pg)]) == 0
+        out = capsys.readouterr().out
+        if fmt == "dot":
+            assert out.startswith("digraph")
+        else:
+            assert isinstance(manifests.loads(out), kind)
 
     @pytest.mark.parametrize("entry", [999, -1])
     def test_guide_entry_outside_the_transitions_is_rejected(self, tmp_path, capsys, entry):

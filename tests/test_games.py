@@ -417,6 +417,68 @@ class TestExplore:
         assert calls == [(3, 0), (1, 1), (6, 2)]
 
 
+class TestExploreKnownNewStates:
+    """`intern(state, True)` numbers a state its caller knows to be new."""
+
+    @staticmethod
+    def binary_tree(limit):
+        """States 1..limit-1: each state's children 2s and 2s+1 have one
+        parent, so they are numbered new; every state also looks up the
+        start, which has id 0."""
+
+        def expand(state, sid, intern):
+            for child in (2 * state, 2 * state + 1):
+                if child < limit:
+                    intern(child, True)
+            assert intern(1) == 0
+
+        return expand
+
+    def test_added_states_take_the_next_id_in_discovery_order(self):
+        ids = []
+
+        def expand(state, sid, intern):
+            if state == "root":
+                ids.append(intern("x", True))
+                ids.append(intern("y"))
+                ids.append(intern("z", True))
+            elif state == "y":
+                ids.append(intern("w", True))
+
+        states, start_ids = explore(["root"], expand, "mixed")
+        assert states == ["root", "x", "y", "z", "w"]
+        assert start_ids == [0] and ids == [1, 2, 3, 4]
+        states, _ = explore([1], self.binary_tree(16), "tree")
+        assert states == list(range(1, 16))
+
+    def test_an_added_state_is_never_looked_up(self):
+        def expand(state, sid, intern):
+            if sid == 0:
+                assert (intern("x", True), intern("x"), intern("x")) == (1, 2, 2)
+
+        states, _ = explore(["root"], expand, "twice")
+        assert states == ["root", "x", "x"]
+
+    def test_added_states_count_toward_the_cap(self):
+        states, _ = explore([1], self.binary_tree(8), "tree", cap=7)
+        assert len(states) == 7
+        with pytest.raises(StateExplosion) as info:
+            explore([1], self.binary_tree(8), "tree(limit=8)", cap=6)
+        err = info.value
+        assert (err.count, err.cap, err.construction) == (7, 6, "tree(limit=8)")
+        assert str(err).startswith("tree(limit=8): ")
+
+    def test_a_looked_up_state_past_added_ones_overflows(self):
+        def expand(state, sid, intern):
+            if sid == 0:
+                intern("x", True)
+                intern("y")
+
+        with pytest.raises(StateExplosion) as info:
+            explore(["root"], expand, "mixed", cap=2)
+        assert (info.value.count, info.value.cap, info.value.construction) == (3, 2, "mixed")
+
+
 def solver_corpus():
     """Random games of 4-40 vertices and three criterion-3 register products."""
     rng = random.Random(37)

@@ -47,22 +47,39 @@ def test_graph_storage_stays_inside_games():
     assert found == []
 
 
+# public methods that only callers outside the package use
+OUTSIDE_API = {"Lasso.cycle_max_priority", "TheoremReport.to_json", "OrderedTree.is_leaf"}
+
+
 def test_every_private_function_is_used():
-    """Each module-level private function is referenced in the package
+    """Each module-level private function, and each method of a package
+    class but its dunders and OUTSIDE_API, is referenced in the package
     somewhere besides its own definition."""
-    defined, used = {}, set()
+    defined, used, outside = {}, set(), set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in tree.body:
             if isinstance(node, ast.FunctionDef) and node.name.startswith("_"):
-                defined[node.name] = f"{path.name}:{node.lineno}"
+                defined[node.name] = (node.name, f"{path.name}:{node.lineno}")
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if not isinstance(item, ast.FunctionDef) or item.name.endswith("__"):
+                        continue
+                    qualified = f"{node.name}.{item.name}"
+                    if qualified in OUTSIDE_API:
+                        outside.add(qualified)
+                    else:
+                        defined[qualified] = (item.name, f"{path.name}:{qualified}")
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
-    assert defined
-    assert sorted(where for name, where in defined.items() if name not in used) == []
+    assert len(defined) > 50
+    assert sorted(where for name, where in defined.values() if name not in used) == []
+    # each outside-only method exists and is still unused inside
+    assert outside == OUTSIDE_API
+    assert sorted(api for api in OUTSIDE_API if api.split(".")[1] in used) == []
 
 
 def test_successor_tables_are_only_indexed():
@@ -108,6 +125,28 @@ def _attribute_readers(attr):
     for path in sorted(SRC.glob("*.py")):
         visit(ast.parse(path.read_text(), filename=str(path)), "")
     return readers
+
+
+def test_only_explore_raises_state_explosion():
+    """There is one state cap: the package raises StateExplosion only where
+    `games.explore` numbers a state, whether it looks the state up or is
+    told that it is new."""
+    raisers = []
+
+    def visit(node, name):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{name}.{child.name}" if name else child.name)
+                continue
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                if getattr(exc, "id", None) == "StateExplosion":
+                    raisers.append(f"{path.name}:{name}")
+            visit(child, name)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(), filename=str(path)), "")
+    assert raisers == ["games.py:explore.intern"]
 
 
 def test_edges_are_read_from_the_columns():

@@ -1,11 +1,12 @@
 import functools
+import itertools
 import random
 import time
 
 import pytest
 
 from paritykit import transduction
-from paritykit.automata import NPTA, compose_transducer
+from paritykit.automata import NPTA, acceptance_game, compose_transducer
 from paritykit.decomposition import (
     AdChild,
     AttractorDecomposition,
@@ -19,7 +20,9 @@ from paritykit.errors import PreconditionFailed, StateExplosion, TooLarge
 from paritykit.games import ADAM, EVE, Index, ParityGame, ParityGraph
 from paritykit.lab import (
     GenParams,
+    _corpus_params,
     _rng,
+    enumerate_regular_trees,
     random_automaton,
     random_bounded_pair,
     random_even_graph,
@@ -581,6 +584,60 @@ class TestNormalization:
                 assert a.game.eve == b.game.eve
 
 
+def one_predecessor_corpus(graphs=4, automata=10):
+    """Register products of the first criterion-3 graphs x the nine (J, n)
+    x the three reset rules, from their rejecting vertices, and game-mode
+    products over the acceptance games of the first criterion-8 automata
+    on every regular tree of <= 2 nodes, at J = [1, 2] and n in {0, 1}."""
+    p = GenParams(seed=21057)
+    grid = [(J, n) for J in (Index(1, 2), Index(1, 4), Index(2, 4)) for n in (0, 1, 2)]
+    for k in range(graphs):
+        g = random_non_even_graph(_corpus_params(p, 5), salt=k)
+        starts = sorted(rejecting_vertices(g))
+        for (J, n), rule in itertools.product(grid, (LIBERAL, LITERAL, NEVER)):
+            yield reg_product(g, J, n, rule=rule, starts=starts)
+    trees = enumerate_regular_trees(2)
+    for k in range(automata):
+        a = random_automaton(_rng(p, 8, k))
+        for t, n in itertools.product(trees, (0, 1)):
+            ag = acceptance_game(a, t)
+            yield reg_product(ag.game, Index(1, 2), n, starts=[ag.initial])
+
+
+class TestOnePredecessorStates:
+    def test_b_and_c_states_have_one_in_edge_from_their_origin(self):
+        """`reg_product` numbers its "B" and "C" states without a lookup,
+        which is sound only because each has one predecessor: a "B" state
+        the "A" state of its edge's source with the same config, a "C"
+        state the "B" state of the same edge whose register's counter
+        effect gives its config (which changes at most one counter)."""
+        products = kinds = 0
+        for product in one_predecessor_corpus():
+            products += 1
+            decode, g = product.decode, product.game.graph
+            base = product._graph()
+            assert len(set(decode)) == len(decode)
+            preds = [[] for _ in decode]
+            for eid, (s, d) in enumerate(zip(g.src, g.dst)):
+                preds[d].append((s, eid))
+            for vid, state in enumerate(decode):
+                if state[0] == "B":
+                    _, edge, cfg = state
+                    ((src, _),) = preds[vid]
+                    assert decode[src] == ("A", base.src[edge], cfg)
+                    kinds |= 1
+                elif state[0] == "C":
+                    _, edge, jx, mid = state
+                    ((src, eid),) = preds[vid]
+                    phase, src_edge, cfg = decode[src]
+                    assert (phase, src_edge) == ("B", edge)
+                    assert g.out[src][jx] == eid
+                    assert cfg[0] == mid[0]
+                    assert sum(a != b for a, b in zip(cfg[1], mid[1])) <= 1
+                    kinds |= 2
+        assert products == 4 * 27 + 10 * 26 * 2 and kinds == 3
+
+
 def machine_builds():
     """Zero-argument builds of every product that steps a register machine
     in the explored-graph corpus of tests/test_games.py and in
@@ -616,10 +673,7 @@ def empty_pool(monkeypatch):
 
 
 def pooled_entries():
-    return sum(
-        len(m._configs) + len(m._out_cache) + len(m._upd_cache) + len(m._rounds)
-        for m in transduction._machines.values()
-    )
+    return sum(len(m._configs) + len(m._steps) for m in transduction._machines.values())
 
 
 class TestSharedMachines:
