@@ -584,20 +584,21 @@ class TestNormalization:
                 assert a.game.eve == b.game.eve
 
 
-def one_predecessor_corpus(graphs=4, automata=10):
-    """Register products of the first criterion-3 graphs x the nine (J, n)
-    x the three reset rules, from their rejecting vertices, and game-mode
-    products over the acceptance games of the first criterion-8 automata
-    on every regular tree of <= 2 nodes, at J = [1, 2] and n in {0, 1}."""
+def one_predecessor_corpus():
+    """Register products of the first 4 criterion-3 graphs x the nine
+    (J, n) x the three reset rules, from their rejecting vertices, and
+    game-mode products over the acceptance games of the first 10
+    criterion-8 automata on every regular tree of <= 2 nodes, at J = [1, 2]
+    and n in {0, 1}."""
     p = GenParams(seed=21057)
     grid = [(J, n) for J in (Index(1, 2), Index(1, 4), Index(2, 4)) for n in (0, 1, 2)]
-    for k in range(graphs):
+    for k in range(4):
         g = random_non_even_graph(_corpus_params(p, 5), salt=k)
         starts = sorted(rejecting_vertices(g))
         for (J, n), rule in itertools.product(grid, (LIBERAL, LITERAL, NEVER)):
             yield reg_product(g, J, n, rule=rule, starts=starts)
     trees = enumerate_regular_trees(2)
-    for k in range(automata):
+    for k in range(10):
         a = random_automaton(_rng(p, 8, k))
         for t, n in itertools.product(trees, (0, 1)):
             ag = acceptance_game(a, t)
