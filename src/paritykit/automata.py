@@ -16,13 +16,7 @@ from .errors import (
     UndefinedChoice,
 )
 from .games import Index, ParityGame, ParityGraph, explore, solve
-from .transduction import (
-    LIBERAL,
-    _input_shift,
-    _size_machine,
-    normalize_output_index,
-    reg_machine,
-)
+from .transduction import LIBERAL, reg_machine
 
 
 @dataclass(frozen=True)
@@ -447,17 +441,11 @@ def compose_transducer(a, J, n, *, rule=LIBERAL, cap=DEFAULT_STATE_CAP):
     row (configuration, input priority) is computed once per process, on
     the shared machine from `reg_machine`.
     """
-    J = normalize_output_index(J)
-    shift = _input_shift(a.index)
-    index_i = a.index.shift(-shift)
+    machine, what = reg_machine(a.index, J, n, rule, cap, "compose_transducer")
+    J, step = machine.J, machine.step
     reject_priority = J.hi if J.hi % 2 == 1 else J.hi - 1
     if reject_priority < J.lo:
         raise EmptyIndex(f"output index {J} has no odd priority to reject with")
-    what = f"compose_transducer(J=[{J.lo},{J.hi}], n={n}, rule={rule})"
-    _size_machine(index_i, J, cap, what)
-    machine = reg_machine(index_i, J, n, rule)
-    step = machine.step
-    lo = index_i.lo
 
     # the reject state is the second start, so its id is 1
     reject = 1
@@ -471,7 +459,7 @@ def compose_transducer(a, J, n, *, rule=LIBERAL, cap=DEFAULT_STATE_CAP):
                 add_row((reject, letter, reject, reject, reject_priority, reject_priority))
             return
         q, cfg = state
-        first = step(cfg, lo)
+        first = step(cfg, a.index.lo)
         for letter in a.alphabet:
             for tid in a.transitions_from(q, letter):
                 _, _, q0, q1 = a.transitions[tid]
@@ -483,7 +471,7 @@ def compose_transducer(a, J, n, *, rule=LIBERAL, cap=DEFAULT_STATE_CAP):
                             add_row((sid, letter, reject, reject, reject_priority, reject_priority))
                             continue
                         children1 = None
-                        for w20, _, after20 in step(cfg1, p0 - shift):
+                        for w20, _, after20 in step(cfg1, p0):
                             for cfg20 in after20:
                                 if w20 is None:
                                     child0, pr0 = reject, reject_priority
@@ -496,7 +484,7 @@ def compose_transducer(a, J, n, *, rule=LIBERAL, cap=DEFAULT_STATE_CAP):
                                         (reject, reject_priority)
                                         if w21 is None
                                         else (intern((q1, cfg21)), max(w1, w21))
-                                        for w21, _, after21 in step(cfg1, p1 - shift)
+                                        for w21, _, after21 in step(cfg1, p1)
                                         for cfg21 in after21
                                     ]
                                 for child1, pr1 in children1:

@@ -46,19 +46,23 @@ from .automata import acceptance_game, compose_transducer, guided_pair_bound_che
 GRAPHS = ("graph", "game")
 
 
-def _load(path, kinds):
-    """The object of the manifest at `path`, which must be of one of `kinds`.
-    A file that starts with a `parity N;` header is a PGSolver game; any
-    other is a native (JSON) manifest."""
+def _load(path, kinds, source_priority=False, meta=None):
+    """The object of the manifest at `path`, which must be of one of `kinds`
+    (of any kind if None).  A file that starts with a `parity N;` header is
+    a PGSolver game, whose priority conversion is recorded in `meta` if
+    given; any other is a native (JSON) manifest."""
     if path is None:
         raise PreconditionFailed("manifest", f"no {' or '.join(kinds)} manifest given")
     with open(path) as handle:
         text = handle.read()
     if not text.lstrip().startswith("parity"):
         return manifests.loads(text, kinds)
-    if "game" not in kinds:
+    if kinds is not None and "game" not in kinds:
         raise ParseError(f"a {' or '.join(kinds)} manifest is needed, not a PGSolver game")
-    return manifests.import_pgsolver(text)
+    if meta is not None:
+        rule = "source" if source_priority else "target"
+        meta.update({"source-format": "pgsolver", "priority-conversion": f"{rule}-vertex"})
+    return manifests.import_pgsolver(text, use_source_priority=source_priority)
 
 
 def _emit(obj, args, meta=None):
@@ -296,18 +300,8 @@ def cmd_lab(args):
 
 
 def cmd_convert(args):
-    with open(args.file) as handle:
-        text = handle.read()
-    meta = None
-    if args.input_format == "pgsolver":
-        obj = manifests.import_pgsolver(
-            text, use_source_priority=args.pg_source_priority
-        )
-        rule = "source" if args.pg_source_priority else "target"
-        meta = {"source-format": "pgsolver", "priority-conversion": f"{rule}-vertex"}
-    else:
-        obj = manifests.loads(text)
-    _emit(obj, args, meta)
+    meta = {}
+    _emit(_load(args.file, None, args.pg_source_priority, meta), args, meta)
     return 0
 
 
@@ -407,7 +401,6 @@ def build_parser():
 
     s = sub.add_parser("convert", help="convert between formats")
     s.add_argument("file")
-    s.add_argument("--input-format", choices=("native", "pgsolver"), default="native")
     s.add_argument(
         "--pg-source-priority",
         action="store_true",

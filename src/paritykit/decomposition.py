@@ -35,11 +35,15 @@ class AdChild:
     attractor: frozenset
     sub: "AttractorDecomposition"
 
+    def __post_init__(self):
+        # the dataclass hash, from the hash that `sub` cached when it was built
+        object.__setattr__(self, "_hash", hash((self.subgame, self.attractor, self.sub)))
+
     def __eq__(self, other):
         return _equal(self, other) if other.__class__ is AdChild else NotImplemented
 
     def __hash__(self):
-        return _hash_up(self)
+        return self._hash
 
 
 @dataclass(frozen=True)
@@ -49,11 +53,16 @@ class AttractorDecomposition:
     top_attractor: frozenset
     children: tuple
 
+    def __post_init__(self):
+        # the dataclass hash, from the hashes the children cached when built
+        h = hash((self.level, self.top_edges, self.top_attractor, self.children))
+        object.__setattr__(self, "_hash", h)
+
     def __eq__(self, other):
         return _equal(self, other) if other.__class__ is AttractorDecomposition else NotImplemented
 
     def __hash__(self):
-        return _hash_up(self)
+        return self._hash
 
     def width(self):
         def walk(d):
@@ -84,28 +93,6 @@ def _equal(x, y):
                 return False
             stack.extend(zip(a.children, b.children))
     return True
-
-
-def _hash_up(x):
-    """The dataclass hash of a decomposition or child, cached on it and on
-    every node below it, computed bottom-up so that no hash recurses."""
-    h = vars(x).get("_hash")
-    if h is not None:
-        return h
-    # nodes without a cached hash, each before the nodes below it
-    order, stack = [], [x]
-    while stack:
-        y = stack.pop()
-        if "_hash" not in vars(y):
-            order.append(y)
-            stack.extend((y.sub,) if y.__class__ is AdChild else y.children)
-    for y in reversed(order):
-        if y.__class__ is AdChild:
-            h = hash((y.subgame, y.attractor, y.sub))
-        else:
-            h = hash((y.level, y.top_edges, y.top_attractor, y.children))
-        object.__setattr__(y, "_hash", h)
-    return h
 
 
 @dataclass

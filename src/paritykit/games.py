@@ -659,15 +659,16 @@ def solve(game):
     Every recursive call reads only the live out-edges of its own
     vertices in the graph's flat edge lists, or only the top edges that
     it inherits; the root inherits the edges of the graph's top priority.
+    Each strategy maps only its own player's vertices: `_attract` records
+    moves of `mine` only, and a call keeps a sub-call's moves only inside
+    their player's region.
     """
     g = game.graph
     if g.terminals:
         raise TerminalVertex(g.terminals[0])
     top = tuple(compress(range(len(g.pri)), map((g.cap - 1).__eq__, g.pri)))
     result = unwind(_zielonka(game, g.vertices, g.cap, top))
-    eve_strat = {v: e for v, e in result[(EVE, "s")].items() if v in game.eve}
-    adam_strat = {v: e for v, e in result[(ADAM, "s")].items() if v not in game.eve}
-    return result[EVE], result[ADAM], eve_strat, adam_strat
+    return result[EVE], result[ADAM], result[(EVE, "s")], result[(ADAM, "s")]
 
 
 def _strategy_view(game, sigma, region, player):

@@ -60,12 +60,6 @@ def normalize_output_index(J):
     return J.shift(2) if J.lo == 0 else J.shift(-2 * ((J.lo - 1) // 2))
 
 
-def _input_shift(index):
-    """The even amount to subtract from input priorities so that min(I)
-    lands in {0, 1}; both product builders shift the declared index."""
-    return index.lo - index.lo % 2 if index.lo >= 2 else 0
-
-
 def _register_indices(J):
     regs = sorted({e // 2 for e in J.evens()} | ({0} if 1 in J else set()))
     if not regs:
@@ -77,7 +71,9 @@ class RegMachine:
     """The register/counter data structure shared by the product game and
     the automaton composition: one step table over interned configs.  It
     is a pure function of (I, J, n, rule), so `reg_machine` keeps one per
-    parameter set and its tables fill across products."""
+    parameter set and its tables fill across products.  Registers and
+    counter keys hold input priorities less the machine's `shift`, the even
+    amount that puts min(I) in {0, 1}; J is normalized."""
 
     def __init__(self, index_i, J, n, rule):
         if n < 0:
@@ -85,6 +81,8 @@ class RegMachine:
         if rule not in (LIBERAL, LITERAL, NEVER):
             raise PreconditionFailed("reg machine", f"unknown reset rule {rule}")
         self.key = (index_i, J, n, rule)
+        self.shift = index_i.lo - index_i.lo % 2
+        index_i = index_i.shift(-self.shift)
         self.J = J
         self.n = n
         self.rule = rule
@@ -110,14 +108,16 @@ class RegMachine:
         return got
 
     def step(self, cfg, priority):
-        """The step row of one round after an input edge of `priority`:
-        per register, (output priority, config after the output's counter
-        effect, configs after each odd pick p, p+2, ... up to the largest
-        odd input, or after p itself when p is even), or LOSS."""
+        """The step row of one round after an input edge of `priority`, as
+        the input index declares it: per register, (output priority, config
+        after the output's counter effect, configs after each odd pick p,
+        p+2, ... up to the largest odd input, or after p itself when p is
+        even, for p = priority - shift), or LOSS."""
         key = (cfg, priority)
         row = self._steps.get(key)
         if row is None:
-            picks = range(priority, self.max_odd + 1, 2) if priority % 2 else (priority,)
+            p = priority - self.shift
+            picks = range(p, self.max_odd + 1, 2) if p % 2 else (p,)
             row = tuple(self._register_step(cfg, jx, picks) for jx in range(len(self.regs)))
             _charge(self)
             self._steps[key] = row
@@ -186,26 +186,27 @@ def _charge(machine):
     _held += 1
 
 
-def reg_machine(index_i, J, n, rule):
-    """The process's one `RegMachine` for (I, J, n, rule).  Invalid
-    parameters raise on every call and are never stored."""
-    machine = _machines.get((index_i, J, n, rule))
-    if machine is None:
-        machine = RegMachine(index_i, J, n, rule)
-        _machines[machine.key] = machine
-        machine.initial = machine._intern(machine.initial)
-    return machine
-
-
-def _size_machine(index_i, J, cap, what):
-    """Refuse, before they are listed, more registers or counter keys
-    (odd input priorities x registers) than `cap`."""
+def reg_machine(index_i, J, n, rule, cap, name):
+    """The process's one `RegMachine` for input index I, output index J
+    (normalized here), counter bound n and reset rule, with the
+    construction's description `name(J=[lo,hi], n=.., rule=..)`.  More
+    registers or counter keys (odd input priorities x registers) than `cap`
+    are refused before they are listed; invalid parameters raise on every
+    call and are never stored."""
+    J = normalize_output_index(J)
+    what = f"{name}(J=[{J.lo},{J.hi}], n={n}, rule={rule})"
     odds = (index_i.hi + 1) // 2 - index_i.lo // 2
     regs = J.hi // 2 - (J.lo + 1) // 2 + 1 + (1 in J and 0 not in J)
     if max(odds, 1) * regs > cap:
         raise TooLarge(
             f"{what}: {regs} registers and {odds * regs} counter keys exceed the cap {cap}"
         )
+    machine = _machines.get((index_i, J, n, rule))
+    if machine is None:
+        machine = RegMachine(index_i, J, n, rule)
+        _machines[machine.key] = machine
+        machine.initial = machine._intern(machine.initial)
+    return machine, what
 
 
 def reg_product(base, J, n, *, rule=LIBERAL, cap=DEFAULT_STATE_CAP, starts=None):
@@ -215,18 +216,12 @@ def reg_product(base, J, n, *, rule=LIBERAL, cap=DEFAULT_STATE_CAP, starts=None)
     by the base owner).  Initial configurations have counters 0 and all
     registers at the maximal even priority of the input index.
     """
-    J = normalize_output_index(J)
     game_mode = isinstance(base, ParityGame)
     g = base.graph if game_mode else base
     if g.terminals:
         raise PreconditionFailed("reg_product", f"terminal vertex {g.terminals[0]}")
-    shift = _input_shift(g.index)
-    if shift:
-        g = g.with_priorities([p - shift for p in g.pri], g.index.shift(-shift))
-    what = f"reg_product(J=[{J.lo},{J.hi}], n={n}, rule={rule})"
-    _size_machine(g.index, J, cap, what)
-    machine = reg_machine(g.index, J, n, rule)
-    step = machine.step
+    machine, what = reg_machine(g.index, J, n, rule, cap, "reg_product")
+    J, step = machine.J, machine.step
 
     starts = g.sorted_vertices() if starts is None else list(starts)
     for v in starts:

@@ -6,6 +6,7 @@ those functions are cached and return tuples of immutable objects.
 """
 
 import functools
+import itertools
 import random
 
 from paritykit.automata import NPTA, compose_transducer
@@ -39,6 +40,7 @@ from paritykit.lab import (
     rejecting_vertices,
 )
 from paritykit.transduction import reg_product
+from paritykit.trees import depth
 
 from oracles import random_game, random_graph
 
@@ -134,6 +136,32 @@ def repaired_even_graph(rng, n, top, odd_share):
         i = max(lasso.cycle, key=lambda k: (edges[k][2], k))
         s, d, p = edges[i]
         edges[i] = (s, d, p + 1)
+
+
+def graph_of_tree(t):
+    """An even graph whose canonical decomposition at level 2 x depth(t)
+    has tree shape t: one vertex per node of t, numbered in preorder, with
+    a self-loop of the node's level (2 x depth(t) at the root, 2 less per
+    generation), an edge of priority 0 from each child to its parent and
+    one of the parent's level back, and an edge one below the parent's
+    level from each child to its previous sibling, so that the children
+    are peeled off in order."""
+    edges, ids = [], itertools.count()
+
+    def add(node, level):
+        v = next(ids)
+        edges.append((v, v, level))
+        previous = None
+        for child in node.children:
+            w = add(child, level - 2)
+            edges.extend([(w, v, 0), (v, w, level)])
+            if previous is not None:
+                edges.append((w, previous, level - 1))
+            previous = w
+        return v
+
+    add(t, 2 * depth(t))
+    return ParityGraph.make(range(next(ids)), edges)
 
 
 def _gapped(g, rng):

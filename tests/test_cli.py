@@ -380,7 +380,7 @@ class TestCommands:
         text = "parity 1;\n0 2 0 1;\n1 2 1 0;\n"
         path = tmp_path / "g.pg"
         path.write_text(text)
-        assert main(["convert", str(path), "--input-format", "pgsolver"]) == 0
+        assert main(["convert", str(path)]) == 0
         manifest = capsys.readouterr().out
         gm = manifests.loads(manifest)
         assert isinstance(gm, ParityGame)
@@ -390,8 +390,6 @@ class TestCommands:
             [
                 "convert",
                 str(path),
-                "--input-format",
-                "pgsolver",
                 "--pg-source-priority",
             ]
         )
@@ -400,6 +398,20 @@ class TestCommands:
             json.loads(capsys.readouterr().out)["meta"]["priority-conversion"]
             == "source-vertex"
         )
+
+    def test_convert_recognises_a_pgsolver_game_without_a_flag(self, tmp_path, capsys):
+        text = "parity 1;\n0 2 0 1;\n1 2 1 0;\n"
+        path = tmp_path / "g.pg"
+        path.write_text(text)
+        game = manifests.import_pgsolver(text)
+        meta = {"source-format": "pgsolver", "priority-conversion": "target-vertex"}
+        for fmt, expected in (
+            ("native", manifests.dumps(game, indent=2, meta=meta) + "\n"),
+            ("dot", manifests.export_dot(game)),
+            ("pgsolver", manifests.export_pgsolver(game)),
+        ):
+            assert main(["--format", fmt, "convert", str(path)]) == 0
+            assert capsys.readouterr().out == expected
 
     def test_convert_to_dot(self, tmp_path, capsys):
         gm = random_game(GenParams(seed=12, vertex_count=3))

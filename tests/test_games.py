@@ -548,6 +548,16 @@ class TestInheritedTop:
         assert len(inherited) > 2 * len(corpus) and len(checked) > 400
 
 
+class TestStrategyKeys:
+    def test_each_strategy_maps_only_its_players_vertices(self):
+        """`solve` returns `_zielonka`'s strategies unfiltered, which is
+        sound only because every move it records is its player's own."""
+        for gm in solver_corpus():
+            _, _, eve_strat, adam_strat = solve(gm)
+            assert set(eve_strat) <= gm.eve
+            assert set(adam_strat) <= gm.adam
+
+
 def explored_corpus():
     """(graph, skeleton) pairs: a graph from every builder that numbers its
     states with `explore` (skeleton None), and relabelled views of bounded

@@ -334,6 +334,30 @@ def test_package_imports_have_no_cycle():
         pytest.fail(f"import cycle {err.args[1]}")
 
 
+# the private helpers that other package modules may import by name
+SHARED_PRIVATE = {("games", "_attract"), ("games", "_odd_cycle_witness")}
+
+
+def test_only_shared_private_names_cross_modules():
+    """A module imports another module's private name only if it is one of
+    SHARED_PRIVATE, function-level imports included."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.ImportFrom) or not node.module:
+                continue
+            if node.level == 1:
+                module = node.module
+            elif node.module.startswith("paritykit."):
+                module = node.module.split(".")[1]
+            else:
+                continue
+            for alias in node.names:
+                if alias.name.startswith("_") and (module, alias.name) not in SHARED_PRIVATE:
+                    found.append(f"{path.name}:{node.lineno} imports {module}.{alias.name}")
+    assert found == []
+
+
 def _identifiers(tree):
     """Every name, attribute, imported name and string constant in `tree`."""
     for node in ast.walk(tree):

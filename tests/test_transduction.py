@@ -1,3 +1,4 @@
+import collections
 import functools
 import itertools
 import random
@@ -15,9 +16,10 @@ from paritykit.decomposition import (
     _segment_search,
     build_ad,
     tree_shape,
+    validate_ad,
 )
-from paritykit.errors import PreconditionFailed, StateExplosion, TooLarge
-from paritykit.games import ADAM, EVE, Index, ParityGame, ParityGraph
+from paritykit.errors import DEFAULT_STATE_CAP, PreconditionFailed, StateExplosion, TooLarge
+from paritykit.games import ADAM, EVE, Index, ParityGame, ParityGraph, solve
 from paritykit.lab import (
     GenParams,
     _corpus_params,
@@ -45,6 +47,7 @@ from paritykit.transduction import (
 )
 from paritykit.trees import OrderedTree, depth, enumerate_trees, n_strahler
 
+from corpora import graph_of_tree
 from oracles import chain_graph, random_graph
 
 
@@ -548,6 +551,53 @@ class TestRoundTrip:
             assert strat.verify()
 
 
+def eve_wins_everywhere(g, J, n):
+    product = reg_product(g, J, n)
+    return solve(product.game)[0].issuperset(product.initial.values())
+
+
+class TestTreeShapedGraphs:
+    def test_every_small_tree_is_a_canonical_shape(self):
+        strahler = collections.Counter()
+        for t in enumerate_trees(7, 7, 7):
+            g = graph_of_tree(t)
+            d = build_ad(g, 2 * depth(t))
+            assert tree_shape(d) == t
+            assert validate_ad(g, d)
+            strahler[n_strahler(t, 1)] += 1
+        assert strahler == {1: 7, 2: 189, 3: 1}
+
+    def test_synthesis_above_strahler_number_one(self):
+        """synth_from_ad verifies on every tree of <= 6 nodes and depth
+        <= 3 at n in {1, 2}, and Eve already wins at J = [1, 2j] for some j
+        at most the n-Strahler number h, often below it: the canonical
+        decomposition need not be the Strahler-least one."""
+        table = collections.Counter()
+        for t in enumerate_trees(6, 3, 6):
+            g = graph_of_tree(t)
+            d = build_ad(g, 2 * depth(t))
+            for n in (1, 2):
+                h = n_strahler(t, n)
+                strat = synth_from_ad(g, d, n)
+                assert strat.product.J == Index(1, 2 * h)
+                assert strat.verify()
+                least = next(
+                    (j for j in range(1, h + 1) if eve_wins_everywhere(g, Index(1, 2 * j), n + 1)),
+                    None,
+                )
+                assert least is not None
+                table[n, h, least] += 1
+        # (n, n-Strahler number, least winning j): count
+        assert table == {
+            (1, 1, 1): 3,
+            (1, 2, 1): 22,
+            (1, 2, 2): 7,
+            (2, 1, 1): 12,
+            (2, 2, 1): 19,
+            (2, 2, 2): 1,
+        }
+
+
 class TestNormalization:
     def test_output_index_shifts(self):
         assert normalize_output_index(Index(3, 6)) == Index(1, 4)
@@ -680,15 +730,18 @@ def pooled_entries():
 class TestSharedMachines:
     def test_one_machine_per_parameter_set(self, monkeypatch):
         empty_pool(monkeypatch)
+        def machine(n, rule):
+            return reg_machine(Index(0, 2), Index(1, 2), n, rule, DEFAULT_STATE_CAP, "test")[0]
+
         for _ in range(2):
             with pytest.raises(PreconditionFailed):
-                reg_machine(Index(0, 2), Index(1, 2), -1, LIBERAL)
+                machine(-1, LIBERAL)
             with pytest.raises(PreconditionFailed):
-                reg_machine(Index(0, 2), Index(1, 2), 1, "sometimes")
+                machine(1, "sometimes")
         assert transduction._machines == {} and transduction._held == 0
-        m = reg_machine(Index(0, 2), Index(1, 2), 1, LIBERAL)
-        assert reg_machine(Index(0, 2), Index(1, 2), 1, LIBERAL) is m
-        assert reg_machine(Index(0, 2), Index(1, 2), 1, LITERAL) is not m
+        m = machine(1, LIBERAL)
+        assert machine(1, LIBERAL) is m
+        assert machine(1, LITERAL) is not m
         assert transduction._held == pooled_entries() == 2
 
     def test_cold_and_warm_builds_are_equal(self, monkeypatch):
