@@ -730,6 +730,7 @@ def pooled_entries():
 class TestSharedMachines:
     def test_one_machine_per_parameter_set(self, monkeypatch):
         empty_pool(monkeypatch)
+
         def machine(n, rule):
             return reg_machine(Index(0, 2), Index(1, 2), n, rule, DEFAULT_STATE_CAP, "test")[0]
 
