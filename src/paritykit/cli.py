@@ -430,6 +430,10 @@ def main(argv=None):
         return args.func(args)
     except (StateExplosion, TooLarge) as err:
         return _report_error(args, err, "resource cap", 3)
+    except MemoryError:
+        # a MemoryError carries no message, so this one names the command
+        command = " ".join(filter(None, (args.command, getattr(args, "action", None))))
+        return _report_error(args, MemoryError(f"{command}: out of memory"), "resource cap", 3)
     except (NotEven, NotBounded) as err:
         return _report_error(args, err, "negative", 1)
     except (ParseError, PreconditionFailed, FileNotFoundError) as err:

@@ -174,9 +174,10 @@ def build_ad(g, h):
     odd maximum p enters no attractor above level p+1, and there it leaves
     a residual without a level-p core.  Only then is the lasso searched.
 
-    The decomposition of a non-empty graph has one node per even level, so
-    h/2 + 1 nodes; more than DEFAULT_STATE_CAP raise TooLarge before
-    anything is built."""
+    The decomposition of a non-empty graph descends one even level at a
+    time and stops where a top attractor covers its view, so it is at most
+    h/2 + 1 nodes deep, not h/2 + 1 nodes in all; a graph whose h/2 + 1
+    exceeds DEFAULT_STATE_CAP raises TooLarge before anything is built."""
     if h < 0 or h % 2 == 1:
         raise PreconditionFailed("build_ad", "level must be an even natural")
     if max(g.pri, default=0) > h:

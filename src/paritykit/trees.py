@@ -7,36 +7,56 @@ from itertools import product
 from .errors import PreconditionFailed, UndefinedTree
 from .games import unwind
 
+# `_levels` packs a tree's node counts at depths 1 to _LEVELS into one int,
+# a _WIDTH-bit field per depth, depth 1 lowest; the top bit of each field is
+# a guard that no count reaches
+_LEVELS, _WIDTH = 6, 16
+_SATURATED = sum(((1 << _WIDTH - 1) - 1) << k * _WIDTH for k in range(_LEVELS))
+_GUARDS = sum(1 << (k + 1) * _WIDTH - 1 for k in range(_LEVELS))
+
 
 @dataclass(frozen=True)
 class OrderedTree:
     """An ordered tree, immutable and hashable by structure.
 
     Each tree caches, from its children's when it is built, its hash, its
-    expanded node count (`node_count`), its depth and its leaf count
-    (`_leaves`, 1 for a leaf), so none of them takes a walk.  A tree that
-    embeds in another has at most its size, depth and leaf count (its
-    children go to distinct children of its image), so `embed` prunes its
-    search by all three.  Bracket parsing and printing, `==` and
-    `n_strahler` run on explicit stacks, so a tree thousands of levels deep
-    is fine.
+    expanded node count (`node_count`), its depth, its leaf count
+    (`_leaves`, 1 for a leaf) and its node counts at depths 1 to 6
+    (`_levels`, packed into one int), so none of them takes a walk.  A tree
+    that embeds in another has at most its size, depth and leaf count (its
+    children go to distinct children of its image), and at most its node
+    count at each depth (an embedding maps the nodes at depth k one-to-one
+    to nodes at depth k), so `embed` prunes its search by all four.  The
+    level counts saturate once the size reaches 2**15, so their cost per
+    tree is fixed.  Bracket parsing and printing, `==` and `n_strahler` run
+    on explicit stacks, so a tree thousands of levels deep is fine.
     """
 
     children: tuple = ()
 
     def __post_init__(self):
-        # hash, expanded node count, depth and leaf count, each from the children's
-        hashes, size, deep, leaves = [], 1, 0, 0
+        # hash, expanded node count, depth, leaf count and level counts, each
+        # from the children's
+        hashes, size, deep, leaves, levels = [], 1, 0, 0, 0
         for c in self.children:
             hashes.append(c._hash)
             size += c._size
             leaves += c._leaves
+            levels += c._levels
             if c._depth > deep:
                 deep = c._depth
+        if size >> _WIDTH - 1:
+            # a count could reach the guard bit.  `_size` bounds every count,
+            # so a saturated host refuses no query, and a saturated query is
+            # refused by size unless its host is saturated too
+            levels = _SATURATED
+        else:
+            levels = ((levels << _WIDTH) + len(self.children)) & _SATURATED
         object.__setattr__(self, "_hash", hash(tuple(hashes)))
         object.__setattr__(self, "_size", size)
         object.__setattr__(self, "_depth", deep + 1)
         object.__setattr__(self, "_leaves", leaves or 1)
+        object.__setattr__(self, "_levels", levels)
 
     def __hash__(self):
         return self._hash
@@ -234,8 +254,11 @@ def _fits(t, host, memo):
 def embed(t, host):
     """Greedy leftmost isomorphic embedding, or None.
 
-    A query larger, deeper or with more leaves than its host, or whose root
-    has more children than the host's, is refused before any search.
+    A query larger, deeper or with more leaves than its host, or with more
+    nodes than the host at one of depths 1 to 6, is refused before any
+    search: one subtract-and-mask over the packed `_levels` compares all
+    six counts, and a guard bit per field stops a borrow from crossing into
+    the next.
     Otherwise `_fits` decides, and a second pass follows the same scan,
     reading its verdicts, to map each node's child-index path to its
     image's.
@@ -244,7 +267,7 @@ def embed(t, host):
         t._size > host._size
         or t._depth > host._depth
         or t._leaves > host._leaves
-        or len(t.children) > len(host.children)
+        or ((host._levels | _GUARDS) - t._levels) & _GUARDS != _GUARDS
     ):
         return None
     memo = {}

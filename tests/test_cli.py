@@ -1,12 +1,13 @@
 import contextlib
 import json
+import pathlib
 import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paritykit import manifests
+from paritykit import cli, manifests
 from paritykit.automata import NPTA, GuidingFunction, RegularTree
 from paritykit.cli import main
 from paritykit.decomposition import AttractorDecomposition, LabellingPair, build_ad
@@ -25,6 +26,9 @@ from paritykit.transduction import RegProduct, eve_wins_reg, reg_product
 from paritykit.trees import OrderedTree
 
 from oracles import chain_graph
+
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 
 def write(tmp_path, name, obj):
@@ -247,6 +251,21 @@ class TestExitCodes:
         assert main(["ad", "check", path, "--decomposition", str(d_path)]) == 0
         assert main(["ad", "tight", path, "--decomposition", str(d_path)]) == 0
 
+    def test_memory_error_is_a_resource_cap(self, even_loop, monkeypatch, capsys):
+        def exhaust(args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "cmd_ad", exhaust)
+        assert main(["ad", "build", even_loop]) == 3
+        assert capsys.readouterr().err == "resource cap: ad build: out of memory\n"
+        monkeypatch.setattr(cli, "cmd_embed", exhaust)
+        assert main(["--json-errors", "embed", even_loop, even_loop]) == 3
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "MemoryError",
+            "message": "embed: out of memory",
+            "exit": 3,
+        }
+
 
 class TestCommands:
     def test_solve(self, tmp_path, capsys):
@@ -261,6 +280,20 @@ class TestCommands:
         path = write(tmp_path, "g.json", g)
         assert main(["attract", path, "2"]) == 0
         assert "0 1 2" in capsys.readouterr().out
+
+    def test_readme_attract_example(self, tmp_path, capsys):
+        line = next(x for x in README.read_text().splitlines() if x.startswith("paritykit attract"))
+        argv = line.partition("#")[0].split()[1:]
+        assert argv[1] == "game.json" and "--player" in argv
+        printed = []
+        for kind, name, code in (("game", "game.json", 0), ("even-graph", "graph.json", 2)):
+            assert main(["lab", "random", "--kind", kind]) == 0
+            (tmp_path / name).write_text(capsys.readouterr().out)
+            argv[1] = str(tmp_path / name)
+            assert main(argv) == code
+            printed.append(capsys.readouterr())
+        assert printed[0].out.startswith("attractor:") and "\nstrategy: {" in printed[0].out
+        assert printed[1].out == "" and "--player needs a game input" in printed[1].err
 
     def test_ad_build_and_check(self, tmp_path, capsys):
         g = ParityGraph.make([0], [(0, 0, 2)])

@@ -569,9 +569,9 @@ class TestTreeShapedGraphs:
 
     def test_synthesis_above_strahler_number_one(self):
         """synth_from_ad verifies on every tree of <= 6 nodes and depth
-        <= 3 at n in {1, 2}, and Eve already wins at J = [1, 2j] for some j
-        at most the n-Strahler number h, often below it: the canonical
-        decomposition need not be the Strahler-least one."""
+        <= 3 at n in {1, 2}, at J = [1, 2h] for the n-Strahler number h.
+        The least j with Eve winning at J = [1, 2j] is at most h, and often
+        h - 1."""
         table = collections.Counter()
         for t in enumerate_trees(6, 3, 6):
             g = graph_of_tree(t)

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 import paritykit.trees
 from paritykit.errors import UndefinedTree
 from paritykit.trees import (
+    _LEVELS,
+    _WIDTH,
     LEAF,
     Embedding,
     OrderedTree,
@@ -187,6 +189,51 @@ class TestPruningInvariants:
         assert len(trees) == 2057
         assert [t._leaves for t in trees] == [_leaf_count(t) for t in trees]
         assert trees[-1]._leaves == 3001
+
+    def test_cached_level_counts(self):
+        trees = enumerate_trees(9, 9, 9) + [caterpillar(3000)]
+        assert len(trees) == 2057
+        assert [_cached_levels(t) for t in trees] == [_level_counts(t) for t in trees]
+        assert _cached_levels(trees[-1]) == [2] * 6
+
+    def test_more_nodes_at_a_depth_is_refused_without_a_search(self, monkeypatch):
+        # equal size, depth and leaf count, fewer root children, but two
+        # nodes at depth 2 against the host's one
+        t = OrderedTree.from_brackets("((()())())")
+        host = OrderedTree.from_brackets("((())()())")
+        assert (t._size, depth(t), t._leaves) == (host._size, depth(host), host._leaves)
+        assert _level_counts(t)[:2] == [2, 2] and _level_counts(host)[:2] == [3, 1]
+
+        def refuse(*args):
+            raise AssertionError("searched")
+
+        monkeypatch.setattr(paritykit.trees, "_fits", refuse)
+        assert embed(t, host) is None
+        with pytest.raises(AssertionError):
+            embed(host, host)
+
+    def test_saturated_counts(self):
+        # 40 nested (t, t): 2**41 - 1 expanded nodes over 41 shared objects.
+        # No assertion names `big` itself, whose repr would print them all.
+        big = LEAF
+        for _ in range(40):
+            big = T(big, big)
+        size, levels = big.node_count(), _cached_levels(big)
+        assert size == 2**41 - 1 and levels == [2 ** (_WIDTH - 1) - 1] * 6
+        small, ternary = complete_binary(6), complete_ternary(2)
+        e = embed(small, big)
+        checked = e is not None and e.check(small, big)
+        missed = embed(ternary, big)
+        assert checked and missed is None
+        answers = [is_universal_for(big, [small, t]) for t in (complete_binary(12), ternary)]
+        assert answers == [(True, None), (False, ternary)]
+        # a saturated query meets a saturated host after the size check
+        wide = T(*[LEAF] * 2 ** (_WIDTH - 1))
+        assert _cached_levels(wide) == levels
+        e = embed(wide, wide)
+        assert e is not None and len(e.mapping) == wide.node_count()
+        missed = embed(wide, big)
+        assert missed is None
 
     def test_equal_leaf_count_still_embeds(self):
         # equal at the roots and at the first pair of children
@@ -424,8 +471,26 @@ def _leaf_count(t):
     return sum(1 for node in _nodes(t) if not node.children)
 
 
+def _level_counts(t):
+    """Node counts at depths 1 to 6 by a walk one level at a time."""
+    counts, level = [], [t]
+    for _ in range(_LEVELS):
+        level = [c for node in level for c in node.children]
+        counts.append(len(level))
+    return counts
+
+
+def _cached_levels(t):
+    """The fields of `t._levels`, guard bits included and the top field
+    unmasked, so that a set guard bit or a stray high bit reads as a count
+    no walk gives."""
+    levels = t._levels
+    top = (_LEVELS - 1) * _WIDTH
+    return [levels >> k & (1 << _WIDTH) - 1 for k in range(0, top, _WIDTH)] + [levels >> top]
+
+
 def _measures(t):
-    return sum(1 for _ in _nodes(t)), _oracle_depth(t), _leaf_count(t), len(t.children)
+    return sum(1 for _ in _nodes(t)), _oracle_depth(t), _leaf_count(t), *_level_counts(t)
 
 
 class TestProperties:
@@ -434,6 +499,7 @@ class TestProperties:
     def test_cached_measures(self, t):
         assert t.node_count() == sum(1 for _ in _nodes(t))
         assert depth(t) == _oracle_depth(t)
+        assert _cached_levels(t) == _level_counts(t)
         assert hash(t) == hash(tuple(hash(c) for c in t.children))
 
     @given(trees_strategy, st.integers(1, 4))
@@ -455,7 +521,8 @@ class TestProperties:
     @given(trees_strategy, trees_strategy)
     @settings(max_examples=200, deadline=None)
     def test_embedding_grows_no_pruned_measure(self, t, host):
-        # size, depth, leaf count and root fan-out, each counted by a walk
+        # size, depth, leaf count and the node counts at depths 1 to 6 (the
+        # first is the root fan-out), each counted by a walk
         if embed(t, host) is not None:
             assert all(a <= b for a, b in zip(_measures(t), _measures(host)))
 
