@@ -179,18 +179,13 @@ class RegularTree:
         return len(self.labels)
 
     def unfolding_signature(self, depth):
-        """Label tree truncated at the given depth, for equality checks."""
-
-        def rec(node, d):
-            if d == 0:
-                return self.labels[node]
-            return (
-                self.labels[node],
-                rec(self.succ0[node], d - 1),
-                rec(self.succ1[node], d - 1),
-            )
-
-        return rec(self.root, depth)
+        """Label tree truncated at the given depth, for equality checks: a
+        node's label at depth 0, else (label, successor 0's, successor 1's
+        at one depth less), built for every node depth by depth."""
+        sigs = self.labels
+        for _ in range(depth):
+            sigs = [(label, sigs[a], sigs[b]) for label, a, b in zip(self.labels, self.succ0, self.succ1)]
+        return sigs[self.root]
 
 
 @dataclass(frozen=True)

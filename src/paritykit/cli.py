@@ -31,7 +31,14 @@ from .games import (
     player_attractor,
     solve,
 )
-from .lab import GenParams, random_bounded_pair, random_even_graph, random_game, run_theorem_battery
+from .lab import (
+    PAIR_VERTICES,
+    GenParams,
+    random_bounded_pair,
+    random_even_graph,
+    random_game,
+    run_theorem_battery,
+)
 from .transduction import (
     LIBERAL,
     eve_wins_reg,
@@ -283,6 +290,10 @@ def cmd_lab(args):
             _emit(random_game(p), args)
         elif args.kind == "even-graph":
             _emit(random_even_graph(p), args)
+        elif p.vertex_count > PAIR_VERTICES:
+            raise PreconditionFailed(
+                "--vertices", f"--kind pair takes at most {PAIR_VERTICES} vertices, not {p.vertex_count}"
+            )
         else:
             _emit(random_bounded_pair(p, args.n), args)
         return 0

@@ -65,11 +65,13 @@ class AttractorDecomposition:
         return self._hash
 
     def width(self):
-        def walk(d):
-            widths = yield from gather(walk(c.sub) for c in d.children)
-            return max([len(d.children), *widths])
+        return unwind(_width(self))
 
-        return unwind(walk(self))
+
+def _width(d):
+    """The most children of a node below `d`, run by `unwind`."""
+    widths = yield from gather(_width(c.sub) for c in d.children)
+    return max([len(d.children), *widths])
 
 
 def _equal(x, y):

@@ -401,42 +401,40 @@ def _dot_game(g, game):
 
 def _dot_tree(t):
     lines = ["digraph tree {"]
-    counter = [0]
-
-    def walk(node):
-        me = counter[0]
-        counter[0] += 1
-        lines.append(f'  n{me} [label="", shape=point];')
-        for c in node.children:
-            child = yield walk(c)
-            lines.append(f"  n{me} -> n{child};")
-        return me
-
-    unwind(walk(t))
+    unwind(_dot_tree_walk(t, lines, [0]))
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def _dot_tree_walk(node, lines, counter):
+    me = counter[0]
+    counter[0] += 1
+    lines.append(f'  n{me} [label="", shape=point];')
+    for c in node.children:
+        child = yield _dot_tree_walk(c, lines, counter)
+        lines.append(f"  n{me} -> n{child};")
+    return me
 
 
 def _dot_decomposition(d):
     lines = ["digraph decomposition {", "  compound=true;"]
-    counter = [0]
-
-    def walk(node):
-        cid = counter[0]
-        counter[0] += 1
-        lines.append(f"  subgraph cluster_{cid} {{")
-        lines.append(f'    label="level {node.level}";')
-        top = ",".join(str(v) for v in sorted(node.top_attractor))
-        lines.append(f'    a{cid} [label="A0: {top}", shape=box];')
-        for k, child in enumerate(node.children, 1):
-            att = ",".join(str(v) for v in sorted(child.attractor))
-            lines.append(f'    a{cid}_{k} [label="A{k}: {att}", shape=box];')
-            yield walk(child.sub)
-        lines.append("  }")
-
-    unwind(walk(d))
+    unwind(_dot_decomposition_walk(d, lines, [0]))
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def _dot_decomposition_walk(node, lines, counter):
+    cid = counter[0]
+    counter[0] += 1
+    lines.append(f"  subgraph cluster_{cid} {{")
+    lines.append(f'    label="level {node.level}";')
+    top = ",".join(str(v) for v in sorted(node.top_attractor))
+    lines.append(f'    a{cid} [label="A0: {top}", shape=box];')
+    for k, child in enumerate(node.children, 1):
+        att = ",".join(str(v) for v in sorted(child.attractor))
+        lines.append(f'    a{cid}_{k} [label="A{k}: {att}", shape=box];')
+        yield _dot_decomposition_walk(child.sub, lines, counter)
+    lines.append("  }")
 
 
 def _dot_product(p):

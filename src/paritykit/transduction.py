@@ -372,22 +372,24 @@ def _decomposition_signatures(d, n):
     """
     sig = {}
     info = {}
-
-    def walk(node, prefix):
-        kappa = len(node.children)
-        for v in node.top_attractor:
-            sig[v] = prefix + (kappa + 1, 0)
-        values = []
-        for k, child in enumerate(node.children, 1):
-            for v in child.attractor - child.subgame:
-                sig[v] = prefix + (k, 1)
-            values.append((yield walk(child.sub, prefix + (k, 0))))
-        strahler = strahler_from_children(values, n)
-        info[prefix] = (node.level, strahler)
-        return strahler
-
-    unwind(walk(d, ()))
+    unwind(_signature_walk(d, (), n, sig, info))
     return sig, info
+
+
+def _signature_walk(node, prefix, n, sig, info):
+    """`_decomposition_signatures`' walk below `node`, run by `unwind`:
+    fills `sig` and `info` and returns the node's shape-Strahler number."""
+    kappa = len(node.children)
+    for v in node.top_attractor:
+        sig[v] = prefix + (kappa + 1, 0)
+    values = []
+    for k, child in enumerate(node.children, 1):
+        for v in child.attractor - child.subgame:
+            sig[v] = prefix + (k, 1)
+        values.append((yield _signature_walk(child.sub, prefix + (k, 0), n, sig, info)))
+    strahler = strahler_from_children(values, n)
+    info[prefix] = (node.level, strahler)
+    return strahler
 
 
 def _smallest_common(info, sig_q, sig_r):

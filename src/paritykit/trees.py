@@ -5,7 +5,6 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from .errors import PreconditionFailed, UndefinedTree
-from .games import unwind
 
 # `_levels` packs a tree's node counts at depths 1 to _LEVELS into one int,
 # a _WIDTH-bit field per depth, depth 1 lowest; the top bit of each field is
@@ -13,6 +12,8 @@ from .games import unwind
 _LEVELS, _WIDTH = 6, 16
 _SATURATED = sum(((1 << _WIDTH - 1) - 1) << k * _WIDTH for k in range(_LEVELS))
 _GUARDS = sum(1 << (k + 1) * _WIDTH - 1 for k in range(_LEVELS))
+# the largest tree whose repr is its bracket text
+_REPR_NODES = 1000
 
 
 @dataclass(frozen=True)
@@ -29,7 +30,9 @@ class OrderedTree:
     to nodes at depth k), so `embed` prunes its search by all four.  The
     level counts saturate once the size reaches 2**15, so their cost per
     tree is fixed.  Bracket parsing and printing, `==` and `n_strahler` run
-    on explicit stacks, so a tree thousands of levels deep is fine.
+    on explicit stacks, so a tree thousands of levels deep is fine.  The
+    repr is the bracket text up to 1,000 expanded nodes and names the size
+    and depth beyond, so shared subtrees cannot make it unbounded.
     """
 
     children: tuple = ()
@@ -121,6 +124,8 @@ class OrderedTree:
         raise PreconditionFailed("brackets", f"expected ')' at {len(text)}")
 
     def __repr__(self):
+        if self._size > _REPR_NODES:
+            return f"<OrderedTree of {self._size} nodes, depth {self._depth}>"
         return f"OrderedTree{self.to_brackets()!r}"
 
 
@@ -304,32 +309,29 @@ def universal_tree(n, k, d, w):
     The n-Strahler number of the result equals k whenever w >= n+1 (a
     truncated block of fewer than n+1 equal children cannot force the bump).
     Universality is guaranteed for candidates of branching degree <= w.
-    Built without recursion, as a generator run by `unwind`, with one
+    The tree (kk, dd) is a leaf at (1, 1); otherwise its children are w
+    copies of (kk-1, dd-1) if kk >= 2, then n times the copy of
+    (kk, dd-1) if dd-1 >= kk followed by the w copies again.  It is built
+    bottom-up in `universal_tree_size`'s order, without recursion, with one
     object per distinct subtree; a printout repeats a shared subtree at
     each occurrence, so `paritykit universal` sizes the tree first with
     `universal_tree_size`.
     """
     _check_universal(n, k, d, w)
-    memo = {}
-
-    def build(kk, dd):
-        if (kk, dd) in memo:
-            return memo[(kk, dd)]
-        if kk == 1 and dd == 1:
-            memo[(kk, dd)] = LEAF
-            return LEAF
-        block = [(yield build(kk - 1, dd - 1))] * w if kk >= 2 else []
-        mid = (yield build(kk, dd - 1)) if dd - 1 >= kk else None
-        kids = list(block)
-        for _ in range(n):
-            if mid is not None:
-                kids.append(mid)
-            kids.extend(block)
-        out = OrderedTree(tuple(kids))
-        memo[(kk, dd)] = out
-        return out
-
-    return unwind(build(k, d))
+    # row[x]: the tree (kk, kk + gap) for kk = x + 1, at the gap in hand
+    row = []
+    for gap in range(d - k + 1):
+        new = []
+        for kk in range(1, k + 1):
+            block = [new[-1]] * w if kk >= 2 else []
+            kids = list(block)
+            for _ in range(n):
+                if gap:
+                    kids.append(row[kk - 1])
+                kids.extend(block)
+            new.append(OrderedTree(tuple(kids)) if kids else LEAF)
+        row = new
+    return row[-1]
 
 
 def _check_universal(n, k, d, w):
@@ -387,50 +389,55 @@ def is_universal_for(host, candidates):
 
 
 def enumerate_trees(max_nodes, max_depth, max_branch):
-    """All ordered trees within the bounds, each once, ordered by node count
-    then by generation order."""
+    """All ordered trees of at most `max_nodes` nodes, depth at most
+    `max_depth` and fan-out at most `max_branch`, each once.
+
+    Order: by node count; within a count, by the tuple of the root's
+    children's node counts, lexicographically; within that, by the
+    children's own order, the last child varying fastest.  Subtrees are
+    shared objects, the pools of the level below.
+
+    Only trees that exist are tried.  A tree of depth <= d and fan-out <= b
+    has at most 1 + b + ... + b**(d-1) nodes, so no node count or child
+    size beyond that bound is tried, and neither is one that leaves too few
+    of `max_nodes` for the levels above it: `enumerate_trees(10**6, 2, 2)`
+    returns its 3 trees at once.  A tree of k nodes has depth at most k, so
+    the pool of k nodes at depth bound d is that at bound min(d, k): it is
+    built once and shared by every bound from k up.  The pools are built
+    bound by bound, each from the one below, with no recursion and no
+    closure, so a call leaves no cyclic garbage.
+    """
     if max_nodes < 1 or max_depth < 1 or max_branch < 1:
         raise PreconditionFailed("enumerate_trees", "bounds must be >= 1")
-    memo = {}
-
-    def exact(nodes, dep):
-        if dep < 1 or nodes < 1:
-            return []
-        key = (nodes, dep)
-        if key in memo:
-            return memo[key]
-        if nodes == 1:
-            memo[key] = [LEAF]
-            return memo[key]
-        out = []
-        for parts in _compositions(nodes - 1, max_branch):
-            pools = [exact(p, dep - 1) for p in parts]
-            if any(not pool for pool in pools):
-                continue
-            for combo in product(*pools):
-                out.append(OrderedTree(combo))
-        memo[key] = out
-        return out
-
-    result = []
-    for nodes in range(1, max_nodes + 1):
-        result.extend(exact(nodes, max_depth))
-    return result
+    top = min(max_depth, max_nodes)
+    # most: the nodes of the largest tree of depth <= d, held at max_nodes
+    # pools[k]: the trees of k nodes and depth <= d (pools[0] is unused)
+    most, pools = 1, [None, [LEAF]]
+    for d in range(2, top + 1):
+        most = min(1 + max_branch * most, max_nodes)
+        # a tree at this bound sits below top - d ancestors, one node each
+        limit = min(most, max_nodes - top + d)
+        # the pools of fewer than d nodes are those of the bound below
+        below, pools = pools, pools[:d]
+        for nodes in range(d, limit + 1):
+            pool = []
+            for parts in _compositions(nodes - 1, max_branch, len(below) - 1):
+                pool.extend(map(OrderedTree, product(*[below[p] for p in parts])))
+            pools.append(pool)
+    return [t for pool in pools[1:] for t in pool]
 
 
-def _compositions(total, max_parts):
-    """Ordered compositions of `total` into at most max_parts positive parts."""
-    out = []
-
-    def rec(remaining, parts):
-        if remaining == 0:
-            if parts:
-                out.append(tuple(parts))
-            return
-        if len(parts) == max_parts:
-            return
-        for first in range(1, remaining + 1):
-            rec(remaining - first, parts + [first])
-
-    rec(total, [])
-    return out
+def _compositions(total, max_parts, max_part):
+    """Ordered compositions of `total` into at most `max_parts` parts of 1
+    to `max_part` each, in lexicographic order; only prefixes that some
+    composition completes are grown."""
+    # (what is left to split, parts so far), popped in lexicographic order
+    stack = [(total, ())]
+    while stack:
+        left, parts = stack.pop()
+        if not left:
+            yield parts
+            continue
+        low = max(1, left - (max_parts - len(parts) - 1) * max_part)
+        for first in range(min(left, max_part), low - 1, -1):
+            stack.append((left - first, parts + (first,)))

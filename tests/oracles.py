@@ -10,6 +10,7 @@ import itertools
 
 from paritykit.errors import TerminalVertex
 from paritykit.games import ADAM, ParityGame, ParityGraph
+from paritykit.trees import LEAF, OrderedTree
 
 
 def random_graph(rng, n_vertices, max_priority, max_out=3, no_terminals=True):
@@ -222,3 +223,33 @@ def brute_is_tight(g, d):
         return all(tight(c.sub, c.subgame, edge_ids) for c in d.children)
 
     return tight(d, g.vertices, frozenset(range(len(g.edges))))
+
+
+def reference_trees(max_nodes, max_depth, max_branch):
+    """`enumerate_trees` by its definition, with no bound pruning the
+    search: the trees of k nodes and depth <= d are the leaf (k = 1), or a
+    root over a tuple of trees of depth <= d - 1 whose node counts are a
+    composition of k - 1 into at most `max_branch` parts; compositions in
+    lexicographic order, then `itertools.product` order."""
+    memo = {}
+
+    def exact(nodes, dep):
+        if (nodes, dep) not in memo:
+            out = [LEAF] if nodes == 1 else []
+            if nodes > 1 and dep > 1:
+                for parts in sorted(_compositions(nodes - 1, max_branch)):
+                    pools = [exact(p, dep - 1) for p in parts]
+                    out.extend(OrderedTree(kids) for kids in itertools.product(*pools))
+            memo[nodes, dep] = out
+        return memo[nodes, dep]
+
+    return [t for nodes in range(1, max_nodes + 1) for t in exact(nodes, max_depth)]
+
+
+def _compositions(total, max_parts):
+    """Every composition of `total` into at most `max_parts` positive parts,
+    one per set of cut points."""
+    for k in range(1, max_parts + 1):
+        for cuts in itertools.combinations(range(1, total), k - 1):
+            bounds = (0, *cuts, total)
+            yield tuple(b - a for a, b in zip(bounds, bounds[1:]))

@@ -123,6 +123,20 @@ class TestExitCodes:
             assert main(["--cap-states", "5", "lab", "random", "--kind", kind, "--vertices", "6"]) == 3
             assert main(["--cap-states", "5", "lab", "random", "--kind", kind, "--vertices", "5"]) == 0
 
+    def test_lab_random_pair_refuses_more_vertices_than_it_answers_for(self, capsys):
+        start = time.perf_counter()
+        for seed in range(6):
+            assert main(["--seed", str(seed), "lab", "random", "--kind", "pair", "--vertices", "85"]) == 0
+        assert time.perf_counter() - start < 10
+        capsys.readouterr()
+        for vertices in ("86", "2000", "200000"):
+            start = time.perf_counter()
+            assert main(["lab", "random", "--kind", "pair", "--vertices", vertices]) == 2
+            assert time.perf_counter() - start < 1
+            err = capsys.readouterr().err
+            assert f"--kind pair takes at most 85 vertices, not {vertices}" in err
+        assert main(["lab", "random", "--kind", "game", "--vertices", "86"]) == 0
+
     def test_lab_random_defaults_to_six_vertices(self, capsys):
         assert main(["--seed", "3", "lab", "random"]) == 0
         default = capsys.readouterr().out

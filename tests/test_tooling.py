@@ -169,11 +169,8 @@ def test_transition_index_is_read_only_by_transitions_from():
 # functions that call themselves on Python's stack instead of being
 # generators run by games.unwind, each with why its depth stays harmless
 PLAIN_RECURSION = {
-    "trees.py:enumerate_trees.exact": "the size of its output bounds the depth",
-    "trees.py:_compositions.rec": "the size of its output bounds the depth",
     "manifests.py:_payload": "one level per product base, bounded by MAX_NESTING",
     "manifests.py:_from_payload": "one level per product base, bounded by MAX_NESTING",
-    "automata.py:RegularTree.unfolding_signature.rec": "its nested tuples recurse in C anyway",
     "lab.py:_embeds_by_backtracking": "a brute-force oracle on small trees",
 }
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,7 @@ from paritykit.trees import (
 )
 
 from corpora import UNIVERSAL_GRID
+from oracles import reference_trees
 
 
 def T(*kids):
@@ -213,8 +215,7 @@ class TestPruningInvariants:
             embed(host, host)
 
     def test_saturated_counts(self):
-        # 40 nested (t, t): 2**41 - 1 expanded nodes over 41 shared objects.
-        # No assertion names `big` itself, whose repr would print them all.
+        # 40 nested (t, t): 2**41 - 1 expanded nodes over 41 shared objects
         big = LEAF
         for _ in range(40):
             big = T(big, big)
@@ -424,9 +425,52 @@ class TestIsUniversalFor:
         assert not ok and bad == complete_ternary(3)
 
 
+class TestRepr:
+    def test_small_trees_print_their_brackets(self):
+        assert repr(LEAF) == "OrderedTree'()'"
+        assert repr(T(LEAF, T(LEAF))) == "OrderedTree'(()(()))'"
+        chain = OrderedTree.from_brackets("(" * 1000 + ")" * 1000)
+        assert repr(chain) == f"OrderedTree{chain.to_brackets()!r}"
+
+    def test_large_trees_print_their_size_and_depth(self):
+        # 40 nested (t, t) expand to 2**41 - 1 nodes over 41 shared objects
+        big = LEAF
+        for _ in range(40):
+            big = T(big, big)
+        assert repr(big) == f"<OrderedTree of {2**41 - 1} nodes, depth 41>"
+        assert repr(T(*[LEAF] * 1000)) == "<OrderedTree of 1001 nodes, depth 2>"
+
+
 class TestEnumerate:
     def test_single(self):
         assert enumerate_trees(1, 3, 3) == [LEAF]
+
+    def test_equals_the_reference_list_for_list(self):
+        for n, d, b in itertools.product(range(1, 9), range(1, 9), range(1, 6)):
+            assert enumerate_trees(n, d, b) == reference_trees(n, d, b), (n, d, b)
+
+    def test_equals_the_reference_on_the_criterion_7_families(self):
+        for w in (1, 2, 3):
+            for d in (1, 2, 3):
+                got = enumerate_trees(1 + w + w**2 + w**3, d, w)
+                assert got == reference_trees(1 + w + w**2 + w**3, d, w), (w, d)
+
+    def test_a_huge_node_bound_tries_only_sizes_that_exist(self):
+        start = time.perf_counter()
+        assert enumerate_trees(10**6, 2, 2) == [LEAF, T(LEAF), T(LEAF, LEAF)]
+        assert time.perf_counter() - start < 1
+
+    def test_builds_each_tree_once(self, monkeypatch):
+        built = []
+
+        def counted(kids):
+            built.append(kids)
+            return OrderedTree(kids)
+
+        monkeypatch.setattr(paritykit.trees, "OrderedTree", counted)
+        trees = enumerate_trees(9, 9, 9)
+        # every tree but the shared leaf, and nothing else
+        assert len(trees) == 2056 and len(built) == 2055
 
     def test_hand_count(self):
         got = set(enumerate_trees(3, 2, 2))
