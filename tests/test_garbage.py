@@ -69,6 +69,7 @@ class Fixtures:
 
     def __init__(self):
         self.game = random_game(P)
+        self.solved = solve(self.game)
         self.graph = random_even_graph(P)
         self.non_even = random_non_even_graph(P)
         self.pair = random_bounded_pair(P, 1)
@@ -79,6 +80,7 @@ class Fixtures:
         self.regular = enumerate_regular_trees(2)
         self.member = next(t for t in self.regular if membership(self.automaton, t))
         self.acceptance = acceptance_game(self.automaton, self.member)
+        self.run_choice = solve(self.acceptance.game)[2]
         self.a, self.b, self.guide, trees = guided_suite()[0]
         self.guided_tree = trees[0]
         self.run_b = accepting_run(self.b, self.guided_tree)
@@ -96,7 +98,7 @@ CALLS = {
     "brackets": lambda f: OrderedTree.from_brackets(f.tree.to_brackets()),
     # games
     "solve": lambda f: solve(f.game),
-    "verify_winning": lambda f: verify_winning(f.game, solve(f.game)[2], solve(f.game)[0]),
+    "verify_winning": lambda f: verify_winning(f.game, f.solved[2], f.solved[0]),
     "check_even": lambda f: check_even(f.non_even),
     # decomposition
     "build_ad": lambda f: build_ad(f.graph, 4),
@@ -119,7 +121,7 @@ CALLS = {
     "acceptance_game": lambda f: acceptance_game(f.automaton, f.member),
     "membership": lambda f: membership(f.automaton, f.member),
     "accepting_run": lambda f: accepting_run(f.automaton, f.member),
-    "run_graph": lambda f: run_graph(f.automaton, f.member, solve(f.acceptance.game)[2], ag=f.acceptance),
+    "run_graph": lambda f: run_graph(f.automaton, f.member, f.run_choice, ag=f.acceptance),
     "compose_transducer": lambda f: compose_transducer(f.automaton, Index(1, 2), 1),
     "guided_run": lambda f: guided_run(f.guide, f.a, f.b, f.guided_tree, f.run_b),
     "guided_pair_bound_check": lambda f: guided_pair_bound_check(f.a, f.b, f.guide, f.guided_tree),
