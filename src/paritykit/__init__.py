@@ -9,12 +9,10 @@ from .games import (
     Lasso,
     ParityGame,
     ParityGraph,
-    attractor_edges,
     attractor_vertices,
     check_even,
     is_even,
     player_attractor,
-    restrict,
     solve,
     strategy_graph,
     verify_winning,
@@ -27,11 +25,8 @@ from .decomposition import (
     SegmentedPath,
     ad_from_bounded_pair,
     ad_reachability_check,
-    attr_partition,
     build_ad,
-    dismantle,
     is_tight,
-    join_ads,
     memory_product,
     n_bound_check,
     tree_shape,

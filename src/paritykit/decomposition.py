@@ -1,5 +1,5 @@
-"""Attractor decompositions: construction, validation, transformation, the
-n-bound check of labelling pairs, and the bounded-pair to low-Strahler
+"""Attractor decompositions: construction and validation, the n-bound
+check of labelling pairs, and the bounded-pair to low-Strahler
 construction on memory products.
 
 All vertex and edge references inside a decomposition are in the id space
@@ -16,11 +16,9 @@ from dataclasses import dataclass
 
 from .errors import (
     DEFAULT_STATE_CAP,
-    HypothesisViolated,
     InvalidDecomposition,
     NotBounded,
     NotEven,
-    OverlappingParts,
     PreconditionFailed,
     PriorityOutOfRange,
     TooLarge,
@@ -358,70 +356,6 @@ def is_tight(g, d):
     ancestor, so the paths to check are those of the node's subgame
     capped at h-1."""
     return unwind(_tight(g, d, g.vertices))
-
-
-def attr_partition(g, parts):
-    """Attractors of disjoint parts, each computed in the residual of the
-    previous ones; their disjoint union equals the attractor of the union."""
-    seen = set()
-    for s in parts:
-        s = frozenset(s)
-        if s & seen:
-            raise OverlappingParts(sorted(s & seen))
-        seen |= s
-    out = []
-    current = frozenset(g.vertices)
-    for s in parts:
-        a = frozenset(_attract(g, current, g.cap, frozenset(s))[0])
-        out.append(a)
-        current = current - a
-    return out
-
-
-def join_ads(g, h, pieces):
-    """Assemble a decomposition from pre-decomposed subgames.
-
-    Checks the three join hypotheses (successor closure in the running
-    residual, child validity at level h-2, full coverage) and names the
-    failed clause.  Empty subgames are dropped.
-    """
-    if h < 2 or h % 2 == 1:
-        raise PreconditionFailed("join_ads", "level must be even and >= 2")
-    if max(g.pri, default=0) > h:
-        raise PriorityOutOfRange(f"priority {max(g.pri)} exceeds level {h}")
-    dst, pri, out = g.dst, g.pri, g.out
-    h_edges = frozenset(i for i in range(len(pri)) if pri[i] == h)
-    a0 = frozenset(_attract(g, g.vertices, g.cap, target_edges=h_edges)[0])
-    current = g.vertices - a0
-    children = []
-    for k, (s, sub) in enumerate(pieces):
-        s = frozenset(s)
-        if not s:
-            continue
-        if not s <= current:
-            raise HypothesisViolated("subgame-in-residual", f"piece {k}")
-        for v in sorted(s):
-            for i in out[v]:
-                if pri[i] < h and dst[i] in current and dst[i] not in s:
-                    raise HypothesisViolated("successor-closed", f"piece {k}, edge {i}")
-        if sub.level != h - 2:
-            raise HypothesisViolated("child-level", f"piece {k} has level {sub.level}")
-        inner = unwind(_validate(g, sub, s, h))
-        if not inner:
-            raise HypothesisViolated(
-                "child-decomposition", f"piece {k}: {inner.clause}"
-            )
-        a = frozenset(_attract(g, current, h, s)[0])
-        children.append(AdChild(s, a, sub))
-        current = current - a
-    if current:
-        raise HypothesisViolated("coverage", sorted(current))
-    return AttractorDecomposition(h, h_edges, a0, tuple(children))
-
-
-def dismantle(d):
-    """Inverse of join_ads: the (subgame, sub-decomposition) pieces."""
-    return [(c.subgame, c.sub) for c in d.children]
 
 
 # ---------------------------------------------------------------------------

@@ -33,18 +33,6 @@ class PriorityOutOfRange(ParityKitError):
     pass
 
 
-class OverlappingParts(ParityKitError):
-    pass
-
-
-class HypothesisViolated(ParityKitError):
-    """A named hypothesis of a constructive operation failed."""
-
-    def __init__(self, clause, detail=""):
-        self.clause = clause
-        super().__init__(f"hypothesis violated: {clause}" + (f" ({detail})" if detail else ""))
-
-
 DEFAULT_STATE_CAP = 200_000
 """State cap of every product construction unless the caller gives one."""
 

@@ -112,8 +112,8 @@ class ParityGraph:
     """Edge-priority-labelled directed graph, stored as per-edge columns:
     edge i runs from `src[i]` to `dst[i]` with priority `pri[i]`.
 
-    Terminal vertices (no outgoing edge) are representable — restriction
-    creates them transiently — but game-facing operations reject them.
+    Terminal vertices (no outgoing edge) are representable, but
+    game-facing operations reject them.
     """
 
     vertices: frozenset
@@ -254,9 +254,6 @@ class Lasso:
                 return False
         return dst[self.cycle[-1]] == src[self.cycle[0]]
 
-    def cycle_max_priority(self, g):
-        return max(g.pri[i] for i in self.cycle)
-
 
 # ---------------------------------------------------------------------------
 # state-space exploration
@@ -300,23 +297,7 @@ def explore(starts, expand, what, cap=DEFAULT_STATE_CAP):
 
 
 # ---------------------------------------------------------------------------
-# restriction and attractors
-
-
-def restrict(g, keep):
-    """Subgraph on `keep`; check .terminals on the result for legality."""
-    keep = frozenset(keep)
-    if not keep <= g.vertices:
-        raise PreconditionFailed("restrict", "keep is not a subset of the vertex set")
-    src, dst = g.src, g.dst
-    ids = [i for i in range(len(src)) if src[i] in keep and dst[i] in keep]
-    return _subgraph(g, keep, ids)
-
-
-def _subgraph(g, vertices, ids):
-    """Graph on `vertices` with the edges `ids` of g, in that order."""
-    src, dst, pri = ([column[i] for i in ids] for column in (g.src, g.dst, g.pri))
-    return ParityGraph(vertices, tuple(src), tuple(dst), tuple(pri), g.index)
+# attractors
 
 
 def _attract(
@@ -387,15 +368,6 @@ def _attract(
             add(u)
             push(u)
     return attracted, strat
-
-
-def attractor_edges(g, targets):
-    """attr(E', G): vertices whose every infinite path traverses an edge of E'."""
-    targets = frozenset(targets)
-    for i in targets:
-        if not (0 <= i < len(g.src)):
-            raise PreconditionFailed("attractor_edges", f"unknown edge id {i}")
-    return frozenset(_attract(g, g.vertices, g.cap, target_edges=targets)[0])
 
 
 def attractor_vertices(g, targets):
@@ -702,7 +674,8 @@ def strategy_graph(game, sigma, region, player=EVE):
     region = frozenset(region)
     view = _strategy_view(game, sigma, region, player)
     keep = sorted(i for ids in view.values() for i in ids if g.dst[i] in region)
-    return _subgraph(g, region, keep)
+    src, dst, pri = (tuple(column[i] for i in keep) for column in (g.src, g.dst, g.pri))
+    return ParityGraph(region, src, dst, pri, g.index)
 
 
 def verify_winning(game, sigma, region, player=EVE):

@@ -287,6 +287,8 @@ def eve_wins_reg(base, J, n, from_vertex=None, *, rule=LIBERAL, cap=DEFAULT_STAT
     configuration of `from_vertex` (default: smallest vertex)?"""
     g = base.graph if isinstance(base, ParityGame) else base
     if from_vertex is None:
+        if not g.vertices:
+            raise PreconditionFailed("eve_wins_reg", "the graph has no vertex")
         from_vertex = min(g.vertices)
     product = reg_product(base, J, n, rule=rule, cap=cap, starts=[from_vertex])
     eve_region, _, _, _ = solve(product.game)

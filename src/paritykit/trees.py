@@ -78,10 +78,6 @@ class OrderedTree:
             stack.extend(zip(a.children, b.children))
         return True
 
-    @property
-    def is_leaf(self):
-        return not self.children
-
     def node_count(self):
         return self._size
 

@@ -703,3 +703,11 @@ class TestHostileManifests:
         out = capsys.readouterr().out.splitlines()
         assert out[0] == "not bounded"
         assert json.loads(out[1])["segments"] == [[0]] * 1001
+
+    @pytest.mark.parametrize("kind", ["graph", "game"])
+    def test_reg_solve_without_a_vertex_is_a_usage_error(self, tmp_path, capsys, kind):
+        # with no --start the game starts at the smallest vertex, and there is none
+        g = ParityGraph.make([], [])
+        path = write(tmp_path, "empty.json", g if kind == "graph" else ParityGame.make(g, {}))
+        assert main(["reg", "solve", path, "--n", "1"]) == 2
+        assert "precondition failed: eve_wins_reg" in capsys.readouterr().err

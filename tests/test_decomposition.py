@@ -10,27 +10,22 @@ from paritykit.decomposition import (
     LabellingPair,
     ad_from_bounded_pair,
     ad_reachability_check,
-    attr_partition,
     build_ad,
-    dismantle,
     is_tight,
-    join_ads,
     memory_product,
     tree_shape,
     validate_ad,
 )
 from paritykit.errors import (
-    HypothesisViolated,
     InvalidDecomposition,
     NotBounded,
     NotEven,
-    OverlappingParts,
     PreconditionFailed,
     PriorityOutOfRange,
     StateExplosion,
     TooLarge,
 )
-from paritykit.games import Index, ParityGraph, attractor_vertices, check_even, is_even, unwind
+from paritykit.games import Index, ParityGraph, check_even, is_even, unwind
 from paritykit.lab import GenParams, random_bounded_pair, random_even_graph
 from paritykit.trees import LEAF, OrderedTree, depth, n_strahler
 
@@ -199,72 +194,6 @@ class TestIsTight:
         d = build_ad(g, 2)
         assert len(d.children) == 2
         assert is_tight(g, d)
-
-
-class TestAttrPartition:
-    def test_single_part(self):
-        g = ParityGraph.make([0, 1], [(0, 1, 0), (1, 1, 0)])
-        assert attr_partition(g, [{1}]) == [attractor_vertices(g, {1})]
-
-    def test_disjoint_components(self):
-        g = ParityGraph.make([0, 1], [(0, 0, 0), (1, 1, 0)])
-        assert attr_partition(g, [{0}, {1}]) == [frozenset({0}), frozenset({1})]
-
-    def test_overlap_rejected(self):
-        g = ParityGraph.make([0], [(0, 0, 0)])
-        with pytest.raises(OverlappingParts):
-            attr_partition(g, [{0}, {0}])
-
-    def test_union_law(self):
-        rng = random.Random(11)
-        for _ in range(60):
-            g = random_graph(rng, 7, 3)
-            vs = g.sorted_vertices()
-            rng.shuffle(vs)
-            parts = [frozenset(vs[0:2]), frozenset(vs[2:4]), frozenset(vs[4:5])]
-            result = attr_partition(g, parts)
-            union = frozenset().union(*parts)
-            assert frozenset().union(*result) == attractor_vertices(g, union)
-            for i in range(len(result)):
-                for j in range(i + 1, len(result)):
-                    assert not (result[i] & result[j])
-
-
-class TestJoinAds:
-    def test_round_trip(self):
-        for seed in range(25):
-            p = GenParams(seed=seed, vertex_count=8, priority_cap=4)
-            g = random_even_graph(p)
-            h = max((e.priority for e in g.edges), default=0)
-            h += h % 2
-            if h == 0:
-                continue
-            d = build_ad(g, h)
-            rebuilt = join_ads(g, h, dismantle(d))
-            assert rebuilt == d
-            assert validate_ad(g, rebuilt)
-
-    def test_coverage_violation(self):
-        g = ParityGraph.make([0, 1], [(0, 0, 0), (1, 1, 0)])
-        piece = (frozenset({0}), AttractorDecomposition(0, frozenset({0}), frozenset({0}), ()))
-        with pytest.raises(HypothesisViolated) as err:
-            join_ads(g, 2, [piece])
-        assert err.value.clause == "coverage"
-
-    def test_empty_pieces_dropped(self):
-        g = ParityGraph.make([0], [(0, 0, 0)])
-        d = build_ad(g, 2)
-        rebuilt = join_ads(g, 2, [(frozenset(), None), *dismantle(d)])
-        assert rebuilt == d
-
-    def test_single_piece_covering_residual(self):
-        # one piece covering everything outside A_0 gives a two-layer record
-        g = ParityGraph.make([0, 1], [(0, 0, 2), (1, 1, 0), (1, 0, 1)])
-        sub = AttractorDecomposition(0, frozenset({1}), frozenset({1}), ())
-        d = join_ads(g, 2, [(frozenset({1}), sub)])
-        assert validate_ad(g, d)
-        assert len(d.children) == 1
-        assert d.top_attractor == frozenset({0})
 
 
 def simple_pair(label_i, label_j, edges, vertices=None, ii=None, jj=None):

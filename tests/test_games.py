@@ -22,13 +22,11 @@ from paritykit.games import (
     Lasso,
     ParityGame,
     ParityGraph,
-    attractor_edges,
     attractor_vertices,
     check_even,
     explore,
     is_even,
     player_attractor,
-    restrict,
     solve,
     strategy_graph,
     verify_winning,
@@ -61,27 +59,10 @@ def two_cycle():
     return ParityGraph.make([0, 1], [(0, 1, 2), (1, 0, 1)])
 
 
-class TestRestrict:
-    def test_identity(self):
-        g = two_cycle()
-        assert restrict(g, g.vertices) == g
-
-    def test_terminal_flagged(self):
-        g = two_cycle()
-        r = restrict(g, {0})
-        assert r.vertices == frozenset({0})
-        assert r.edges == ()
-        assert r.terminals == (0,)
-
-    def test_edge_filter_matches_brute(self):
-        rng = random.Random(7)
-        for _ in range(25):
-            g = random_graph(rng, 10, 4)
-            targets = frozenset(rng.sample(g.sorted_vertices(), 3))
-            keep = g.vertices - attractor_vertices(g, targets)
-            r = restrict(g, keep)
-            expected = [e for e in g.edges if e.src in keep and e.dst in keep]
-            assert list(r.edges) == expected
+def edge_attractor(g, targets):
+    """attr(E', G): vertices whose every infinite path traverses an edge of
+    `targets`; `_validate` takes this mode on views with a dead end."""
+    return games._attract(g, g.vertices, g.cap, target_edges=frozenset(targets))[0]
 
 
 class TestSuccessorTables:
@@ -121,16 +102,16 @@ class TestSuccessorTables:
 class TestAttractors:
     def test_self_loop_edge(self):
         g = ParityGraph.make([0], [(0, 0, 1)])
-        assert attractor_edges(g, {0}) == frozenset({0})
+        assert edge_attractor(g, {0}) == {0}
 
     def test_all_edges(self):
         g = two_cycle()
-        assert attractor_edges(g, {0, 1}) == g.vertices
+        assert edge_attractor(g, {0, 1}) == g.vertices
 
     def test_avoidance_via_self_loop(self):
         # a -> b is a's only move; b has a self-loop outside the targets
         g = ParityGraph.make([0, 1], [(0, 1, 1), (1, 1, 0), (1, 0, 0)])
-        attracted = attractor_edges(g, {0})
+        attracted = edge_attractor(g, {0})
         assert 0 in attracted
         assert 1 not in attracted
 
@@ -156,7 +137,7 @@ class TestAttractors:
             g = random_graph(rng, 6, 3)
             ids = range(len(g.edges))
             targets = frozenset(i for i in ids if rng.random() < 0.3)
-            assert attractor_edges(g, targets) == brute_attractor_edges(g, targets)
+            assert edge_attractor(g, targets) == brute_attractor_edges(g, targets)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
@@ -220,7 +201,7 @@ class TestEvenness:
             assert ok == brute_is_even(g)
             if not ok:
                 assert lasso.check(g)
-                assert lasso.cycle_max_priority(g) % 2 == 1
+                assert max(g.pri[i] for i in lasso.cycle) % 2 == 1
 
 
 class TestSolve:
@@ -346,7 +327,7 @@ class TestOddCycleWitness:
             assert (lasso is None) == (not even)
             if lasso is not None:
                 seen += 1
-                assert lasso.check(g) and lasso.cycle_max_priority(g) % 2 == 0
+                assert lasso.check(g) and max(g.pri[i] for i in lasso.cycle) % 2 == 0
         assert 10 < seen < 80
 
     def test_check_rejects_each_broken_lasso(self):

@@ -26,11 +26,8 @@ from paritykit.automata import (
 from paritykit.decomposition import (
     ad_from_bounded_pair,
     ad_reachability_check,
-    attr_partition,
     build_ad,
-    dismantle,
     is_tight,
-    join_ads,
     memory_product,
     n_bound_check,
     tree_shape,
@@ -107,8 +104,6 @@ CALLS = {
     "tree_shape": lambda f: tree_shape(f.ad),
     "is_tight": lambda f: is_tight(f.graph, f.ad),
     "width": lambda f: f.ad.width(),
-    "attr_partition": lambda f: attr_partition(f.graph, [{0}]),
-    "join_ads(dismantle)": lambda f: join_ads(f.graph, 4, dismantle(f.ad)),
     "n_bound_check": lambda f: n_bound_check(f.pair, 1),
     "memory_product": lambda f: memory_product(f.pair),
     "ad_from_bounded_pair": lambda f: ad_from_bounded_pair(f.pair, 1, 1),

@@ -47,8 +47,21 @@ def test_graph_storage_stays_inside_games():
     assert found == []
 
 
-# public methods that only callers outside the package use
-OUTSIDE_API = {"Lasso.cycle_max_priority", "TheoremReport.to_json", "OrderedTree.is_leaf"}
+# public names that no package module and no perfbench script calls, each
+# with why it stays: "Class.method" or "module.function"
+OUTSIDE_API = {
+    "TheoremReport.to_json": "the battery report as JSON, for a future `lab battery --json`",
+    "automata.guided_run": "the paper's guided run, which README names; the package calls `_guided_run`",
+}
+
+
+def _references(node):
+    """Every name and attribute in `node`."""
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name):
+            yield child.id
+        elif isinstance(child, ast.Attribute):
+            yield child.attr
 
 
 def test_every_private_function_is_used():
@@ -70,16 +83,37 @@ def test_every_private_function_is_used():
                         outside.add(qualified)
                     else:
                         defined[qualified] = (item.name, f"{path.name}:{qualified}")
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
+        used.update(_references(tree))
     assert len(defined) > 50
     assert sorted(where for name, where in defined.values() if name not in used) == []
     # each outside-only method exists and is still unused inside
-    assert outside == OUTSIDE_API
-    assert sorted(api for api in OUTSIDE_API if api.split(".")[1] in used) == []
+    assert outside == {api for api in OUTSIDE_API if api[0].isupper()}
+    assert sorted(api for api in outside if api.split(".")[1] in used) == []
+
+
+def test_every_public_function_and_class_is_called():
+    """Each module-level public function and class of the package is
+    referenced in another module or statement of src/ (the re-exports of
+    __init__.py do not count), or in perfbench/, or is in OUTSIDE_API:
+    the package keeps no public name that only its own tests call."""
+    root = SRC.parent.parent
+    defined, used = {}, set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            name = getattr(node, "name", None)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not name.startswith("_"):
+                defined[name] = f"{path.stem}.{name}"
+            used.update(ref for ref in _references(node) if ref != name)
+    for path in sorted((root / "perfbench").rglob("*.py")):
+        used.update(_references(ast.parse(path.read_text(), filename=str(path))))
+    assert len(defined) > 100
+    uncalled = {where for name, where in defined.items() if name not in used}
+    assert sorted(uncalled - OUTSIDE_API.keys()) == []
+    # each outside-only function exists and is still uncalled inside
+    assert uncalled == {api for api in OUTSIDE_API if api[0].islower()}
 
 
 def test_successor_tables_are_only_indexed():

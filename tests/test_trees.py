@@ -33,7 +33,7 @@ def T(*kids):
 
 def backtracking_embed(t, host):
     """Exhaustive search over all strictly increasing child assignments."""
-    if t.is_leaf:
+    if not t.children:
         return True
     m, k = len(t.children), len(host.children)
     if m > k:
