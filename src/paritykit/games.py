@@ -397,19 +397,27 @@ def _odd_cycle_witness(g, parity=1, view=None):
     """Lasso whose cycle's maximum has the given parity (1: odd), or None.
 
     A cycle with maximum exactly p exists iff the view capped at p+1 has
-    a p-edge inside one of its strongly connected components.  Those
-    components come from one refinement, the recursive SCC decomposition
-    of one-player parity graphs: for each priority p of that parity,
-    descending, only the cyclic components of the level above are split
-    into the SCCs of their edges of priority <= p, since every cycle of
-    the smaller view lies inside one of them.  A vertex on no cycle leaves
-    the search, and the search ends when no cyclic component is left.
+    a p-edge inside one of its strongly connected components.  Each level
+    p of that parity is searched in descending order, from its own p-edges
+    in `ids` order: Tarjan's search (on edges of priority <= p) starts at a
+    p-edge's source only if that source has no component at this level
+    yet, and it never leaves the source's component of the levels above,
+    which holds every smaller one.  The search stops at the first p-edge
+    whose ends share a cyclic component; since SCCs do not depend on the
+    order of the roots, that is the first such edge of a full refinement.
+    A vertex that no search of a level reaches keeps its enclosing
+    component, and one found on no cycle leaves the search for good.  Each
+    vertex is placed at most once per level: O(levels * (V + E)).
 
     `view`, if given, confines the search to a subgraph of g as a triple
     (vertices, out, ids): `out` maps each vertex to its out-edge ids, none
     of which leaves the vertices, and `ids` lists those edges.  The lasso's
     cycle starts at the first p-edge in `ids` order that lies in a cyclic
     component, so at the smallest one for the whole graph.
+
+    The per-vertex state is held in lists indexed by vertex when g's
+    vertices are 0..n-1 (g's successor table is then a list), else in
+    dicts; both are read through `[]`.
     """
     src, dst, pri = g.src, g.dst, g.pri
     if view is None:
@@ -425,32 +433,38 @@ def _odd_cycle_witness(g, parity=1, view=None):
     for i in loops:
         if pri[i] < loop.get(src[i], pri[i] + 1):
             loop[src[i]] = pri[i]
-    # vertex -> id of its cyclic component at the current level, -1 once
-    # it is on no cycle; the search starts from one piece holding everything
-    comp = dict.fromkeys(vertices, 0)
-    pieces = [(0, vertices)]
-    fresh = 1
+    # comp: vertex -> its cyclic component, -1 once it is on no cycle; ids
+    # are DFS numbers + 1, so those given at this level exceed `start` and
+    # those of the levels above (0: the whole view) do not
+    if isinstance(g.out, list):
+        n = len(g.out)
+        comp, index, low = [0] * n, [-1] * n, [0] * n
+    else:
+        comp, index, low = dict.fromkeys(vertices, 0), dict.fromkeys(vertices, -1), {}
+    count = 0
+    stack = []
     for p in levels:
-        split = []
-        index, low = {}, {}
-        stack = []
-        for cid, piece in pieces:
-            for root in piece:
-                # a vertex whose component is done already carries a new id
-                if comp[root] != cid:
-                    continue
-                index[root] = low[root] = len(index)
-                stack.append(root)
-                work = [(root, iter(out[root]))]
+        start = count
+        for i in compress(ids, map(p.__eq__, at)):
+            s, d = src[i], dst[i]
+            cid = comp[s]
+            if 0 <= cid <= start:
+                # place s and what it reaches inside its enclosing component;
+                # a vertex there was visited at this level iff index >= start
+                index[s] = low[s] = count
+                count += 1
+                stack.append(s)
+                work = [(s, iter(out[s]))]
                 while work:
                     v, edges = work[-1]
-                    for i in edges:
-                        if pri[i] <= p:
-                            w = dst[i]
+                    for k in edges:
+                        if pri[k] <= p:
+                            w = dst[k]
                             if comp[w] == cid:
-                                x = index.get(w)
-                                if x is None:
-                                    index[w] = low[w] = len(index)
+                                x = index[w]
+                                if x < start:
+                                    index[w] = low[w] = count
+                                    count += 1
                                     stack.append(w)
                                     work.append((w, iter(out[w])))
                                     break
@@ -469,20 +483,11 @@ def _odd_cycle_witness(g, parity=1, view=None):
                         if w == v and loop.get(v, p + 1) > p:
                             comp[v] = -1
                             continue
-                        members = [w]
+                        comp[w] = x + 1
                         while w != v:
                             w = stack.pop()
-                            members.append(w)
-                        for w in members:
-                            comp[w] = fresh
-                        split.append((fresh, members))
-                        fresh += 1
-        if not split:
-            return None
-        pieces = split
-        for i in compress(ids, map(p.__eq__, at)):
-            s, d = src[i], dst[i]
-            cid = comp[s]
+                            comp[w] = x + 1
+                cid = comp[s]
             if cid < 0 or cid != comp[d]:
                 continue
             # path d -> s inside the view, restricted to the component (empty

@@ -347,6 +347,9 @@ def export_pgsolver(game):
     if not isinstance(game, ParityGame):
         raise PreconditionFailed("pgsolver", f"unsupported object {type(game).__name__}")
     g = game.graph
+    if not g.vertices:
+        # the `parity N;` header names the largest vertex id
+        raise PreconditionFailed("pgsolver", "a game without vertices has no header")
     vertex_priority = {}
     for e in g.edges:
         before = vertex_priority.get(e.dst)

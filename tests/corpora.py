@@ -25,6 +25,7 @@ from paritykit.games import (
     Index,
     ParityGame,
     ParityGraph,
+    _strategy_view,
     check_even,
     solve,
     strategy_graph,
@@ -121,6 +122,14 @@ def repaired_even_graph(rng, n, top, odd_share):
     """Random terminal-free graph with mostly even priorities up to `top`;
     the top edge of each odd cycle that check_even reports is bumped by one
     until none is left."""
+    for g in repair_loop(rng, n, top, odd_share):
+        pass
+    return g
+
+
+def repair_loop(rng, n, top, odd_share):
+    """Every graph that repaired_even_graph checks, in order; the last one
+    is even."""
     edges = []
     for v in range(n):
         for _ in range(1 + sum(1 for _ in range(2) if rng.random() < 0.5)):
@@ -130,12 +139,37 @@ def repaired_even_graph(rng, n, top, odd_share):
             edges.append((v, rng.randrange(n), p))
     while True:
         g = ParityGraph.make(range(n), edges)
+        yield g
         even, lasso = check_even(g)
         if even:
-            return g
+            return
         i = max(lasso.cycle, key=lambda k: (edges[k][2], k))
         s, d, p = edges[i]
         edges[i] = (s, d, p + 1)
+
+
+def large_witness_corpus():
+    """(graph, view) calls for the large lasso pin: every graph of 16
+    seeded 300-vertex repair loops (mostly even priorities up to 16, odd
+    share 0.15, their lassos 1-3 levels below the top; the last graph of
+    each loop even), then strategy views of register products as
+    verify_winning passes them, for each player its solved strategy on its
+    region and, on the whole vertex set, that strategy completed by each
+    other vertex's first edge."""
+    for seed in range(16):
+        for g in repair_loop(random.Random(seed), 300, 16, 0.15):
+            yield g, None
+    base = GenParams(seed=21057, vertex_count=5, priority_cap=4, edge_density=0.5)
+    for salt in range(3):
+        g = random_non_even_graph(base, salt=salt)
+        game = reg_product(g, Index(1, 4), 1, starts=sorted(rejecting_vertices(g))).game
+        we, wa, se, sa = solve(game)
+        out = game.graph.out
+        for player, sigma, region in ((EVE, se, we), (ADAM, sa, wa)):
+            first = {v: out[v][0] for v in game.player_vertices(player)}
+            for s, r in ((sigma, region), ({**first, **sigma}, game.graph.vertices)):
+                view = _strategy_view(game, s, r, player)
+                yield game.graph, (r, view, list(itertools.chain.from_iterable(view.values())))
 
 
 def graph_of_tree(t):

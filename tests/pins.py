@@ -61,6 +61,7 @@ from corpora import (
     UNIVERSAL_GRID,
     build_corpus,
     composed_corpus,
+    large_witness_corpus,
     n_bound_corpus,
     quotient_corpus,
     validate_corpus,
@@ -118,6 +119,23 @@ def odd_cycle_witness_answers():
             answer = None if lasso is None else [lasso.stem, lasso.cycle]
             yield f"graph {i} parity {parity}", json.dumps(answer).encode()
     assert found > 300
+
+
+def odd_cycle_witness_large_answers():
+    """The lasso or None of _odd_cycle_witness for both parities on
+    large_witness_corpus(): 300-vertex repair loops and strategy views of
+    register products; every lasso is checked."""
+    found = 0
+    for i, (g, view) in enumerate(large_witness_corpus()):
+        for parity in (1, 0):
+            lasso = games._odd_cycle_witness(g, parity, view)
+            if lasso is not None:
+                found += 1
+                assert lasso.check(g) and max(g.pri[i] for i in lasso.cycle) % 2 == parity
+                assert view is None or set(lasso.cycle) <= set(view[2])
+            answer = None if lasso is None else [lasso.stem, lasso.cycle]
+            yield f"call {i} parity {parity}", json.dumps(answer).encode()
+    assert found > 100
 
 
 def verify_winning_answers():
@@ -387,6 +405,9 @@ def product_dot_answers():
 PINS = {
     "product_slice": ("fd05fd30a6d40d64dcabd22928bf124762504d88", product_slice_answers),
     "odd_cycle_witness": ("07faf17797442d069e59e55bd8b28a445d334a4e", odd_cycle_witness_answers),
+    "odd_cycle_witness_large": (
+        "2d6ff966fa175af63af497f9477d3b100f9ac0a3", odd_cycle_witness_large_answers
+    ),
     "verify_winning": ("19a9fb3622bc524cd020dfb37271b7ead7785d47", verify_winning_answers),
     "bounded_pair": ("e7ca3533b07a3e886dee07b8e4050fe6bf627a7a", bounded_pair_answers),
     "build_ad": ("0791468d9419a5295adbce6b13f14827347b5621", build_ad_answers),

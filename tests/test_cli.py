@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import json
 import pathlib
 import time
@@ -25,6 +26,7 @@ from paritykit.lab import (
 from paritykit.transduction import RegProduct, eve_wins_reg, reg_product
 from paritykit.trees import OrderedTree
 
+from corpora import graph_of_tree
 from oracles import chain_graph
 
 
@@ -319,6 +321,26 @@ class TestCommands:
         assert main(["ad", "check", path, "--decomposition", str(d_path)]) == 0
         assert "valid" in capsys.readouterr().out
         assert main(["ad", "shape", path, "--decomposition", str(d_path)]) == 0
+
+    def test_ad_check_names_the_clause_that_fails(self, tmp_path, capsys):
+        g = graph_of_tree(OrderedTree.from_brackets("(()())"))
+        d = build_ad(g, 4)
+        assert len(d.children) == 2
+        path = write(tmp_path, "g.json", g)
+        dropped = write(tmp_path, "d.json", dataclasses.replace(d, children=d.children[:1]))
+        assert main(["ad", "check", path, "--decomposition", dropped]) == 1
+        assert capsys.readouterr().out == "invalid: coverage (frozenset({2}))\n"
+
+    def test_reg_synth_from_a_decomposition(self, tmp_path, capsys):
+        assert main(["lab", "random", "--kind", "even-graph"]) == 0
+        (tmp_path / "g.json").write_text(capsys.readouterr().out)
+        assert main(["ad", "build", str(tmp_path / "g.json")]) == 0
+        (tmp_path / "d.json").write_text(capsys.readouterr().out)
+        argv = ["reg", "synth", str(tmp_path / "g.json"), "--decomposition", str(tmp_path / "d.json")]
+        assert main([*argv, "--n", "1"]) == 0
+        verdict, _, strategy = capsys.readouterr().out.partition("\n")
+        assert verdict == "verified"
+        assert json.loads(strategy)["kind"] == "strategy"
 
     def test_strahler_and_universal(self, tmp_path, capsys):
         t = OrderedTree.from_brackets("(()()())")
@@ -703,6 +725,14 @@ class TestHostileManifests:
         out = capsys.readouterr().out.splitlines()
         assert out[0] == "not bounded"
         assert json.loads(out[1])["segments"] == [[0]] * 1001
+
+    def test_pgsolver_export_without_a_vertex_is_a_usage_error(self, tmp_path, capsys):
+        # PGSolver's header names the largest vertex id, and `parity -1;` does not parse
+        path = write(tmp_path, "empty.json", ParityGame.make(ParityGraph.make([], []), {}))
+        assert main(["--format", "pgsolver", "convert", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "precondition failed: pgsolver (a game without vertices has no header)" in captured.err
 
     @pytest.mark.parametrize("kind", ["graph", "game"])
     def test_reg_solve_without_a_vertex_is_a_usage_error(self, tmp_path, capsys, kind):

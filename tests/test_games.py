@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from paritykit.automata import accepting_run, acceptance_game, guided_run
 from paritykit.decomposition import memory_product
 from paritykit.errors import (
     NoAcceptingRun,
+    ParityKitError,
     StateExplosion,
     StrategyEscapesRegion,
     TerminalVertex,
@@ -43,6 +45,7 @@ from paritykit.lab import (
 from paritykit.lab import random_game as lab_random_game
 from paritykit.transduction import reg_product
 
+from corpora import verify_corpus
 from oracles import (
     brute_attractor_edges,
     brute_attractor_vertices,
@@ -316,7 +319,109 @@ class TestVerifyWinning:
         assert verdicts.count(True) > 10 and verdicts.count(False) > 10
 
 
+def lasso_contract_calls():
+    """(graph, view) calls on at most 7 vertices: seeded graphs with
+    priorities up to 9, ids 0..n-1 or gapped and self-loops, then the
+    strategy views that verify_winning searches on verify_corpus()."""
+    rng = random.Random(2929)
+    for k in range(400):
+        n = rng.randint(1, 7)
+        vertices = sorted(rng.sample(range(3 * n), n)) if k % 3 == 0 else list(range(n))
+        edges = []
+        for v in vertices:
+            for _ in range(rng.randint(0, 3)):
+                edges.append((v, rng.choice(vertices), rng.randint(0, 9)))
+            if rng.random() < 0.3:
+                edges.append((v, v, rng.randint(0, 9)))
+        yield ParityGraph.make(vertices, edges), None
+    views = []
+    search = games._odd_cycle_witness
+
+    def spy(g, parity=1, view=None):
+        views.append((g, view))
+        return search(g, parity, view)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(games, "_odd_cycle_witness", spy)
+        for gm, sigma, region, player in verify_corpus():
+            try:
+                verify_winning(gm, sigma, region, player)
+            except ParityKitError:
+                pass
+    yield from ((g, view) for g, view in views if len(view[0]) <= 7)
+
+
+def contract_first_edge(g, parity, view):
+    """The edge the lasso must start at, from simple cycles: for the largest
+    p of `parity` that is the maximum of a simple cycle, the first p-edge in
+    `ids` order on such a cycle; None if there is no such p."""
+    vertices, _, ids = view or (g.vertices, None, range(len(g.pri)))
+    sub = ParityGraph.make(vertices, [(g.src[i], g.dst[i], g.pri[i]) for i in ids])
+    on_cycles = {}
+    for cycle in simple_cycles(sub):
+        p = max(sub.pri[j] for j in cycle)
+        if p % 2 == parity:
+            on_cycles.setdefault(p, set()).update(j for j in cycle if sub.pri[j] == p)
+    if not on_cycles:
+        return None
+    return ids[min(on_cycles[max(on_cycles)])]
+
+
+class CountingTable(list):
+    """A successor table that counts the reads of each vertex's entry."""
+
+    def __init__(self, table):
+        super().__init__(table)
+        self.reads = Counter()
+
+    def __getitem__(self, v):
+        self.reads[v] += 1
+        return super().__getitem__(v)
+
+
 class TestOddCycleWitness:
+    def test_lasso_starts_at_the_first_top_edge_on_a_cycle(self):
+        below_top, later_edge, views = 0, 0, 0
+        for g, view in lasso_contract_calls():
+            views += view is not None
+            for parity in (1, 0):
+                lasso = games._odd_cycle_witness(g, parity, view)
+                first = contract_first_edge(g, parity, view)
+                assert (lasso is None) == (first is None)
+                if lasso is None:
+                    continue
+                assert lasso.cycle[0] == first and lasso.check(g)
+                ids = list(range(len(g.pri)) if view is None else view[2])
+                assert set(lasso.cycle) <= set(ids)
+                p = g.pri[first]
+                below_top += p < max(g.pri[i] for i in ids if g.pri[i] % 2 == parity)
+                later_edge += any(g.pri[i] == p for i in ids[: ids.index(first)])
+        assert views > 1000 and below_top > 150 and later_edge > 150
+
+    def test_search_stops_in_the_part_where_the_top_cycle_closes(self):
+        # part A, vertices 0-1: edge 0 is the first top edge and closes a cycle;
+        # part B, vertices 2-41: a ring with top edges and cycles at every level
+        edges = [(0, 1, 7), (1, 0, 2)]
+        edges += [(v, 2 + (v - 1) % 40, 7 - v % 8) for v in range(2, 42)]
+        edges += [(v, v, 5) for v in range(2, 42, 5)]
+        g = ParityGraph.make(range(42), edges)
+        out = vars(g)["out"] = CountingTable(g.out)
+        assert games._odd_cycle_witness(g) == Lasso((), (0, 1))
+        assert set(out.reads) <= {0, 1}
+
+    def test_each_level_searches_a_vertex_at_most_once(self):
+        # a ring of priority-0 edges into which no odd edge closes: each ring
+        # vertex also has edges of priorities 3 and 1 into a sink with a loop
+        k = 20
+        edges = [(v, (v + 1) % k, 0) for v in range(k)] + [(k, k, 0)]
+        edges += [(v, k, p) for v in range(k) for p in (3, 1)]
+        g = ParityGraph.make(range(k + 1), edges)
+        out = vars(g)["out"] = CountingTable(g.out)
+        assert games._odd_cycle_witness(g) is None
+        # level 3 reaches the sink from the ring; level 1 only searches the
+        # ring, since the sink has a component of its own
+        assert out.reads == {**dict.fromkeys(range(k), 2), k: 1}
+
     def test_even_cycles_match_cycle_enumeration(self):
         rng = random.Random(47)
         seen = 0
