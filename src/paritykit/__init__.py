@@ -36,7 +36,6 @@ from .trees import (
     LEAF,
     Embedding,
     OrderedTree,
-    depth,
     embed,
     enumerate_trees,
     is_universal_for,

@@ -32,7 +32,7 @@ class NPTA:
     index: Index
 
     @staticmethod
-    def make(alphabet, states, initial, transitions, omega, index=None):
+    def make(alphabet, states, initial, transitions, omega, index):
         alphabet = tuple(sorted(set(alphabet)))
         states = tuple(sorted(set(states)))
         transitions = tuple(tuple(t) for t in transitions)
@@ -52,10 +52,6 @@ class NPTA:
                 raise PreconditionFailed("transition", f"unknown state in {(q, a, q0, q1)}")
             if a not in letters:
                 raise PreconditionFailed("transition", f"unknown letter in {(q, a, q0, q1)}")
-        if index is None:
-            hi = max((max(o) for o in omega), default=0)
-            lo = min((min(o) for o in omega), default=0)
-            index = Index(lo, hi)
         lo, hi = index.lo, index.hi
         for o in omega:
             if not (lo <= o[0] <= hi and lo <= o[1] <= hi):
@@ -161,7 +157,7 @@ class RegularTree:
     root: int
 
     @staticmethod
-    def make(labels, succ0, succ1, root=0):
+    def make(labels, succ0, succ1, root):
         labels = tuple(labels)
         succ0 = tuple(succ0)
         succ1 = tuple(succ1)
@@ -272,7 +268,8 @@ def _acceptance_product(a, t, what, start, moves, tail):
 
     decode, (initial,) = explore([("q", t.root, start)], expand, what)
     graph = ParityGraph._explored(len(decode), src, dst, pri, a.index)
-    return decode, initial, ParityGame.make(graph, eve)
+    # `explore` numbered every vertex in `eve`, so eve is within them
+    return decode, initial, ParityGame(graph, frozenset(eve))
 
 
 @dataclass(frozen=True)
@@ -290,11 +287,10 @@ class RunGraph:
         return self.graph.out[vid]
 
 
-def run_graph(a, t, sigma, ag=None):
-    """Collapse the acceptance game under an Eve strategy into the run
-    graph; priorities become the per-direction transition priorities."""
-    if ag is None:
-        ag = acceptance_game(a, t)
+def run_graph(a, t, sigma, ag):
+    """Collapse `ag`, the acceptance game of `a` on `t`, under an Eve
+    strategy into the run graph; priorities become the per-direction
+    transition priorities."""
     g = ag.game.graph
     chosen = []
     src, dst, pri = [], [], []
@@ -326,7 +322,7 @@ def accepting_run(a, t):
     eve_region, _, eve_strat, _ = solve(ag.game)
     if ag.initial not in eve_region:
         raise NoAcceptingRun("the automaton rejects the tree")
-    return run_graph(a, t, eve_strat, ag=ag)
+    return run_graph(a, t, eve_strat, ag)
 
 
 @dataclass(frozen=True)
@@ -365,10 +361,12 @@ def guided_run(gf, a, b, t, run_b):
 
 
 def _guided_run(gf, a, b, t, run_b):
-    """The guided run and, per guided vertex, its guide vertex in `run_b`."""
+    """The guided run and, per edge of it, the priority of the edge of
+    `run_b` that it follows."""
     chosen = []
     src, dst, pri = [], [], []
-    b_dst = run_b.graph.dst
+    label_j = []
+    b_dst, b_pri = run_b.graph.dst, run_b.graph.pri
 
     def expand(key, vid, intern):
         bvid, p = key
@@ -389,21 +387,18 @@ def _guided_run(gf, a, b, t, run_b):
         dst.append(intern((b_dst[b0], p0)))
         dst.append(intern((b_dst[b1], p1)))
         pri.extend((pr0, pr1))
+        label_j.extend((b_pri[b0], b_pri[b1]))
 
     what = f"guided_run(states={a.size()}, guide states={b.size()}, nodes={t.node_count()})"
     states, (root,) = explore([(run_b.root, a.initial)], expand, what)
     graph = ParityGraph._explored(len(states), src, dst, pri, a.index)
     decode = tuple((run_b.decode[bvid][0], p) for bvid, p in states)
-    run = RunGraph(graph, decode, tuple(chosen), root)
-    return run, tuple(bvid for bvid, _p in states)
+    return RunGraph(graph, decode, tuple(chosen), root), label_j
 
 
 def run_pair_labelling(gf, a, b, t, run_b):
     """Guided run and the joint (labelI, labelJ) view of guided vs guide."""
-    ga, guide = _guided_run(gf, a, b, t, run_b)
-    b_pri = run_b.graph.pri
-    # the guided run lists each vertex's direction-0 edge, then its direction-1 edge
-    label_j = [b_pri[bedge] for bvid in guide for bedge in run_b.direction_edges(bvid)]
+    ga, label_j = _guided_run(gf, a, b, t, run_b)
     pair = LabellingPair.make(ga.graph, ga.graph.pri, label_j, a.index, _j_index(b.index))
     return ga, pair
 

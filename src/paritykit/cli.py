@@ -12,11 +12,13 @@ from . import manifests
 from .decomposition import build_ad, is_tight, n_bound_check, tree_shape, validate_ad
 from .errors import (
     DEFAULT_STATE_CAP,
+    DanglingSuccessor,
     NotBounded,
     NotEven,
     ParityKitError,
     ParseError,
     PreconditionFailed,
+    PriorityOutOfRange,
     StateExplosion,
     TooLarge,
 )
@@ -447,7 +449,8 @@ def main(argv=None):
         return _report_error(args, MemoryError(f"{command}: out of memory"), "resource cap", 3)
     except (NotEven, NotBounded) as err:
         return _report_error(args, err, "negative", 1)
-    except (ParseError, PreconditionFailed, FileNotFoundError) as err:
+    # malformed input, a priority outside its declared index included
+    except (ParseError, PreconditionFailed, PriorityOutOfRange, DanglingSuccessor, FileNotFoundError) as err:
         return _report_error(args, err, "usage error", 2)
     except ParityKitError as err:
         return _report_error(args, err, "error", 1)

@@ -558,8 +558,9 @@ def memory_product(pair, cap=DEFAULT_STATE_CAP):
     decode, start_ids = explore(((v, 0) for v in starts), expand, what, cap)
     initial = dict(zip(starts, start_ids))
     product_graph = ParityGraph._explored(len(decode), src, dst, [0] * len(src), Index(0, 0))
-    product_pair = LabellingPair.make(
-        product_graph, label_i, label_j, pair.index_i, pair.index_j
+    # the labels are copied from `pair`, which checked them against its indices
+    product_pair = LabellingPair(
+        product_graph, tuple(label_i), tuple(label_j), pair.index_i, pair.index_j
     )
     return MemoryProduct(product_pair, tuple(decode), flag_pairs, initial)
 
@@ -613,9 +614,6 @@ def _rts_build(mp, g, label_j, alive, cap, i2, j2, n):
     level = 2 * i2
     if i2 == 0:
         return AttractorDecomposition(0, _live_edges(g, alive, cap), frozenset(alive), ())
-    t = _scan(g, alive, alive, cap, level)[1]
-    if t is not None:
-        raise InvalidDecomposition(f"terminal vertex {t} in construction subgame")
     h_edges, a0, kids = _canonical_children(g, alive, cap, level)
     if not kids:
         return AttractorDecomposition(level, h_edges, frozenset(alive), ())

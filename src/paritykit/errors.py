@@ -52,15 +52,15 @@ class StateExplosion(ParityKitError):
 class NotBounded(ParityKitError):
     """Labelling pair fails an n-bound check; carries the segmented path."""
 
-    def __init__(self, counterexample, message="labelling is not bounded"):
+    def __init__(self, counterexample):
         self.counterexample = counterexample
-        super().__init__(message)
+        super().__init__("labelling is not bounded")
 
 
 class PreconditionFailed(ParityKitError):
-    def __init__(self, name, detail=""):
+    def __init__(self, name, detail):
         self.name = name
-        super().__init__(f"precondition failed: {name}" + (f" ({detail})" if detail else ""))
+        super().__init__(f"precondition failed: {name} ({detail})")
 
 
 class InvalidDecomposition(ParityKitError):

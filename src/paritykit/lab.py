@@ -172,7 +172,7 @@ def random_bounded_pair(p, n, salt=0):
     raise ExhaustedRetries(f"no {n}-bound even pair found")
 
 
-def brute_solve(game, cap=DEFAULT_STATE_CAP):
+def brute_solve(game):
     """Exact regions by enumerating Eve's positional strategies, which
     suffice by positional determinacy: a vertex is Eve's iff some strategy
     leaves no cycle with odd maximum reachable from it in the residual
@@ -180,9 +180,9 @@ def brute_solve(game, cap=DEFAULT_STATE_CAP):
     `solve`.
 
     The strategies are counted first and refused with TooLarge beyond
-    `cap`; each then costs one `_odd_reach`, about n^2 per odd priority, so
-    the whole cost is exponential in Eve's choices.  The enumeration stops
-    as soon as Eve wins every vertex."""
+    `DEFAULT_STATE_CAP`; each then costs one `_odd_reach`, about n^2 per
+    odd priority, so the whole cost is exponential in Eve's choices.  The
+    enumeration stops as soon as Eve wins every vertex."""
     g = game.graph
     if g.terminals:
         raise TerminalVertex(g.terminals[0])
@@ -190,8 +190,8 @@ def brute_solve(game, cap=DEFAULT_STATE_CAP):
     total = 1
     for v in eve_vs:
         total *= len(g.out[v])
-        if total > cap:
-            raise TooLarge(f"strategy space exceeds {cap}")
+        if total > DEFAULT_STATE_CAP:
+            raise TooLarge(f"strategy space exceeds {DEFAULT_STATE_CAP}")
     order, edges = _positions(g)
     adam_edges = [edges[i] for v in order if v not in game.eve for i in g.out[v]]
     full = (1 << len(order)) - 1
@@ -393,15 +393,11 @@ def guided_negative():
     """A non-preserving guide: the guide's b-step is rewritten into a trap."""
     a = _aut_eventually_b_trap()
     b = _aut_eventually_b()
-    table = {}
-    for p in a.states:
-        for tid_b, tb in enumerate(b.transitions):
-            tids = a.transitions_from(p, tb[1])
-            if p == 0 and tb[1] == "b":
-                trap = [i for i in tids if a.transitions[i][2] == 2]
-                table[(p, tid_b)] = trap[0]
-            else:
-                table[(p, tid_b)] = tids[0]
+    table = dict(_deterministic_guide(a, b).table)
+    trap = next(i for i in a.transitions_from(0, "b") if a.transitions[i][2] == 2)
+    for tid_b, tb in enumerate(b.transitions):
+        if tb[1] == "b":
+            table[(0, tid_b)] = trap
     return a, b, GuidingFunction.make(a, b, table), _suite_trees()
 
 

@@ -276,7 +276,8 @@ def reg_product(base, J, n, *, rule=LIBERAL, cap=DEFAULT_STATE_CAP, starts=None)
     decode, start_ids = explore((("A", v, machine.initial) for v in starts), expand, what, cap)
     initial = dict(zip(starts, start_ids))
     graph = ParityGraph._explored(len(decode), src, dst, pri, Index(0, max(J.hi, 1)))
-    game = ParityGame.make(graph, eve)
+    # `explore` numbered every vertex in `eve`, so eve is within them
+    game = ParityGame(graph, frozenset(eve))
     return RegProduct(
         game, tuple(decode), initial, base, J, n, rule, machine.regs, machine.counter_keys
     )

@@ -1,4 +1,4 @@
-"""Finite ordered trees: depth, n-Strahler numbers, order-preserving
+"""Finite ordered trees: n-Strahler numbers, order-preserving
 embeddings, finite universal-tree construction and enumeration."""
 
 from dataclasses import dataclass, field
@@ -126,11 +126,6 @@ class OrderedTree:
 
 
 LEAF = OrderedTree()
-
-
-def depth(t):
-    """Leaf has depth 1; a node adds one to its deepest child."""
-    return t._depth
 
 
 def strahler_from_children(values, n):

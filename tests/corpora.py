@@ -41,7 +41,6 @@ from paritykit.lab import (
     rejecting_vertices,
 )
 from paritykit.transduction import reg_product
-from paritykit.trees import depth
 
 from oracles import random_game, random_graph
 
@@ -173,9 +172,9 @@ def large_witness_corpus():
 
 
 def graph_of_tree(t):
-    """An even graph whose canonical decomposition at level 2 x depth(t)
+    """An even graph whose canonical decomposition at level 2 x t._depth
     has tree shape t: one vertex per node of t, numbered in preorder, with
-    a self-loop of the node's level (2 x depth(t) at the root, 2 less per
+    a self-loop of the node's level (2 x t._depth at the root, 2 less per
     generation), an edge of priority 0 from each child to its parent and
     one of the parent's level back, and an edge one below the parent's
     level from each child to its previous sibling, so that the children
@@ -194,7 +193,7 @@ def graph_of_tree(t):
             previous = w
         return v
 
-    add(t, 2 * depth(t))
+    add(t, 2 * t._depth)
     return ParityGraph.make(range(next(ids)), edges)
 
 

@@ -467,6 +467,24 @@ class TestGuidedRun:
                     gf, a, b, run_b, 6
                 )
 
+    def test_label_j_follows_the_guide_edge_of_each_direction(self):
+        # the guide reads 2 in direction 0 and 4 in direction 1, so a label
+        # taken from the other direction shows
+        b = NPTA.make(("a",), (0,), 0, [(0, "a", 0, 0)], [(2, 4)], Index(1, 4))
+        t = RegularTree.make(("a", "a"), (1, 0), (0, 1), 0)
+        run_b = accepting_run(b, t)
+        guided, pair = run_pair_labelling(_deterministic_guide(b, b), b, b, t, run_b)
+        todo, seen = [(guided.root, run_b.root)], set()
+        while todo:
+            v, w = todo.pop()
+            if (v, w) in seen:
+                continue
+            seen.add((v, w))
+            for ge, be in zip(guided.direction_edges(v), run_b.direction_edges(w)):
+                assert pair.label_j[ge] == run_b.graph.pri[be]
+                todo.append((guided.graph.dst[ge], run_b.graph.dst[be]))
+        assert len(seen) == len(guided.graph.vertices) and set(pair.label_j) == {2, 4}
+
     def test_incompatible_guide_rejected(self):
         a = _aut_eventually_b()
         b = _aut_accept_all()

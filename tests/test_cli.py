@@ -8,8 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paritykit import cli, manifests
-from paritykit.automata import NPTA, GuidingFunction, RegularTree
+from paritykit import cli, lab, manifests
+from paritykit.automata import (
+    NPTA,
+    GuidingFunction,
+    RegularTree,
+    acceptance_game,
+    guided_pair_bound_check,
+    membership,
+)
 from paritykit.cli import main
 from paritykit.decomposition import AttractorDecomposition, LabellingPair, build_ad
 from paritykit.errors import PreconditionFailed
@@ -18,6 +25,7 @@ from paritykit.lab import (
     GenParams,
     _aut_eventually_b,
     _deterministic_guide,
+    guided_negative,
     guided_suite,
     random_bounded_pair,
     random_even_graph,
@@ -37,6 +45,10 @@ def write(tmp_path, name, obj):
     path = tmp_path / name
     path.write_text(manifests.dumps(obj))
     return str(path)
+
+
+# a self-loop of priority 4 in a graph that declares the index [0, 2]
+LOOP_4 = {"vertices": [0], "edges": [[0, 0, 4]], "index": [0, 2]}
 
 
 @pytest.fixture
@@ -267,6 +279,35 @@ class TestExitCodes:
         assert main(["ad", "check", path, "--decomposition", str(d_path)]) == 0
         assert main(["ad", "tight", path, "--decomposition", str(d_path)]) == 0
 
+    @pytest.mark.parametrize(
+        "argv, doc, named",
+        [
+            (["solve"], {"kind": "graph", "payload": LOOP_4}, "priority 4 outside Index(lo=0, hi=2)"),
+            (["--json-errors", "solve"], {"kind": "graph", "payload": LOOP_4}, '"error": "PriorityOutOfRange"'),
+            (
+                ["bound", "check"],
+                {"kind": "pair", "payload": {"graph": dict(LOOP_4, edges=[[0, 0, 0]]), "label_i": [5],
+                                             "label_j": [2], "index_i": [0, 2], "index_j": [1, 2]}},
+                "labelI value 5 outside Index(lo=0, hi=2)",
+            ),
+            (["solve"], "parity 1;\n0 1 0 7;\n", "vertex 0 lists unknown successor 7"),
+            (
+                ["ad", "build", "--level", "2"],
+                {"kind": "graph", "payload": dict(LOOP_4, index=[0, 4])},
+                "priority 4 exceeds level 2",
+            ),
+        ],
+    )
+    def test_priority_outside_the_index_or_a_dangling_successor_is_usage_error(
+        self, tmp_path, capsys, argv, doc, named
+    ):
+        path = tmp_path / "input"
+        path.write_text(doc if isinstance(doc, str) else json.dumps(dict(doc, format="paritykit/1")))
+        assert main([*argv, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert named in err
+        assert '"exit": 2' in err if "--json-errors" in argv else err.startswith("usage error: ")
+
     def test_memory_error_is_a_resource_cap(self, even_loop, monkeypatch, capsys):
         def exhaust(args):
             raise MemoryError
@@ -432,6 +473,45 @@ class TestCommands:
         assert main(["aut", "member", a_path, "--tree", t_path]) == 0
         t2 = write(tmp_path, "t2.json", RegularTree.make(("a",), (0,), (0,), 0))
         assert main(["aut", "member", a_path, "--tree", t2]) == 1
+
+    def test_aut_game(self, tmp_path, capsys):
+        a = _aut_eventually_b()
+        t = RegularTree.make(("a", "b"), (1, 0), (1, 0), 0)
+        argv = ["aut", "game", write(tmp_path, "a.json", a), "--tree", write(tmp_path, "t.json", t)]
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert manifests.loads(capsys.readouterr().out, ("game",)) == acceptance_game(a, t).game
+
+    def test_aut_guide(self, tmp_path, capsys):
+        def guide(a, b, gf, t):
+            return main([
+                "aut", "guide", write(tmp_path, "a.json", a),
+                "--tree", write(tmp_path, "t.json", t),
+                "--guide-automaton", write(tmp_path, "b.json", b),
+                "--guiding-function", write(tmp_path, "g.json", gf),
+            ])
+
+        a, b, gf, trees = guided_suite()[0]
+        capsys.readouterr()
+        assert guide(a, b, gf, trees[0]) == 0
+        assert capsys.readouterr().out == "bounded\n"
+        a, b, gf, trees = guided_negative()
+        failing = [t for t in trees if membership(b, t) and not guided_pair_bound_check(a, b, gf, t)]
+        assert failing and guide(a, b, gf, failing[0]) == 1
+        assert capsys.readouterr().out == "not bounded\n"
+
+    def test_lab_battery_prints_each_failure(self, monkeypatch, capsys):
+        def run(p, count):
+            return count, [("instance 0 disagrees", None), ("instance 1 disagrees", '{"kind": "graph"}')]
+
+        monkeypatch.setattr(lab, "CRITERIA", (lab.Criterion("always-fails", 1, run),))
+        assert main(["lab", "battery", "--instances", "1"]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[-3:] == [
+            "failure[always-fails]: instance 0 disagrees",
+            "failure[always-fails]: instance 1 disagrees",
+            '{"kind": "graph"}',
+        ]
 
     def test_lab_battery(self, capsys):
         assert main(["--seed", "3", "lab", "battery", "--instances", "2"]) == 0

@@ -27,7 +27,7 @@ from paritykit.errors import (
 )
 from paritykit.games import Index, ParityGraph, check_even, is_even, unwind
 from paritykit.lab import GenParams, random_bounded_pair, random_even_graph
-from paritykit.trees import LEAF, OrderedTree, depth, n_strahler
+from paritykit.trees import LEAF, OrderedTree, n_strahler
 
 from corpora import repaired_even_graph, wide_flag_pair
 from oracles import brute_is_tight, brute_reachability_check, chain_graph, random_graph
@@ -170,7 +170,7 @@ class TestTreeShape:
             h = max((e.priority for e in g.edges), default=0)
             h += h % 2
             d = build_ad(g, h)
-            assert depth(tree_shape(d)) <= h // 2 + 1
+            assert tree_shape(d)._depth <= h // 2 + 1
 
 
 class TestIsTight:
@@ -415,7 +415,7 @@ class TestDeepDecompositions:
         d = build_ad(g, 2 * 1199)
         assert validate_ad(g, d)
         assert d.width() == 1
-        assert depth(tree_shape(d)) == 1200
+        assert tree_shape(d)._depth == 1200
         assert is_tight(g, d) and ad_reachability_check(g, d)
         dot = manifests.export_dot(d)
         assert dot.count("subgraph cluster_") == 1200

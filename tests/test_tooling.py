@@ -91,29 +91,261 @@ def test_every_private_function_is_used():
     assert sorted(api for api in outside if api.split(".")[1] in used) == []
 
 
+ROOT = SRC.parent.parent
+SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _imported_module(node, in_package):
+    """The package module that `from ... import` reads: its stem, "__init__"
+    for the package itself, or None for a module outside the package."""
+    if node.level == 1 and in_package:
+        return node.module or "__init__"
+    if node.level == 0 and node.module == "paritykit":
+        return "__init__"
+    if node.level == 0 and (node.module or "").startswith("paritykit."):
+        return node.module.split(".")[1]
+    return None
+
+
+class _Source:
+    """One parsed file and what its imports bind: name -> ("module", stem)
+    or ("name", stem, name), at any depth of its code."""
+
+    def __init__(self, path, stem=None):
+        self.path, self.stem = path, stem
+        self.tree = ast.parse(path.read_text(), filename=str(path))
+        self.env = {}
+        for node in ast.walk(self.tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name == "paritykit" or alias.name.startswith("paritykit."):
+                        if alias.asname:
+                            self.env[alias.asname] = ("module", alias.name.partition(".")[2] or "__init__")
+                        else:
+                            self.env["paritykit"] = ("module", "__init__")
+            elif isinstance(node, ast.ImportFrom):
+                module = _imported_module(node, stem is not None)
+                for alias in node.names if module else ():
+                    if node.level == 1 and node.module is None:
+                        self.env[alias.asname or alias.name] = ("module", alias.name)
+                    else:
+                        self.env[alias.asname or alias.name] = ("name", module, alias.name)
+
+
+class _Package:
+    """The package's modules, their top-level definitions, and name
+    resolution through imports and re-imports."""
+
+    def __init__(self):
+        self.modules = {path.stem: _Source(path, path.stem) for path in sorted(SRC.glob("*.py"))}
+        self.defs = {
+            stem: {n.name: n for n in src.tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+            for stem, src in self.modules.items()
+        }
+
+    def resolve(self, stem, name):
+        """("def", stem, name) of the definition that `name` in module
+        `stem` is bound to, ("module", stem) for a package module, or None."""
+        for _ in range(len(self.modules)):
+            if name in self.defs[stem]:
+                return ("def", stem, name)
+            if stem == "__init__" and name in self.modules:
+                return ("module", name)
+            bound = self.modules[stem].env.get(name)
+            if bound is None or bound[0] == "module":
+                return bound
+            stem, name = bound[1], bound[2]
+        return None
+
+    def target(self, source, expr, shadow):
+        """What `expr`, read in `source` under the local names `shadow`, is
+        bound to in the package, or None."""
+        if isinstance(expr, ast.Name):
+            if expr.id in shadow:
+                return None
+            if source.stem is not None:
+                return self.resolve(source.stem, expr.id)
+            bound = source.env.get(expr.id)
+            return bound if bound is None or bound[0] == "module" else self.resolve(*bound[1:])
+        if isinstance(expr, ast.Attribute):
+            base = self.target(source, expr.value, shadow)
+            if base is not None and base[0] == "module":
+                return self.resolve(base[1], expr.attr)
+        return None
+
+    def node(self, target):
+        return self.defs[target[1]][target[2]]
+
+
+def _bound_locally(fn):
+    """The names that a function or lambda binds in its own scope; its
+    imports bind package names, which `_Source.env` tracks."""
+    args = fn.args
+    names = {a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg) if a}
+    for node in _own_nodes(fn):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+    return names
+
+
+def _scoped(tree):
+    """(node, names bound by its enclosing functions, its top-level
+    statement, its innermost enclosing class) for every node of `tree`."""
+    stack = [(child, frozenset(), child, None) for child in ast.iter_child_nodes(tree)]
+    while stack:
+        node, shadow, top, cls = stack.pop()
+        yield node, shadow, top, cls
+        inner = shadow | _bound_locally(node) if isinstance(node, SCOPES) else shadow
+        inner_cls = node if isinstance(node, ast.ClassDef) else cls
+        stack.extend((child, inner, top, inner_cls) for child in ast.iter_child_nodes(node))
+
+
+def _sources(package, *dirs):
+    """The package's modules but __init__, then the files of `dirs`."""
+    found = [src for stem, src in package.modules.items() if stem != "__init__"]
+    return found + [_Source(path) for d in dirs for path in sorted((ROOT / d).glob("*.py"))]
+
+
+def _public_references(package):
+    """"module.name" of each public module-level function or class that is
+    read, where the name is bound to the package's own definition, in
+    another statement of src/ (the re-exports of __init__.py do not count)
+    or in perfbench/."""
+    used = set()
+    for source in _sources(package, "perfbench"):
+        for node, shadow, top, _cls in _scoped(source.tree):
+            if not isinstance(getattr(node, "ctx", None), ast.Load):
+                continue
+            target = package.target(source, node, shadow)
+            if target is None or target[0] != "def" or package.node(target) is top:
+                continue
+            used.add(f"{target[1]}.{target[2]}")
+    return used
+
+
 def test_every_public_function_and_class_is_called():
-    """Each module-level public function and class of the package is
-    referenced in another module or statement of src/ (the re-exports of
-    __init__.py do not count), or in perfbench/, or is in OUTSIDE_API:
-    the package keeps no public name that only its own tests call."""
-    root = SRC.parent.parent
-    defined, used = {}, set()
-    for path in sorted(SRC.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
-        tree = ast.parse(path.read_text(), filename=str(path))
-        for node in tree.body:
-            name = getattr(node, "name", None)
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not name.startswith("_"):
-                defined[name] = f"{path.stem}.{name}"
-            used.update(ref for ref in _references(node) if ref != name)
-    for path in sorted((root / "perfbench").rglob("*.py")):
-        used.update(_references(ast.parse(path.read_text(), filename=str(path))))
+    """Each module-level public function and class of the package is read
+    in another module or statement of src/ or in perfbench/, where its name
+    is bound to its definition (in its own module, imported from it, or
+    read as `module.name`), or is in OUTSIDE_API: the package keeps no
+    public name that only its own tests call.  A local variable or an
+    option that shares the name does not count."""
+    package = _Package()
+    defined = {
+        f"{stem}.{name}"
+        for stem, defs in package.defs.items()
+        for name in defs
+        if not name.startswith("_")
+    }
     assert len(defined) > 100
-    uncalled = {where for name, where in defined.items() if name not in used}
+    uncalled = defined - _public_references(package)
     assert sorted(uncalled - OUTSIDE_API.keys()) == []
     # each outside-only function exists and is still uncalled inside
     assert uncalled == {api for api in OUTSIDE_API if api[0].islower()}
+
+
+# parameter defaults that lack traffic, as "module.function(param)" or
+# "module.Class.method(param)", each with why it stays
+OPTIONS_WITHOUT_TRAFFIC = {
+    "games.strategy_graph(player)": "no package call builds Adam's strategy graph; tests build it to check "
+    "`verify_winning`'s Adam verdict against it",
+    "lab.random_automaton(max_states)": "the battery draws automata of up to three states; tests draw "
+    "two-state ones to enumerate their runs",
+    "cli.main(argv)": "the console script reads sys.argv; tests pass the arguments",
+}
+
+
+def _defaulted_parameters(package):
+    """(key, function node, positional parameter names, defaulted names)
+    of each package function and method with a default."""
+    for stem, defs in package.defs.items():
+        for name, node in defs.items():
+            functions = [(f"{stem}.{name}", node)] if isinstance(node, ast.FunctionDef) else [
+                (f"{stem}.{name}.{item.name}", item) for item in node.body if isinstance(item, ast.FunctionDef)
+            ]
+            for key, fn in functions:
+                args = fn.args
+                positional = [a.arg for a in (*args.posonlyargs, *args.args)]
+                defaulted = positional[len(positional) - len(args.defaults):] if args.defaults else []
+                defaulted += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+                if defaulted:
+                    yield key, fn, positional, defaulted
+
+
+def _callees(package, source, call, shadow, cls):
+    """(function node, implicit leading arguments) of each package function
+    or method that `call` may call; a method called on a receiver of
+    unknown class may be any package method of that name.  The package
+    has no classmethods."""
+    func = call.func
+    target = package.target(source, func, shadow)
+    if target is not None and target[0] == "def":
+        node = package.node(target)
+        if isinstance(node, ast.FunctionDef):
+            return [(node, 0)]
+        init = [item for item in node.body if isinstance(item, ast.FunctionDef) and item.name == "__init__"]
+        return [(fn, 1) for fn in init]
+    if not isinstance(func, ast.Attribute):
+        return []
+    owner = package.target(source, func.value, shadow)
+    if owner is not None and owner[0] == "module":
+        return []
+    if owner is not None:
+        classes = [package.node(owner)]
+    elif isinstance(func.value, ast.Name) and func.value.id == "self" and cls is not None:
+        classes = [cls]
+    elif isinstance(func.value, ast.Call) and getattr(func.value.func, "id", None) == "super":
+        classes = []
+        for base in cls.bases if cls is not None else ():
+            bound = package.target(source, base, shadow)
+            classes += [package.node(bound)] if bound is not None and bound[0] == "def" else []
+    else:
+        classes = [node for defs in package.defs.values() for node in defs.values() if isinstance(node, ast.ClassDef)]
+    callees = []
+    for c in classes:
+        for item in c.body:
+            if isinstance(item, ast.FunctionDef) and item.name == func.attr:
+                static = any(getattr(deco, "id", None) == "staticmethod" for deco in item.decorator_list)
+                # a method read off its class takes its instance explicitly
+                callees.append((item, 0 if static or owner is not None else 1))
+    return callees
+
+
+def test_every_option_has_traffic():
+    """Each parameter default of a package function or method is both left
+    and set: some call in src/, perfbench/ or tests/ leaves the parameter
+    at its default, and some call in src/ or perfbench/ sets it, unless
+    OPTIONS_WITHOUT_TRAFFIC names it.  A call whose arguments cannot be
+    read (`*args`, `**kwargs`) both leaves and sets every parameter."""
+    package = _Package()
+    params = {fn: (key, positional, defaulted) for key, fn, positional, defaulted in _defaulted_parameters(package)}
+    left, set_in_package = set(), set()
+    for source in _sources(package, "perfbench", "tests"):
+        in_package = source.stem is not None or source.path.parent.name == "perfbench"
+        for node, shadow, _top, cls in _scoped(source.tree):
+            if not isinstance(node, ast.Call):
+                continue
+            unread = any(isinstance(a, ast.Starred) for a in node.args) or any(k.arg is None for k in node.keywords)
+            for fn, bound in _callees(package, source, node, shadow, cls):
+                if fn not in params:
+                    continue
+                key, positional, defaulted = params[fn]
+                given = set(positional[: bound + len(node.args)]) | {k.arg for k in node.keywords}
+                for name in defaulted:
+                    option = f"{key}({name})"
+                    if unread or name not in given:
+                        left.add(option)
+                    if in_package and (unread or name in given):
+                        set_in_package.add(option)
+    options = {f"{key}({name})" for key, positional, defaulted in params.values() for name in defaulted}
+    assert len(options) > 20
+    found = sorted(f"{o}: never left at its default" for o in options - left)
+    found += sorted(f"{o}: never set in src/ or perfbench/" for o in options - set_in_package)
+    assert [f for f in found if f.partition(":")[0] not in OPTIONS_WITHOUT_TRAFFIC] == []
+    # each registered option exists and still lacks traffic
+    assert sorted(OPTIONS_WITHOUT_TRAFFIC) == sorted({f.partition(":")[0] for f in found})
 
 
 def test_successor_tables_are_only_indexed():

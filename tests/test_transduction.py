@@ -45,7 +45,7 @@ from paritykit.transduction import (
     strategy_from_bounded_pair,
     synth_from_ad,
 )
-from paritykit.trees import OrderedTree, depth, enumerate_trees, n_strahler
+from paritykit.trees import OrderedTree, enumerate_trees, n_strahler
 
 from corpora import graph_of_tree
 from oracles import chain_graph, random_graph
@@ -493,7 +493,7 @@ class TestDecompositionSignatures:
     def test_each_node_has_its_shape_strahler(self):
         checked = set()
         for shape in enumerate_trees(7, 7, 7):
-            d = self._shaped(shape, 2 * depth(shape))
+            d = self._shaped(shape, 2 * shape._depth)
             assert tree_shape(d) == shape
             for n in (1, 2, 3):
                 _, info = _decomposition_signatures(d, n)
@@ -561,7 +561,7 @@ class TestTreeShapedGraphs:
         strahler = collections.Counter()
         for t in enumerate_trees(7, 7, 7):
             g = graph_of_tree(t)
-            d = build_ad(g, 2 * depth(t))
+            d = build_ad(g, 2 * t._depth)
             assert tree_shape(d) == t
             assert validate_ad(g, d)
             strahler[n_strahler(t, 1)] += 1
@@ -575,7 +575,7 @@ class TestTreeShapedGraphs:
         table = collections.Counter()
         for t in enumerate_trees(6, 3, 6):
             g = graph_of_tree(t)
-            d = build_ad(g, 2 * depth(t))
+            d = build_ad(g, 2 * t._depth)
             for n in (1, 2):
                 h = n_strahler(t, n)
                 strat = synth_from_ad(g, d, n)

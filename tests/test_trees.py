@@ -14,7 +14,6 @@ from paritykit.trees import (
     LEAF,
     Embedding,
     OrderedTree,
-    depth,
     embed,
     enumerate_trees,
     is_universal_for,
@@ -70,13 +69,13 @@ def random_tree(rng, max_depth, max_branch):
 
 class TestDepth:
     def test_leaf(self):
-        assert depth(LEAF) == 1
+        assert LEAF._depth == 1
 
     def test_unary(self):
-        assert depth(T(LEAF)) == 2
+        assert T(LEAF)._depth == 2
 
     def test_figure_tree(self):
-        assert depth(figure_tree()) == 4
+        assert figure_tree()._depth == 4
 
 
 class TestStrahler:
@@ -100,7 +99,7 @@ class TestStrahler:
         for _ in range(100):
             t = random_tree(rng, 4, 3)
             for n in (1, 2, 3):
-                assert n_strahler(t, n) <= depth(t)
+                assert n_strahler(t, n) <= t._depth
 
     def test_antitone_in_n(self):
         rng = random.Random(6)
@@ -203,7 +202,7 @@ class TestPruningInvariants:
         # nodes at depth 2 against the host's one
         t = OrderedTree.from_brackets("((()())())")
         host = OrderedTree.from_brackets("((())()())")
-        assert (t._size, depth(t), t._leaves) == (host._size, depth(host), host._leaves)
+        assert (t._size, t._depth, t._leaves) == (host._size, host._depth, host._leaves)
         assert _level_counts(t)[:2] == [2, 2] and _level_counts(host)[:2] == [3, 1]
 
         def refuse(*args):
@@ -274,7 +273,7 @@ class TestDeepEmbed:
         # leaves after the spine child cannot fit where the leaves come first
         k = 3000
         late = OrderedTree.from_brackets("(" * k + "()" + "())" * k)
-        assert (late.node_count(), depth(late)) == (caterpillar(k).node_count(), k + 1)
+        assert (late.node_count(), late._depth) == (caterpillar(k).node_count(), k + 1)
         assert embed(late, caterpillar(k)) is None
         assert embed(late, late) is not None
 
@@ -290,7 +289,7 @@ class TestUniversalTree:
 
     def test_deep_chain(self):
         u = universal_tree(1, 1, 2000, 1)
-        assert u.node_count() == 2000 and depth(u) == 2000
+        assert u.node_count() == 2000 and u._depth == 2000
 
     def test_undefined(self):
         with pytest.raises(UndefinedTree):
@@ -314,7 +313,7 @@ class TestUniversalTree:
 
     def test_2_2_2_3(self):
         u = universal_tree(2, 2, 2, 3)
-        assert depth(u) == 2
+        assert u._depth == 2
         assert n_strahler(u, 2) == 2
 
     def test_strahler_exact_when_width_suffices(self):
@@ -322,7 +321,7 @@ class TestUniversalTree:
             for d in (1, 2, 3):
                 for k in range(1, d + 1):
                     u = universal_tree(n, k, d, n + 1)
-                    assert depth(u) == d
+                    assert u._depth == d
                     assert n_strahler(u, n) == k
 
     def test_universal_for_bounded_family(self):
@@ -393,7 +392,7 @@ class TestIsUniversalFor:
     def test_planted_miss_is_the_first_miss(self):
         u, family = strahler_family()
         miss = complete_ternary(4)
-        assert n_strahler(miss, 2) == 4 and depth(miss) <= 5
+        assert n_strahler(miss, 2) == 4 and miss._depth <= 5
         candidates = family[:7000] + [miss] + family[7000:]
         ok, bad = is_universal_for(u, candidates)
         assert not ok and bad is miss
@@ -487,7 +486,7 @@ class TestEnumerate:
         assert len(trees) == len(set(trees))
         for t in trees:
             assert t.node_count() <= 6
-            assert depth(t) <= 3
+            assert t._depth <= 3
             assert all(len(n.children) <= 3 for n in _nodes(t))
 
 
@@ -542,14 +541,14 @@ class TestProperties:
     @settings(max_examples=120, deadline=None)
     def test_cached_measures(self, t):
         assert t.node_count() == sum(1 for _ in _nodes(t))
-        assert depth(t) == _oracle_depth(t)
+        assert t._depth == _oracle_depth(t)
         assert _cached_levels(t) == _level_counts(t)
         assert hash(t) == hash(tuple(hash(c) for c in t.children))
 
     @given(trees_strategy, st.integers(1, 4))
     @settings(max_examples=120, deadline=None)
     def test_strahler_bounded_by_depth(self, t, n):
-        assert 1 <= n_strahler(t, n) <= depth(t)
+        assert 1 <= n_strahler(t, n) <= t._depth
 
     @given(trees_strategy, st.integers(1, 3), st.integers(0, 2))
     @settings(max_examples=120, deadline=None)
