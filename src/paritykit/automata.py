@@ -16,7 +16,7 @@ from .errors import (
     UndefinedChoice,
 )
 from .games import Index, ParityGame, ParityGraph, explore, solve
-from .transduction import LIBERAL, reg_machine
+from .transduction import LIBERAL, normalize_output_index, reg_machine
 
 
 @dataclass(frozen=True)
@@ -241,8 +241,9 @@ def _acceptance_product(a, t, what, start, moves, tail):
     Eve's vertices are ("q", node, state), Adam's ("t", node, key) for each
     key in moves(state, letter); tail(key) gives its (q0, q1, p0, p1).
     """
-    if set(t.labels) - set(a.alphabet):
-        raise AlphabetMismatch(sorted(set(t.labels) - set(a.alphabet)))
+    missing = sorted(set(t.labels) - set(a.alphabet))
+    if missing:
+        raise AlphabetMismatch(f"tree letters {missing} are not in the alphabet {list(a.alphabet)}")
     eve = []
     src, dst, pri = [], [], []
     lo = a.index.lo
@@ -397,16 +398,14 @@ def _guided_run(gf, a, b, t, run_b):
 
 
 def run_pair_labelling(gf, a, b, t, run_b):
-    """Guided run and the joint (labelI, labelJ) view of guided vs guide."""
+    """Guided run and the joint (labelI, labelJ) view of guided vs guide;
+    labelJ shifts the guide's priorities by the even offset that
+    `normalize_output_index` applies to the guide's index."""
     ga, label_j = _guided_run(gf, a, b, t, run_b)
-    pair = LabellingPair.make(ga.graph, ga.graph.pri, label_j, a.index, _j_index(b.index))
-    return ga, pair
-
-
-def _j_index(index):
-    lo = index.lo if index.lo in (1, 2) else max(1, index.lo)
-    hi = index.hi if index.hi % 2 == 0 else index.hi + 1
-    return Index(min(lo, hi), hi)
+    index_j = normalize_output_index(b.index)
+    label_j = tuple(p + index_j.lo - b.index.lo for p in label_j)
+    # each labelling lies in its index, as `NPTA.make` checked the priorities
+    return ga, LabellingPair(ga.graph, ga.graph.pri, label_j, a.index, index_j)
 
 
 def guided_pair_bound_check(a, b, gf, t):

@@ -12,7 +12,10 @@ from . import manifests
 from .decomposition import build_ad, is_tight, n_bound_check, tree_shape, validate_ad
 from .errors import (
     DEFAULT_STATE_CAP,
+    AlphabetMismatch,
     DanglingSuccessor,
+    EmptyIndex,
+    IncompleteAutomaton,
     NotBounded,
     NotEven,
     ParityKitError,
@@ -20,6 +23,7 @@ from .errors import (
     PreconditionFailed,
     PriorityOutOfRange,
     StateExplosion,
+    TerminalVertex,
     TooLarge,
 )
 from .games import (
@@ -449,8 +453,10 @@ def main(argv=None):
         return _report_error(args, MemoryError(f"{command}: out of memory"), "resource cap", 3)
     except (NotEven, NotBounded) as err:
         return _report_error(args, err, "negative", 1)
-    # malformed input, a priority outside its declared index included
-    except (ParseError, PreconditionFailed, PriorityOutOfRange, DanglingSuccessor, FileNotFoundError) as err:
+    # malformed input: a priority outside its declared index, a dead end, an
+    # automaton that lacks a move or a letter of the tree, an unusable index
+    except (ParseError, PreconditionFailed, PriorityOutOfRange, DanglingSuccessor, TerminalVertex,
+            IncompleteAutomaton, AlphabetMismatch, EmptyIndex, FileNotFoundError) as err:
         return _report_error(args, err, "usage error", 2)
     except ParityKitError as err:
         return _report_error(args, err, "error", 1)

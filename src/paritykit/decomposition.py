@@ -374,17 +374,11 @@ class LabellingPair:
     index_j: Index
 
     @staticmethod
-    def make(graph, label_i, label_j, index_i=None, index_j=None):
+    def make(graph, label_i, label_j, index_i, index_j):
         li = tuple(label_i)
         lj = tuple(label_j)
         if len(li) != len(graph.src) or len(lj) != len(graph.src):
             raise PreconditionFailed("labelling", "labellings must be total on edges")
-        if index_i is None:
-            hi = max(li, default=0)
-            index_i = Index(0, hi + hi % 2)
-        if index_j is None:
-            hi = max(lj, default=2)
-            index_j = Index(1, hi + hi % 2)
         for p in li:
             if p not in index_i:
                 raise PriorityOutOfRange(f"labelI value {p} outside {index_i}")
@@ -486,6 +480,22 @@ def n_bound_check(pair, n):
             if found is not None:
                 return False, SegmentedPath(odd, even, found)
     return True, None
+
+
+def _bounded_pair_gate(pair, n):
+    """The precondition of both bounded-pair syntheses, checked in this
+    order: no terminal vertex (PreconditionFailed), both views even
+    (NotEven, naming the view), labelI n-bound by labelJ (NotBounded)."""
+    terminals = pair.graph.terminals
+    if terminals:
+        raise PreconditionFailed("evenness", f"terminal vertex {terminals[0]}")
+    for name, view in (("labelI", pair.graph_i()), ("labelJ", pair.graph_j())):
+        lasso = _odd_cycle_witness(view)
+        if lasso is not None:
+            raise NotEven(lasso, f"{name} view is not even")
+    ok, ce = n_bound_check(pair, n)
+    if not ok:
+        raise NotBounded(ce)
 
 
 @dataclass(frozen=True)
@@ -684,16 +694,7 @@ def ad_from_bounded_pair(pair, n, j, cap=DEFAULT_STATE_CAP):
         raise PreconditionFailed("index-I", f"{ii} is not of the form [0,2i]")
     if jj.lo != 1 or jj.hi != 2 * j:
         raise PreconditionFailed("index-J", f"{jj} is not [1,{2 * j}]")
-    terminals = pair.graph_i().terminals
-    if terminals:
-        raise PreconditionFailed("evenness", f"terminal vertex {terminals[0]}")
-    for name, view in (("labelI", pair.graph_i()), ("labelJ", pair.graph_j())):
-        lasso = _odd_cycle_witness(view)
-        if lasso is not None:
-            raise NotEven(lasso, f"{name} view is not even")
-    ok, ce = n_bound_check(pair, n)
-    if not ok:
-        raise NotBounded(ce)
+    _bounded_pair_gate(pair, n)
     mp = memory_product(pair, cap=cap)
     g_i = mp.pair.graph_i()
     d = unwind(_rts_build(mp, g_i, mp.pair.label_j, g_i.vertices, g_i.cap, ii.hi // 2, j, n))

@@ -27,7 +27,6 @@ from .decomposition import (
     ad_from_bounded_pair,
     ad_reachability_check,
     build_ad,
-    memory_product,
     n_bound_check,
     tree_shape,
     validate_ad,
@@ -122,7 +121,7 @@ def random_even_graph(p, salt=0):
     raise ExhaustedRetries("no even strategy graph found")
 
 
-def random_non_even_graph(p, salt=0):
+def random_non_even_graph(p, salt):
     for attempt in range(GRAPH_RETRIES):
         rng = _rng(p, 2, salt * GRAPH_RETRIES + attempt)
         cap = max(1, p.priority_cap)
@@ -610,10 +609,11 @@ def _bounded_pair_low_strahler(p, count):
         j = 1 + (k % 2)
         m = k % 2
         pair = random_bounded_pair(_corpus_params(p, 5, index_j=(1, 2 * j)), m, salt=k)
-        d = ad_from_bounded_pair(pair, m, j)
-        res = validate_ad(memory_product(pair).pair.graph_i(), d)
-        if not res:
-            failures.append((f"instance {k}: {res.clause}", manifests.dumps(pair)))
+        try:
+            # the construction validates its decomposition or raises
+            d = ad_from_bounded_pair(pair, m, j)
+        except ParityKitError as err:
+            failures.append((f"instance {k}: {type(err).__name__}: {err}", manifests.dumps(pair)))
             continue
         strahler = n_strahler(tree_shape(d), m + 1)
         if strahler > j:
@@ -747,11 +747,10 @@ class Criterion:
     count: int
     run: object
 
-    def check(self, p, count=None):
-        """The timed result of running `count` corpus members (by default
-        the full-scale count)."""
+    def check(self, p, count):
+        """The timed result of running `count` corpus members."""
         start = time.perf_counter()
-        instances, failures = self.run(p, self.count if count is None else count)
+        instances, failures = self.run(p, count)
         return CheckResult(self.name, instances, failures, time.perf_counter() - start)
 
 

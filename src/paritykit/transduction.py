@@ -11,7 +11,8 @@ sink with a priority-1 self-loop.
 
 from dataclasses import dataclass, field
 
-from .decomposition import n_bound_check, validate_ad
+# n_bound_check stays importable from here, where perfbench/ reads it
+from .decomposition import _bounded_pair_gate, n_bound_check, validate_ad
 from .errors import (
     DEFAULT_STATE_CAP,
     EmptyIndex,
@@ -24,7 +25,6 @@ from .games import (
     Index,
     ParityGame,
     ParityGraph,
-    _odd_cycle_witness,
     explore,
     solve,
     unwind,
@@ -346,21 +346,13 @@ def _register_strategy(product, pick):
 
 def strategy_from_bounded_pair(pair, n, *, rule=LIBERAL, cap=DEFAULT_STATE_CAP):
     """Eve's register strategy mirroring the guide labelling: after an edge
-    with output label j', pick register floor(j'/2); resolve odd inputs by
-    their own priority.  Wins the product at counter bound n+1."""
-    lasso = _odd_cycle_witness(pair.graph_i())
-    if lasso is not None:
-        raise PreconditionFailed("labelI-even", f"odd lasso {lasso}")
-    lasso = _odd_cycle_witness(pair.graph_j())
-    if lasso is not None:
-        raise PreconditionFailed("labelJ-even", f"odd lasso {lasso}")
-    if pair.index_j.lo not in (1, 2):
-        raise PreconditionFailed("index-J", "min(J) must be 1 or 2")
-    bounded, ce = n_bound_check(pair, n)
-    if not bounded:
-        raise PreconditionFailed("n-bound", f"witness {ce}")
+    with output label j', pick register floor(j'/2), where j' is shifted
+    as the product shifts J; resolve odd inputs by their own priority.
+    Wins the product at counter bound n+1."""
+    _bounded_pair_gate(pair, n)
     product = reg_product(pair.graph_i(), pair.index_j, n + 1, rule=rule, cap=cap)
-    return _register_strategy(product, lambda eid: (pair.label_i[eid], pair.label_j[eid] // 2))
+    shift = product.J.lo - pair.index_j.lo
+    return _register_strategy(product, lambda eid: (pair.label_i[eid], (pair.label_j[eid] + shift) // 2))
 
 
 def _decomposition_signatures(d, n):

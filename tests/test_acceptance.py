@@ -11,7 +11,8 @@ PARAMS = GenParams(seed=20240 + 817, edge_density=0.5, priority_cap=4)
 
 
 def check(number, budget=None):
-    result = CRITERIA[number - 1].check(PARAMS)
+    criterion = CRITERIA[number - 1]
+    result = criterion.check(PARAMS, criterion.count)
     status = "PASS" if result.ok else f"FAIL ({len(result.failures)} failures)"
     line = (
         f"criterion {number:>2} {result.name:<28} {result.instances:>6} instances"

@@ -308,6 +308,55 @@ class TestExitCodes:
         assert named in err
         assert '"exit": 2' in err if "--json-errors" in argv else err.startswith("usage error: ")
 
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["solve", "{dead_end}"], "vertex 1 has no outgoing edge"),
+            (["even", "{dead_end}"], "vertex 1 has no outgoing edge"),
+            (["aut", "member", "{no_b_move}", "--tree", "{b_tree}"], "no transition from 0 over 'b'"),
+            (
+                ["aut", "member", "{automaton}", "--tree", "{c_tree}"],
+                "tree letters ['c'] are not in the alphabet ['a', 'b']",
+            ),
+            (["aut", "compose", "{automaton}", "--j-lo", "2", "--j-hi", "2"], "no odd priority to reject with"),
+        ],
+    )
+    def test_a_dead_end_a_missing_move_or_letter_or_an_unusable_index_is_usage_error(
+        self, tmp_path, capsys, argv, named
+    ):
+        incomplete = json.loads(manifests.dumps(_aut_eventually_b()))
+        # drop the transition (0, "b", 1, 1) and its priorities
+        del incomplete["payload"]["transitions"][1], incomplete["payload"]["omega"][1]
+        (tmp_path / "no-b-move.json").write_text(json.dumps(incomplete))
+        paths = {
+            "dead_end": write(tmp_path, "dead-end.json", ParityGraph.make([0, 1], [(0, 1, 0)])),
+            "no_b_move": str(tmp_path / "no-b-move.json"),
+            "automaton": write(tmp_path, "a.json", _aut_eventually_b()),
+            "b_tree": write(tmp_path, "b.json", RegularTree.make(("b",), (0,), (0,), 0)),
+            "c_tree": write(tmp_path, "c.json", RegularTree.make(("c",), (0,), (0,), 0)),
+        }
+        assert main([arg.format(**paths) for arg in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and named in err
+
+    @pytest.mark.parametrize(
+        "edges, label_i, label_j, index_j, code, named",
+        [
+            ([(0, 1), (1, 0)], (2, 2), (4, 4), (3, 4), 0, "verified"),
+            ([(0, 1), (1, 0)], (1, 1), (2, 2), (1, 2), 1, "negative: labelI view is not even"),
+            ([(0, 1), (1, 0)], (1, 2), (2, 2), (1, 2), 1, "negative: labelling is not bounded"),
+            ([(0, 1)], (2,), (2,), (1, 2), 2, "usage error: precondition failed: evenness (terminal vertex 1)"),
+        ],
+    )
+    def test_reg_synth_from_a_pair_exits_as_bound_check_and_ad_build(
+        self, tmp_path, capsys, edges, label_i, label_j, index_j, code, named
+    ):
+        g = ParityGraph.make([0, 1], [(s, d, 0) for s, d in edges])
+        pair = LabellingPair.make(g, label_i, label_j, Index(0, 2), Index(*index_j))
+        assert main(["reg", "synth", write(tmp_path, "pair.json", pair)]) == code
+        captured = capsys.readouterr()
+        assert named in (captured.out if code == 0 else captured.err)
+
     def test_memory_error_is_a_resource_cap(self, even_loop, monkeypatch, capsys):
         def exhaust(args):
             raise MemoryError
@@ -796,7 +845,7 @@ class TestHostileManifests:
     def test_bound_check_at_a_huge_bound_ends_in_seconds(self, tmp_path, capsys):
         # one self-loop closes a segment every two states of the search
         g = ParityGraph.make([0], [(0, 0, 0)])
-        path = write(tmp_path, "loop-pair.json", LabellingPair.make(g, (1,), (2,)))
+        path = write(tmp_path, "loop-pair.json", LabellingPair.make(g, (1,), (2,), Index(0, 2), Index(1, 2)))
         start = time.perf_counter()
         assert main(["bound", "check", path, "--n", str(10**9)]) == 3
         assert time.perf_counter() - start < 2

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from paritykit import lab
-from paritykit.errors import TerminalVertex, TooLarge
+from paritykit import lab, manifests
+from paritykit.errors import InvalidDecomposition, TerminalVertex, TooLarge
 from paritykit.games import EVE, ParityGame, ParityGraph, is_even, solve
 from paritykit.lab import (
     GenParams,
@@ -223,3 +223,15 @@ class TestBattery:
         names = [name for name, _ in composition.failures]
         assert len(names) == composition.instances
         assert all(name.startswith("automaton 0 tree ") and name.endswith("strategies not verified") for name in names)
+
+    def test_a_construction_error_of_criterion_6_is_a_failure_with_its_pair(self, monkeypatch):
+        def fail(pair, n, j):
+            raise InvalidDecomposition("internal: child-closed")
+
+        monkeypatch.setattr(lab, "ad_from_bounded_pair", fail)
+        result = lab.CRITERIA[5].check(GenParams(seed=3), 2)
+        assert result.instances == 2
+        assert [name for name, _ in result.failures] == [
+            f"instance {k}: InvalidDecomposition: internal: child-closed" for k in range(2)
+        ]
+        assert all(manifests.loads(manifest, ("pair",)) for _, manifest in result.failures)

@@ -254,6 +254,11 @@ OPTIONS_WITHOUT_TRAFFIC = {
     "lab.random_automaton(max_states)": "the battery draws automata of up to three states; tests draw "
     "two-state ones to enumerate their runs",
     "cli.main(argv)": "the console script reads sys.argv; tests pass the arguments",
+    "decomposition.memory_product(cap)": "its package caller and perfbench pass their own cap; tests build "
+    "products at the default, and the cap keywords wait for one cap context (ROADMAP item 11)",
+    "manifests.import_pgsolver(use_source_priority)": "the CLI passes its --pg-source-priority flag; tests "
+    "read PGSolver text by the format's target-vertex rule",
+    "manifests.loads(kinds)": "the CLI names the kinds each command reads; tests round-trip manifests of any kind",
 }
 
 
@@ -315,15 +320,14 @@ def _callees(package, source, call, shadow, cls):
 
 def test_every_option_has_traffic():
     """Each parameter default of a package function or method is both left
-    and set: some call in src/, perfbench/ or tests/ leaves the parameter
-    at its default, and some call in src/ or perfbench/ sets it, unless
-    OPTIONS_WITHOUT_TRAFFIC names it.  A call whose arguments cannot be
-    read (`*args`, `**kwargs`) both leaves and sets every parameter."""
+    and set by some call in src/ or perfbench/, unless OPTIONS_WITHOUT_TRAFFIC
+    names it: a default that only tests leave is not traffic.  A call whose
+    arguments cannot be read (`*args`, `**kwargs`) both leaves and sets
+    every parameter."""
     package = _Package()
     params = {fn: (key, positional, defaulted) for key, fn, positional, defaulted in _defaulted_parameters(package)}
-    left, set_in_package = set(), set()
-    for source in _sources(package, "perfbench", "tests"):
-        in_package = source.stem is not None or source.path.parent.name == "perfbench"
+    left, set_explicitly = set(), set()
+    for source in _sources(package, "perfbench"):
         for node, shadow, _top, cls in _scoped(source.tree):
             if not isinstance(node, ast.Call):
                 continue
@@ -337,12 +341,12 @@ def test_every_option_has_traffic():
                     option = f"{key}({name})"
                     if unread or name not in given:
                         left.add(option)
-                    if in_package and (unread or name in given):
-                        set_in_package.add(option)
+                    if unread or name in given:
+                        set_explicitly.add(option)
     options = {f"{key}({name})" for key, positional, defaulted in params.values() for name in defaulted}
     assert len(options) > 20
-    found = sorted(f"{o}: never left at its default" for o in options - left)
-    found += sorted(f"{o}: never set in src/ or perfbench/" for o in options - set_in_package)
+    found = sorted(f"{o}: never left at its default in src/ or perfbench/" for o in options - left)
+    found += sorted(f"{o}: never set in src/ or perfbench/" for o in options - set_explicitly)
     assert [f for f in found if f.partition(":")[0] not in OPTIONS_WITHOUT_TRAFFIC] == []
     # each registered option exists and still lacks traffic
     assert sorted(OPTIONS_WITHOUT_TRAFFIC) == sorted({f.partition(":")[0] for f in found})
@@ -598,7 +602,11 @@ def test_package_imports_have_no_cycle():
 
 
 # the private helpers that other package modules may import by name
-SHARED_PRIVATE = {("games", "_attract"), ("games", "_odd_cycle_witness")}
+SHARED_PRIVATE = {
+    ("games", "_attract"),
+    ("games", "_odd_cycle_witness"),
+    ("decomposition", "_bounded_pair_gate"),
+}
 
 
 def test_only_shared_private_names_cross_modules():

@@ -18,7 +18,14 @@ from paritykit.decomposition import (
     tree_shape,
     validate_ad,
 )
-from paritykit.errors import DEFAULT_STATE_CAP, PreconditionFailed, StateExplosion, TooLarge
+from paritykit.errors import (
+    DEFAULT_STATE_CAP,
+    NotBounded,
+    NotEven,
+    PreconditionFailed,
+    StateExplosion,
+    TooLarge,
+)
 from paritykit.games import ADAM, EVE, Index, ParityGame, ParityGraph, solve
 from paritykit.lab import (
     GenParams,
@@ -194,7 +201,7 @@ class TestEveWinsReg:
             p = GenParams(seed=seed, vertex_count=4, priority_cap=3)
             from paritykit.lab import random_non_even_graph
 
-            g = random_non_even_graph(p)
+            g = random_non_even_graph(p, salt=0)
             for v in sorted(rejecting_vertices(g)):
                 assert not eve_wins_reg(g, Index(1, 2), 1, v)
 
@@ -385,17 +392,39 @@ class TestStrategyFromBoundedPair:
             Index(0, 2),
             Index(1, 2),
         )
-        with pytest.raises(PreconditionFailed):
+        with pytest.raises(NotBounded) as err:
             strategy_from_bounded_pair(bad, 0)
+        assert err.value.counterexample.check(bad)
 
     def test_uneven_labellings_name_their_view(self):
         loop = ParityGraph.make([0, 1], [(0, 1, 0), (1, 0, 0)])
-        for li, lj, name in (((1, 1), (2, 2), "labelI-even"), ((2, 0), (1, 1), "labelJ-even")):
+        for li, lj, name in (((1, 1), (2, 2), "labelI"), ((2, 0), (1, 1), "labelJ")):
             pair = LabellingPair.make(loop, li, lj, Index(0, 2), Index(1, 2))
-            with pytest.raises(PreconditionFailed) as err:
+            with pytest.raises(NotEven) as err:
                 strategy_from_bounded_pair(pair, 0)
-            assert err.value.name == name
-            assert str(err.value).startswith(f"precondition failed: {name} (odd lasso ")
+            assert str(err.value) == f"{name} view is not even"
+            assert err.value.lasso.check(loop)
+
+    def test_an_output_index_shifted_by_even_steps_gives_the_same_strategy(self):
+        # the product normalizes J, and the mirror pick reads labelJ shifted alike
+        for seed in range(30):
+            j = 1 + seed % 2
+            n = seed % 3
+            p = GenParams(seed=seed, vertex_count=4 + seed % 2, priority_cap=4, index_j=(1, 2 * j))
+            pair = random_bounded_pair(p, n)
+            strat = strategy_from_bounded_pair(pair, n)
+            assert strat.verify()
+            for shift in (2, 4):
+                moved = LabellingPair.make(
+                    pair.graph,
+                    pair.label_i,
+                    [q + shift for q in pair.label_j],
+                    pair.index_i,
+                    pair.index_j.shift(shift),
+                )
+                again = strategy_from_bounded_pair(moved, n)
+                assert again.product.game == strat.product.game
+                assert again.sigma == strat.sigma
 
     def test_mirror_strategy_outclasses_never_rule(self):
         # with resets disabled the mirror strategy overflows its counter
