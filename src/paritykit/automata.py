@@ -15,39 +15,60 @@ from .errors import (
     PreconditionFailed,
     UndefinedChoice,
 )
-from .games import Index, ParityGame, ParityGraph, explore, solve
+from .games import ColumnView, Index, ParityGame, ParityGraph, explore, solve
 from .transduction import LIBERAL, normalize_output_index, reg_machine
 
 
 @dataclass(frozen=True)
 class NPTA:
     """Complete nondeterministic parity tree automaton with transition
-    priorities (one per child direction)."""
+    priorities (one per child direction).
+
+    Transitions are stored as columns indexed by transition id, like a
+    graph's edges: transition i leaves state `src[i]` over `letter[i]` for
+    children `left[i]` and `right[i]`, with priorities `omega[i]`, a
+    (left, right) pair that equal pairs share.  On a 64-bit build a
+    transition costs five references, 40 bytes; a (state, letter, left,
+    right) tuple per transition would cost 72 bytes more.  `transitions`
+    reads the rows back as such tuples, built on read.
+    """
 
     alphabet: tuple
     states: tuple
     initial: object
-    transitions: tuple  # (state, letter, left, right)
+    src: tuple
+    letter: tuple
+    left: tuple
+    right: tuple
     omega: tuple  # per transition: (left priority, right priority)
     index: Index
 
     @staticmethod
     def make(alphabet, states, initial, transitions, omega, index):
+        """Build an automaton from (state, letter, left, right) rows and
+        their priority pairs, checking both."""
+        rows = tuple(tuple(t) for t in transitions)
+        # a row of another length fails to unpack, here or in the zip
+        src, letter, left, right = zip(*rows, strict=True) if rows else ((),) * 4
+        return NPTA._from_columns(alphabet, states, initial, src, letter, left, right, omega, index)
+
+    @staticmethod
+    def _from_columns(alphabet, states, initial, src, letter, left, right, omega, index):
+        """`make` on transition columns (tuples) instead of rows."""
         alphabet = tuple(sorted(set(alphabet)))
         states = tuple(sorted(set(states)))
-        transitions = tuple(tuple(t) for t in transitions)
         omega = tuple(tuple(o) for o in omega)
-        if len(omega) != len(transitions):
+        if len(omega) != len(src):
             raise PreconditionFailed("omega", "priority map must be total on transitions")
         known, letters = frozenset(states), frozenset(alphabet)
         try:
-            hash((initial, transitions))
+            hash((initial, src, letter, left, right))
         except TypeError:
             # an unhashable entry is in no set: scan the tuples, which say so
             known, letters = states, alphabet
         if initial not in known:
             raise PreconditionFailed("initial", f"{initial} not a state")
-        for q, a, q0, q1 in transitions:
+        for q, a, q0, q1 in zip(src, letter, left, right):
             if q not in known or q0 not in known or q1 not in known:
                 raise PreconditionFailed("transition", f"unknown state in {(q, a, q0, q1)}")
             if a not in letters:
@@ -61,19 +82,29 @@ class NPTA:
         pairs = {}
         omega = tuple(pairs.setdefault(o, o) for o in omega)
         # read from a set, so that only callers of transitions_from build its index
-        present = {(q, a) for q, a, _q0, _q1 in transitions}
+        present = set(zip(src, letter))
         for q in states:
             for a in alphabet:
                 if (q, a) not in present:
                     raise IncompleteAutomaton(f"no transition from {q} over {a!r}")
-        return NPTA(alphabet, states, initial, transitions, omega, index)
+        return NPTA(alphabet, states, initial, src, letter, left, right, omega, index)
+
+    @property
+    def transitions(self):
+        """The transitions as (state, letter, left, right) tuples by id: a
+        read-only view of the columns."""
+        return ColumnView((self.src, self.letter, self.left, self.right), tuple)
+
+    def _row(self, tid):
+        """Transition `tid` as (state, letter, left, right), for messages."""
+        return self.src[tid], self.letter[tid], self.left[tid], self.right[tid]
 
     @cached_property
     def _by_state_letter(self):
         """(state, letter) -> ascending ids of the transitions from there."""
         table = {}
-        for i, (q, a, _q0, _q1) in enumerate(self.transitions):
-            table.setdefault((q, a), []).append(i)
+        for i, key in enumerate(zip(self.src, self.letter)):
+            table.setdefault(key, []).append(i)
         return {key: tuple(ids) for key, ids in table.items()}
 
     def transitions_from(self, q, a):
@@ -91,7 +122,8 @@ class NPTA:
         have about a quarter as many classes as states.
         """
         rows = {q: [] for q in self.states}
-        for (q, a, q0, q1), (p0, p1) in zip(self.transitions, self.omega):
+        columns = zip(self.src, self.letter, self.left, self.right, self.omega)
+        for q, a, q0, q1, (p0, p1) in columns:
             rows[q].append((a, q0, q1, p0, p1))
         cls, count = dict.fromkeys(self.states, 0), 1
         while True:
@@ -198,9 +230,9 @@ def acceptance_game(a, t):
     the minimal priority; Adam picks directions with the transition's
     per-direction priorities."""
     what = f"acceptance_game(states={a.size()}, nodes={t.node_count()})"
-    transitions, omega = a.transitions, a.omega
+    left, right, omega = a.left, a.right, a.omega
     decode, initial, game = _acceptance_product(
-        a, t, what, a.initial, a.transitions_from, lambda tid: transitions[tid][2:] + omega[tid]
+        a, t, what, a.initial, a.transitions_from, lambda tid: (left[tid], right[tid], *omega[tid])
     )
     return AcceptanceGame(game, tuple(decode), initial)
 
@@ -336,16 +368,15 @@ class GuidingFunction:
     @staticmethod
     def make(a, b, table):
         for p in a.states:
-            for tid_b in range(len(b.transitions)):
+            for tid_b in range(len(b.src)):
                 key = (p, tid_b)
                 if key not in table:
                     raise IncompatibleGuide(f"table not total at {key}")
                 tid_a = table[key]
-                if tid_a not in range(len(a.transitions)):
+                if tid_a not in range(len(a.src)):
                     raise IncompatibleGuide(f"g{key} = {tid_a} is not a transition id")
-                ta = a.transitions[tid_a]
-                tb = b.transitions[tid_b]
-                if ta[0] != p or ta[1] != tb[1]:
+                if a.src[tid_a] != p or a.letter[tid_a] != b.letter[tid_b]:
+                    ta, tb = a._row(tid_a), b._row(tid_b)
                     raise IncompatibleGuide(
                         f"g({p}, {tb}) = {ta} is not compatible with state and letter"
                     )
@@ -375,13 +406,12 @@ def _guided_run(gf, a, b, t, run_b):
         tid_a = gf.table.get((p, tid_b))
         if tid_a is None:
             raise IncompatibleGuide(f"no entry for ({p}, transition {tid_b})")
-        if tid_a not in range(len(a.transitions)):
+        if tid_a not in range(len(a.src)):
             raise IncompatibleGuide(f"entry ({p}, {tid_b}) -> {tid_a} is not a transition id")
-        ta = a.transitions[tid_a]
-        if ta[0] != p or ta[1] != b.transitions[tid_b][1]:
+        if a.src[tid_a] != p or a.letter[tid_a] != b.letter[tid_b]:
             raise IncompatibleGuide(f"entry ({p}, {tid_b}) -> {tid_a} incompatible")
         chosen.append(tid_a)
-        _, _, p0, p1 = ta
+        p0, p1 = a.left[tid_a], a.right[tid_a]
         pr0, pr1 = a.omega[tid_a]
         b0, b1 = run_b.direction_edges(bvid)
         src.extend((vid, vid))
@@ -451,7 +481,7 @@ def compose_transducer(a, J, n, *, rule=LIBERAL, cap=DEFAULT_STATE_CAP):
         first = step(cfg, a.index.lo)
         for letter in a.alphabet:
             for tid in a.transitions_from(q, letter):
-                _, _, q0, q1 = a.transitions[tid]
+                q0, q1 = a.left[tid], a.right[tid]
                 p0, p1 = a.omega[tid]
                 # an instant loss (output None) has one outcome, None
                 for w1, _, after1 in first:
@@ -482,9 +512,9 @@ def compose_transducer(a, J, n, *, rule=LIBERAL, cap=DEFAULT_STATE_CAP):
     states, (initial, _reject) = explore(
         [(a.initial, machine.initial), ("reject",)], expand, what, cap
     )
-    rows = dict.fromkeys(rows)
-    transitions = [row[:4] for row in rows]
-    omega = [row[4:] for row in rows]
-    return NPTA.make(
-        a.alphabet, range(len(states)), initial, transitions, omega, Index(J.lo, J.hi)
+    # the columns of the distinct rows; an empty alphabet gives none
+    src, letter, left, right, pr0, pr1 = zip(*dict.fromkeys(rows)) if rows else ((),) * 6
+    omega = zip(pr0, pr1)
+    return NPTA._from_columns(
+        a.alphabet, range(len(states)), initial, src, letter, left, right, omega, Index(J.lo, J.hi)
     )

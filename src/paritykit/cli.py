@@ -15,6 +15,7 @@ from .errors import (
     AlphabetMismatch,
     DanglingSuccessor,
     EmptyIndex,
+    IncompatibleGuide,
     IncompleteAutomaton,
     NotBounded,
     NotEven,
@@ -454,9 +455,11 @@ def main(argv=None):
     except (NotEven, NotBounded) as err:
         return _report_error(args, err, "negative", 1)
     # malformed input: a priority outside its declared index, a dead end, an
-    # automaton that lacks a move or a letter of the tree, an unusable index
+    # automaton that lacks a move or a letter of the tree, an unusable index,
+    # a guiding function that names no fitting transition
     except (ParseError, PreconditionFailed, PriorityOutOfRange, DanglingSuccessor, TerminalVertex,
-            IncompleteAutomaton, AlphabetMismatch, EmptyIndex, FileNotFoundError) as err:
+            IncompleteAutomaton, AlphabetMismatch, EmptyIndex, IncompatibleGuide,
+            FileNotFoundError) as err:
         return _report_error(args, err, "usage error", 2)
     except ParityKitError as err:
         return _report_error(args, err, "error", 1)

@@ -74,34 +74,32 @@ class Edge(NamedTuple):
     priority: int
 
 
-class EdgeView(Sequence):
-    """A graph's edges as a sequence of `Edge`s by id, read from its
-    columns: its length is the edge count, and each `Edge` is built when
-    it is indexed or iterated, never kept.  It equals a tuple or view of
-    the same edges."""
+class ColumnView(Sequence):
+    """Rows by id read from parallel columns: row i holds entry i of each
+    column, as a `row` (a tuple type).  Its length is the column length,
+    and each row is built when it is indexed or iterated, never kept.  It
+    equals a tuple or view of the same rows."""
 
-    __slots__ = ("_g",)
+    __slots__ = ("_columns", "_row")
 
-    def __init__(self, g):
-        self._g = g
+    def __init__(self, columns, row):
+        self._columns = columns
+        self._row = row
 
     def __len__(self):
-        return len(self._g.src)
+        return len(self._columns[0])
 
     def __getitem__(self, i):
-        g = self._g
         if isinstance(i, slice):
-            return tuple(map(tuple.__new__, repeat(Edge), zip(g.src[i], g.dst[i], g.pri[i])))
-        return tuple.__new__(Edge, (g.src[i], g.dst[i], g.pri[i]))
+            return tuple(map(tuple.__new__, repeat(self._row), zip(*(c[i] for c in self._columns))))
+        return tuple.__new__(self._row, [c[i] for c in self._columns])
 
     def __iter__(self):
-        g = self._g
-        return map(tuple.__new__, repeat(Edge), zip(g.src, g.dst, g.pri))
+        return map(tuple.__new__, repeat(self._row), zip(*self._columns))
 
     def __eq__(self, other):
-        if isinstance(other, EdgeView):
-            a, b = self._g, other._g
-            return a.src == b.src and a.dst == b.dst and a.pri == b.pri
+        if isinstance(other, ColumnView):
+            return self._columns == other._columns
         if isinstance(other, tuple):
             return tuple(self) == other
         return NotImplemented
@@ -160,7 +158,7 @@ class ParityGraph:
     @property
     def edges(self):
         """The edges as `Edge`s by id: a read-only view of the columns."""
-        return EdgeView(self)
+        return ColumnView((self.src, self.dst, self.pri), Edge)
 
     def _by_vertex(self, column):
         """vertex -> tuple of the ids of the edges whose `column` entry is

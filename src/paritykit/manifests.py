@@ -137,7 +137,7 @@ def _payload(obj):
             "alphabet": list(obj.alphabet),
             "states": list(obj.states),
             "initial": obj.initial,
-            "transitions": [list(t) for t in obj.transitions],
+            "transitions": [list(t) for t in zip(obj.src, obj.letter, obj.left, obj.right)],
             "omega": [list(o) for o in obj.omega],
             "index": [obj.index.lo, obj.index.hi],
         }

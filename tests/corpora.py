@@ -377,7 +377,7 @@ def wide_flag_pair():
 def with_duplicates(a, rng):
     """`a` with a seeded sample of its transitions listed a second time."""
     extra = rng.sample(range(len(a.transitions)), k=max(1, len(a.transitions) // 2))
-    transitions = a.transitions + tuple(a.transitions[i] for i in extra)
+    transitions = tuple(a.transitions) + tuple(a.transitions[i] for i in extra)
     omega = a.omega + tuple(a.omega[i] for i in extra)
     return NPTA.make(a.alphabet, a.states, a.initial, transitions, omega, a.index)
 

@@ -1,6 +1,8 @@
 import functools
+import gc
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -23,6 +25,7 @@ from paritykit.errors import (
     IncompatibleGuide,
     IncompleteAutomaton,
     NoAcceptingRun,
+    PreconditionFailed,
     StateExplosion,
 )
 from paritykit.games import Index, explore, is_even, solve
@@ -137,7 +140,7 @@ class TestMembershipQuotient:
 
     def test_errors_match_the_acceptance_game(self, monkeypatch):
         a = NPTA.make(("a",), (0,), 0, [(0, "a", 0, 0)], [(2, 2)], Index(1, 2))
-        incomplete = NPTA(("a", "b"), (0,), 0, ((0, "a", 0, 0),), ((2, 2),), Index(1, 2))
+        incomplete = NPTA(("a", "b"), (0,), 0, (0,), ("a",), (0,), (0,), ((2, 2),), Index(1, 2))
         for build in (acceptance_game, membership):
             with pytest.raises(AlphabetMismatch):
                 build(a, one_node_tree("b"))
@@ -224,7 +227,7 @@ class TestMembershipQuotient:
     def test_incomplete_automaton_names_a_state_of_the_automaton(self):
         # states 0 and 1 are bisimilar; the class of the initial state 1 is named by 0
         a = NPTA(
-            ("a", "b"), (0, 1), 1, ((0, "a", 0, 0), (1, "a", 1, 1)), ((2, 2), (2, 2)), Index(1, 2)
+            ("a", "b"), (0, 1), 1, (0, 1), ("a", "a"), (0, 1), (0, 1), ((2, 2), (2, 2)), Index(1, 2)
         )
         assert a._quotient[0] == {0: 0, 1: 0}
         with pytest.raises(IncompleteAutomaton) as info:
@@ -318,6 +321,61 @@ class TestAutomatonFootprint:
         with pytest.raises(IncompleteAutomaton) as info:
             NPTA.make(("b", "a"), (2, 1, 0), 2, transitions, [(2, 2)] * 4, Index(1, 2))
         assert str(info.value) == "no transition from 0 over 'b'"
+
+    @pytest.mark.parametrize(
+        "initial, transitions, omega, message",
+        [
+            (0, [(0, "a", 0, 0)], [], "omega (priority map must be total on transitions)"),
+            (5, [(0, "a", 0, 0)], [(1, 1)], "initial (5 not a state)"),
+            ([0], [(0, "a", 0, 0)], [(1, 1)], "initial ([0] not a state)"),
+            (0, [(0, "a", 7, 0)], [(1, 1)], "transition (unknown state in (0, 'a', 7, 0))"),
+            (0, [(0, "a", [0], 0)], [(1, 1)], "transition (unknown state in (0, 'a', [0], 0))"),
+            (0, [(0, "c", 0, 0)], [(1, 1)], "transition (unknown letter in (0, 'c', 0, 0))"),
+            (0, [(0, "a", 0, 0)], [(1, 3)], "omega (priorities (1, 3) outside Index(lo=1, hi=2))"),
+        ],
+    )
+    def test_make_names_the_first_fault(self, initial, transitions, omega, message):
+        with pytest.raises(PreconditionFailed) as info:
+            NPTA.make(("a",), (0,), initial, transitions, omega, Index(1, 2))
+        assert str(info.value) == f"precondition failed: {message}"
+
+    def test_transitions_view_reads_as_the_rows(self):
+        rows = [(0, "a", 0, 1), (1, "a", 1, 1), (0, "b", 1, 0), (1, "b", 0, 0)]
+        a = NPTA.make(("a", "b"), (0, 1), 0, rows, [(1, 2)] * 4, Index(1, 2))
+        assert (a.src, a.letter, a.left, a.right) == tuple(zip(*rows))
+        view = a.transitions
+        assert len(view) == 4 and view == tuple(rows) and list(view) == rows
+        assert [view[i] for i in range(-4, 4)] == rows + rows
+        assert view[1:3] == tuple(rows[1:3]) and type(view[0]) is tuple
+        composed = compose_transducer(a, Index(1, 2), 1)
+        assert manifests.loads(manifests.dumps(composed)).transitions == composed.transitions
+
+    def test_automaton_without_transitions(self):
+        a = NPTA.make((), (0,), 0, [], [], Index(0, 3))
+        assert len(a.transitions) == 0 and a.transitions == ()
+        assert manifests.loads(manifests.dumps(a)) == a
+        composed = compose_transducer(a, Index(1, 2), 1)
+        assert len(composed.states) == 2 and len(composed.transitions) == 0
+
+    def test_composed_transitions_retain_at_most_56_bytes_each(self):
+        """Four column references and a shared priority pair are 40 bytes a
+        transition; a (state, letter, left, right) tuple per transition
+        retained 88.  The shared machine's step rows are filled by a first
+        build, so what stays is the automaton."""
+        J, p = Index(1, 2), GenParams(seed=21057)
+        automata = {k: random_automaton(_rng(p, 8, k)) for k in (0, 11, 39)}
+        compose_transducer(automata[0], J, 1)
+        for k, a in automata.items():
+            gc.collect()
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                composed = compose_transducer(a, J, 1)
+                gc.collect()
+                retained = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+            assert retained / len(composed.src) <= 56, (k, retained, len(composed.src))
 
 
 class TestRunGraph:
@@ -491,6 +549,15 @@ class TestGuidedRun:
         table = {(p, tid): 0 for p in a.states for tid in range(len(b.transitions))}
         with pytest.raises(IncompatibleGuide):
             GuidingFunction.make(a, b, table)
+
+    def test_incompatible_guide_names_both_transitions(self):
+        a = _aut_eventually_b()
+        b = _aut_accept_all()
+        table = {(p, tid): 0 for p in a.states for tid in range(len(b.src))}
+        with pytest.raises(IncompatibleGuide) as info:
+            GuidingFunction.make(a, b, table)
+        expected = "g(0, (0, 'b', 0, 0)) = (0, 'a', 0, 0) is not compatible with state and letter"
+        assert str(info.value) == expected
 
     @pytest.mark.parametrize("entry", [999, -1])
     def test_guide_entry_outside_the_transitions_rejected(self, entry):

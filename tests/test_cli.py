@@ -659,6 +659,13 @@ class TestCommands:
         else:
             assert isinstance(manifests.loads(out), kind)
 
+    def test_compose_an_automaton_without_transitions(self, tmp_path, capsys):
+        # an empty alphabet leaves every state complete without a transition
+        a = NPTA.make((), (0,), 0, [], [], Index(0, 3))
+        assert main(["aut", "compose", write(tmp_path, "a.json", a), "--n", "1"]) == 0
+        composed = manifests.loads(capsys.readouterr().out)
+        assert composed.states == (0, 1) and composed.transitions == ()
+
     @pytest.mark.parametrize("entry", [999, -1])
     def test_guide_entry_outside_the_transitions_is_rejected(self, tmp_path, capsys, entry):
         a, b, gf, trees = guided_suite()[0]
@@ -670,8 +677,8 @@ class TestCommands:
             "--guide-automaton", write(tmp_path, "b.json", b),
             "--guiding-function", write(tmp_path, "g.json", GuidingFunction(table)),
         ]
-        assert main(argv) == 1
-        assert f"error: entry (0, 1) -> {entry} is not a transition id" in capsys.readouterr().err
+        assert main(argv) == 2
+        assert f"usage error: entry (0, 1) -> {entry} is not a transition id" in capsys.readouterr().err
 
 
 def _valid_manifests():

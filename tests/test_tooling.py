@@ -426,6 +426,22 @@ def test_edges_are_read_from_the_columns():
     assert _attribute_readers("edges") == EDGE_READERS
 
 
+# functions that may read an automaton's `transitions`: the fixed suites
+# that lab builds by hand, which are a few transitions long
+TRANSITION_READERS = {
+    "lab.py:_aut_eventually_b_dup",
+    "lab.py:_deterministic_guide",
+    "lab.py:guided_negative",
+}
+
+
+def test_transitions_are_read_from_the_columns():
+    """`NPTA.transitions` builds a row per item it yields, so package code
+    indexes or walks `src`/`letter`/`left`/`right` instead; only
+    TRANSITION_READERS read `.transitions`, and each of them still does."""
+    assert _attribute_readers("transitions") == TRANSITION_READERS
+
+
 def test_transition_index_is_read_only_by_transitions_from():
     """Only `NPTA.transitions_from` reads `_by_state_letter`, and no method
     of `NPTA` calls `transitions_from`, so an automaton builds that index
