@@ -12,20 +12,13 @@ from . import manifests
 from .decomposition import build_ad, is_tight, n_bound_check, tree_shape, validate_ad
 from .errors import (
     DEFAULT_STATE_CAP,
-    AlphabetMismatch,
-    DanglingSuccessor,
-    EmptyIndex,
-    IncompatibleGuide,
-    IncompleteAutomaton,
-    NotBounded,
-    NotEven,
+    NegativeAnswer,
     ParityKitError,
     ParseError,
     PreconditionFailed,
-    PriorityOutOfRange,
-    StateExplosion,
-    TerminalVertex,
+    ResourceCap,
     TooLarge,
+    UsageError,
 )
 from .games import (
     ADAM,
@@ -67,8 +60,12 @@ def _load(path, kinds, source_priority=False, meta=None):
     given; any other is a native (JSON) manifest."""
     if path is None:
         raise PreconditionFailed("manifest", f"no {' or '.join(kinds)} manifest given")
-    with open(path) as handle:
-        text = handle.read()
+    try:
+        with open(path) as handle:
+            text = handle.read()
+    except (OSError, UnicodeDecodeError) as err:
+        # an OSError's text names the path again; a decode error has no strerror
+        raise ParseError(f"cannot read {path}: {getattr(err, 'strerror', err)}") from err
     if not text.lstrip().startswith("parity"):
         return manifests.loads(text, kinds)
     if kinds is not None and "game" not in kinds:
@@ -446,21 +443,16 @@ def main(argv=None):
         return 2 if stop.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (StateExplosion, TooLarge) as err:
+    except UsageError as err:
+        return _report_error(args, err, "usage error", 2)
+    except NegativeAnswer as err:
+        return _report_error(args, err, "negative", 1)
+    except ResourceCap as err:
         return _report_error(args, err, "resource cap", 3)
     except MemoryError:
         # a MemoryError carries no message, so this one names the command
         command = " ".join(filter(None, (args.command, getattr(args, "action", None))))
         return _report_error(args, MemoryError(f"{command}: out of memory"), "resource cap", 3)
-    except (NotEven, NotBounded) as err:
-        return _report_error(args, err, "negative", 1)
-    # malformed input: a priority outside its declared index, a dead end, an
-    # automaton that lacks a move or a letter of the tree, an unusable index,
-    # a guiding function that names no fitting transition
-    except (ParseError, PreconditionFailed, PriorityOutOfRange, DanglingSuccessor, TerminalVertex,
-            IncompleteAutomaton, AlphabetMismatch, EmptyIndex, IncompatibleGuide,
-            FileNotFoundError) as err:
-        return _report_error(args, err, "usage error", 2)
     except ParityKitError as err:
         return _report_error(args, err, "error", 1)
 

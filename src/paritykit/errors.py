@@ -1,11 +1,25 @@
-"""Exception hierarchy shared by all paritykit modules."""
+"""Exception hierarchy shared by all paritykit modules.  An error's kind
+decides the CLI's exit code and label: `UsageError` 2, `NegativeAnswer` 1,
+`ResourceCap` 3, and any other `ParityKitError` 1 ("error")."""
 
 
 class ParityKitError(Exception):
     """Base class for all toolkit errors."""
 
 
-class TerminalVertex(ParityKitError):
+class UsageError(ParityKitError):
+    """The input or a parameter is unusable: exit 2, "usage error"."""
+
+
+class NegativeAnswer(ParityKitError):
+    """A checked property fails, with a witness: exit 1, "negative"."""
+
+
+class ResourceCap(ParityKitError):
+    """A construction would pass its cap: exit 3, "resource cap"."""
+
+
+class TerminalVertex(UsageError):
     """A game-facing operation met a vertex with no outgoing edge."""
 
     def __init__(self, vertex):
@@ -21,7 +35,7 @@ class UndefinedChoice(ParityKitError):
     pass
 
 
-class NotEven(ParityKitError):
+class NotEven(NegativeAnswer):
     """Graph is not even; carries an odd-cycle lasso witness."""
 
     def __init__(self, lasso, message="graph is not even"):
@@ -29,7 +43,7 @@ class NotEven(ParityKitError):
         super().__init__(message)
 
 
-class PriorityOutOfRange(ParityKitError):
+class PriorityOutOfRange(UsageError):
     pass
 
 
@@ -37,7 +51,7 @@ DEFAULT_STATE_CAP = 200_000
 """State cap of every product construction unless the caller gives one."""
 
 
-class StateExplosion(ParityKitError):
+class StateExplosion(ResourceCap):
     """A product construction needed more states than its cap; names the
     construction and its parameters, e.g. `reg_product(J=[1,4], n=2,
     rule=liberal)`."""
@@ -49,7 +63,7 @@ class StateExplosion(ParityKitError):
         super().__init__(f"{construction}: state count {count} exceeds cap {cap}")
 
 
-class NotBounded(ParityKitError):
+class NotBounded(NegativeAnswer):
     """Labelling pair fails an n-bound check; carries the segmented path."""
 
     def __init__(self, counterexample):
@@ -57,7 +71,7 @@ class NotBounded(ParityKitError):
         super().__init__("labelling is not bounded")
 
 
-class PreconditionFailed(ParityKitError):
+class PreconditionFailed(UsageError):
     def __init__(self, name, detail):
         self.name = name
         super().__init__(f"precondition failed: {name} ({detail})")
@@ -67,19 +81,19 @@ class InvalidDecomposition(ParityKitError):
     pass
 
 
-class EmptyIndex(ParityKitError):
+class EmptyIndex(UsageError):
     pass
 
 
-class AlphabetMismatch(ParityKitError):
+class AlphabetMismatch(UsageError):
     pass
 
 
-class IncompleteAutomaton(ParityKitError):
+class IncompleteAutomaton(UsageError):
     pass
 
 
-class IncompatibleGuide(ParityKitError):
+class IncompatibleGuide(UsageError):
     pass
 
 
@@ -91,11 +105,11 @@ class ExhaustedRetries(ParityKitError):
     pass
 
 
-class TooLarge(ParityKitError):
+class TooLarge(ResourceCap):
     pass
 
 
-class ParseError(ParityKitError):
+class ParseError(UsageError):
     def __init__(self, message, line=None, column=None):
         self.line = line
         self.column = column
@@ -104,7 +118,7 @@ class ParseError(ParityKitError):
         super().__init__(message + loc)
 
 
-class DanglingSuccessor(ParityKitError):
+class DanglingSuccessor(UsageError):
     pass
 
 

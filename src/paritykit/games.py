@@ -59,10 +59,10 @@ class Index:
         return self.hi - 1 if self.hi - 1 >= self.lo else None
 
     def odds(self):
-        return [p for p in self if p % 2 == 1]
+        return range(self.lo + 1 - self.lo % 2, self.hi + 1, 2)
 
     def evens(self):
-        return [p for p in self if p % 2 == 0]
+        return range(self.lo + self.lo % 2, self.hi + 1, 2)
 
     def shift(self, delta):
         return Index(self.lo + delta, self.hi + delta)

@@ -152,17 +152,13 @@ def random_bounded_pair(p, n, salt=0):
     i_hi = p.priority_cap + (p.priority_cap % 2)
     index_i = Index(0, max(2, i_hi))
     odd_bias = 0.35 / (n + 1)
+    odds, evens = index_i.odds(), index_i.evens()
     for attempt in range(PAIR_RETRIES):
         rng = _rng(p, 3, salt * PAIR_RETRIES + attempt, n)
         g = _random_graph(rng, p.vertex_count, 0, p.edge_density)
         label_j = [rng.randint(j_lo, j_hi) for _ in g.src]
         label_j = _repair_even(g, label_j, index_j)
-        label_i = [
-            rng.choice(index_i.odds())
-            if rng.random() < odd_bias
-            else rng.choice(index_i.evens())
-            for _ in g.src
-        ]
+        label_i = [rng.choice(odds if rng.random() < odd_bias else evens) for _ in g.src]
         label_i = _repair_even(g, label_i, index_i)
         pair = LabellingPair.make(g, label_i, label_j, index_i, index_j)
         ok, _ = n_bound_check(pair, n)

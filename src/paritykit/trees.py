@@ -315,11 +315,7 @@ def universal_tree(n, k, d, w):
         new = []
         for kk in range(1, k + 1):
             block = [new[-1]] * w if kk >= 2 else []
-            kids = list(block)
-            for _ in range(n):
-                if gap:
-                    kids.append(row[kk - 1])
-                kids.extend(block)
+            kids = block + ([row[kk - 1], *block] if gap else block) * n
             new.append(OrderedTree(tuple(kids)) if kids else LEAF)
         row = new
     return row[-1]

@@ -1,14 +1,20 @@
 import contextlib
 import dataclasses
+import inspect
 import json
+import os
 import pathlib
+import random
+import resource
+import subprocess
+import sys
 import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paritykit import cli, lab, manifests
+from paritykit import cli, errors, lab, manifests
 from paritykit.automata import (
     NPTA,
     GuidingFunction,
@@ -61,7 +67,60 @@ def even_loop(tmp_path):
     return write(tmp_path, "even.json", ParityGraph.make([0], [(0, 0, 2)]))
 
 
+# today's exit code and stderr label of each error class, by name
+EXIT_OF_ERROR = {
+    "ParityKitError": (1, "error"),
+    "UsageError": (2, "usage error"),
+    "NegativeAnswer": (1, "negative"),
+    "ResourceCap": (3, "resource cap"),
+    "ParseError": (2, "usage error"),
+    "PreconditionFailed": (2, "usage error"),
+    "PriorityOutOfRange": (2, "usage error"),
+    "DanglingSuccessor": (2, "usage error"),
+    "TerminalVertex": (2, "usage error"),
+    "IncompleteAutomaton": (2, "usage error"),
+    "AlphabetMismatch": (2, "usage error"),
+    "EmptyIndex": (2, "usage error"),
+    "IncompatibleGuide": (2, "usage error"),
+    "NotEven": (1, "negative"),
+    "NotBounded": (1, "negative"),
+    "StateExplosion": (3, "resource cap"),
+    "TooLarge": (3, "resource cap"),
+    "StrategyEscapesRegion": (1, "error"),
+    "UndefinedChoice": (1, "error"),
+    "InvalidDecomposition": (1, "error"),
+    "NoAcceptingRun": (1, "error"),
+    "ExhaustedRetries": (1, "error"),
+    "NotExpressible": (1, "error"),
+    "UndefinedTree": (1, "error"),
+}
+
+ERROR_CLASSES = [
+    value
+    for value in vars(errors).values()
+    if isinstance(value, type) and issubclass(value, errors.ParityKitError) and value.__module__ == errors.__name__
+]
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda cls: cls.__name__)
+    def test_each_error_class_exits_with_its_code_and_label(self, cls, monkeypatch, capsys):
+        assert cls.__name__ in EXIT_OF_ERROR, f"{cls.__name__} has no row in EXIT_OF_ERROR"
+        code, label = EXIT_OF_ERROR[cls.__name__]
+        # "x" for each argument that the class's own __init__ requires, else a one-word message
+        init = cls.__init__
+        params = [] if init is Exception.__init__ else list(inspect.signature(init).parameters.values())[1:]
+        err = cls(*["x" for p in params if p.default is p.empty] or ["x"])
+
+        def fail(args):
+            raise err
+
+        monkeypatch.setattr(cli, "cmd_convert", fail)
+        assert main(["convert", "unread"]) == code
+        assert capsys.readouterr().err == f"{label}: {err}\n"
+        assert main(["--json-errors", "convert", "unread"]) == code
+        assert json.loads(capsys.readouterr().err) == {"error": cls.__name__, "message": str(err), "exit": code}
+
     def test_even_negative_prints_lasso(self, odd_loop, capsys):
         assert main(["even", odd_loop]) == 1
         out = capsys.readouterr().out
@@ -877,3 +936,70 @@ class TestHostileManifests:
         path = write(tmp_path, "empty.json", g if kind == "graph" else ParityGame.make(g, {}))
         assert main(["reg", "solve", path, "--n", "1"]) == 2
         assert "precondition failed: eve_wins_reg" in capsys.readouterr().err
+
+
+# each hostile run is a child process that calls `main` under an
+# address-space limit, so a run that would exhaust memory dies alone and
+# a run that would loop is stopped at the timeout
+CHILD_MEMORY = 2 << 30
+HOSTILE_SECONDS = 3
+HUGE = 10**9
+
+
+def _limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (CHILD_MEMORY, CHILD_MEMORY))
+
+
+def _run_main(argv):
+    """(exit code, stderr, seconds) of `main(argv)` in a child process."""
+    path = os.pathsep.join(filter(None, [str(pathlib.Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]))
+    start = time.perf_counter()
+    run = subprocess.run(
+        [sys.executable, "-c", "import sys; from paritykit.cli import main; sys.exit(main(sys.argv[1:]))", *argv],
+        capture_output=True,
+        text=True,
+        timeout=HOSTILE_SECONDS * 5,
+        preexec_fn=_limit_memory,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    return run.returncode, run.stderr, time.perf_counter() - start
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        # fixed: a huge index, a huge but empty universal tree, unreadable files
+        (["lab", "random", "--kind", "pair", "--priorities", str(HUGE)], 0),
+        (["lab", "random", "--kind", "pair", "--priorities", str(10**18), "--vertices", "20"], 0),
+        (["universal", "--n", str(HUGE), "--k", "1", "--depth", "1", "--width", "1"], 0),
+        (["universal", "--n", str(10**18), "--k", "1", "--depth", "1", "--width", "1"], 0),
+        (["solve", "{dir}"], 2),
+        (["solve", "{random_bytes}"], 2),
+        (["solve", "{latin1_pgsolver}"], 2),
+        # already ending in an exit code
+        (["reg", "solve", "{graph}", "--j-hi", str(HUGE)], 3),
+        (["aut", "compose", "{automaton}", "--j-hi", str(HUGE)], 3),
+        (["reg", "build", "{odd_loop}", "--n", str(HUGE)], 3),
+        (["ad", "build", "{graph}", "--level", str(10**18)], 3),
+        (["universal", "--n", "1", "--k", "1", "--depth", str(10**18), "--width", "1"], 3),
+        (["reg", "solve", "{graph}", "--start", str(10**18)], 2),
+        (["ad", "build", "{graph}", "--level", "-2"], 2),
+        (["bound", "check", "{pair}", "--n", "-1"], 2),
+        (["attract", "{graph}", str(HUGE)], 2),
+    ],
+)
+def test_hostile_input_ends_in_an_exit_code_in_seconds(tmp_path, argv, code):
+    (tmp_path / "random.bin").write_bytes(random.Random(0).randbytes(300))
+    (tmp_path / "latin1.pg").write_bytes(b'parity 1;\n0 2 0 1 "\xff";\n1 2 1 0;\n')
+    paths = {
+        "dir": str(tmp_path),
+        "random_bytes": str(tmp_path / "random.bin"),
+        "latin1_pgsolver": str(tmp_path / "latin1.pg"),
+        "graph": write(tmp_path, "g.json", ParityGraph.make([0, 1], [(0, 1, 1), (1, 0, 2)])),
+        "odd_loop": write(tmp_path, "odd.json", ParityGraph.make([0], [(0, 0, 1)])),
+        "automaton": write(tmp_path, "a.json", _aut_eventually_b()),
+        "pair": write(tmp_path, "pair.json", random_bounded_pair(GenParams(seed=9, vertex_count=4), 1)),
+    }
+    got, err, seconds = _run_main([arg.format(**paths) for arg in argv])
+    assert (got, "Traceback" in err) == (code, False), err
+    assert seconds < HOSTILE_SECONDS
