@@ -3,6 +3,7 @@ games, runs, guided runs, and the output-index composition."""
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 
 from .decomposition import LabellingPair, n_bound_check
 from .errors import (
@@ -468,14 +469,15 @@ def compose_transducer(a, J, n, *, rule=LIBERAL, cap=DEFAULT_STATE_CAP):
 
     # the reject state is the second start, so its id is 1
     reject = 1
-    # (state, letter, child0, child1, priority0, priority1), repeats included
-    rows = []
-    add_row = rows.append
+    # the distinct rows (state, letter, child0, child1, priority pair), each
+    # once, in the order first emitted; equal priority pairs are one tuple
+    rows, pairs = {}, {}
+    lost = (reject_priority, reject_priority)
 
     def expand(state, sid, intern):
         if sid == reject:
             for letter in a.alphabet:
-                add_row((reject, letter, reject, reject, reject_priority, reject_priority))
+                rows[reject, letter, reject, reject, lost] = None
             return
         q, cfg = state
         first = step(cfg, a.index.lo)
@@ -487,7 +489,7 @@ def compose_transducer(a, J, n, *, rule=LIBERAL, cap=DEFAULT_STATE_CAP):
                 for w1, _, after1 in first:
                     for cfg1 in after1:
                         if w1 is None:
-                            add_row((sid, letter, reject, reject, reject_priority, reject_priority))
+                            rows[sid, letter, reject, reject, lost] = None
                             continue
                         children1 = None
                         for w20, _, after20 in step(cfg1, p0):
@@ -507,14 +509,16 @@ def compose_transducer(a, J, n, *, rule=LIBERAL, cap=DEFAULT_STATE_CAP):
                                         for cfg21 in after21
                                     ]
                                 for child1, pr1 in children1:
-                                    add_row((sid, letter, child0, child1, pr0, pr1))
+                                    pair = pr0, pr1
+                                    rows[sid, letter, child0, child1, pairs.setdefault(pair, pair)] = None
 
     states, (initial, _reject) = explore(
         [(a.initial, machine.initial), ("reject",)], expand, what, cap
     )
-    # the columns of the distinct rows; an empty alphabet gives none
-    src, letter, left, right, pr0, pr1 = zip(*dict.fromkeys(rows)) if rows else ((),) * 6
-    omega = zip(pr0, pr1)
+    # the columns of the rows, one pass each: `zip(*rows)` would hold an
+    # iterator per row.  An empty alphabet gives empty columns
+    src, letter, left, right, omega = (tuple(map(itemgetter(k), rows)) for k in range(5))
+    del rows
     return NPTA._from_columns(
         a.alphabet, range(len(states)), initial, src, letter, left, right, omega, Index(J.lo, J.hi)
     )

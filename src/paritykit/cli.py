@@ -193,9 +193,38 @@ def cmd_universal(args):
     return 0
 
 
+def _printed_entries(t):
+    """The path entries that `cmd_embed` prints for the query t: each node's
+    path and its image's, each as long as the node's depth, so twice the
+    sum of the depths.  A subtree's depth sum is its children's, each plus
+    the child's node count, taken once per distinct subtree."""
+    sums = {}
+    stack = [t]
+    while stack:
+        node = stack[-1]
+        if id(node) in sums:
+            stack.pop()
+            continue
+        todo = [c for c in node.children if id(c) not in sums]
+        if todo:
+            stack.extend(todo)
+            continue
+        stack.pop()
+        sums[id(node)] = sum(sums[id(c)] + c.node_count() for c in node.children)
+    return 2 * sums[id(t)]
+
+
 def cmd_embed(args):
     t = _load(args.tree, ("tree",))
     host = _load(args.host, ("tree",))
+    # the printed paths grow with the square of the depth, so the cap is on
+    # their total length, taken before embedding
+    entries = _printed_entries(t)
+    if entries > args.cap_states:
+        raise TooLarge(
+            f"embed(query of {t.node_count()} nodes): {entries} printed path entries "
+            f"exceed the cap {args.cap_states}"
+        )
     e = embed(t, host)
     if e is None:
         print("no embedding")

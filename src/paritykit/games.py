@@ -573,9 +573,12 @@ def _zielonka(game, alive, cap, top=None):
     terminal-free game, and a vertex outside a player's attractor keeps a
     live move that avoids it and the top edges, so neither `below` nor
     `alive - trap` (outside the opponent's attractor) has one.
+
+    `alive` is never empty: an empty sub-view gets its result inline, with
+    fresh strategy dicts, since callers update them.  Each returned
+    strategy maps only its player's vertices inside that player's region,
+    so a sub-call's strategy is kept whole.
     """
-    if not alive:
-        return {EVE: frozenset(), ADAM: frozenset(), (EVE, "s"): {}, (ADAM, "s"): {}}
     g = game.graph
     src, dst, pri, out = g.src, g.dst, g.pri, g.out
     if top:
@@ -601,6 +604,8 @@ def _zielonka(game, alive, cap, top=None):
     mine = game.player_vertices(player)
     area, reach = _attract(g, alive, cap, target_edges=top, mine=mine, live_moves=True)
     below = alive - area
+    if not below:
+        return {player: alive, other: frozenset(), (player, "s"): reach, (other, "s"): {}}
     # sub-calls nest deeply; a suspended call keeps only what its merge
     # needs, and the top edges as a tuple, which is smaller than a set
     top = tuple(top)
@@ -611,12 +616,15 @@ def _zielonka(game, alive, cap, top=None):
         strat = sub[(player, "s")]
         strat.update(reach)
         return {player: alive, other: frozenset(), (player, "s"): strat, (other, "s"): {}}
-    won = sub[other]
-    kept = {v: e for v, e in sub[(other, "s")].items() if v in won}
+    won, kept = sub[other], sub[(other, "s")]
     theirs = game.player_vertices(other)
     trap, pull = _attract(g, alive, cap, won, mine=theirs, live_moves=True)
     del reach, sub, won
-    rest = yield _zielonka(game, alive - trap, cap, top)
+    left = alive - trap
+    if not left:
+        pull.update(kept)
+        return {player: frozenset(), other: alive, (player, "s"): {}, (other, "s"): pull}
+    rest = yield _zielonka(game, left, cap, top)
     other_strat = rest[(other, "s")]
     other_strat.update(pull)
     other_strat.update(kept)
@@ -634,13 +642,16 @@ def solve(game):
     Every recursive call reads only the live out-edges of its own
     vertices in the graph's flat edge lists, or only the top edges that
     it inherits; the root inherits the edges of the graph's top priority.
-    Each strategy maps only its own player's vertices: `_attract` records
-    moves of `mine` only, and a call keeps a sub-call's moves only inside
-    their player's region.
+    Each strategy maps only its own player's vertices inside that player's
+    region: `_attract` records moves of `mine` only, attracted into the
+    region that the call gives them, and a call gives each sub-call's
+    region to the same player.
     """
     g = game.graph
     if g.terminals:
         raise TerminalVertex(g.terminals[0])
+    if not g.vertices:
+        return frozenset(), frozenset(), {}, {}
     top = tuple(compress(range(len(g.pri)), map((g.cap - 1).__eq__, g.pri)))
     result = unwind(_zielonka(game, g.vertices, g.cap, top))
     return result[EVE], result[ADAM], result[(EVE, "s")], result[(ADAM, "s")]

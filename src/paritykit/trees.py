@@ -6,12 +6,17 @@ from itertools import product
 
 from .errors import PreconditionFailed, UndefinedTree
 
-# `_levels` packs a tree's node counts at depths 1 to _LEVELS into one int,
-# a _WIDTH-bit field per depth, depth 1 lowest; the top bit of each field is
+# `_levels` packs _COUNTS counts for each of depths 1 to _LEVELS into one
+# int, a _WIDTH-bit field per count, depth 1 lowest: the nodes at that depth,
+# then those with at least 1, 2 and 3 children; the top bit of each field is
 # a guard that no count reaches
-_LEVELS, _WIDTH = 6, 16
-_SATURATED = sum(((1 << _WIDTH - 1) - 1) << k * _WIDTH for k in range(_LEVELS))
-_GUARDS = sum(1 << (k + 1) * _WIDTH - 1 for k in range(_LEVELS))
+_LEVELS, _COUNTS, _WIDTH = 6, 4, 16
+_FIELDS = _LEVELS * _COUNTS
+_SATURATED = sum(((1 << _WIDTH - 1) - 1) << k * _WIDTH for k in range(_FIELDS))
+_GUARDS = sum(1 << (k + 1) * _WIDTH - 1 for k in range(_FIELDS))
+# _FANS[m]: the fields of depth 1 that a child with m children adds to, m
+# capped at _COUNTS - 1
+_FANS = tuple(sum(1 << c * _WIDTH for c in range(m + 1)) for m in range(_COUNTS))
 # the largest tree whose repr is its bracket text
 _REPR_NODES = 1000
 
@@ -22,12 +27,15 @@ class OrderedTree:
 
     Each tree caches, from its children's when it is built, its hash, its
     expanded node count (`node_count`), its depth, its leaf count
-    (`_leaves`, 1 for a leaf) and its node counts at depths 1 to 6
-    (`_levels`, packed into one int), so none of them takes a walk.  A tree
-    that embeds in another has at most its size, depth and leaf count (its
-    children go to distinct children of its image), and at most its node
-    count at each depth (an embedding maps the nodes at depth k one-to-one
-    to nodes at depth k), so `embed` prunes its search by all four.  The
+    (`_leaves`, 1 for a leaf) and, at each of depths 1 to 6, its node count
+    and its counts of nodes with at least 1, 2 and 3 children (`_levels`,
+    packed into one int), so none of them takes a walk.  A tree that embeds
+    in another has at most its size, depth and leaf count (its children go
+    to distinct children of its image), and at most each of its level
+    counts: an embedding maps the nodes at depth k one-to-one to nodes at
+    depth k, and each node to one with at least as many children, so for
+    every c the nodes at depth k with at least c children go one-to-one to
+    such nodes of the host.  `embed` prunes its search by all of them.  The
     level counts saturate once the size reaches 2**15, so their cost per
     tree is fixed.  Bracket parsing and printing, `==` and `n_strahler` run
     on explicit stacks, so a tree thousands of levels deep is fine.  The
@@ -40,12 +48,13 @@ class OrderedTree:
     def __post_init__(self):
         # hash, expanded node count, depth, leaf count and level counts, each
         # from the children's
-        hashes, size, deep, leaves, levels = [], 1, 0, 0, 0
+        hashes, size, deep, leaves, levels, fans = [], 1, 0, 0, 0, 0
         for c in self.children:
             hashes.append(c._hash)
             size += c._size
             leaves += c._leaves
             levels += c._levels
+            fans += _FANS[min(len(c.children), _COUNTS - 1)]
             if c._depth > deep:
                 deep = c._depth
         if size >> _WIDTH - 1:
@@ -54,7 +63,7 @@ class OrderedTree:
             # refused by size unless its host is saturated too
             levels = _SATURATED
         else:
-            levels = ((levels << _WIDTH) + len(self.children)) & _SATURATED
+            levels = ((levels << _COUNTS * _WIDTH) + fans) & _SATURATED
         object.__setattr__(self, "_hash", hash(tuple(hashes)))
         object.__setattr__(self, "_size", size)
         object.__setattr__(self, "_depth", deep + 1)
@@ -251,10 +260,13 @@ def embed(t, host):
     """Greedy leftmost isomorphic embedding, or None.
 
     A query larger, deeper or with more leaves than its host, or with more
-    nodes than the host at one of depths 1 to 6, is refused before any
-    search: one subtract-and-mask over the packed `_levels` compares all
-    six counts, and a guard bit per field stops a borrow from crossing into
-    the next.
+    nodes, or more nodes of at least 1, 2 or 3 children, than the host at
+    one of depths 1 to 6, is refused before any search.  That is sound: an
+    embedding maps the query's nodes at depth k one-to-one to host nodes at
+    depth k, each to one with at least as many children, so no count of
+    the query's can exceed the host's.  One subtract-and-mask over the
+    packed `_levels` compares all 24 counts, and a guard bit per field
+    stops a borrow from crossing into the next.
     Otherwise `_fits` decides, and a second pass follows the same scan,
     reading its verdicts, to map each node's child-index path to its
     image's.

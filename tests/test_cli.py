@@ -522,20 +522,52 @@ class TestCommands:
 
     @pytest.mark.parametrize("k", [1000, 3000])
     def test_embed_of_a_deep_tree(self, tmp_path, k):
-        # a spine k nodes long, each spine node with a leaf before the next
+        # a spine k nodes long, each spine node with a leaf before the next;
+        # its node depths sum to k*k + k, and each node prints two paths
         path = write(tmp_path, "t.json", OrderedTree.from_brackets("(()" * k + "()" + ")" * k))
         out = tmp_path / "out.txt"
+        entries = 2 * (k * k + k)
         start = time.perf_counter()
         with open(out, "w") as f, contextlib.redirect_stdout(f):
-            assert main(["embed", path, path]) == 0
+            assert main(["--cap-states", str(entries), "embed", path, path]) == 0
         assert time.perf_counter() - start < 30
-        lines = 0
+        lines = printed = 0
         with open(out) as f:
             for line in f:
                 source, image = line.rstrip("\n").split(" -> ")
                 assert source == image
                 lines += 1
-        assert lines == 2 * k + 1
+                printed += 2 * len(json.loads(source))
+        assert lines == 2 * k + 1 and printed == entries
+
+    def test_embed_over_the_cap_exits_before_embedding(self, tmp_path, capsys, monkeypatch):
+        k = 3000
+        path = write(tmp_path, "t.json", OrderedTree.from_brackets("(()" * k + "()" + ")" * k))
+        small = write(tmp_path, "s.json", OrderedTree.from_brackets("(()(()))"))
+
+        def refuse(t, host):
+            raise AssertionError("embedded")
+
+        monkeypatch.setattr(cli, "embed", refuse)
+        start = time.perf_counter()
+        assert main(["embed", path, path]) == 3
+        assert time.perf_counter() - start < 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "embed(query of 6001 nodes): 18006000 printed path entries exceed the cap 200000" in captured.err
+        # depths 1, 1 and 2: eight entries, whatever the host
+        assert main(["--cap-states", "7", "embed", small, path]) == 3
+        monkeypatch.undo()
+        assert main(["--cap-states", "8", "embed", small, small]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "[1, 0] -> [1, 0]"
+
+    def test_embed_sizes_shared_subtrees_once(self):
+        # 40 nested (t, t): 2**41 - 1 nodes over 41 shared objects, with
+        # 2**d of them at depth d
+        big = OrderedTree()
+        for _ in range(40):
+            big = OrderedTree((big, big))
+        assert cli._printed_entries(big) == 2 * sum(d * 2**d for d in range(41))
 
     def test_universal_over_the_cap(self, capsys):
         start = time.perf_counter()

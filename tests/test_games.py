@@ -635,13 +635,29 @@ class TestInheritedTop:
 
 
 class TestStrategyKeys:
-    def test_each_strategy_maps_only_its_players_vertices(self):
-        """`solve` returns `_zielonka`'s strategies unfiltered, which is
-        sound only because every move it records is its player's own."""
-        for gm in solver_corpus():
-            _, _, eve_strat, adam_strat = solve(gm)
-            assert set(eve_strat) <= gm.eve
-            assert set(adam_strat) <= gm.adam
+    def test_each_strategy_maps_only_its_players_vertices(self, monkeypatch):
+        """`solve` returns `_zielonka`'s strategies unfiltered, and each call
+        keeps its sub-calls' strategies whole, which is sound only because
+        every move it records is its player's own, inside its region: at
+        every call, not only at the root."""
+        real_zielonka = games._zielonka
+        calls = []
+
+        def zielonka(game, alive, cap, top=None):
+            result = yield from real_zielonka(game, alive, cap, top)
+            for player, mine in ((EVE, game.eve), (ADAM, game.adam)):
+                assert set(result[(player, "s")]) <= mine & result[player]
+            calls.append(alive)
+            return result
+
+        monkeypatch.setattr(games, "_zielonka", zielonka)
+        corpus = solver_corpus()
+        for gm in corpus:
+            eve_region, adam_region, eve_strat, adam_strat = solve(gm)
+            assert set(eve_strat) <= gm.eve & eve_region
+            assert set(adam_strat) <= gm.adam & adam_region
+        # a sub-call's view is never empty
+        assert len(calls) > len(corpus) and all(calls)
 
 
 def explored_corpus():

@@ -223,6 +223,29 @@ class TestEveWinsReg:
                     assert eve_wins_reg(g, Index(2, 4), 1, v)
 
 
+class TestRegisterGameAgainstZielonka:
+    def test_eve_wins_the_register_game_only_where_she_wins_the_base_game(self):
+        """Lehtinen's register game on a `ParityGame`: Eve wins it from a
+        base vertex only if `solve` gives her that vertex.  Inclusion only:
+        neither equality at some register count nor monotonicity in the
+        registers or the counter bound is proved for this construction, so
+        neither is asserted (over this corpus the inclusion is strict on one
+        product of 160)."""
+        won = states = 0
+        for v, salt in itertools.product((4, 6, 8, 10), range(10)):
+            game = random_game(GenParams(seed=7, vertex_count=v, priority_cap=6), salt=salt)
+            eve_base = solve(game)[0]
+            for (lo, hi), n in (((1, 2), 0), ((1, 2), 1), ((1, 4), 0), ((2, 4), 0)):
+                product = reg_product(game, Index(lo, hi), n)
+                eve_product = solve(product.game)[0]
+                eve_reg = {u for u, sid in product.initial.items() if sid in eve_product}
+                assert eve_reg <= eve_base, (v, salt, lo, hi, n)
+                won += len(eve_reg)
+                states = max(states, len(product.decode))
+        # the check is not vacuous: Eve wins somewhere, in products of thousands of states
+        assert won > 0 and states > 5000
+
+
 class TestNBoundCheck:
     def pair(self, edges, li, lj, ii=Index(0, 4), jj=Index(1, 2)):
         vs = sorted({v for e in edges for v in e[:2]})

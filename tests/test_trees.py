@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import paritykit.trees
 from paritykit.errors import UndefinedTree
 from paritykit.trees import (
+    _COUNTS,
     _LEVELS,
     _WIDTH,
     LEAF,
@@ -192,10 +193,14 @@ class TestPruningInvariants:
         assert trees[-1]._leaves == 3001
 
     def test_cached_level_counts(self):
-        trees = enumerate_trees(9, 9, 9) + [caterpillar(3000)]
-        assert len(trees) == 2057
+        # the last tree is three nodes short of saturating: 8,191 children
+        # of three leaves each, 24,573 nodes at depth 2
+        trees = enumerate_trees(9, 9, 9) + [caterpillar(3000), T(*[T(LEAF, LEAF, LEAF)] * 8191)]
+        assert len(trees) == 2058 and trees[-1].node_count() == 2 ** (_WIDTH - 1) - 3
         assert [_cached_levels(t) for t in trees] == [_level_counts(t) for t in trees]
-        assert _cached_levels(trees[-1]) == [2] * 6
+        # at each depth a spine node with two children and a leaf
+        assert _cached_levels(trees[-2]) == [2, 1, 1, 0] * 6
+        assert _cached_levels(trees[-1]) == [8191] * 4 + [24573, 0, 0, 0] + [0] * 16
 
     def test_more_nodes_at_a_depth_is_refused_without_a_search(self, monkeypatch):
         # equal size, depth and leaf count, fewer root children, but two
@@ -203,15 +208,25 @@ class TestPruningInvariants:
         t = OrderedTree.from_brackets("((()())())")
         host = OrderedTree.from_brackets("((())()())")
         assert (t._size, t._depth, t._leaves) == (host._size, host._depth, host._leaves)
-        assert _level_counts(t)[:2] == [2, 2] and _level_counts(host)[:2] == [3, 1]
-
-        def refuse(*args):
-            raise AssertionError("searched")
-
-        monkeypatch.setattr(paritykit.trees, "_fits", refuse)
+        assert _level_counts(t)[::_COUNTS][:2] == [2, 2] and _level_counts(host)[::_COUNTS][:2] == [3, 1]
+        monkeypatch.setattr(paritykit.trees, "_fits", _refuse_search)
         assert embed(t, host) is None
         with pytest.raises(AssertionError):
             embed(host, host)
+
+    def test_more_branching_nodes_at_a_depth_is_refused_without_a_search(self, monkeypatch):
+        # equal size, depth, leaf count and node counts at every depth, but
+        # two nodes of two children at depth 1 against the host's one
+        t = OrderedTree.from_brackets("((()())(()()))")
+        host = OrderedTree.from_brackets("((()()())(()))")
+        assert (t._size, t._depth, t._leaves) == (host._size, host._depth, host._leaves)
+        assert _level_counts(t)[::_COUNTS] == _level_counts(host)[::_COUNTS] == [2, 4, 0, 0, 0, 0]
+        assert _level_counts(t)[:_COUNTS] == [2, 2, 2, 0] and _level_counts(host)[:_COUNTS] == [2, 2, 1, 1]
+        assert not backtracking_embed(t, host)
+        monkeypatch.setattr(paritykit.trees, "_fits", _refuse_search)
+        assert embed(t, host) is None
+        with pytest.raises(AssertionError):
+            embed(t, t)
 
     def test_saturated_counts(self):
         # 40 nested (t, t): 2**41 - 1 expanded nodes over 41 shared objects
@@ -219,7 +234,10 @@ class TestPruningInvariants:
         for _ in range(40):
             big = T(big, big)
         size, levels = big.node_count(), _cached_levels(big)
-        assert size == 2**41 - 1 and levels == [2 ** (_WIDTH - 1) - 1] * 6
+        assert size == 2**41 - 1 and levels == [2 ** (_WIDTH - 1) - 1] * _LEVELS * _COUNTS
+        # each saturated field is at least the walk's count (2**k nodes of
+        # two children at depth k), so the host refuses no unsaturated query
+        assert all(a >= b for a, b in zip(levels, _level_counts(big)))
         small, ternary = complete_binary(6), complete_ternary(2)
         e = embed(small, big)
         checked = e is not None and e.check(small, big)
@@ -515,21 +533,26 @@ def _leaf_count(t):
 
 
 def _level_counts(t):
-    """Node counts at depths 1 to 6 by a walk one level at a time."""
+    """At each of depths 1 to 6, by a walk one level at a time: the node
+    count, then the counts of nodes with at least 1, 2 and 3 children."""
     counts, level = [], [t]
     for _ in range(_LEVELS):
         level = [c for node in level for c in node.children]
-        counts.append(len(level))
+        counts += [sum(1 for node in level if len(node.children) >= c) for c in range(_COUNTS)]
     return counts
 
 
 def _cached_levels(t):
-    """The fields of `t._levels`, guard bits included and the top field
-    unmasked, so that a set guard bit or a stray high bit reads as a count
-    no walk gives."""
+    """The fields of `t._levels` in `_level_counts`' order, guard bits
+    included and the top field unmasked, so that a set guard bit or a stray
+    high bit reads as a count no walk gives."""
     levels = t._levels
-    top = (_LEVELS - 1) * _WIDTH
+    top = (_LEVELS * _COUNTS - 1) * _WIDTH
     return [levels >> k & (1 << _WIDTH) - 1 for k in range(0, top, _WIDTH)] + [levels >> top]
+
+
+def _refuse_search(*args):
+    raise AssertionError("searched")
 
 
 def _measures(t):
@@ -564,8 +587,9 @@ class TestProperties:
     @given(trees_strategy, trees_strategy)
     @settings(max_examples=200, deadline=None)
     def test_embedding_grows_no_pruned_measure(self, t, host):
-        # size, depth, leaf count and the node counts at depths 1 to 6 (the
-        # first is the root fan-out), each counted by a walk
+        # size, depth, leaf count and, at depths 1 to 6, the node counts (the
+        # first is the root fan-out) and the counts of nodes with at least 1,
+        # 2 and 3 children, each counted by a walk
         if embed(t, host) is not None:
             assert all(a <= b for a, b in zip(_measures(t), _measures(host)))
 
