@@ -63,7 +63,6 @@ from .automata import (
     accepting_run,
     compose_transducer,
     guided_pair_bound_check,
-    guided_run,
     membership,
     run_graph,
 )

@@ -317,9 +317,6 @@ class RunGraph:
     chosen: tuple
     root: int
 
-    def direction_edges(self, vid):
-        return self.graph.out[vid]
-
 
 def run_graph(a, t, sigma, ag):
     """Collapse `ag`, the acceptance game of `a` on `t`, under an Eve
@@ -384,22 +381,22 @@ class GuidingFunction:
         return GuidingFunction(dict(table))
 
 
-def guided_run(gf, a, b, t, run_b):
-    """Pull a run of `a` along a run of `b` through the guiding function.
+def run_pair_labelling(gf, a, b, t, run_b):
+    """Pull a run of `a` along a run of `b` through the guiding function:
+    the guided run and the joint (labelI, labelJ) view of guided vs guide.
 
     States of `a` propagate forward from the initial state, so vertices are
     (guide vertex, guided state) pairs; the unfolding is the rewritten run.
+    Each edge's labelJ is the priority of the edge of `run_b` that it
+    follows, shifted by the even offset that `normalize_output_index`
+    applies to the guide's index.
     """
-    return _guided_run(gf, a, b, t, run_b)[0]
-
-
-def _guided_run(gf, a, b, t, run_b):
-    """The guided run and, per edge of it, the priority of the edge of
-    `run_b` that it follows."""
     chosen = []
     src, dst, pri = [], [], []
     label_j = []
-    b_dst, b_pri = run_b.graph.dst, run_b.graph.pri
+    b_out, b_dst, b_pri = run_b.graph.out, run_b.graph.dst, run_b.graph.pri
+    index_j = normalize_output_index(b.index)
+    shift = index_j.lo - b.index.lo
 
     def expand(key, vid, intern):
         bvid, p = key
@@ -412,31 +409,20 @@ def _guided_run(gf, a, b, t, run_b):
         if a.src[tid_a] != p or a.letter[tid_a] != b.letter[tid_b]:
             raise IncompatibleGuide(f"entry ({p}, {tid_b}) -> {tid_a} incompatible")
         chosen.append(tid_a)
-        p0, p1 = a.left[tid_a], a.right[tid_a]
-        pr0, pr1 = a.omega[tid_a]
-        b0, b1 = run_b.direction_edges(bvid)
+        b0, b1 = b_out[bvid]
         src.extend((vid, vid))
-        dst.append(intern((b_dst[b0], p0)))
-        dst.append(intern((b_dst[b1], p1)))
-        pri.extend((pr0, pr1))
-        label_j.extend((b_pri[b0], b_pri[b1]))
+        dst.append(intern((b_dst[b0], a.left[tid_a])))
+        dst.append(intern((b_dst[b1], a.right[tid_a])))
+        pri.extend(a.omega[tid_a])
+        label_j.extend((b_pri[b0] + shift, b_pri[b1] + shift))
 
     what = f"guided_run(states={a.size()}, guide states={b.size()}, nodes={t.node_count()})"
     states, (root,) = explore([(run_b.root, a.initial)], expand, what)
     graph = ParityGraph._explored(len(states), src, dst, pri, a.index)
     decode = tuple((run_b.decode[bvid][0], p) for bvid, p in states)
-    return RunGraph(graph, decode, tuple(chosen), root), label_j
-
-
-def run_pair_labelling(gf, a, b, t, run_b):
-    """Guided run and the joint (labelI, labelJ) view of guided vs guide;
-    labelJ shifts the guide's priorities by the even offset that
-    `normalize_output_index` applies to the guide's index."""
-    ga, label_j = _guided_run(gf, a, b, t, run_b)
-    index_j = normalize_output_index(b.index)
-    label_j = tuple(p + index_j.lo - b.index.lo for p in label_j)
     # each labelling lies in its index, as `NPTA.make` checked the priorities
-    return ga, LabellingPair(ga.graph, ga.graph.pri, label_j, a.index, index_j)
+    pair = LabellingPair(graph, graph.pri, tuple(label_j), a.index, index_j)
+    return RunGraph(graph, decode, tuple(chosen), root), pair
 
 
 def guided_pair_bound_check(a, b, gf, t):

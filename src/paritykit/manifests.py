@@ -376,26 +376,28 @@ def export_pgsolver(game):
 
 def export_dot(obj):
     if isinstance(obj, ParityGame):
-        return _dot_game(obj.graph, obj)
+        return _dot_game("parity", obj.graph, obj, obj.graph.sorted_vertices())
     if isinstance(obj, ParityGraph):
-        return _dot_game(obj, None)
+        return _dot_game("parity", obj, None, obj.sorted_vertices())
     if isinstance(obj, OrderedTree):
         return _dot_tree(obj)
     if isinstance(obj, AttractorDecomposition):
         return _dot_decomposition(obj)
     if isinstance(obj, RegProduct):
-        return _dot_product(obj)
+        return _dot_game("product", obj.game.graph, obj.game, _product_labels(obj))
     raise PreconditionFailed("dot", f"unsupported object {type(obj).__name__}")
 
 
-def _dot_game(g, game):
-    lines = ["digraph parity {"]
-    for v in g.sorted_vertices():
+def _dot_game(name, g, game, labels):
+    """The digraph `name` of `g`, its vertices in ascending order labelled
+    by `labels` in that order; a game's owners set their shapes."""
+    lines = [f"digraph {name} {{"]
+    for v, label in zip(g.sorted_vertices(), labels):
         if game is None:
             shape = "circle"
         else:
             shape = "box" if game.owner(v) == ADAM else "ellipse"
-        lines.append(f'  v{v} [label="{v}", shape={shape}];')
+        lines.append(f'  v{v} [label="{label}", shape={shape}];')
     for e in g.edges:
         lines.append(f'  v{e.src} -> v{e.dst} [label="{e.priority}"];')
     lines.append("}")
@@ -440,24 +442,20 @@ def _dot_decomposition_walk(node, lines, counter):
     lines.append("  }")
 
 
-def _dot_product(p):
-    g = p.game.graph
+def _product_labels(p):
+    """Each product vertex's phase, base position and nonzero registers
+    and counters, by vertex id."""
     base_src = p._graph().src
-    lines = ["digraph product {"]
-    for v, state in enumerate(p.decode):
+    labels = []
+    for state in p.decode:
         phase = state[0]
         if phase == "sink":
-            label = "sink"
-        else:
-            # an "A" state holds its base vertex, the others a base edge
-            at = state[1] if phase == "A" else base_src[state[1]]
-            regs_t, ctrs_t = state[-1]
-            regs = ",".join(f"r{j}={x}" for j, x in zip(p.reg_indices, regs_t))
-            ctrs = ",".join(f"c{i},{j}={x}" for (i, j), x in zip(p.counter_keys, ctrs_t) if x)
-            label = f"{phase} {at} [{regs}]" + (f" [{ctrs}]" if ctrs else "")
-        shape = "box" if p.game.owner(v) == ADAM else "ellipse"
-        lines.append(f'  v{v} [label="{label}", shape={shape}];')
-    for e in g.edges:
-        lines.append(f'  v{e.src} -> v{e.dst} [label="{e.priority}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+            labels.append("sink")
+            continue
+        # an "A" state holds its base vertex, the others a base edge
+        at = state[1] if phase == "A" else base_src[state[1]]
+        regs_t, ctrs_t = state[-1]
+        regs = ",".join(f"r{j}={x}" for j, x in zip(p.reg_indices, regs_t))
+        ctrs = ",".join(f"c{i},{j}={x}" for (i, j), x in zip(p.counter_keys, ctrs_t) if x)
+        labels.append(f"{phase} {at} [{regs}]" + (f" [{ctrs}]" if ctrs else ""))
+    return labels

@@ -15,7 +15,6 @@ from paritykit.automata import (
     accepting_run,
     compose_transducer,
     guided_pair_bound_check,
-    guided_run,
     membership,
     run_graph,
     run_pair_labelling,
@@ -415,7 +414,7 @@ def assert_directions(run, a, t):
     for vid, (node, q) in enumerate(run.decode):
         tid = run.chosen[vid]
         _, _, q0, q1 = a.transitions[tid]
-        e0, e1 = (edges[i] for i in run.direction_edges(vid))
+        e0, e1 = (edges[i] for i in run.graph.out[vid])
         assert e0.src == e1.src == vid
         assert (run.decode[e0.dst], run.decode[e1.dst]) == ((t.succ0[node], q0), (t.succ1[node], q1))
         assert (e0.priority, e1.priority) == a.omega[tid]
@@ -456,10 +455,9 @@ class TestRunGraphDirections:
         gf = GuidingFunction.make(a, b, {(0, 0): 0, (1, 0): 1})
         t = two_node_tree()
         run_b = accepting_run(b, t)
-        guided = guided_run(gf, a, b, t, run_b)
+        guided, pair = run_pair_labelling(gf, a, b, t, run_b)
         assert guided.decode == ((0, 0), (1, 1))
         assert_directions(guided, a, t)
-        _, pair = run_pair_labelling(gf, a, b, t, run_b)
         # the guide's run carries priority 2 in both directions everywhere
         assert pair.label_i == (2, 1, 2, 2)
         assert pair.label_j == (2, 2, 2, 2)
@@ -477,7 +475,7 @@ def direct_guided_transitions(gf, a, b, run_b, depth):
         if len(path) == depth:
             return
         _, _, p0, p1 = a.transitions[tid_a]
-        e0, e1 = run_b.direction_edges(bvid)
+        e0, e1 = run_b.graph.out[bvid]
         rec(path + (0,), run_b.graph.edges[e0].dst, p0)
         rec(path + (1,), run_b.graph.edges[e1].dst, p1)
 
@@ -492,7 +490,7 @@ def unfold_run(run, depth):
         table[path] = run.chosen[vid]
         if len(path) == depth:
             return
-        e0, e1 = run.direction_edges(vid)
+        e0, e1 = run.graph.out[vid]
         rec(path + (0,), run.graph.edges[e0].dst)
         rec(path + (1,), run.graph.edges[e1].dst)
 
@@ -506,21 +504,21 @@ class TestGuidedRun:
         gf = _deterministic_guide(a, a)
         t = one_node_tree("b")
         run = accepting_run(a, t)
-        guided = guided_run(gf, a, a, t, run)
+        guided, _pair = run_pair_labelling(gf, a, a, t, run)
         assert unfold_run(guided, 5) == unfold_run(run, 5)
 
     def test_preserving_guide_accepts(self):
         for a, b, gf, trees in guided_suite():
             for t in trees:
                 run_b = accepting_run(b, t)
-                guided = guided_run(gf, a, b, t, run_b)
+                guided, _pair = run_pair_labelling(gf, a, b, t, run_b)
                 assert is_even(guided.graph)
 
     def test_depth_6_unfolding_matches_direct_definition(self):
         for a, b, gf, trees in guided_suite()[:3]:
             for t in trees:
                 run_b = accepting_run(b, t)
-                guided = guided_run(gf, a, b, t, run_b)
+                guided, _pair = run_pair_labelling(gf, a, b, t, run_b)
                 assert unfold_run(guided, 6) == direct_guided_transitions(
                     gf, a, b, run_b, 6
                 )
@@ -538,7 +536,7 @@ class TestGuidedRun:
             if (v, w) in seen:
                 continue
             seen.add((v, w))
-            for ge, be in zip(guided.direction_edges(v), run_b.direction_edges(w)):
+            for ge, be in zip(guided.graph.out[v], run_b.graph.out[w]):
                 assert pair.label_j[ge] == run_b.graph.pri[be]
                 todo.append((guided.graph.dst[ge], run_b.graph.dst[be]))
         assert len(seen) == len(guided.graph.vertices) and set(pair.label_j) == {2, 4}

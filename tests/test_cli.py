@@ -47,6 +47,12 @@ from oracles import chain_graph
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 
+def _readme_block(language, after):
+    """The first fenced `language` block of README.md below the line `after`."""
+    text = README.read_text()
+    return text[text.index(after):].partition(f"```{language}\n")[2].partition("```")[0]
+
+
 def write(tmp_path, name, obj):
     path = tmp_path / name
     path.write_text(manifests.dumps(obj))
@@ -459,6 +465,47 @@ class TestCommands:
             printed.append(capsys.readouterr())
         assert printed[0].out.startswith("attractor:") and "\nstrategy: {" in printed[0].out
         assert printed[1].out == "" and "--player needs a game input" in printed[1].err
+
+    def test_readme_python_example(self, capsys):
+        block = _readme_block("python", "A small example")
+        exec(compile(block, "README.md", "exec"), {})
+        assert capsys.readouterr().out == "(()) 1\n"
+
+    def test_readme_command_lines(self, tmp_path, monkeypatch, capsys):
+        """Every line of README's "Command line" block, on files that `lab
+        random` or a fixture writes under the names it uses, ends in exit 0.
+        `lab battery --instances 100` runs at one instance per criterion:
+        at 100 it is the acceptance-scale battery, which
+        tests/test_acceptance.py runs criterion by criterion."""
+        monkeypatch.chdir(tmp_path)
+        for kind, name in (("game", "game.json"), ("even-graph", "graph.json"), ("pair", "pair.json")):
+            assert main(["lab", "random", "--kind", kind]) == 0
+            (tmp_path / name).write_text(capsys.readouterr().out)
+        (tmp_path / "input.pg").write_text("parity 1;\n0 2 0 1;\n1 2 1 0;\n")
+        for name, obj in (
+            ("small.json", OrderedTree.from_brackets("(()())")),
+            ("host.json", OrderedTree.from_brackets("((())()())")),
+            ("automaton.json", _aut_eventually_b()),
+        ):
+            write(tmp_path, name, obj)
+        # `strahler` reads tree.json as an ordered tree, `aut member` as a regular one
+        trees = {
+            "strahler": OrderedTree.from_brackets("((())())"),
+            "aut": RegularTree.make(("b",), (0,), (0,), 0),
+        }
+        lines = [line.partition("#")[0].split() for line in _readme_block("sh", "## Command line").splitlines()]
+        assert len(lines) == 15 and all(argv[0] == "paritykit" for argv in lines)
+        for argv in lines:
+            argv = argv[1:]
+            if argv[0] in trees:
+                write(tmp_path, "tree.json", trees[argv[0]])
+            if argv[:2] == ["lab", "battery"]:
+                argv[argv.index("--instances") + 1] = "1"
+            assert main(argv) == 0, argv
+            printed = capsys.readouterr().out
+            if argv[:2] == ["ad", "build"]:
+                # `ad check` on the next line reads this decomposition
+                (tmp_path / "d.json").write_text(printed)
 
     def test_ad_build_and_check(self, tmp_path, capsys):
         g = ParityGraph.make([0], [(0, 0, 2)])

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paritykit import games, manifests
-from paritykit.automata import accepting_run, acceptance_game, guided_run
+from paritykit.automata import accepting_run, acceptance_game, run_pair_labelling
 from paritykit.decomposition import memory_product
 from paritykit.errors import (
     NoAcceptingRun,
@@ -684,7 +684,7 @@ def explored_corpus():
                 pass
     for a, b, gf, trees in guided_suite():
         for t in trees:
-            yield guided_run(gf, a, b, t, accepting_run(b, t)).graph, None
+            yield run_pair_labelling(gf, a, b, t, accepting_run(b, t))[0].graph, None
     pair_params = GenParams(seed=21057, vertex_count=5, priority_cap=4, index_j=(1, 2))
     for salt in range(4):
         pair = random_bounded_pair(pair_params, 1, salt=salt)

@@ -19,9 +19,9 @@ from paritykit.automata import (
     accepting_run,
     compose_transducer,
     guided_pair_bound_check,
-    guided_run,
     membership,
     run_graph,
+    run_pair_labelling,
 )
 from paritykit.decomposition import (
     ad_from_bounded_pair,
@@ -118,7 +118,7 @@ CALLS = {
     "accepting_run": lambda f: accepting_run(f.automaton, f.member),
     "run_graph": lambda f: run_graph(f.automaton, f.member, f.run_choice, ag=f.acceptance),
     "compose_transducer": lambda f: compose_transducer(f.automaton, Index(1, 2), 1),
-    "guided_run": lambda f: guided_run(f.guide, f.a, f.b, f.guided_tree, f.run_b),
+    "run_pair_labelling": lambda f: run_pair_labelling(f.guide, f.a, f.b, f.guided_tree, f.run_b),
     "guided_pair_bound_check": lambda f: guided_pair_bound_check(f.a, f.b, f.guide, f.guided_tree),
     "unfolding_signature": lambda f: f.regular[-1].unfolding_signature(6),
     # lab
