@@ -30,6 +30,7 @@ from .games import (
     check_even,
     player_attractor,
     solve,
+    unwind,
 )
 from .lab import (
     PAIR_VERTICES,
@@ -76,6 +77,12 @@ def _load(path, kinds, source_priority=False, meta=None):
     return manifests.import_pgsolver(text, use_source_priority=source_priority)
 
 
+def _load_graph(path):
+    """The graph of the graph or game manifest at `path`."""
+    g = _load(path, GRAPHS)
+    return g.graph if isinstance(g, ParityGame) else g
+
+
 def _emit(obj, args, meta=None):
     fmt = getattr(args, "format", "native")
     if fmt == "dot":
@@ -114,10 +121,7 @@ def cmd_solve(args):
 
 
 def cmd_even(args):
-    g = _load(args.file, GRAPHS)
-    if isinstance(g, ParityGame):
-        g = g.graph
-    ok, lasso = check_even(g)
+    ok, lasso = check_even(_load_graph(args.file))
     if ok:
         print("even")
         return 0
@@ -144,16 +148,9 @@ def cmd_attract(args):
 
 
 def cmd_ad(args):
-    g = _load(args.file, GRAPHS)
-    if isinstance(g, ParityGame):
-        g = g.graph
+    g = _load_graph(args.file)
     if args.action == "build":
-        h = args.level
-        if h is None:
-            h = max(g.pri, default=0)
-            h += h % 2
-        d = build_ad(g, h)
-        _emit(d, args)
+        _emit(build_ad(g, args.level), args)
         return 0
     d = _load(args.decomposition, ("decomposition",))
     if args.action == "check":
@@ -193,25 +190,23 @@ def cmd_universal(args):
     return 0
 
 
+def _depth_sum(t, sums):
+    """The sum of the depths of t's nodes, run by `unwind`: its children's
+    sums, each plus the child's node count, taken once per distinct subtree
+    and kept in `sums` by id."""
+    total = 0
+    for c in t.children:
+        if id(c) not in sums:
+            sums[id(c)] = yield _depth_sum(c, sums)
+        total += sums[id(c)] + c.node_count()
+    return total
+
+
 def _printed_entries(t):
     """The path entries that `cmd_embed` prints for the query t: each node's
     path and its image's, each as long as the node's depth, so twice the
-    sum of the depths.  A subtree's depth sum is its children's, each plus
-    the child's node count, taken once per distinct subtree."""
-    sums = {}
-    stack = [t]
-    while stack:
-        node = stack[-1]
-        if id(node) in sums:
-            stack.pop()
-            continue
-        todo = [c for c in node.children if id(c) not in sums]
-        if todo:
-            stack.extend(todo)
-            continue
-        stack.pop()
-        sums[id(node)] = sum(sums[id(c)] + c.node_count() for c in node.children)
-    return 2 * sums[id(t)]
+    sum of the depths."""
+    return 2 * unwind(_depth_sum(t, {}))
 
 
 def cmd_embed(args):

@@ -38,7 +38,9 @@ class AdChild:
         object.__setattr__(self, "_hash", hash((self.subgame, self.attractor, self.sub)))
 
     def __eq__(self, other):
-        return _equal(self, other) if other.__class__ is AdChild else NotImplemented
+        if other.__class__ is not AdChild:
+            return NotImplemented
+        return self.subgame == other.subgame and self.attractor == other.attractor and self.sub == other.sub
 
     def __hash__(self):
         return self._hash
@@ -57,7 +59,9 @@ class AttractorDecomposition:
         object.__setattr__(self, "_hash", h)
 
     def __eq__(self, other):
-        return _equal(self, other) if other.__class__ is AttractorDecomposition else NotImplemented
+        if other.__class__ is not AttractorDecomposition:
+            return NotImplemented
+        return unwind(_equal(self, other))
 
     def __hash__(self):
         return self._hash
@@ -73,25 +77,16 @@ def _width(d):
 
 
 def _equal(x, y):
-    """The dataclass == of two decompositions or two children, field by
-    field, on an explicit stack so that deep decompositions compare."""
-    stack = [(x, y)]
-    while stack:
-        a, b = stack.pop()
-        if a is b:
-            continue
-        if a.__class__ is not b.__class__:
+    """The dataclass == of two decompositions, run by `unwind` so that deep
+    decompositions compare."""
+    if x is y:
+        return True
+    fields = (x.level, x.top_edges, x.top_attractor, len(x.children))
+    if fields != (y.level, y.top_edges, y.top_attractor, len(y.children)):
+        return False
+    for a, b in zip(x.children, y.children):
+        if a.subgame != b.subgame or a.attractor != b.attractor or not (yield _equal(a.sub, b.sub)):
             return False
-        if a.__class__ is AdChild:
-            if a.subgame != b.subgame or a.attractor != b.attractor:
-                return False
-            stack.append((a.sub, b.sub))
-        else:
-            if (a.level, a.top_edges, a.top_attractor) != (b.level, b.top_edges, b.top_attractor):
-                return False
-            if len(a.children) != len(b.children):
-                return False
-            stack.extend(zip(a.children, b.children))
     return True
 
 
@@ -167,8 +162,9 @@ def _build(g, alive, cap, level):
     return AttractorDecomposition(level, h_edges, a0, children)
 
 
-def build_ad(g, h):
-    """Canonical attractor decomposition of an even graph at even level h.
+def build_ad(g, h=None):
+    """Canonical attractor decomposition of an even graph at even level h,
+    by default the least even level at or above every priority.
 
     The construction itself detects a graph that is not even: a cycle with
     odd maximum p enters no attractor above level p+1, and there it leaves
@@ -178,6 +174,9 @@ def build_ad(g, h):
     time and stops where a top attractor covers its view, so it is at most
     h/2 + 1 nodes deep, not h/2 + 1 nodes in all; a graph whose h/2 + 1
     exceeds DEFAULT_STATE_CAP raises TooLarge before anything is built."""
+    if h is None:
+        h = max(g.pri, default=0)
+        h += h % 2
     if h < 0 or h % 2 == 1:
         raise PreconditionFailed("build_ad", "level must be an even natural")
     if max(g.pri, default=0) > h:
@@ -320,7 +319,13 @@ def ad_reachability_check(g, d):
     Exact for decompositions that `validate_ad` accepts: inside a valid
     node of level h every edge of priority above h is the top edge of an
     ancestor, so the top-priority-free part of a node is the union of its
-    child attractors capped at h."""
+    child attractors capped at h.
+
+    It cannot fail on such a decomposition: each child attractor is the
+    attractor of a subgame that is closed in its residual, so no live
+    edge below the node's level leaves it into the residual, which holds
+    every later attractor.  It does fail on some that `validate_ad`
+    refuses."""
     return unwind(_reach_check(g, d))
 
 

@@ -42,9 +42,6 @@ class Index:
     def __contains__(self, p):
         return self.lo <= p <= self.hi
 
-    def __iter__(self):
-        return iter(range(self.lo, self.hi + 1))
-
     @property
     def max_even(self):
         """Largest even priority in the range, or None if there is none."""

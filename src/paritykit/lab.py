@@ -158,7 +158,12 @@ def random_bounded_pair(p, n, salt=0):
         g = _random_graph(rng, p.vertex_count, 0, p.edge_density)
         label_j = [rng.randint(j_lo, j_hi) for _ in g.src]
         label_j = _repair_even(g, label_j, index_j)
-        label_i = [rng.choice(odds if rng.random() < odd_bias else evens) for _ in g.src]
+        label_i = []
+        for _ in g.src:
+            # `choice` takes the range's len(), which overflows past sys.maxsize;
+            # `randrange` draws the same value without it
+            r = odds if rng.random() < odd_bias else evens
+            label_i.append(rng.randrange(r.start, r.stop, 2))
         label_i = _repair_even(g, label_i, index_i)
         pair = LabellingPair.make(g, label_i, label_j, index_i, index_j)
         ok, _ = n_bound_check(pair, n)
@@ -355,9 +360,8 @@ def _deterministic_guide(a, b):
     """Map every guide transition to a's unique transition over its letter."""
     table = {}
     for p in a.states:
-        for tid_b, tb in enumerate(b.transitions):
-            tids = a.transitions_from(p, tb[1])
-            table[(p, tid_b)] = tids[0]
+        for tid_b, x in enumerate(b.letter):
+            table[(p, tid_b)] = a.transitions_from(p, x)[0]
     return GuidingFunction.make(a, b, table)
 
 
@@ -389,9 +393,9 @@ def guided_negative():
     a = _aut_eventually_b_trap()
     b = _aut_eventually_b()
     table = dict(_deterministic_guide(a, b).table)
-    trap = next(i for i in a.transitions_from(0, "b") if a.transitions[i][2] == 2)
-    for tid_b, tb in enumerate(b.transitions):
-        if tb[1] == "b":
+    trap = next(i for i in a.transitions_from(0, "b") if a.left[i] == 2)
+    for tid_b, x in enumerate(b.letter):
+        if x == "b":
             table[(0, tid_b)] = trap
     return a, b, GuidingFunction.make(a, b, table), _suite_trees()
 
@@ -525,10 +529,8 @@ def _evenness_decomposition(p, count):
     for k in range(count):
         g = _random_graph(_rng(p, 4, k), 10, p.priority_cap, p.edge_density)
         even = is_even(g)
-        h = max(g.pri, default=0)
-        h += h % 2
         try:
-            d = build_ad(g, h)
+            d = build_ad(g)
             built = True
         except NotEven:
             built = False
@@ -591,9 +593,7 @@ def _strahler_completeness(p, count):
     for k in range(count):
         n = 1 + (k % 2)
         g = random_even_graph(base, salt=k)
-        h = max(g.pri, default=0)
-        h += h % 2
-        d = build_ad(g, h)
+        d = build_ad(g)
         if not synth_from_ad(g, d, n).verify():
             failures.append((f"instance {k} n={n}", manifests.dumps(g)))
     return count, failures

@@ -375,23 +375,29 @@ def export_pgsolver(game):
 
 
 def export_dot(obj):
+    """The DOT digraph of a game, graph, tree, decomposition or product."""
     if isinstance(obj, ParityGame):
-        return _dot_game("parity", obj.graph, obj, obj.graph.sorted_vertices())
-    if isinstance(obj, ParityGraph):
-        return _dot_game("parity", obj, None, obj.sorted_vertices())
-    if isinstance(obj, OrderedTree):
-        return _dot_tree(obj)
-    if isinstance(obj, AttractorDecomposition):
-        return _dot_decomposition(obj)
-    if isinstance(obj, RegProduct):
-        return _dot_game("product", obj.game.graph, obj.game, _product_labels(obj))
-    raise PreconditionFailed("dot", f"unsupported object {type(obj).__name__}")
+        name, body = "parity", _dot_game(obj.graph, obj, obj.graph.sorted_vertices())
+    elif isinstance(obj, ParityGraph):
+        name, body = "parity", _dot_game(obj, None, obj.sorted_vertices())
+    elif isinstance(obj, OrderedTree):
+        name, body = "tree", []
+        unwind(_dot_tree_walk(obj, body, [0]))
+    elif isinstance(obj, AttractorDecomposition):
+        name, body = "decomposition", ["  compound=true;"]
+        unwind(_dot_decomposition_walk(obj, body, [0]))
+    elif isinstance(obj, RegProduct):
+        name, body = "product", _dot_game(obj.game.graph, obj.game, _product_labels(obj))
+    else:
+        raise PreconditionFailed("dot", f"unsupported object {type(obj).__name__}")
+    return "\n".join([f"digraph {name} {{", *body, "}"]) + "\n"
 
 
-def _dot_game(name, g, game, labels):
-    """The digraph `name` of `g`, its vertices in ascending order labelled
-    by `labels` in that order; a game's owners set their shapes."""
-    lines = [f"digraph {name} {{"]
+def _dot_game(g, game, labels):
+    """The DOT lines of `g`'s vertices in ascending order, labelled by
+    `labels` in that order, then of its edges; a game's owners set the
+    vertices' shapes."""
+    lines = []
     for v, label in zip(g.sorted_vertices(), labels):
         if game is None:
             shape = "circle"
@@ -400,15 +406,7 @@ def _dot_game(name, g, game, labels):
         lines.append(f'  v{v} [label="{label}", shape={shape}];')
     for e in g.edges:
         lines.append(f'  v{e.src} -> v{e.dst} [label="{e.priority}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def _dot_tree(t):
-    lines = ["digraph tree {"]
-    unwind(_dot_tree_walk(t, lines, [0]))
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return lines
 
 
 def _dot_tree_walk(node, lines, counter):
@@ -419,13 +417,6 @@ def _dot_tree_walk(node, lines, counter):
         child = yield _dot_tree_walk(c, lines, counter)
         lines.append(f"  n{me} -> n{child};")
     return me
-
-
-def _dot_decomposition(d):
-    lines = ["digraph decomposition {", "  compound=true;"]
-    unwind(_dot_decomposition_walk(d, lines, [0]))
-    lines.append("}")
-    return "\n".join(lines) + "\n"
 
 
 def _dot_decomposition_walk(node, lines, counter):

@@ -24,7 +24,7 @@ from paritykit.automata import (
     membership,
 )
 from paritykit.cli import main
-from paritykit.decomposition import AttractorDecomposition, LabellingPair, build_ad
+from paritykit.decomposition import AttractorDecomposition, LabellingPair, SegmentedPath, build_ad
 from paritykit.errors import PreconditionFailed
 from paritykit.games import Index, Lasso, ParityGame, ParityGraph
 from paritykit.lab import (
@@ -651,6 +651,34 @@ class TestCommands:
         path = write(tmp_path, "pair.json", pair)
         assert main(["bound", "check", path, "--n", "0"]) == 0
 
+    def test_bound_check_prints_a_witness_that_replays(self, tmp_path, capsys):
+        # each pass round the loop is a segment with labelI 1 and labelJ 2
+        g = ParityGraph.make([0], [(0, 0, 0)])
+        pair = LabellingPair.make(g, (1,), (2,), Index(0, 2), Index(1, 2))
+        path = write(tmp_path, "pair.json", pair)
+        assert main(["bound", "check", path, "--n", "2"]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "not bounded"
+        witness = json.loads(out[1])
+        segments = tuple(map(tuple, witness["segments"]))
+        assert len(segments) == 3
+        assert SegmentedPath(witness["odd"], witness["even"], segments).check(pair)
+
+    def test_ad_tight_refuses_an_invalid_decomposition(self, tmp_path, capsys):
+        g = ParityGraph.make([0, 1], [(0, 0, 0), (1, 1, 0), (1, 0, 1)])
+        d = build_ad(g)
+        assert len(d.children) == 2
+        # vertex 1's edge of priority 1 leads into the later child {0}
+        swapped = write(tmp_path, "d.json", dataclasses.replace(d, children=d.children[::-1]))
+        path = write(tmp_path, "g.json", g)
+        assert main(["ad", "tight", path, "--decomposition", swapped]) == 1
+        assert capsys.readouterr().out == "invalid decomposition\n"
+
+    def test_even_reads_the_graph_of_a_game(self, tmp_path, capsys):
+        game = ParityGame.make(ParityGraph.make([0, 1], [(0, 1, 1), (1, 0, 2)]), {0: "eve", 1: "adam"})
+        assert main(["even", write(tmp_path, "game.json", game)]) == 0
+        assert capsys.readouterr().out == "even\n"
+
     def test_aut_member(self, tmp_path, capsys):
         from paritykit.lab import _aut_eventually_b
         from paritykit.automata import RegularTree
@@ -754,6 +782,18 @@ class TestCommands:
         path = write(tmp_path, "g.json", gm)
         assert main(["--format", "dot", "convert", path]) == 0
         assert capsys.readouterr().out.startswith("digraph")
+
+    def test_convert_a_bare_graph_to_dot(self, tmp_path, capsys):
+        path = write(tmp_path, "g.json", ParityGraph.make([0, 1], [(0, 1, 1), (1, 0, 2)]))
+        assert main(["--format", "dot", "convert", path]) == 0
+        assert capsys.readouterr().out == (
+            "digraph parity {\n"
+            '  v0 [label="0", shape=circle];\n'
+            '  v1 [label="1", shape=circle];\n'
+            '  v0 -> v1 [label="1"];\n'
+            '  v1 -> v0 [label="2"];\n'
+            "}\n"
+        )
 
     @pytest.mark.parametrize(
         "argv, kind",
@@ -1065,6 +1105,8 @@ def _run_main(argv):
         (["ad", "build", "{graph}", "--level", "-2"], 2),
         (["bound", "check", "{pair}", "--n", "-1"], 2),
         (["attract", "{graph}", str(HUGE)], 2),
+        # fixed: a priority cap past sys.maxsize
+        (["lab", "random", "--kind", "pair", "--priorities", str(10**20)], 0),
     ],
 )
 def test_hostile_input_ends_in_an_exit_code_in_seconds(tmp_path, argv, code):

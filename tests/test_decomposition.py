@@ -29,7 +29,7 @@ from paritykit.games import Index, ParityGraph, check_even, is_even, unwind
 from paritykit.lab import GenParams, random_bounded_pair, random_even_graph
 from paritykit.trees import LEAF, OrderedTree, n_strahler
 
-from corpora import repaired_even_graph, wide_flag_pair
+from corpora import repaired_even_graph, validate_corpus, wide_flag_pair
 from oracles import brute_is_tight, brute_reachability_check, chain_graph, random_graph
 
 
@@ -335,6 +335,13 @@ class TestAdFromBoundedPair:
 
 
 class TestReachChecksAgainstOracle:
+    def test_reachability_holds_wherever_validate_ad_holds(self):
+        """`ad_reachability_check` never refuses a decomposition that
+        `validate_ad` accepts; it refuses some that `validate_ad` refuses."""
+        verdicts = [(bool(validate_ad(g, d)), ad_reachability_check(g, d)) for g, d in validate_corpus()]
+        assert verdicts.count((True, True)) == 503 and verdicts.count((True, False)) == 0
+        assert verdicts.count((False, False)) == 28 and verdicts.count((False, True)) == 1283 - 28
+
     def test_canonical_and_bounded_pair_decompositions(self):
         cases = []
         for salt in range(150):

@@ -435,13 +435,9 @@ def test_edges_are_read_from_the_columns():
     assert _attribute_readers("edges") == EDGE_READERS
 
 
-# functions that may read an automaton's `transitions`: the fixed suites
-# that lab builds by hand, which are a few transitions long
-TRANSITION_READERS = {
-    "lab.py:_aut_eventually_b_dup",
-    "lab.py:_deterministic_guide",
-    "lab.py:guided_negative",
-}
+# functions that may read an automaton's `transitions`: the fixed suite
+# automaton that lab copies from another's few transitions
+TRANSITION_READERS = {"lab.py:_aut_eventually_b_dup"}
 
 
 def test_transitions_are_read_from_the_columns():

@@ -226,10 +226,13 @@ class TestEveWinsReg:
 class TestRegisterGameAgainstZielonka:
     def test_eve_wins_the_register_game_only_where_she_wins_the_base_game(self):
         """Lehtinen's register game on a `ParityGame`: Eve wins it from a
-        base vertex only if `solve` gives her that vertex.  Inclusion only:
-        equality at some register count is not proved for this construction,
-        so it is not asserted (over this corpus the inclusion is strict on one
-        product of 160)."""
+        base vertex only if `solve` gives her that vertex.  At J [1, 2] n 1,
+        J [1, 4] n 0 and J [2, 4] n 0 she wins it exactly there on every
+        game of this corpus, and at J [1, 2] n 0 on all but one: the 4-vertex
+        game of salt 5, where her region has 2 vertices and `solve`'s 4.
+        These are observations, not a theorem: Lehtinen's (LICS 2018)
+        1 + log2 |V| registers are reached here only by the 4-vertex games
+        at J [1, 4], whose registers are {0, 1, 2}."""
         won = states = 0
         for v, salt in itertools.product((4, 6, 8, 10), range(10)):
             game = random_game(GenParams(seed=7, vertex_count=v, priority_cap=6), salt=salt)
@@ -238,7 +241,10 @@ class TestRegisterGameAgainstZielonka:
                 product = reg_product(game, Index(lo, hi), n)
                 eve_product = solve(product.game)[0]
                 eve_reg = {u for u, sid in product.initial.items() if sid in eve_product}
-                assert eve_reg <= eve_base, (v, salt, lo, hi, n)
+                if (lo, hi, n) == (1, 2, 0):
+                    assert eve_reg <= eve_base, (v, salt)
+                else:
+                    assert eve_reg == eve_base, (v, salt, lo, hi, n)
                 won += len(eve_reg)
                 states = max(states, len(product.decode))
         # the check is not vacuous: Eve wins somewhere, in products of thousands of states
