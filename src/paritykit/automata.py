@@ -51,11 +51,6 @@ class NPTA:
         rows = tuple(tuple(t) for t in transitions)
         # a row of another length fails to unpack, here or in the zip
         src, letter, left, right = zip(*rows, strict=True) if rows else ((),) * 4
-        return NPTA._from_columns(alphabet, states, initial, src, letter, left, right, omega, index)
-
-    @staticmethod
-    def _from_columns(alphabet, states, initial, src, letter, left, right, omega, index):
-        """`make` on transition columns (tuples) instead of rows."""
         alphabet = tuple(sorted(set(alphabet)))
         states = tuple(sorted(set(states)))
         omega = tuple(tuple(o) for o in omega)
@@ -78,8 +73,8 @@ class NPTA:
         for o in omega:
             if not (lo <= o[0] <= hi and lo <= o[1] <= hi):
                 raise PreconditionFailed("omega", f"priorities {o} outside {index}")
-        # equal priority pairs share one tuple: composed automata hold many
-        # transitions over a handful of distinct pairs
+        # equal priority pairs share one tuple: a loaded composed automaton
+        # holds many transitions over a handful of distinct pairs
         pairs = {}
         omega = tuple(pairs.setdefault(o, o) for o in omega)
         # read from a set, so that only callers of transitions_from build its index
@@ -420,7 +415,7 @@ def run_pair_labelling(gf, a, b, t, run_b):
     states, (root,) = explore([(run_b.root, a.initial)], expand, what)
     graph = ParityGraph._explored(len(states), src, dst, pri, a.index)
     decode = tuple((run_b.decode[bvid][0], p) for bvid, p in states)
-    # each labelling lies in its index, as `NPTA.make` checked the priorities
+    # each labelling lies in its index, as every automaton's priorities do
     pair = LabellingPair(graph, graph.pri, tuple(label_j), a.index, index_j)
     return RunGraph(graph, decode, tuple(chosen), root), pair
 
@@ -457,8 +452,8 @@ def compose_transducer(a, J, n, *, rule=LIBERAL, cap=DEFAULT_STATE_CAP):
     reject = 1
     # the distinct rows (state, letter, child0, child1, priority pair), each
     # once, in the order first emitted; equal priority pairs are one tuple
-    rows, pairs = {}, {}
     lost = (reject_priority, reject_priority)
+    rows, pairs = {}, {lost: lost}
 
     def expand(state, sid, intern):
         if sid == reject:
@@ -505,6 +500,6 @@ def compose_transducer(a, J, n, *, rule=LIBERAL, cap=DEFAULT_STATE_CAP):
     # iterator per row.  An empty alphabet gives empty columns
     src, letter, left, right, omega = (tuple(map(itemgetter(k), rows)) for k in range(5))
     del rows
-    return NPTA._from_columns(
-        a.alphabet, range(len(states)), initial, src, letter, left, right, omega, Index(J.lo, J.hi)
-    )
+    # states, letters and priorities all come from `a` and the machine, and
+    # every (state, letter) has a row, so there is nothing for `make` to check
+    return NPTA(a.alphabet, tuple(range(len(states))), initial, src, letter, left, right, omega, J)

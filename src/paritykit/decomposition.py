@@ -622,6 +622,11 @@ def _rts_build(mp, g, label_j, alive, cap, i2, j2, n):
     priority-free leftovers, then reassemble in interleaved order.  `g` is
     the product's labelI graph, `label_j` its labelJ values.
 
+    Each child is what of a part cannot leave it within the residual, so
+    it is closed there.  Passes over the parts repeat until they cover the
+    residual: a vertex in a kid's star attractor but in no part can keep a
+    part open until a later pass.
+
     Within a star part no labelI edge has priority level-1 (its source
     would outrank its target), nor within a leftover part (a subset of one
     S_k), so capping the children at `level` removes exactly the top edges
@@ -672,16 +677,21 @@ def _rts_build(mp, g, label_j, alive, cap, i2, j2, n):
 
     current = alive1
     children = []
-    for part, sub_j in sequence:
-        live_part = _view_core(g, frozenset(part) & current, cap1)
-        if not live_part:
-            continue
-        sub = yield _rts_build(mp, g, label_j, live_part, cap1, i2 - 1, sub_j, n)
-        a = frozenset(_attract(g, current, cap1, live_part)[0])
-        children.append(AdChild(live_part, a, sub))
-        current = current - a
-    if current:
-        raise InvalidDecomposition(f"assembly left {sorted(current)} uncovered")
+    while current:
+        before = len(children)
+        for part, sub_j in sequence:
+            # the part's vertices that cannot leave it within the residual:
+            # closed there, and without a dead end, as `current` has none
+            p = frozenset(part) & current
+            live_part = p - _attract(g, current, cap1, current - p, mine=current)[0]
+            if not live_part:
+                continue
+            sub = yield _rts_build(mp, g, label_j, live_part, cap1, i2 - 1, sub_j, n)
+            a = frozenset(_attract(g, current, cap1, live_part)[0])
+            children.append(AdChild(live_part, a, sub))
+            current = current - a
+        if len(children) == before:
+            raise InvalidDecomposition(f"assembly left {sorted(current)} uncovered")
     return AttractorDecomposition(level, h_edges, a0, tuple(children))
 
 
@@ -689,9 +699,10 @@ def ad_from_bounded_pair(pair, n, j, cap=DEFAULT_STATE_CAP):
     """Decomposition of the memory product witnessing low Strahler complexity.
 
     Requires both labellings even and labelI n-bound by labelJ.  The
-    result always validates against the product's labelI graph and its
-    tree-shape has (n+1)-Strahler number at most j; when the realized star
-    ranks stay at n or below (in particular whenever the pair is already
+    result is validated against the product's labelI graph before it is
+    returned, and its tree-shape has (n+1)-Strahler number at most j, as
+    on every call of tests/bounded_survey.py; when the realized star ranks
+    stay at n or below (in particular whenever the pair is already
     (n-1)-bound) the n-Strahler number is at most j as well.
     """
     ii, jj = pair.index_i, pair.index_j

@@ -42,19 +42,6 @@ class Index:
     def __contains__(self, p):
         return self.lo <= p <= self.hi
 
-    @property
-    def max_even(self):
-        """Largest even priority in the range, or None if there is none."""
-        if self.hi % 2 == 0:
-            return self.hi
-        return self.hi - 1 if self.hi - 1 >= self.lo else None
-
-    @property
-    def max_odd(self):
-        if self.hi % 2 == 1:
-            return self.hi
-        return self.hi - 1 if self.hi - 1 >= self.lo else None
-
     def odds(self):
         return range(self.lo + 1 - self.lo % 2, self.hi + 1, 2)
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from .decomposition import _bounded_pair_gate, n_bound_check, validate_ad
 from .errors import (
     DEFAULT_STATE_CAP,
-    EmptyIndex,
     InvalidDecomposition,
     PreconditionFailed,
     TooLarge,
@@ -60,13 +59,6 @@ def normalize_output_index(J):
     return J.shift(2) if J.lo == 0 else J.shift(-2 * ((J.lo - 1) // 2))
 
 
-def _register_indices(J):
-    regs = sorted({e // 2 for e in J.evens()} | ({0} if 1 in J else set()))
-    if not regs:
-        raise EmptyIndex(f"no registers available for output index {J}")
-    return regs
-
-
 class RegMachine:
     """The register/counter data structure shared by the product game and
     the automaton composition: one step table over interned configs.  It
@@ -86,11 +78,13 @@ class RegMachine:
         self.J = J
         self.n = n
         self.rule = rule
-        self.regs = tuple(_register_indices(J))
+        # J's minimum is 1 or 2, so the registers ascend and are never none
+        self.regs = (0,) * (1 in J) + tuple(e // 2 for e in J.evens())
         self.counter_keys = tuple((i, j) for i in index_i.odds() for j in self.regs)
         self._ck_pos = {key: x for x, key in enumerate(self.counter_keys)}
-        self.max_odd = index_i.max_odd
-        init_reg = index_i.lo - 1 if index_i.max_even is None else index_i.max_even
+        self.hi = index_i.hi
+        # the largest even input priority, or 0 when the shifted I is [1, 1]
+        init_reg = index_i.hi - index_i.hi % 2
         self.initial = ((init_reg,) * len(self.regs), (0,) * len(self.counter_keys))
         self._forget()
 
@@ -117,7 +111,7 @@ class RegMachine:
         row = self._steps.get(key)
         if row is None:
             p = priority - self.shift
-            picks = range(p, self.max_odd + 1, 2) if p % 2 else (p,)
+            picks = range(p, self.hi + 1, 2) if p % 2 else (p,)
             row = tuple(self._register_step(cfg, jx, picks) for jx in range(len(self.regs)))
             _charge(self)
             self._steps[key] = row
@@ -196,7 +190,7 @@ def reg_machine(index_i, J, n, rule, cap, name):
     J = normalize_output_index(J)
     what = f"{name}(J=[{J.lo},{J.hi}], n={n}, rule={rule})"
     odds = (index_i.hi + 1) // 2 - index_i.lo // 2
-    regs = J.hi // 2 - (J.lo + 1) // 2 + 1 + (1 in J and 0 not in J)
+    regs = J.hi // 2 + (1 in J)
     if max(odds, 1) * regs > cap:
         raise TooLarge(
             f"{what}: {regs} registers and {odds * regs} counter keys exceed the cap {cap}"

@@ -41,7 +41,7 @@ from paritykit.lab import (
 )
 from paritykit.transduction import reg_product
 
-from corpora import quotient_corpus
+from corpora import composed_corpus, quotient_corpus
 
 
 def one_node_tree(letter="a"):
@@ -608,6 +608,17 @@ class TestComposeTransducer:
                     eve_region, _, _, _ = solve(product.game)
                     rhs = product.initial[ag.initial] in eve_region
                     assert membership(composed, t) == rhs
+
+    def test_composed_automata_pass_the_checked_constructor(self):
+        """`compose_transducer` builds its automaton unchecked; `NPTA.make`
+        accepts every one and rebuilds it equal."""
+        automata, _trees = quotient_corpus()
+        # the corpus composes at J [1, 2]; its other automata are at [0, 3]
+        composed = [a for a in automata if a.index == Index(1, 2)]
+        composed += [c for _k, _n, c in composed_corpus()]
+        assert len(composed) == 28
+        for c in composed:
+            assert NPTA.make(c.alphabet, c.states, c.initial, c.transitions, c.omega, c.index) == c
 
 
 class TestGuidedPairBoundCheck:

@@ -13,6 +13,7 @@ from paritykit.decomposition import (
     build_ad,
     is_tight,
     memory_product,
+    n_bound_check,
     tree_shape,
     validate_ad,
 )
@@ -29,6 +30,7 @@ from paritykit.games import Index, ParityGraph, check_even, is_even, unwind
 from paritykit.lab import GenParams, random_bounded_pair, random_even_graph
 from paritykit.trees import LEAF, OrderedTree, n_strahler
 
+from bounded_survey import guided_pair, random_call, shortfall, survey
 from corpora import repaired_even_graph, validate_corpus, wide_flag_pair
 from oracles import brute_is_tight, brute_reachability_check, chain_graph, random_graph
 
@@ -333,6 +335,28 @@ class TestAdFromBoundedPair:
             assert ad_reachability_check(mp.pair.graph_i(), d)
             assert n_strahler(tree_shape(d), m + 1) <= j
 
+    def test_bounded_pairs_validate_within_their_strahler_bound(self):
+        """A slice of the bounded-pair survey (tests/bounded_survey.py): the
+        calls, as (priority_cap, seed, vertices, j, n), where a child of the
+        assembly once kept a live edge into the rest of its residual, then
+        cap 6 over seeds 1-60."""
+        mended = [
+            (4, 22, 4, 3, 1), (4, 94, 4, 3, 1),
+            (6, 38, 6, 2, 2), (6, 83, 5, 3, 1), (6, 127, 5, 3, 1), (6, 241, 6, 2, 1), (6, 255, 4, 3, 0),
+            (8, 21, 7, 2, 1), (8, 21, 7, 4, 1), (8, 22, 4, 3, 1), (8, 24, 7, 2, 1), (8, 24, 7, 4, 1),
+            (8, 94, 4, 3, 1),
+        ]
+        assert [(key, shortfall(*random_call(*key))) for key in mended] == [(key, None) for key in mended]
+        assert list(survey(caps=(6,), seeds=range(1, 61), js=(2, 3))) == []
+
+    def test_guided_pairs_validate_within_their_strahler_bound(self):
+        """Guided runs of composed automata give bounded pairs of the kind
+        the construction is for; these two once failed in its assembly."""
+        for seed, tree in ((19, 5), (95, 11)):
+            pair = guided_pair(seed, tree)
+            assert n_bound_check(pair, 1)[0] and not n_bound_check(pair, 0)[0]
+            assert shortfall(pair, 1, 2) is None
+
 
 class TestReachChecksAgainstOracle:
     def test_reachability_holds_wherever_validate_ad_holds(self):
@@ -380,8 +404,6 @@ class TestBoundedPairOffByOne:
         )
 
     def test_is_one_bound(self):
-        from paritykit.transduction import n_bound_check
-
         pair = self.pair()
         assert n_bound_check(pair, 1)[0]
         assert not n_bound_check(pair, 0)[0]
