@@ -362,18 +362,23 @@ class GuidingFunction:
     def make(a, b, table):
         for p in a.states:
             for tid_b in range(len(b.src)):
-                key = (p, tid_b)
-                if key not in table:
-                    raise IncompatibleGuide(f"table not total at {key}")
-                tid_a = table[key]
-                if tid_a not in range(len(a.src)):
-                    raise IncompatibleGuide(f"g{key} = {tid_a} is not a transition id")
-                if a.src[tid_a] != p or a.letter[tid_a] != b.letter[tid_b]:
-                    ta, tb = a._row(tid_a), b._row(tid_b)
-                    raise IncompatibleGuide(
-                        f"g({p}, {tb}) = {ta} is not compatible with state and letter"
-                    )
+                _guide_entry(table, a, b, p, tid_b)
         return GuidingFunction(dict(table))
+
+
+def _guide_entry(table, a, b, p, tid_b):
+    """The guided transition id at (p, tid_b): present, a transition id of
+    `a`, and compatible with state p and guide transition tid_b's letter."""
+    key = (p, tid_b)
+    if key not in table:
+        raise IncompatibleGuide(f"table not total at {key}")
+    tid_a = table[key]
+    if tid_a not in range(len(a.src)):
+        raise IncompatibleGuide(f"g{key} = {tid_a} is not a transition id")
+    if a.src[tid_a] != p or a.letter[tid_a] != b.letter[tid_b]:
+        ta, tb = a._row(tid_a), b._row(tid_b)
+        raise IncompatibleGuide(f"g({p}, {tb}) = {ta} is not compatible with state and letter")
+    return tid_a
 
 
 def run_pair_labelling(gf, a, b, t, run_b):
@@ -395,14 +400,7 @@ def run_pair_labelling(gf, a, b, t, run_b):
 
     def expand(key, vid, intern):
         bvid, p = key
-        tid_b = run_b.chosen[bvid]
-        tid_a = gf.table.get((p, tid_b))
-        if tid_a is None:
-            raise IncompatibleGuide(f"no entry for ({p}, transition {tid_b})")
-        if tid_a not in range(len(a.src)):
-            raise IncompatibleGuide(f"entry ({p}, {tid_b}) -> {tid_a} is not a transition id")
-        if a.src[tid_a] != p or a.letter[tid_a] != b.letter[tid_b]:
-            raise IncompatibleGuide(f"entry ({p}, {tid_b}) -> {tid_a} incompatible")
+        tid_a = _guide_entry(gf.table, a, b, p, run_b.chosen[bvid])
         chosen.append(tid_a)
         b0, b1 = b_out[bvid]
         src.extend((vid, vid))

@@ -33,18 +33,6 @@ class AdChild:
     attractor: frozenset
     sub: "AttractorDecomposition"
 
-    def __post_init__(self):
-        # the dataclass hash, from the hash that `sub` cached when it was built
-        object.__setattr__(self, "_hash", hash((self.subgame, self.attractor, self.sub)))
-
-    def __eq__(self, other):
-        if other.__class__ is not AdChild:
-            return NotImplemented
-        return self.subgame == other.subgame and self.attractor == other.attractor and self.sub == other.sub
-
-    def __hash__(self):
-        return self._hash
-
 
 @dataclass(frozen=True)
 class AttractorDecomposition:
@@ -54,7 +42,7 @@ class AttractorDecomposition:
     children: tuple
 
     def __post_init__(self):
-        # the dataclass hash, from the hashes the children cached when built
+        # the dataclass hash, cached: a child's hash reads its sub's cached one
         h = hash((self.level, self.top_edges, self.top_attractor, self.children))
         object.__setattr__(self, "_hash", h)
 

@@ -6,7 +6,6 @@ All set-valued results are computed by iterating vertices and edges in
 ascending id order, so every operation is deterministic.
 """
 
-from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -475,9 +474,8 @@ def _odd_cycle_witness(g, parity=1, view=None):
             # path d -> s inside the view, restricted to the component (empty
             # for a self-loop)
             parent = {d: None}
-            queue = deque([d])
-            while queue:
-                u = queue.popleft()
+            queue = [d]
+            for u in queue:
                 if u == s:
                     break
                 for k in out[u]:

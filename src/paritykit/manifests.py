@@ -63,7 +63,9 @@ def _checked(kind, payload):
     for key, typ in _SHAPES[kind].items():
         if key not in payload:
             raise ParseError(f"{kind} payload: missing key {key!r}")
-        if not isinstance(payload[key], typ):
+        value = payload[key]
+        # a JSON boolean is no integer, although Python's bool is an int
+        if not isinstance(value, typ) or typ is int and type(value) is bool:
             raise ParseError(f"{kind} payload: {key!r} is not of JSON type {typ.__name__}")
     return payload
 
@@ -283,6 +285,8 @@ def _from_payload(kind, payload):
         return dict(_int_rows(kind, "choices", payload["choices"], 2))
     if kind == "product":
         base = _checked("base", payload["base"])
+        if base["kind"] not in ("graph", "game"):
+            raise ParseError(f"{kind} payload: base kind {base['kind']!r} is not graph or game")
         return reg_product(
             _from_payload(base["kind"], base["payload"]),
             _index(kind, payload, "J"),
@@ -297,7 +301,7 @@ def _from_payload(kind, payload):
 # PGSolver format
 
 _PG_LINE = re.compile(
-    r"^\s*(\d+)\s+(\d+)\s+([01])\s+([0-9,\s]+?)\s*(?:\"([^\"]*)\")?\s*;\s*$"
+    r"^\s*(\d+)\s+(\d+)\s+([01])\s+(\d+(?:\s*,\s*\d+)*)\s*(?:\"([^\"]*)\")?\s*;\s*$"
 )
 
 
@@ -325,7 +329,7 @@ def import_pgsolver(text, *, use_source_priority=False):
             raise ParseError(f"duplicate vertex id {vid}", line=ln)
         priority[vid] = int(m.group(2))
         owner[vid] = ADAM if m.group(3) == "1" else EVE
-        succs[vid] = [int(s) for s in m.group(4).replace(" ", "").split(",") if s]
+        succs[vid] = [int(s) for s in m.group(4).split(",")]
     if not priority:
         raise ParseError("no vertices (EmptyGame)", line=1)
     for v, targets in succs.items():
@@ -350,6 +354,8 @@ def export_pgsolver(game):
     if not g.vertices:
         # the `parity N;` header names the largest vertex id
         raise PreconditionFailed("pgsolver", "a game without vertices has no header")
+    if min(g.vertices) < 0:
+        raise NotExpressible(f"negative vertex id {min(g.vertices)}")
     vertex_priority = {}
     for e in g.edges:
         before = vertex_priority.get(e.dst)

@@ -316,9 +316,7 @@ class ProductStrategy:
         return frozenset(states)
 
     def verify(self):
-        region = self.reachable_region()
-        sigma = {v: e for v, e in self.sigma.items() if v in region}
-        return verify_winning(self.product.game, sigma, region)
+        return verify_winning(self.product.game, self.sigma, self.reachable_region())
 
 
 def _register_strategy(product, pick):
@@ -383,16 +381,13 @@ def _signature_walk(node, prefix, n, sig, info):
 
 def _smallest_common(info, sig_q, sig_r):
     prefix = ()
-    idx = 0
-    while idx + 2 <= len(sig_q) and idx + 2 <= len(sig_r):
+    for idx in range(0, min(len(sig_q), len(sig_r)) - 1, 2):
         chunk = sig_q[idx : idx + 2]
-        if chunk != sig_r[idx : idx + 2] or chunk[1] != 0:
-            break
         candidate = prefix + chunk
-        if candidate not in info:
+        # every key of `info` is a run of (k, 0) chunks, so a rim chunk stops here
+        if chunk != sig_r[idx : idx + 2] or candidate not in info:
             break
         prefix = candidate
-        idx += 2
     return info[prefix]
 
 

@@ -336,7 +336,7 @@ def universal_tree(n, k, d, w):
 def _check_universal(n, k, d, w):
     if n < 1 or w < 1:
         raise PreconditionFailed("universal_tree", "n and w must be positive")
-    if k == 0 or k > d:
+    if k < 1 or k > d:
         raise UndefinedTree(f"U(n={n},k={k},d={d}) is undefined")
 
 
@@ -357,7 +357,7 @@ def universal_tree_size(n, k, d, w, cap):
     row = []
     for gap in range(d - k + 1):
         new = []
-        for x, kk in enumerate(range(min(k, 1), k + 1)):
+        for x, kk in enumerate(range(1, k + 1)):
             size = 1
             if kk >= 2:
                 size += (n + 1) * w * new[x - 1]

@@ -563,6 +563,21 @@ class TestGuidedRun:
         with pytest.raises(IncompatibleGuide, match=rf"g\(0, 1\) = {entry} is not a transition id"):
             GuidingFunction.make(a, b, {**gf.table, (0, 1): entry})
 
+    def test_guided_run_checks_each_entry_as_make_does(self):
+        # a manifest's guiding function is built without its automata, so the
+        # run checks each entry it uses; the guide's run of t takes guide
+        # transition 1 from state 0
+        a, b, gf, (t, *_rest) = guided_suite()[0]
+        run_b = accepting_run(b, t)
+        missing = {key: tid for key, tid in gf.table.items() if key != (0, 1)}
+        other_letter = next(i for i, x in enumerate(a.letter) if x != b.letter[1])
+        for table in (missing, {**gf.table, (0, 1): other_letter}, {**gf.table, (0, 1): 999}):
+            with pytest.raises(IncompatibleGuide) as built:
+                GuidingFunction.make(a, b, table)
+            with pytest.raises(IncompatibleGuide) as used:
+                run_pair_labelling(GuidingFunction(table), a, b, t, run_b)
+            assert str(used.value) == str(built.value)
+
 
 class TestComposeTransducer:
     def test_state_cap_names_construction(self):

@@ -26,21 +26,20 @@ from paritykit.automata import (
 from paritykit.cli import main
 from paritykit.decomposition import AttractorDecomposition, LabellingPair, SegmentedPath, build_ad
 from paritykit.errors import PreconditionFailed
-from paritykit.games import Index, Lasso, ParityGame, ParityGraph
+from paritykit.games import Index, ParityGame, ParityGraph
 from paritykit.lab import (
     GenParams,
     _aut_eventually_b,
-    _deterministic_guide,
     guided_negative,
     guided_suite,
     random_bounded_pair,
-    random_even_graph,
     random_game,
 )
-from paritykit.transduction import RegProduct, eve_wins_reg, reg_product
+from paritykit.transduction import RegProduct, eve_wins_reg
 from paritykit.trees import OrderedTree
 
 from corpora import graph_of_tree
+from input_fuzz import fuzz, valid_documents
 from oracles import chain_graph
 
 
@@ -856,33 +855,10 @@ class TestCommands:
             "--guiding-function", write(tmp_path, "g.json", GuidingFunction(table)),
         ]
         assert main(argv) == 2
-        assert f"usage error: entry (0, 1) -> {entry} is not a transition id" in capsys.readouterr().err
+        assert f"usage error: g(0, 1) = {entry} is not a transition id" in capsys.readouterr().err
 
 
-def _valid_manifests():
-    """One small manifest of every kind, as parsed JSON documents; the graph
-    is the one the decomposition was built for."""
-    g = random_even_graph(GenParams(seed=3, vertex_count=6))
-    h = max(g.pri) + max(g.pri) % 2
-    a = _aut_eventually_b()
-    loop = ParityGraph.make([0, 1], [(0, 1, 1), (1, 0, 2)])
-    objects = {
-        "graph": g,
-        "game": random_game(GenParams(seed=8, vertex_count=4)),
-        "lasso": Lasso((0,), (1, 2)),
-        "tree": OrderedTree.from_brackets("((())())"),
-        "decomposition": build_ad(g, h),
-        "pair": random_bounded_pair(GenParams(seed=9, vertex_count=4), 1),
-        "automaton": a,
-        "regular-tree": RegularTree.make(("b",), (0,), (0,), 0),
-        "guiding-function": _deterministic_guide(a, a),
-        "strategy": {0: 1},
-        "product": reg_product(loop, Index(1, 2), 0),
-    }
-    return {kind: json.loads(manifests.dumps(obj)) for kind, obj in objects.items()}
-
-
-VALID = _valid_manifests()
+VALID = valid_documents()
 
 # every command that reads a manifest, with the mutated one at "{}" and
 # valid manifests of the named kinds elsewhere
@@ -1124,3 +1100,9 @@ def test_hostile_input_ends_in_an_exit_code_in_seconds(tmp_path, argv, code):
     got, err, seconds = _run_main([arg.format(**paths) for arg in argv])
     assert (got, "Traceback" in err) == (code, False), err
     assert seconds < HOSTILE_SECONDS
+
+
+def test_input_fuzz_slice_ends_in_exit_codes():
+    """tests/input_fuzz.py's fixed cases, each a usage error, and its first
+    300 seeded mutations, each ending in an exit code of 0-3."""
+    assert fuzz(300) == []

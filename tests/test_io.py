@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from paritykit import manifests
@@ -16,7 +18,10 @@ from paritykit.lab import (
 from paritykit.transduction import reg_product
 from paritykit.trees import OrderedTree
 
+from input_fuzz import valid_documents
 from oracles import chain_graph
+
+DOCS = valid_documents()
 
 
 class TestRoundTrips:
@@ -134,6 +139,24 @@ class TestPgsolver:
         with pytest.raises(NotExpressible):
             manifests.export_pgsolver(gm)
 
+    @pytest.mark.parametrize("succ", ["1 2", "1\t2", "1,,2", "1,"])
+    def test_successors_are_comma_separated_numbers(self, succ):
+        # "1 2" was once read as the one successor 12, "1\t2" as no number
+        text = f"parity 12;\n0 3 0 {succ};\n1 2 1 0;\n2 1 0 12;\n12 0 1 0;\n"
+        with pytest.raises(ParseError, match="bad vertex line") as info:
+            manifests.import_pgsolver(text)
+        assert info.value.line == 2
+
+    def test_spaces_around_successor_commas(self):
+        gm = manifests.import_pgsolver('parity 1;\n0 3 0 1 ,\t0 "a b";\n1 2 1 0;\n')
+        assert sorted((e.src, e.dst) for e in gm.graph.edges) == [(0, 0), (0, 1), (1, 0)]
+
+    def test_negative_vertex_ids_are_not_expressible(self):
+        # the header would read `parity -1;`, which the import refuses
+        gm = ParityGame.make(ParityGraph.make([-3, -1], [(-3, -1, 1), (-1, -3, 1)]), {-3: EVE, -1: ADAM})
+        with pytest.raises(NotExpressible, match="negative vertex id -3"):
+            manifests.export_pgsolver(gm)
+
 
 class TestDot:
     def test_tree_single_node(self):
@@ -184,6 +207,25 @@ class TestManifestErrors:
             d = build_ad(chain_graph(k), 2 * (k - 1))
             with pytest.raises(TooLarge, match="decomposition manifest: nested more than 500 deep"):
                 manifests.dumps(d)
+
+    @pytest.mark.parametrize(
+        "kind",
+        ["tree", "lasso", "product", "decomposition", "pair", "automaton", "regular-tree", "guiding-function",
+         "strategy"],
+    )
+    def test_a_product_base_is_a_graph_or_game(self, kind):
+        doc = json.loads(json.dumps(DOCS["product"]))
+        doc["payload"]["base"] = {"kind": kind, "payload": DOCS[kind]["payload"]}
+        with pytest.raises(ParseError, match=f"product payload: base kind '{kind}' is not graph or game"):
+            manifests.loads(json.dumps(doc))
+
+    @pytest.mark.parametrize("kind, key", [("decomposition", "level"), ("regular-tree", "root"), ("product", "n")])
+    def test_integer_keys_refuse_booleans(self, kind, key):
+        doc = json.loads(json.dumps(DOCS[kind]))
+        for value in (True, False):
+            doc["payload"][key] = value
+            with pytest.raises(ParseError, match=f"{kind} payload: '{key}' is not of JSON type int"):
+                manifests.loads(json.dumps(doc))
 
     def test_kind_not_among_the_wanted(self):
         text = manifests.dumps(OrderedTree.from_brackets("(())"))

@@ -314,6 +314,10 @@ class TestUniversalTree:
             universal_tree(2, 3, 2, 2)
         with pytest.raises(UndefinedTree):
             universal_tree(2, 0, 1, 2)
+        with pytest.raises(UndefinedTree, match=r"U\(n=1,k=-1,d=3\) is undefined"):
+            universal_tree(1, -1, 3, 2)
+        with pytest.raises(UndefinedTree):
+            universal_tree_size(1, -1, 3, 2, 10)
 
     def test_size_follows_the_recurrence_without_building(self):
         cases = 0
