@@ -111,7 +111,7 @@ def _natural_int(text):
 def cmd_solve(args):
     obj = _load(args.file, GRAPHS)
     if isinstance(obj, ParityGraph):
-        obj = ParityGame.make(obj, {v: ADAM for v in obj.vertices})
+        obj = ParityGame.make(obj, ())
     eve_region, adam_region, eve_strat, adam_strat = solve(obj)
     print("eve:", " ".join(map(str, sorted(eve_region))))
     print("adam:", " ".join(map(str, sorted(adam_region))))
@@ -239,7 +239,8 @@ def cmd_reg(args):
     obj = _load(args.file, kinds)
     J = Index(args.j_lo, args.j_hi)
     if args.action == "build":
-        product = reg_product(obj, J, args.n, rule=args.reset_rule, cap=args.cap_states)
+        starts = None if args.start is None else [args.start]
+        product = reg_product(obj, J, args.n, rule=args.reset_rule, cap=args.cap_states, starts=starts)
         _emit(product, args)
         return 0
     if args.action == "solve":

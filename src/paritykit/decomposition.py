@@ -93,12 +93,10 @@ class ValidationResult:
         return f"ValidationResult(clause={self.clause!r}, witness={self.witness!r})"
 
 
-def _live_edges(g, alive, cap, labels=None, value=None):
-    """Live edge ids of the view (alive, cap), or only those whose entry in
-    `labels` is `value`, as a frozenset."""
+def _live_edges(g, alive, cap, labels, value):
+    """Live edge ids of the view (alive, cap) whose entry in `labels` is
+    `value`, as a frozenset."""
     dst, pri, out = g.dst, g.pri, g.out
-    if labels is None:
-        return frozenset(i for v in alive for i in out[v] if pri[i] < cap and dst[i] in alive)
     return frozenset(
         i for v in alive for i in out[v] if labels[i] == value and pri[i] < cap and dst[i] in alive
     )
@@ -140,7 +138,7 @@ def _canonical_children(g, alive, cap, level):
 
 def _build(g, alive, cap, level):
     if level == 0:
-        return AttractorDecomposition(0, _live_edges(g, alive, cap), frozenset(alive), ())
+        return AttractorDecomposition(0, _live_edges(g, alive, cap, g.pri, 0), frozenset(alive), ())
     h_edges, a0, kids = _canonical_children(g, alive, cap, level)
     if not kids:
         return AttractorDecomposition(level, h_edges, frozenset(alive), ())
@@ -275,17 +273,20 @@ def validate_ad(g, d):
 
 def _reach(g, starts, alive, cap):
     """`starts` plus the vertices reachable from them along live edges of
-    the view (alive, cap)."""
+    the view (alive, cap).  A path last leaves `starts` to a successor of a
+    start, so `explore` searches only the rest of `alive`, from those
+    successors, and finds at most one state per vertex."""
     dst, pri, out = g.dst, g.pri, g.out
-    reach = set(starts)
-    queue = list(reach)
-    for v in queue:
-        for i in out[v]:
-            w = dst[i]
-            if pri[i] < cap and w in alive and w not in reach:
-                reach.add(w)
-                queue.append(w)
-    return reach
+    rest = alive - starts
+
+    def successors(vs):
+        return {dst[i] for v in vs for i in out[v] if pri[i] < cap and dst[i] in rest}
+
+    def expand(v, _sid, intern):
+        for w in successors((v,)):
+            intern(w)
+
+    return starts | set(explore(successors(starts), expand, "_reach", len(g.vertices))[0])
 
 
 def _reach_check(g, d):
@@ -621,7 +622,7 @@ def _rts_build(mp, g, label_j, alive, cap, i2, j2, n):
     here and the children's top edges below."""
     level = 2 * i2
     if i2 == 0:
-        return AttractorDecomposition(0, _live_edges(g, alive, cap), frozenset(alive), ())
+        return AttractorDecomposition(0, _live_edges(g, alive, cap, g.pri, 0), frozenset(alive), ())
     h_edges, a0, kids = _canonical_children(g, alive, cap, level)
     if not kids:
         return AttractorDecomposition(level, h_edges, frozenset(alive), ())

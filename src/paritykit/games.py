@@ -6,7 +6,7 @@ All set-valued results are computed by iterating vertices and edges in
 ascending id order, so every operation is deterministic.
 """
 
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, repeat
@@ -190,18 +190,14 @@ class ParityGame:
     eve: frozenset
 
     @staticmethod
-    def make(graph, owner):
-        """owner: mapping vertex -> EVE/ADAM, or an iterable of Eve's vertices."""
-        if isinstance(owner, dict):
-            missing = graph.vertices - owner.keys()
-            extra = owner.keys() - graph.vertices
-            if missing or extra:
-                raise PreconditionFailed("owner", f"missing={sorted(missing)} extra={sorted(extra)}")
-            eve = frozenset(v for v, p in owner.items() if p == EVE)
-        else:
-            eve = frozenset(owner)
-            if not eve <= graph.vertices:
-                raise PreconditionFailed("owner", "eve set not within vertices")
+    def make(graph, eve):
+        """eve: an iterable of Eve's vertices; every other vertex is Adam's.
+        A mapping is refused, so its keys are never taken for Eve's."""
+        if isinstance(eve, Mapping):
+            raise PreconditionFailed("owner", "pass Eve's vertices, not a mapping")
+        eve = frozenset(eve)
+        if not eve <= graph.vertices:
+            raise PreconditionFailed("owner", "eve set not within vertices")
         return ParityGame(graph, eve)
 
     def owner(self, v):

@@ -75,11 +75,11 @@ class GenParams:
 GRAPH_RETRIES = 200
 PAIR_RETRIES = 300
 # the most vertices `paritykit lab random --kind pair` takes: the chance
-# that a sampled pair passes the 1-bound check falls with the vertex count,
-# and at the default flags (n = 1, priorities 4) seeds 0-5 each found a
-# pair in under 0.3 s at 80 and 85 vertices, while seed 4 failed at 90 and
-# seeds 2 and 5 at 100; a failure costs all 300 draws, 0.4 s at 100
-# vertices and 1.8 s at 300
+# that a draw passes the n-bound check falls with the vertex count, and a
+# pair repaired after 300 failed draws pays for them all, as each draw's
+# `_repair_even` reruns the odd-cycle search once per bump; with seed 0 and
+# n = 0 a call took 0.9 s at 100 vertices, 3.3 s at 300 and 36 s at 1,000
+# (one core of a 2-core Xeon)
 PAIR_VERTICES = 85
 
 
@@ -146,7 +146,11 @@ def _repair_even(g, labels, index):
 
 def random_bounded_pair(p, n, salt=0):
     """Even pair passing the n-bound check: labelJ is an even labelling in
-    [1, 2j], labelI adds sparse odd bursts and is rejection-sampled."""
+    [1, 2j], labelI adds sparse odd bursts and is rejection-sampled.  If
+    every draw fails, the last is repaired: each labelI edge on a witness's
+    segments that carries its odd priority rises by 1 until no witness is
+    left.  A cycle through such an edge peaks at a higher even label, so
+    labelI stays even."""
     j_lo, j_hi = p.index_j
     index_j = Index(j_lo, j_hi)
     i_hi = p.priority_cap + (p.priority_cap % 2)
@@ -166,10 +170,16 @@ def random_bounded_pair(p, n, salt=0):
             label_i.append(rng.randrange(r.start, r.stop, 2))
         label_i = _repair_even(g, label_i, index_i)
         pair = LabellingPair.make(g, label_i, label_j, index_i, index_j)
-        ok, _ = n_bound_check(pair, n)
+        ok, witness = n_bound_check(pair, n)
         if ok:
             return pair
-    raise ExhaustedRetries(f"no {n}-bound even pair found")
+    label_i = list(label_i)
+    while witness is not None:
+        for i in {i for seg in witness.segments for i in seg if label_i[i] == witness.odd}:
+            label_i[i] += 1
+        pair = LabellingPair(g, tuple(label_i), label_j, index_i, index_j)
+        _, witness = n_bound_check(pair, n)
+    return pair
 
 
 def brute_solve(game):

@@ -17,7 +17,7 @@ from .errors import (
     PreconditionFailed,
     TooLarge,
 )
-from .games import ADAM, EVE, Index, Lasso, ParityGame, ParityGraph, gather, unwind
+from .games import ADAM, Index, Lasso, ParityGame, ParityGraph, gather, unwind
 from .transduction import RegProduct, reg_product
 from .trees import OrderedTree
 
@@ -316,7 +316,7 @@ def import_pgsolver(text, *, use_source_priority=False):
     if not re.match(r"^parity\s+\d+\s*;$", header):
         raise ParseError(f"bad header {header!r}", line=1)
     priority = {}
-    owner = {}
+    eve = []
     succs = {}
     for ln, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
@@ -328,7 +328,8 @@ def import_pgsolver(text, *, use_source_priority=False):
         if vid in priority:
             raise ParseError(f"duplicate vertex id {vid}", line=ln)
         priority[vid] = int(m.group(2))
-        owner[vid] = ADAM if m.group(3) == "1" else EVE
+        if m.group(3) == "0":
+            eve.append(vid)
         succs[vid] = [int(s) for s in m.group(4).split(",")]
     if not priority:
         raise ParseError("no vertices (EmptyGame)", line=1)
@@ -342,7 +343,7 @@ def import_pgsolver(text, *, use_source_priority=False):
             p = priority[v] if use_source_priority else priority[w]
             edges.append((v, w, p))
     graph = ParityGraph.make(sorted(priority), edges)
-    return ParityGame.make(graph, {v: o for v, o in owner.items()})
+    return ParityGame.make(graph, eve)
 
 
 def export_pgsolver(game):

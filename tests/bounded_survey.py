@@ -8,6 +8,14 @@ runs the whole survey, 16,146 calls (`priority_cap` 4 and 6, seeds 1-299,
 4-6 vertices, j 1-3 and n 0-2), prints each call that falls short and
 exits 1 if there is any.  tests/test_decomposition.py runs a slice of it,
 and the two guided pairs below.
+
+    PYTHONPATH=src python tests/bounded_survey.py --sampler
+
+runs the sampler grid instead, 216 calls of `random_bounded_pair` (seeds
+0-5, 25, 50 and 85 vertices, n 0-2 and `priority_cap` 2, 4, 6 and 8), and
+fails on any call that raises or returns a pair that `_bounded_pair_gate`
+refuses: a terminal vertex, an odd cycle in either labelling, or labelI
+not n-bound.  tests/test_lab.py runs a slice of it.
 """
 
 import random
@@ -16,6 +24,7 @@ import sys
 from paritykit.automata import NPTA, accepting_run, compose_transducer, run_pair_labelling
 from paritykit.decomposition import (
     LabellingPair,
+    _bounded_pair_gate,
     ad_from_bounded_pair,
     memory_product,
     tree_shape,
@@ -61,6 +70,28 @@ def survey(caps=(4, 6), seeds=range(1, 300), vertex_counts=(4, 5, 6), js=(1, 2, 
                             yield key, why
 
 
+def sampler_shortfall(seed, vertices, n, cap):
+    """Why `random_bounded_pair` at these parameters falls short, or None."""
+    p = GenParams(seed=seed, vertex_count=vertices, priority_cap=cap)
+    try:
+        _bounded_pair_gate(random_bounded_pair(p, n), n)
+    except ParityKitError as err:
+        return f"{type(err).__name__}: {err}"
+    return None
+
+
+def sampler_grid(seeds=range(6), vertex_counts=(25, 50, 85), ns=(0, 1, 2), caps=(2, 4, 6, 8)):
+    """(seed, vertices, n, cap) and the shortfall of each call that has one."""
+    for seed in seeds:
+        for vertices in vertex_counts:
+            for n in ns:
+                for cap in caps:
+                    key = (seed, vertices, n, cap)
+                    why = sampler_shortfall(*key)
+                    if why is not None:
+                        yield key, why
+
+
 def guided_pair(seed, tree):
     """The labelling pair of a seeded deterministic automaton A's run, guided
     along the accepting run of A composed at J [1, 4] and n 0 on regular
@@ -80,13 +111,20 @@ def guided_pair(seed, tree):
     return LabellingPair.make(pair.graph, pair.label_i, pair.label_j, Index(0, 4), pair.index_j)
 
 
-def main():
+def main(argv):
+    if argv == ["--sampler"]:
+        calls, line = sampler_grid(), "seed={} vertices={} n={} cap={}: "
+    elif not argv:
+        calls, line = survey(), "cap={} seed={} vertices={} j={} n={}: "
+    else:
+        print("usage: bounded_survey.py [--sampler]", file=sys.stderr)
+        return 2
     failed = False
-    for key, why in survey():
-        print("cap={} seed={} vertices={} j={} n={}: ".format(*key) + why)
+    for key, why in calls:
+        print(line.format(*key) + why)
         failed = True
     return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

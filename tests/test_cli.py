@@ -639,6 +639,18 @@ class TestCommands:
         assert main(["reg", "solve", even_loop, "--n", "0"]) == 0
         assert main(["reg", "solve", odd_loop, "--n", "1"]) == 1
 
+    def test_reg_build_starts_from_the_start_vertex_only(self, tmp_path, capsys):
+        g = ParityGraph.make([0, 1], [(0, 1, 1), (1, 0, 2)])
+        path = write(tmp_path, "g.json", g)
+        assert main(["reg", "build", path]) == 0
+        assert json.loads(capsys.readouterr().out)["payload"]["starts"] == [0, 1]
+        assert main(["reg", "build", path, "--start", "1"]) == 0
+        manifest = capsys.readouterr().out
+        assert json.loads(manifest)["payload"]["starts"] == [1]
+        assert set(manifests.loads(manifest).initial) == {1}
+        assert main(["reg", "build", path, "--start", "7"]) == 2
+        assert "unknown start vertex 7" in capsys.readouterr().err
+
     def test_reg_synth_from_pair(self, tmp_path, capsys):
         pair = random_bounded_pair(GenParams(seed=9, vertex_count=4), 1)
         path = write(tmp_path, "pair.json", pair)
@@ -674,7 +686,7 @@ class TestCommands:
         assert capsys.readouterr().out == "invalid decomposition\n"
 
     def test_even_reads_the_graph_of_a_game(self, tmp_path, capsys):
-        game = ParityGame.make(ParityGraph.make([0, 1], [(0, 1, 1), (1, 0, 2)]), {0: "eve", 1: "adam"})
+        game = ParityGame.make(ParityGraph.make([0, 1], [(0, 1, 1), (1, 0, 2)]), [0])
         assert main(["even", write(tmp_path, "game.json", game)]) == 0
         assert capsys.readouterr().out == "even\n"
 
@@ -1018,7 +1030,7 @@ class TestHostileManifests:
 
     def test_pgsolver_export_without_a_vertex_is_a_usage_error(self, tmp_path, capsys):
         # PGSolver's header names the largest vertex id, and `parity -1;` does not parse
-        path = write(tmp_path, "empty.json", ParityGame.make(ParityGraph.make([], []), {}))
+        path = write(tmp_path, "empty.json", ParityGame.make(ParityGraph.make([], []), ()))
         assert main(["--format", "pgsolver", "convert", path]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -1028,7 +1040,7 @@ class TestHostileManifests:
     def test_reg_solve_without_a_vertex_is_a_usage_error(self, tmp_path, capsys, kind):
         # with no --start the game starts at the smallest vertex, and there is none
         g = ParityGraph.make([], [])
-        path = write(tmp_path, "empty.json", g if kind == "graph" else ParityGame.make(g, {}))
+        path = write(tmp_path, "empty.json", g if kind == "graph" else ParityGame.make(g, ()))
         assert main(["reg", "solve", path, "--n", "1"]) == 2
         assert "precondition failed: eve_wins_reg" in capsys.readouterr().err
 

@@ -15,6 +15,7 @@ from paritykit.errors import (
     StrategyEscapesRegion,
     TerminalVertex,
     UndefinedChoice,
+    UsageError,
 )
 from paritykit.games import (
     ADAM,
@@ -156,6 +157,21 @@ class TestAttractors:
         assert small <= a_small
 
 
+class TestGameOwners:
+    def test_a_mapping_is_refused_not_read_for_its_keys(self):
+        g = ParityGraph.make([0, 1], [(0, 1, 0), (1, 0, 0)])
+        for owner in ({0: "Eve", 1: "eve"}, {}):
+            with pytest.raises(UsageError, match="not a mapping"):
+                ParityGame.make(g, owner)
+        assert ParityGame.make(g, [0, 1]).eve == g.vertices
+        assert ParityGame.make(g, ()).adam == g.vertices
+
+    def test_eve_outside_the_vertices_is_refused(self):
+        g = ParityGraph.make([0], [(0, 0, 0)])
+        with pytest.raises(UsageError, match="eve set not within vertices"):
+            ParityGame.make(g, [0, 1])
+
+
 class TestPlayerAttractor:
     def test_targets_everything(self):
         gm = random_game(random.Random(3), 4, 3)
@@ -164,7 +180,7 @@ class TestPlayerAttractor:
 
     def test_single_step(self):
         g = ParityGraph.make([0, 1], [(0, 1, 0), (1, 1, 0)])
-        gm = ParityGame.make(g, {0: EVE, 1: ADAM})
+        gm = ParityGame.make(g, [0])
         region, strat = player_attractor(gm, {1}, EVE)
         assert region == frozenset({0, 1})
         assert strat == {0: 0}
@@ -210,14 +226,14 @@ class TestEvenness:
 class TestSolve:
     def test_even_loop_eve_wins(self):
         g = ParityGraph.make([0], [(0, 0, 2)])
-        gm = ParityGame.make(g, {0: EVE})
+        gm = ParityGame.make(g, [0])
         we, wa, se, _ = solve(gm)
         assert we == frozenset({0}) and wa == frozenset()
         assert verify_winning(gm, se, we)
 
     def test_odd_loop_adam_wins(self):
         g = ParityGraph.make([0], [(0, 0, 1)])
-        gm = ParityGame.make(g, {0: ADAM})
+        gm = ParityGame.make(g, [])
         we, wa, _, sa = solve(gm)
         assert wa == frozenset({0}) and we == frozenset()
         assert verify_winning(gm, sa, wa, player=ADAM)
@@ -247,19 +263,19 @@ class TestSolve:
 class TestStrategyGraph:
     def test_picks_single_loop(self):
         g = ParityGraph.make([0], [(0, 0, 2), (0, 0, 1)])
-        gm = ParityGame.make(g, {0: EVE})
+        gm = ParityGame.make(g, [0])
         h = strategy_graph(gm, {0: 0}, {0})
         assert len(h.edges) == 1 and h.edges[0].priority == 2
 
     def test_adam_only_unchanged(self):
         g = two_cycle()
-        gm = ParityGame.make(g, {0: ADAM, 1: ADAM})
+        gm = ParityGame.make(g, [])
         h = strategy_graph(gm, {}, g.vertices)
         assert h.edges == g.edges
 
     def test_errors(self):
         g = two_cycle()
-        gm = ParityGame.make(g, {0: EVE, 1: ADAM})
+        gm = ParityGame.make(g, [0])
         with pytest.raises(UndefinedChoice):
             strategy_graph(gm, {}, g.vertices)
         with pytest.raises(StrategyEscapesRegion):
@@ -284,14 +300,14 @@ class TestVerifyWinning:
 
     def test_odd_choice_fails(self):
         g = ParityGraph.make([0], [(0, 0, 2), (0, 0, 1)])
-        gm = ParityGame.make(g, {0: EVE})
+        gm = ParityGame.make(g, [0])
         assert not verify_winning(gm, {0: 1}, {0})
         assert verify_winning(gm, {0: 0}, {0})
 
     def test_opponent_edge_leaving_region_fails(self):
         # Adam owns both vertices; from 0 he can leave {0} and win at 1
         g = ParityGraph.make([0, 1], [(0, 0, 2), (0, 1, 0), (1, 1, 1)])
-        gm = ParityGame.make(g, {0: ADAM, 1: ADAM})
+        gm = ParityGame.make(g, [])
         assert solve(gm)[0] == frozenset()
         assert not verify_winning(gm, {}, {0})
         assert verify_winning(gm, {1: 2}, {1}, player=ADAM)

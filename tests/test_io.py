@@ -135,7 +135,7 @@ class TestPgsolver:
 
     def test_not_expressible(self):
         g = ParityGraph.make([0], [(0, 0, 1), (0, 0, 2)])
-        gm = ParityGame.make(g, {0: EVE})
+        gm = ParityGame.make(g, [0])
         with pytest.raises(NotExpressible):
             manifests.export_pgsolver(gm)
 
@@ -153,7 +153,7 @@ class TestPgsolver:
 
     def test_negative_vertex_ids_are_not_expressible(self):
         # the header would read `parity -1;`, which the import refuses
-        gm = ParityGame.make(ParityGraph.make([-3, -1], [(-3, -1, 1), (-1, -3, 1)]), {-3: EVE, -1: ADAM})
+        gm = ParityGame.make(ParityGraph.make([-3, -1], [(-3, -1, 1), (-1, -3, 1)]), [-3])
         with pytest.raises(NotExpressible, match="negative vertex id -3"):
             manifests.export_pgsolver(gm)
 

@@ -18,6 +18,7 @@ from paritykit.lab import (
 from paritykit.transduction import n_bound_check
 
 import oracles
+from bounded_survey import sampler_shortfall
 
 
 def _oracle_corpus(count):
@@ -79,14 +80,24 @@ class TestGenerators:
             assert is_even(pair.graph_i())
             assert is_even(pair.graph_j())
 
+    def test_pairs_are_repaired_once_every_draw_fails(self):
+        """A slice of the sampler grid (tests/bounded_survey.py --sampler)
+        where all 300 draws fail, so each pair comes from the repair."""
+        calls = [
+            (seed, vertices, n, cap)
+            for seed in (0, 1)
+            for vertices, n, cap in ((25, 0, 2), (25, 0, 4), (50, 0, 8), (85, 1, 2))
+        ]
+        assert [(call, why) for call in calls if (why := sampler_shortfall(*call))] == []
+
 
 class TestBruteSolve:
     def test_trivial_loops(self):
         g = ParityGraph.make([0], [(0, 0, 2)])
-        gm = ParityGame.make(g, {0: "eve"})
+        gm = ParityGame.make(g, [0])
         assert brute_solve(gm) == (frozenset({0}), frozenset())
         g1 = ParityGraph.make([0], [(0, 0, 1)])
-        gm1 = ParityGame.make(g1, {0: "adam"})
+        gm1 = ParityGame.make(g1, [])
         assert brute_solve(gm1) == (frozenset(), frozenset({0}))
 
     def test_agrees_with_solve(self):
@@ -131,7 +142,7 @@ class TestBruteSolve:
         g = ParityGraph.make(
             range(12), [(v, w, 0) for v in range(12) for w in range(12)]
         )
-        gm = ParityGame.make(g, {v: "eve" for v in range(12)})
+        gm = ParityGame.make(g, range(12))
         # 12**12 strategies exceed the state cap
         with pytest.raises(TooLarge):
             brute_solve(gm)

@@ -186,7 +186,7 @@ class TestRegProduct:
 
     def test_game_input_keeps_base_owner(self):
         g = ParityGraph.make([0, 1], [(0, 1, 2), (1, 0, 2)])
-        gm = ParityGame.make(g, {0: EVE, 1: ADAM})
+        gm = ParityGame.make(g, [0])
         product = reg_product(gm, Index(1, 2), 0)
         for vid, state in enumerate(product.decode):
             if state[0] == "A":
